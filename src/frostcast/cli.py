@@ -19,17 +19,19 @@ from .ensemble import (
     FOLD_COEFFICIENT_PRESETS,
     calibrate_coefficients,
     load_bank,
+    load_baseline_fraction,
     load_baselines,
     save_bank,
     train_bank,
 )
 from .errors import DataError, FormatError, FrostcastError, NumericalError
 from .evaluate import (
+    BaselineModel,
     make_folds,
     run_fold_experiment,
     train_baselines,
 )
-from .features import DEFAULT_HORIZON
+from .features import DEFAULT_HORIZON, baseline_feature_arrays
 from .ingest import (
     Dataset,
     ingest_directory,
@@ -215,7 +217,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         coeff = calibrate_coefficients(bank, train_series, stride=args.stride)
     bank.coefficients = coeff
     baselines = load_baselines(args.bank)
-    save_bank(bank, args.bank, baselines=baselines or None)
+    save_bank(
+        bank,
+        args.bank,
+        baselines=baselines or None,
+        baseline_train_fraction=load_baseline_fraction(args.bank),
+    )
     print(f"coefficients: geo={coeff.geo!r} dem={coeff.dem!r} ndvi={coeff.ndvi!r}")
     return 0
 
@@ -235,14 +242,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         stored = load_baselines(args.bank)
         if not stored:
             raise DataError("bank directory has no baseline models")
-        from .evaluate import BaselineModel
-        from .features import baseline_feature_arrays
-
+        fraction = load_baseline_fraction(args.bank)
         by_id = {s.id: s for s in dataset.stations}
         baselines = {}
         for sid, (net, scaler) in stored.items():
             x, _, _ = baseline_feature_arrays(by_id[sid], bank.horizon)
-            baselines[sid] = BaselineModel(net, scaler, int(x.shape[0] * 0.8))
+            baselines[sid] = BaselineModel(net, scaler, int(x.shape[0] * fraction))
     report = run_fold_experiment(
         dataset.stations,
         folds,

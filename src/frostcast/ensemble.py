@@ -33,8 +33,8 @@ from .features import (
     climate_matrix,
     fit_scaler_arrays,
     invert_label,
+    join_pair_arrays,
     label_arrays,
-    pair_feature_arrays,
     scale_label,
 )
 from .neuralnet import Network, SUBMODEL_SPEC, TrainConfig, forward_batch, init_network
@@ -318,6 +318,16 @@ def train_bank(
     test_ids = folds.test_stations(fold)
     if len(train_ids) < 2:
         raise DataError("need at least two training stations")
+    if entry_stride < 1:
+        raise DomainError(f"entry_stride must be >= 1: {entry_stride!r}")
+
+    # Columns are extracted once per station, not once per pair. Every source
+    # joins against all labels, so they are kept; the copies stop the strided
+    # views from pinning full-length arrays.
+    labels_by_id = {}
+    for sid in train_ids:
+        lab_ts, labels = label_arrays(by_id[sid], horizon)
+        labels_by_id[sid] = (lab_ts[::entry_stride].copy(), labels[::entry_stride].copy())
 
     normalization = fit_normalization([by_id[i].attributes for i in train_ids])
     models: dict[StationId, Network] = {}
@@ -325,12 +335,15 @@ def train_bank(
     for idx, source_id in enumerate(train_ids):
         source = by_id[source_id]
         assert source_id not in test_ids
+        climate = climate_matrix(source)
         blocks_x, blocks_y = [], []
         for target_id in train_ids:
             if target_id == source_id:
                 continue
             assert target_id not in test_ids
-            x, y, _ = pair_feature_arrays(source, by_id[target_id], horizon, stride=entry_stride)
+            x, y, _ = join_pair_arrays(
+                source.attributes, by_id[target_id].attributes, climate, *labels_by_id[target_id]
+            )
             if x.shape[0]:
                 blocks_x.append(x)
                 blocks_y.append(y)
@@ -511,14 +524,18 @@ def load_bank(directory: str | os.PathLike) -> SubmodelBank:
     )
 
 
+def _read_manifest(path: Path) -> dict:
+    try:
+        with open(path / "manifest.json", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise FormatError(f"cannot read manifest: {exc}") from exc
+
+
 def load_baselines(directory: str | os.PathLike) -> dict[StationId, tuple[Network, ScalerStats]]:
     """The on-site reference models stored beside a bank, possibly none."""
     path = Path(directory)
-    try:
-        with open(path / "manifest.json", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read manifest: {exc}") from exc
+    manifest = _read_manifest(path)
     out: dict[StationId, tuple[Network, ScalerStats]] = {}
     for sid in manifest.get("baseline_ids", []):
         net, scaler = load_network(path / f"baseline_{sid}.json")
@@ -526,6 +543,14 @@ def load_baselines(directory: str | os.PathLike) -> dict[StationId, tuple[Networ
             raise FormatError(f"baseline {sid} is missing its scaler")
         out[sid] = (net, scaler)
     return out
+
+
+def load_baseline_fraction(directory: str | os.PathLike) -> float:
+    """The chronological split fraction the stored baselines were trained on."""
+    fraction = _read_manifest(Path(directory)).get("baseline_train_fraction")
+    if not isinstance(fraction, (int, float)) or not 0.0 < fraction < 1.0:
+        raise FormatError(f"malformed baseline_train_fraction: {fraction!r}")
+    return float(fraction)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

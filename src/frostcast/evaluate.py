@@ -29,7 +29,16 @@ from .features import (
     label_arrays,
     scale_label,
 )
-from .geostats import VariogramModel, aggregate_by_interpolation
+from .geostats import (
+    EXACT_DISTANCE,
+    SamplePoint,
+    VariogramModel,
+    _fallback_model,
+    aggregate_by_interpolation,
+    empirical_semivariogram,
+    fit_variogram,
+    kriging_weights,
+)
 from .neuralnet import Network, ONSITE_SPEC, TrainConfig, forward_batch, init_network, train
 
 DEFAULT_TRIGGER = 0.0
@@ -359,8 +368,6 @@ def _masked_weighted_mean(
 
 def _idw_weights(pm: PredictionMatrix, subset: np.ndarray, bank: SubmodelBank,
                  target_attrs, power: float) -> np.ndarray:
-    from .geostats import EXACT_DISTANCE
-
     t = target_attrs.location
     d = np.array([
         math.hypot(bank.station_attrs[pm.source_ids[i]].location.lon - t.lon,
@@ -381,9 +388,6 @@ def _ok_series(
     model: VariogramModel,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kriging aggregate per timestep, grouping columns by availability."""
-    from .core import GeoPoint
-    from .geostats import SamplePoint, kriging_weights
-
     vals = pm.values[subset]
     avail = ~np.isnan(vals)
     n_t = vals.shape[1]
@@ -409,8 +413,6 @@ def _frozen_variogram(
     pm_list: list[PredictionMatrix], bank: SubmodelBank, kind: str, n_bins: int
 ) -> VariogramModel | None:
     """Fit one variogram on the first fully available prediction snapshot."""
-    from .geostats import SamplePoint, empirical_semivariogram, fit_variogram, _fallback_model
-
     for pm in pm_list:
         avail = ~np.isnan(pm.values)
         full = np.nonzero(avail.all(axis=0))[0]

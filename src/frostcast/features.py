@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import StationSeries, TrainingEntry
+from .core import StationAttributes, StationSeries, TrainingEntry
 from .errors import DataError, DomainError
 
 DEFAULT_HORIZON = 60
@@ -114,12 +114,27 @@ def pair_feature_arrays(
     lab_ts, labels = label_arrays(target, horizon)
     if stride > 1:
         lab_ts, labels = lab_ts[::stride], labels[::stride]
-    src = climate_matrix(source)
+    return join_pair_arrays(
+        source.attributes, target.attributes, climate_matrix(source), lab_ts, labels
+    )
+
+
+def join_pair_arrays(
+    source_attrs: StationAttributes,
+    target_attrs: StationAttributes,
+    src: ObservationArrays,
+    lab_ts: np.ndarray,
+    labels: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Join a source's climate columns to a target's labels on exact timestamps.
+
+    Returns the (n, 13) feature matrix, the label vector and the shared
+    timestamps, as :func:`pair_feature_arrays` does from the two series.
+    """
     common, src_idx, lab_idx = np.intersect1d(src.timestamps, lab_ts, return_indices=True)
-    n = common.size
-    x = np.empty((n, 13), dtype=np.float64)
-    x[:, 0:4] = source.attributes.as_tuple()
-    x[:, 4:8] = target.attributes.as_tuple()
+    x = np.empty((common.size, 13), dtype=np.float64)
+    x[:, 0:4] = source_attrs.as_tuple()
+    x[:, 4:8] = target_attrs.as_tuple()
     x[:, 8:13] = src.climate[src_idx]
     return x, labels[lab_idx], common
 

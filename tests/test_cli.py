@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from frostcast import load_bank
+from frostcast import load_bank, load_baselines, load_dataset, save_bank
 from frostcast.cli import UsageError, main, parse_counts, parse_methods
+from frostcast.ensemble import load_baseline_fraction
+from frostcast.features import baseline_feature_arrays
 
 SPEC = {
     "seed": 77,
@@ -125,6 +127,30 @@ class TestPipeline:
         assert main(argv + ["--out", str(out1)]) == 0
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_eval_baseline_uses_stored_split(self, pipeline, tmp_path):
+        bank_dir = tmp_path / "bank"
+        stored = load_baselines(pipeline["bank"])
+        save_bank(load_bank(pipeline["bank"]), bank_dir, baselines=stored,
+                  baseline_train_fraction=0.6)
+        out = tmp_path / "r.json"
+        assert main([
+            "eval", "--data", str(pipeline["data"]), "--bank", str(bank_dir),
+            "--methods", "baseline", "--deterministic", "--out", str(out),
+        ]) == 0
+        [row] = json.loads(out.read_text())["results"]
+        by_id = {s.id: s for s in load_dataset(pipeline["data"]).stations}
+        rows = {sid: baseline_feature_arrays(by_id[sid])[0].shape[0] for sid in stored}
+        held_out = sum(n - int(n * 0.6) for n in rows.values())
+        assert held_out != sum(n - int(n * 0.8) for n in rows.values())
+        assert row["method"] == "baseline"
+        assert row["n_predictions"] == held_out
+
+    def test_calibrate_keeps_baseline_split(self, pipeline, tmp_path):
+        save_bank(load_bank(pipeline["bank"]), tmp_path,
+                  baselines=load_baselines(pipeline["bank"]), baseline_train_fraction=0.6)
+        assert main(["calibrate", "--bank", str(tmp_path), "--preset", "paper-fold-1"]) == 0
+        assert load_baseline_fraction(tmp_path) == 0.6
 
     def test_raster_and_compare(self, pipeline, tmp_path):
         bank = load_bank(pipeline["bank"])

@@ -7,6 +7,8 @@ the unnormalized weight is 1 / (0.1629 + 0.0132 + 0.0290) = 1 / 0.2051
 """
 
 import json
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,23 +22,36 @@ from frostcast import (
     DistanceTriple,
     FALLBACK_COEFFICIENTS,
     FOLD_COEFFICIENT_PRESETS,
+    FoldAssignment,
     GeoPoint,
     StationAttributes,
     UnsupportedVersionError,
     WeightCoefficients,
+    WorldSpec,
     aggregate_average,
     aggregate_vote,
     aggregate_weighted,
     calibrate_coefficients,
     fit_normalization,
+    generate_world,
     load_bank,
     normalize_distances,
     save_bank,
     station_distances,
     station_weights,
+    train_bank,
     unnormalized_weight,
 )
-from frostcast.ensemble import pearson
+from frostcast import ensemble
+from frostcast.core import index_series
+from frostcast.ensemble import SUBMODEL_SPEC, SubmodelBank, _child_seed, pearson
+from frostcast.features import (
+    apply_scaler,
+    fit_scaler_arrays,
+    pair_feature_arrays,
+    scale_label,
+)
+from frostcast.neuralnet import TrainConfig, init_network, train
 
 FOLD0 = WeightCoefficients(0.1629, 0.0132, 0.0290)
 
@@ -285,3 +300,101 @@ class TestCalibration:
         ]
         with pytest.raises(DataError):
             calibrate_coefficients(small_bank, test_series, stride=60)
+
+
+def _reference_bank(stations, folds, fold, cfg, horizon, entry_stride, max_entries):
+    """train_bank's pair loop written with one pair_feature_arrays call per pair."""
+    by_id = index_series(stations)
+    train_ids = sorted(folds.train_stations(fold) & set(by_id))
+    models, scalers = {}, {}
+    for idx, source_id in enumerate(train_ids):
+        blocks = [
+            pair_feature_arrays(by_id[source_id], by_id[t], horizon, stride=entry_stride)
+            for t in train_ids
+            if t != source_id
+        ]
+        x = np.concatenate([b[0] for b in blocks if b[0].shape[0]])
+        y = np.concatenate([b[1] for b in blocks if b[0].shape[0]])
+        if max_entries is not None and x.shape[0] > max_entries:
+            keep = _child_seed(cfg.seed, idx).choice(x.shape[0], size=max_entries, replace=False)
+            keep.sort()
+            x, y = x[keep], y[keep]
+        scaler = fit_scaler_arrays(x, y)
+        net = init_network(SUBMODEL_SPEC, seed=int(cfg.seed * 100003 + idx))
+        net, _ = train(net, apply_scaler(scaler, x), np.asarray(scale_label(scaler, y)), cfg)
+        models[source_id], scalers[source_id] = net, scaler
+    return SubmodelBank(
+        fold=fold,
+        horizon=horizon,
+        models=models,
+        scalers=scalers,
+        station_attrs={i: by_id[i].attributes for i in train_ids},
+        coefficients=FALLBACK_COEFFICIENTS,
+        normalization=fit_normalization([by_id[i].attributes for i in train_ids]),
+    )
+
+
+class TestTrainBankColumns:
+    HORIZON, STRIDE, MAX_ENTRIES = 30, 7, 300
+
+    @pytest.fixture(scope="class")
+    def gapped(self):
+        """Six stations; one training station keeps only part of the day."""
+        spec = WorldSpec(seed=9, n_stations=6, lon_min=146.0, lon_max=147.0,
+                         lat_min=-34.0, lat_max=-33.0, cell_size=0.1, days=1)
+        stations = list(generate_world(spec).stations)
+        ids = sorted(s.id for s in stations)
+        folds = FoldAssignment((frozenset(ids[:2]), frozenset(ids[2:])))
+        short_id = ids[2]
+        stations = [
+            replace(s, observations=s.observations[200:1100]) if s.id == short_id else s
+            for s in stations
+        ]
+        return stations, folds, short_id
+
+    def test_bank_files_match_per_pair_reference(self, gapped, tmp_path):
+        stations, folds, short_id = gapped
+        by_id = index_series(stations)
+        other_id = sorted(folds.train_stations(0) - {short_id})[0]
+        # The partial station's join really drops rows, and the cap binds.
+        x, _, _ = pair_feature_arrays(by_id[short_id], by_id[other_id], self.HORIZON, self.STRIDE)
+        full_labels = len(by_id[other_id]) - self.HORIZON
+        assert 0 < x.shape[0] < -(-full_labels // self.STRIDE)
+        assert x.shape[0] * (len(folds.train_stations(0)) - 1) > self.MAX_ENTRIES
+
+        cfg = TrainConfig(seed=4, epochs=2, batch_size=128)
+        bank = train_bank(stations, folds, 0, cfg, horizon=self.HORIZON,
+                          entry_stride=self.STRIDE, max_entries=self.MAX_ENTRIES)
+        ref = _reference_bank(stations, folds, 0, cfg, self.HORIZON, self.STRIDE,
+                              self.MAX_ENTRIES)
+        save_bank(bank, tmp_path / "new")
+        save_bank(ref, tmp_path / "ref")
+        names = sorted(p.name for p in (tmp_path / "ref").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "new").iterdir())
+        assert len(names) == len(folds.train_stations(0)) + 1
+        for name in names:
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    def test_columns_extracted_once_per_station(self, gapped, monkeypatch):
+        stations, folds, _ = gapped
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(series, *args, **kwargs):
+                calls[name, series.id] += 1
+                return fn(series, *args, **kwargs)
+            return wrapper
+
+        for name in ("climate_matrix", "label_arrays"):
+            monkeypatch.setattr(ensemble, name, counted(name, getattr(ensemble, name)))
+        train_bank(stations, folds, 0, TrainConfig(seed=4, epochs=1, batch_size=128),
+                   horizon=self.HORIZON, entry_stride=self.STRIDE)
+        train_ids = folds.train_stations(0)
+        expected = {(name, sid): 1 for name in ("climate_matrix", "label_arrays")
+                    for sid in train_ids}
+        assert dict(calls) == expected
+
+    def test_bad_stride_rejected(self, gapped):
+        stations, folds, _ = gapped
+        with pytest.raises(DomainError):
+            train_bank(stations, folds, 0, TrainConfig(epochs=1), entry_stride=0)
