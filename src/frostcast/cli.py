@@ -31,7 +31,7 @@ from .evaluate import (
     run_fold_experiment,
     train_baselines,
 )
-from .features import DEFAULT_HORIZON, baseline_feature_arrays
+from .features import DEFAULT_HORIZON, baseline_feature_arrays, wind_to_components
 from .ingest import (
     Dataset,
     ingest_directory,
@@ -244,6 +244,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise DataError("bank directory has no baseline models")
         fraction = load_baseline_fraction(args.bank)
         by_id = {s.id: s for s in dataset.stations}
+        missing = sorted(set(stored) - set(by_id))
+        if missing:
+            raise DataError(f"dataset has no series for baseline stations: {missing}")
         baselines = {}
         for sid, (net, scaler) in stored.items():
             x, _, _ = baseline_feature_arrays(by_id[sid], bank.horizon)
@@ -290,8 +293,6 @@ def _cmd_raster(args: argparse.Namespace) -> int:
             continue
         for obs in series.observations:
             if obs.timestamp == args.timestamp:
-                from .features import wind_to_components
-
                 e, n = wind_to_components(obs.wind_dir_met, obs.wind_speed)
                 snapshot[series.id] = (obs.temperature, obs.dew_point, obs.rh, n, e)
                 break

@@ -34,6 +34,7 @@ from .features import (
     fit_scaler_arrays,
     invert_label,
     join_pair_arrays,
+    join_timestamps,
     label_arrays,
     scale_label,
 )
@@ -407,8 +408,8 @@ def calibrate_coefficients(
             if source_id not in source_obs:
                 source_obs[source_id] = climate_matrix(by_id[source_id])
             obs = source_obs[source_id]
-            common, src_idx, lab_idx = np.intersect1d(obs.timestamps, lab_ts, return_indices=True)
-            if common.size == 0:
+            _, src_idx, lab_idx = join_timestamps(obs.timestamps, lab_ts)
+            if lab_idx.size == 0:
                 continue
             preds = bank.predict_batch(source_id, obs.climate[src_idx], target.attributes)
             errors = np.abs(preds - labels[lab_idx])

@@ -26,6 +26,7 @@ from .features import (
     climate_matrix,
     fit_scaler_arrays,
     invert_label,
+    join_timestamps,
     label_arrays,
     scale_label,
 )
@@ -346,8 +347,8 @@ def build_prediction_matrices(
         values = np.full((len(source_ids), lab_ts.size), np.nan)
         for i, sid in enumerate(source_ids):
             obs = source_obs[sid]
-            common, src_idx, lab_idx = np.intersect1d(obs.timestamps, lab_ts, return_indices=True)
-            if common.size == 0:
+            _, src_idx, lab_idx = join_timestamps(obs.timestamps, lab_ts)
+            if lab_idx.size == 0:
                 continue
             values[i, lab_idx] = bank.predict_batch(sid, obs.climate[src_idx], target.attributes)
         out.append(PredictionMatrix(tid, list(source_ids), lab_ts, labels, values))

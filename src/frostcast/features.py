@@ -119,6 +119,28 @@ def pair_feature_arrays(
     )
 
 
+def join_timestamps(
+    left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shared values of two strictly increasing timestamp arrays and their positions.
+
+    Returns ``(common, left_idx, right_idx)`` with ``left[left_idx] ==
+    right[right_idx] == common``, as ``np.intersect1d(left, right,
+    return_indices=True)`` does for such inputs, by binary search of
+    ``right`` in ``left``. Raises DataError if either array repeats or
+    goes back in time.
+    """
+    for name, ts in (("left", left), ("right", right)):
+        if ts.size > 1 and not (ts[1:] > ts[:-1]).all():
+            raise DataError(f"{name} timestamps are not strictly increasing")
+    if left.size == 0 or right.size == 0:
+        empty = np.empty(0, dtype=np.intp)
+        return right[:0], empty, empty
+    pos = np.searchsorted(left, right)
+    right_idx = np.flatnonzero(left.take(pos, mode="clip") == right)
+    return right[right_idx], pos[right_idx], right_idx
+
+
 def join_pair_arrays(
     source_attrs: StationAttributes,
     target_attrs: StationAttributes,
@@ -131,7 +153,7 @@ def join_pair_arrays(
     Returns the (n, 13) feature matrix, the label vector and the shared
     timestamps, as :func:`pair_feature_arrays` does from the two series.
     """
-    common, src_idx, lab_idx = np.intersect1d(src.timestamps, lab_ts, return_indices=True)
+    common, src_idx, lab_idx = join_timestamps(src.timestamps, lab_ts)
     x = np.empty((common.size, 13), dtype=np.float64)
     x[:, 0:4] = source_attrs.as_tuple()
     x[:, 4:8] = target_attrs.as_tuple()

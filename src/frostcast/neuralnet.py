@@ -5,6 +5,11 @@ Two fixed shapes are used elsewhere in the package: the off-site predictor
 hidden 7). Hidden layers are rectifiers, the output is linear, and the loss
 is mean squared error. Everything is plain numpy so gradients stay exact
 and runs stay reproducible.
+
+Training runs on one flat float64 parameter vector: the working network's
+weight matrices and bias vectors are views into it, backprop writes into
+views of a matching gradient vector, and each optimizer step is one
+in-place update of the whole vector.
 """
 
 from __future__ import annotations
@@ -61,9 +66,6 @@ class Network:
         self.weights = weights
         self.biases = biases
 
-    def clone(self) -> "Network":
-        return Network(self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
     def parameter_count(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
@@ -88,9 +90,10 @@ def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
     h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w + b
+        h = h @ w
+        h += b
         if i != last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     return h[:, 0]
 
 
@@ -99,32 +102,32 @@ def forward(net: Network, x: Sequence[float]) -> float:
 
 
 def _forward_backward(
-    net: Network, x: np.ndarray, y: np.ndarray
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    n = x.shape[0]
+    net: Network,
+    x: np.ndarray,
+    y: np.ndarray,
+    grads_w: list[np.ndarray],
+    grads_b: list[np.ndarray],
+) -> None:
+    """Write the batch's MSE gradients into ``grads_w`` and ``grads_b``."""
     activations = [x]
-    pre: list[np.ndarray] = []
+    dead: list[np.ndarray] = []
     h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
-        pre.append(z)
-        h = np.maximum(z, 0.0) if i != last else z
-        activations.append(h)
-    err = activations[-1][:, 0] - y
-    loss = float(np.mean(err * err))
-
-    delta = (2.0 / n) * err[:, None]
-    grads_w = [np.empty(0)] * len(net.weights)
-    grads_b = [np.empty(0)] * len(net.biases)
-    for i in range(last, -1, -1):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = delta @ net.weights[i].T
+        h = h @ w
+        h += b
+        if i != last:
             # Rectifier subgradient: zero at exactly zero pre-activation.
-            delta[pre[i - 1] <= 0.0] = 0.0
-    return loss, grads_w, grads_b
+            dead.append(h <= 0.0)
+            np.maximum(h, 0.0, out=h)
+        activations.append(h)
+
+    delta = (2.0 / x.shape[0]) * (activations[-1][:, 0] - y)[:, None]
+    for i in range(last, -1, -1):
+        np.matmul(activations[i].T, delta, out=grads_w[i])
+        delta.sum(axis=0, out=grads_b[i])
+        if i > 0:
+            delta = np.where(dead[i - 1], 0.0, delta @ net.weights[i].T)
 
 
 def gradients(net: Network, x: np.ndarray, y: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -135,7 +138,9 @@ def gradients(net: Network, x: np.ndarray, y: np.ndarray) -> tuple[list[np.ndarr
         raise DataError(f"incompatible batch shapes {x.shape} / {y.shape}")
     if x.shape[0] == 0:
         raise DataError("empty batch")
-    _, gw, gb = _forward_backward(net, x, y)
+    gw = [np.empty_like(w) for w in net.weights]
+    gb = [np.empty_like(b) for b in net.biases]
+    _forward_backward(net, x, y, gw, gb)
     return gw, gb
 
 
@@ -170,32 +175,17 @@ class TrainConfig:
             raise DomainError(f"patience must be >= 0: {self.patience!r}")
 
 
-class _Adam:
-    def __init__(self, params: list[np.ndarray], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.t = 0
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-
-
-class _Sgd:
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for p, g in zip(params, grads):
-            p -= self.lr * g
+def _unflatten(spec: NetworkSpec, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Views of a flat vector laid out as every weight matrix, then every bias."""
+    dims = spec.dims
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+    for fan_out in dims[1:]:
+        biases.append(flat[offset : offset + fan_out])
+        offset += fan_out
+    return weights, biases
 
 
 def train(
@@ -207,6 +197,10 @@ def train(
     (train_loss, val_loss) per completed epoch. With epochs=0 the input
     network is returned untouched. Non-finite loss raises DivergenceError
     naming the epoch.
+
+    All parameters live in one flat vector that the working network's
+    arrays view, so Adam (beta1=0.9, beta2=0.999, eps=1e-8) or SGD updates
+    them with one in-place pass per step.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -227,24 +221,54 @@ def train(
     x_train, y_train = x[train_idx], y[train_idx]
     x_val, y_val = (x[val_idx], y[val_idx]) if n_val > 0 else (x_train, y_train)
 
-    net = net.clone()
-    params = net.weights + net.biases
-    opt = _Adam(params, cfg.learning_rate) if cfg.optimizer == "adam" else _Sgd(cfg.learning_rate)
+    theta = np.concatenate([w.ravel() for w in net.weights] + list(net.biases))
+    net = Network(net.spec, *_unflatten(net.spec, theta))
+    grad = np.empty_like(theta)
+    grads_w, grads_b = _unflatten(net.spec, grad)
+    scratch, scratch2 = np.empty_like(theta), np.empty_like(theta)
+    lr = cfg.learning_rate
+    adam = cfg.optimizer == "adam"
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    t = 0
 
     best_val = math.inf
-    best_params = [p.copy() for p in params]
+    best = theta.copy()
     bad_epochs = 0
     history: list[tuple[float, float]] = []
     n_train = x_train.shape[0]
+    x_epoch, y_epoch = np.empty_like(x_train), np.empty_like(y_train)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_train)
+        np.take(x_train, order, axis=0, out=x_epoch)
+        np.take(y_train, order, out=y_epoch)
         # Overflow here is not an error condition: it surfaces as a
         # non-finite loss and raises DivergenceError below.
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n_train, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                _, gw, gb = _forward_backward(net, x_train[batch], y_train[batch])
-                opt.step(params, gw + gb)
+                stop = start + cfg.batch_size
+                _forward_backward(net, x_epoch[start:stop], y_epoch[start:stop], grads_w, grads_b)
+                if adam:
+                    # Element for element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+                    # theta -= lr*(m/b1c) / (sqrt(v/b2c) + eps). Results depend
+                    # on this operation order down to the last bit.
+                    t += 1
+                    m *= beta1
+                    np.multiply(grad, 1.0 - beta1, out=scratch)
+                    m += scratch
+                    v *= beta2
+                    np.multiply(grad, 1.0 - beta2, out=scratch)
+                    scratch *= grad
+                    v += scratch
+                    np.divide(m, 1.0 - beta1**t, out=scratch)
+                    scratch *= lr
+                    np.divide(v, 1.0 - beta2**t, out=scratch2)
+                    np.sqrt(scratch2, out=scratch2)
+                    scratch2 += eps
+                    scratch /= scratch2
+                else:
+                    np.multiply(grad, lr, out=scratch)
+                theta -= scratch
             train_loss = mse_loss(net, x_train, y_train)
             val_loss = mse_loss(net, x_val, y_val)
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
@@ -252,15 +276,14 @@ def train(
         history.append((train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
-            best_params = [p.copy() for p in params]
+            best[...] = theta
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= max(1, cfg.patience):
                 break
-    for p, best in zip(params, best_params):
-        p[...] = best
-    return net, history
+    weights, biases = _unflatten(net.spec, best)
+    return Network(net.spec, [w.copy() for w in weights], [b.copy() for b in biases]), history
 
 
 def _scaler_to_dict(scaler: ScalerStats) -> dict:

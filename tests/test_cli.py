@@ -1,6 +1,7 @@
 """Command-line interface: argument parsing, the full pipeline, exit codes."""
 
 import json
+import shutil
 
 import pytest
 
@@ -145,6 +146,30 @@ class TestPipeline:
         assert held_out != sum(n - int(n * 0.8) for n in rows.values())
         assert row["method"] == "baseline"
         assert row["n_predictions"] == held_out
+
+    def test_eval_baseline_station_missing_from_data(self, pipeline, tmp_path, capsys):
+        dropped = sorted(load_baselines(pipeline["bank"]))[-1]
+        stations = tmp_path / "stations"
+        shutil.copytree(pipeline["world"] / "stations", stations)
+        listing = json.loads((stations / "stations.json").read_text())
+        listing["stations"] = [e for e in listing["stations"] if str(e["id"]) != dropped]
+        (stations / "stations.json").write_text(json.dumps(listing))
+        (stations / f"{dropped}.csv").unlink()
+        data = tmp_path / "data.zip"
+        assert main([
+            "ingest", "--stations", str(stations),
+            "--dem", str(pipeline["world"] / "dem.asc"),
+            "--ndvi", str(pipeline["world"] / "ndvi.asc"),
+            "--out", str(data),
+        ]) == 0
+        capsys.readouterr()
+        rc = main([
+            "eval", "--data", str(data), "--bank", str(pipeline["bank"]),
+            "--methods", "baseline", "--out", str(tmp_path / "r.json"),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(dropped) in err
 
     def test_calibrate_keeps_baseline_split(self, pipeline, tmp_path):
         save_bank(load_bank(pipeline["bank"]), tmp_path,

@@ -34,6 +34,7 @@ from frostcast import (
     scale_label,
     wind_to_components,
 )
+from frostcast.features import join_timestamps
 
 
 def series_from_temps(temps, station_id="s", start=0, step=1):
@@ -185,6 +186,45 @@ class TestPairJoin:
         assert x.shape == (3, 5)
         np.testing.assert_allclose(y, [3.0, 2.0, 1.0])
         np.testing.assert_allclose(x[:, 0], [5.0, 4.0, 3.0])
+
+
+class TestJoinTimestamps:
+    @staticmethod
+    def increasing(rng, size, span):
+        return np.sort(rng.choice(span, size=size, replace=False)).astype(np.int64)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_intersect1d(self, seed):
+        rng = np.random.default_rng(seed)
+        span = int(rng.integers(1, 400))
+        left = self.increasing(rng, int(rng.integers(0, span + 1)), span)
+        right = self.increasing(rng, int(rng.integers(0, span + 1)), span) + int(
+            rng.choice([0, 0, 0, -span // 2, span])
+        )
+        got = join_timestamps(left, right)
+        want = np.intersect1d(left, right, return_indices=True)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [([], []), ([], [1, 2]), ([1, 2], []), ([0, 1, 2], [5, 6]), ([5, 6], [0, 1, 2])],
+    )
+    def test_empty_and_disjoint(self, left, right):
+        left, right = np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+        common, li, ri = join_timestamps(left, right)
+        assert common.size == li.size == ri.size == 0
+        assert common.dtype == np.int64 and li.dtype == ri.dtype == np.intp
+
+    @pytest.mark.parametrize("bad", [[1, 1], [0, 2, 2, 3], [3, 2], [0, 5, 4, 6]])
+    def test_rejects_non_increasing(self, bad):
+        bad = np.array(bad, dtype=np.int64)
+        good = np.arange(8, dtype=np.int64)
+        with pytest.raises(DataError):
+            join_timestamps(bad, good)
+        with pytest.raises(DataError):
+            join_timestamps(good, bad)
 
 
 class TestScaler:

@@ -226,3 +226,131 @@ class TestPersistence:
         path.write_text("{not json")
         with pytest.raises(FormatError):
             load_network(path)
+
+
+def reference_train(net, x, y, cfg):
+    """The per-array training loop that `train` must reproduce bit for bit.
+
+    Gradients come from a backward pass with boolean-mask rectifier
+    derivatives, and Adam or SGD updates each weight matrix and bias vector
+    separately.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    n = x.shape[0]
+    n_val = min(int(round(cfg.validation_fraction * n)), n - 1)
+    perm = rng.permutation(n)
+    x_train, y_train = x[perm[n_val:]], y[perm[n_val:]]
+    x_val, y_val = (x[perm[:n_val]], y[perm[:n_val]]) if n_val > 0 else (x_train, y_train)
+    net = Network(net.spec, [w.copy() for w in net.weights], [b.copy() for b in net.biases])
+    params = net.weights + net.biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    t = 0
+
+    def backward(xb, yb):
+        acts, pre = [xb], []
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            z = acts[-1] @ w + b
+            pre.append(z)
+            acts.append(np.maximum(z, 0.0) if i != len(net.weights) - 1 else z)
+        delta = (2.0 / xb.shape[0]) * (acts[-1][:, 0] - yb)[:, None]
+        gw, gb = [None] * len(params), [None] * len(params)
+        for i in range(len(net.weights) - 1, -1, -1):
+            gw[i] = acts[i].T @ delta
+            gb[i] = delta.sum(axis=0)
+            if i > 0:
+                delta = delta @ net.weights[i].T
+                delta[pre[i - 1] <= 0.0] = 0.0
+        return gw[: len(net.weights)] + gb[: len(net.biases)]
+
+    best_val, best, bad, history = np.inf, [p.copy() for p in params], 0, []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(x_train.shape[0])
+        for start in range(0, x_train.shape[0], cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            grads = backward(x_train[batch], y_train[batch])
+            if cfg.optimizer == "adam":
+                t += 1
+                b1c, b2c = 1.0 - 0.9**t, 1.0 - 0.999**t
+                for p, g, mi, vi in zip(params, grads, m, v):
+                    mi *= 0.9
+                    mi += (1.0 - 0.9) * g
+                    vi *= 0.999
+                    vi += (1.0 - 0.999) * g * g
+                    p -= cfg.learning_rate * (mi / b1c) / (np.sqrt(vi / b2c) + 1e-8)
+            else:
+                for p, g in zip(params, grads):
+                    p -= cfg.learning_rate * g
+        history.append((mse_loss(net, x_train, y_train), mse_loss(net, x_val, y_val)))
+        if history[-1][1] < best_val:
+            best_val, best, bad = history[-1][1], [p.copy() for p in params], 0
+        else:
+            bad += 1
+            if bad >= max(1, cfg.patience):
+                break
+    for p, b in zip(params, best):
+        p[...] = b
+    return net, history
+
+
+class TestFlatTraining:
+    """`train` on one flat parameter vector against the per-array reference."""
+
+    @pytest.mark.parametrize(
+        "spec, n, cfg",
+        [
+            (SUBMODEL_SPEC, 300, TrainConfig(seed=1, epochs=6, batch_size=64)),
+            (SUBMODEL_SPEC, 300, TrainConfig(seed=2, epochs=6, batch_size=64, optimizer="sgd",
+                                             learning_rate=1e-2)),
+            (ONSITE_SPEC, 90, TrainConfig(seed=3, epochs=5, batch_size=32,
+                                          validation_fraction=0.0)),
+            (SUBMODEL_SPEC, 101, TrainConfig(seed=4, epochs=4, batch_size=17)),
+            (ONSITE_SPEC, 120, TrainConfig(seed=5, epochs=200, batch_size=16, patience=2,
+                                           validation_fraction=0.5, learning_rate=0.05)),
+            (SUBMODEL_SPEC, 1, TrainConfig(seed=6, epochs=3)),
+            (SUBMODEL_SPEC, 2, TrainConfig(seed=7, epochs=3, optimizer="sgd")),
+            (ONSITE_SPEC, 2, TrainConfig(seed=8, epochs=3, validation_fraction=0.5)),
+        ],
+        ids=["adam", "sgd", "no-validation", "ragged-batches", "early-stop", "n1", "n2-sgd",
+             "n2-val"],
+    )
+    def test_bit_identical_to_reference(self, spec, n, cfg):
+        rng = np.random.default_rng(cfg.seed)
+        x = rng.normal(size=(n, spec.input_dim))
+        y = x[:, 0] - 0.5 * x[:, 1] + rng.normal(0.0, 0.1, n)
+        net = init_network(spec, seed=cfg.seed)
+        expected, expected_history = reference_train(net, x, y, cfg)
+        trained, history = train(net, x, y, cfg)
+        if cfg.patience == 2:
+            assert len(history) < cfg.epochs
+        assert history == expected_history
+        for got, want in zip(trained.weights + trained.biases,
+                             expected.weights + expected.biases):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_returned_arrays_are_independent(self):
+        x, y = training_data(40, seed=9)
+        net = init_network(ONSITE_SPEC, seed=9)
+        before = [p.copy() for p in net.weights + net.biases]
+        trained, _ = train(net, x, y, TrainConfig(seed=9, epochs=2))
+        arrays = trained.weights + trained.biases
+        for p, b in zip(net.weights + net.biases, before):
+            np.testing.assert_array_equal(p, b)
+        for i, a in enumerate(arrays):
+            assert a.base is None
+            assert not any(np.shares_memory(a, o) for o in arrays[i + 1 :])
+
+    def test_gradients_are_fresh_arrays(self):
+        rng = np.random.default_rng(10)
+        net = init_network(SUBMODEL_SPEC, seed=10)
+        x, y = rng.normal(size=(5, 13)), rng.normal(size=5)
+        gw1, gb1 = gradients(net, x, y)
+        gw2, gb2 = gradients(net, x, y)
+        first, second = gw1 + gb1, gw2 + gb2
+        params = net.weights + net.biases
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+        for a in first:
+            assert not any(np.shares_memory(a, o) for o in second + params)
+            assert sum(np.shares_memory(a, o) for o in first) == 1
