@@ -11,13 +11,23 @@ min-max-normalized geographic, elevation, and vegetation-index distances.
 The normalization bounds are frozen on the full training-station set of a
 fold, so removing stations from the available set never changes the
 remaining stations' unnormalized weights.
+
+Training uses one process per available CPU: the parent builds each
+submodel's corpus and forked workers, each held to one OpenBLAS thread,
+train the networks. Results are identical whatever the number of CPUs.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import json
 import math
+import multiprocessing
 import os
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -293,6 +303,63 @@ def _child_seed(base: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((base, index)))
 
 
+@functools.lru_cache(maxsize=None)
+def _blas_thread_setter():
+    """numpy's OpenBLAS ``set_num_threads``, or None when it cannot be found."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*.so*"))
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                return setter
+    return None
+
+
+def _one_blas_thread() -> None:
+    # Workers already share the CPUs; BLAS threads on top of them oversubscribe.
+    _blas_thread_setter()(1)
+
+
+def _worker_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _submodel_pool(jobs: int) -> ProcessPoolExecutor | None:
+    """A pool of ``jobs`` forked workers, or None to train in-process.
+
+    Training stays in-process for one job, inside a daemonic process (which
+    may not have children), and when OpenBLAS's thread count cannot be set.
+    """
+    if jobs < 2 or multiprocessing.current_process().daemon or _blas_thread_setter() is None:
+        return None
+    # Forked workers start with numpy and frostcast already imported; spawned
+    # ones would import them again on every call, about 0.5 s each.
+    return ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_one_blas_thread)
+
+
+def _run_now(fn, *args) -> Future:
+    done = Future()
+    done.set_result(fn(*args))
+    return done
+
+
+def _train_submodel(x: np.ndarray, y: np.ndarray, seed: int, cfg: TrainConfig) -> Network:
+    net, _ = train(init_network(SUBMODEL_SPEC, seed=seed), x, y, cfg)
+    return net
+
+
 def train_bank(
     stations: Sequence[StationSeries],
     folds: FoldAssignment,
@@ -310,6 +377,9 @@ def train_bank(
     fold's held-out stations contribute nothing, which is asserted on the
     assembled examples. ``entry_stride`` thins the label stream before the
     join and ``max_entries`` caps the per-submodel corpus by a seeded draw.
+    Corpora are built here and the networks trained by ``_submodel_pool``'s
+    workers, at most one task per worker in flight; models, progress lines
+    and errors come back in station order, as a serial run gives them.
     """
     if not 0 <= fold < folds.n_folds:
         raise DomainError(f"fold index out of range: {fold}")
@@ -330,10 +400,7 @@ def train_bank(
         lab_ts, labels = label_arrays(by_id[sid], horizon)
         labels_by_id[sid] = (lab_ts[::entry_stride].copy(), labels[::entry_stride].copy())
 
-    normalization = fit_normalization([by_id[i].attributes for i in train_ids])
-    models: dict[StationId, Network] = {}
-    scalers: dict[StationId, ScalerStats] = {}
-    for idx, source_id in enumerate(train_ids):
+    def corpus(idx: int, source_id: StationId) -> tuple[np.ndarray, np.ndarray]:
         source = by_id[source_id]
         assert source_id not in test_ids
         climate = climate_matrix(source)
@@ -356,13 +423,43 @@ def train_bank(
             keep = _child_seed(cfg.seed, idx).choice(x.shape[0], size=max_entries, replace=False)
             keep.sort()
             x, y = x[keep], y[keep]
-        scaler = fit_scaler_arrays(x, y)
-        net = init_network(SUBMODEL_SPEC, seed=int(cfg.seed * 100003 + idx))
-        net, _ = train(net, apply_scaler(scaler, x), np.asarray(scale_label(scaler, y)), cfg)
-        models[source_id] = net
-        scalers[source_id] = scaler
+        return x, y
+
+    normalization = fit_normalization([by_id[i].attributes for i in train_ids])
+    models: dict[StationId, Network] = {}
+    scalers: dict[StationId, ScalerStats] = {}
+    jobs = min(_worker_count(), len(train_ids))
+    pool = _submodel_pool(jobs)
+    submit, window = (pool.submit, jobs) if pool else (_run_now, 1)
+    pending: deque[tuple[StationId, int, Future]] = deque()
+
+    def collect() -> None:
+        source_id, n_entries, result = pending.popleft()
+        models[source_id] = result.result()
         if progress:
-            print(f"trained {source_id} on {x.shape[0]} entries")
+            print(f"trained {source_id} on {n_entries} entries")
+
+    try:
+        for idx, source_id in enumerate(train_ids):
+            try:
+                x, y = corpus(idx, source_id)
+            except Exception:
+                # A serial run would have met the earlier submodels' errors first.
+                while pending:
+                    collect()
+                raise
+            scaler = fit_scaler_arrays(x, y)
+            scalers[source_id] = scaler
+            task = submit(_train_submodel, apply_scaler(scaler, x),
+                          np.asarray(scale_label(scaler, y)), int(cfg.seed * 100003 + idx), cfg)
+            pending.append((source_id, x.shape[0], task))
+            if len(pending) >= window:
+                collect()
+        while pending:
+            collect()
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     attrs = {i: by_id[i].attributes for i in train_ids}
     return SubmodelBank(
         fold=fold,

@@ -35,3 +35,7 @@ class DivergenceError(NumericalError):
     def __init__(self, epoch: int, message: str | None = None) -> None:
         self.epoch = epoch
         super().__init__(message or f"training diverged at epoch {epoch}")
+
+    def __reduce__(self):
+        # The default rebuilds from ``args``, which holds only the message.
+        return type(self), (self.epoch, str(self))

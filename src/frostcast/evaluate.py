@@ -381,6 +381,18 @@ def _idw_weights(pm: PredictionMatrix, subset: np.ndarray, bank: SubmodelBank,
     return d ** -power
 
 
+def _availability_groups(avail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(avail.T, axis=0, return_inverse=True)``, sorting packed bits.
+
+    Big-endian bit packing keeps the rows' lexicographic order, so the
+    groups and their order are the same as sorting the boolean rows.
+    """
+    packed = np.ascontiguousarray(np.packbits(avail.T, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return avail.T[first], inverse
+
+
 def _ok_series(
     pm: PredictionMatrix,
     subset: np.ndarray,
@@ -394,7 +406,7 @@ def _ok_series(
     n_t = vals.shape[1]
     pred = np.full(n_t, np.nan)
     valid = np.zeros(n_t, dtype=bool)
-    patterns, inverse = np.unique(avail.T, axis=0, return_inverse=True)
+    patterns, inverse = _availability_groups(avail)
     target = target_attrs.location
     for p_idx, pattern in enumerate(patterns):
         cols = np.nonzero(inverse == p_idx)[0]

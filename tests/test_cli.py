@@ -219,6 +219,15 @@ class TestExitCodes:
         ])
         assert rc == 2
 
+    def test_diverging_train_is_numerical_error(self, pipeline, tmp_path, capsys):
+        rc = main([
+            "train", "--data", str(pipeline["data"]), "--folds", str(pipeline["folds"]),
+            "--fold", "0", "--epochs", "2", "--entry-stride", "10",
+            "--learning-rate", "1e50", "--out", str(tmp_path / "bank"),
+        ])
+        assert rc == 4
+        assert "error: training diverged at epoch " in capsys.readouterr().err
+
     def test_bad_preset(self, pipeline):
         assert main(["calibrate", "--bank", str(pipeline["bank"]), "--preset", "bogus"]) == 2
         assert main(["calibrate", "--bank", str(pipeline["bank"]), "--preset", "paper-fold-9"]) == 2

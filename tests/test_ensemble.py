@@ -6,7 +6,12 @@ the unnormalized weight is 1 / (0.1629 + 0.0132 + 0.0290) = 1 / 0.2051
 = 4.8757 to four decimals.
 """
 
+import ctypes
+import glob
 import json
+import multiprocessing
+import os
+import pickle
 from collections import Counter
 from dataclasses import replace
 
@@ -17,6 +22,7 @@ from hypothesis import strategies as st
 
 from frostcast import (
     DataError,
+    DivergenceError,
     DomainError,
     DistanceNormalization,
     DistanceTriple,
@@ -398,3 +404,123 @@ class TestTrainBankColumns:
         stations, folds, _ = gapped
         with pytest.raises(DomainError):
             train_bank(stations, folds, 0, TrainConfig(epochs=1), entry_stride=0)
+
+
+def _blas_thread_getter():
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*.so*"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return getter
+    return None
+
+
+def _blas_threads():
+    return _blas_thread_getter()()
+
+
+def _pool_and_bank(stations, folds, cfg):
+    """Run in a daemonic worker: whether a pool would start, and the bank."""
+    return ensemble._submodel_pool(2) is None, train_bank(stations, folds, 0, cfg, entry_stride=7)
+
+
+def _bank_files(bank, directory):
+    save_bank(bank, directory)
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestTrainBankPool:
+    CFG = TrainConfig(seed=4, epochs=2, batch_size=128)
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        spec = WorldSpec(seed=9, n_stations=7, lon_min=146.0, lon_max=147.0,
+                         lat_min=-34.0, lat_max=-33.0, cell_size=0.1, days=1)
+        stations = list(generate_world(spec).stations)
+        ids = sorted(s.id for s in stations)
+        return stations, FoldAssignment((frozenset(ids[:2]), frozenset(ids[2:])))
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        def force(n):
+            monkeypatch.setattr(ensemble, "_worker_count", lambda: n)
+        return force
+
+    def test_bank_files_identical_at_one_and_two_workers(self, world, workers, tmp_path):
+        stations, folds = world
+        files = []
+        for n in (1, 2):
+            workers(n)
+            bank = train_bank(stations, folds, 0, self.CFG, entry_stride=7, max_entries=400)
+            files.append(_bank_files(bank, tmp_path / str(n)))
+        assert len(files[0]) == len(folds.train_stations(0)) + 1
+        assert files[0] == files[1]
+
+    def test_progress_lines_in_station_order(self, world, workers, capsys):
+        stations, folds = world
+        workers(2)
+        train_bank(stations, folds, 0, self.CFG, entry_stride=7, progress=True)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines] == [str(i) for i in sorted(folds.train_stations(0))]
+        assert all(line.startswith("trained ") for line in lines)
+
+    def test_worker_runs_one_blas_thread(self, workers):
+        if _blas_thread_getter() is None:
+            pytest.skip("no OpenBLAS thread getter resolves")
+        before = _blas_threads()
+        pool = ensemble._submodel_pool(2)
+        assert pool is not None
+        with pool:
+            assert pool.submit(_blas_threads).result(timeout=60) == 1
+        assert _blas_threads() == before
+
+    def test_daemonic_caller_trains_serially(self, world, workers, tmp_path):
+        stations, folds = world
+        workers(2)
+        with multiprocessing.get_context("fork").Pool(1) as daemon:
+            task = daemon.apply_async(_pool_and_bank, (stations, folds, self.CFG))
+            serial, bank = task.get(timeout=120)
+        assert serial
+        ref = train_bank(stations, folds, 0, self.CFG, entry_stride=7)
+        assert _bank_files(bank, tmp_path / "daemon") == _bank_files(ref, tmp_path / "ref")
+
+    def test_divergence_pickles_with_epoch_and_message(self):
+        err = pickle.loads(pickle.dumps(DivergenceError(3)))
+        assert err.epoch == 3
+        assert str(err) == str(DivergenceError(3)) == "training diverged at epoch 3"
+        custom = pickle.loads(pickle.dumps(DivergenceError(5, "loss is nan")))
+        assert (custom.epoch, str(custom)) == (5, "loss is nan")
+
+    def test_divergence_same_pooled_and_serial(self, world, workers):
+        stations, folds = world
+        cfg = replace(self.CFG, learning_rate=1e50)
+        raised = []
+        for n in (1, 2):
+            workers(n)
+            with pytest.raises(DivergenceError) as exc_info:
+                train_bank(stations, folds, 0, cfg, entry_stride=7)
+            raised.append((type(exc_info.value), exc_info.value.epoch, str(exc_info.value)))
+        assert raised[0] == raised[1]
+
+    def test_earlier_divergence_wins_over_later_corpus_error(self, world, workers):
+        # The second source shares no timestamps with any target. A serial run
+        # trains (and loses) the first submodel before it builds that corpus.
+        stations, folds = world
+        second = sorted(folds.train_stations(0))[1]
+        stations = [
+            replace(s, observations=tuple(replace(o, timestamp=o.timestamp + 10**6)
+                                          for o in s.observations)) if s.id == second else s
+            for s in stations
+        ]
+        cfg = replace(self.CFG, learning_rate=1e50)
+        for n in (1, 2):
+            workers(n)
+            with pytest.raises(DivergenceError):
+                train_bank(stations, folds, 0, cfg, entry_stride=7)
+        with pytest.raises(DataError, match=f"station {second} shares no timestamps"):
+            train_bank(stations, folds, 0, self.CFG, entry_stride=7)

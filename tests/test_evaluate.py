@@ -29,6 +29,7 @@ from frostcast import (
     run_station_ablation,
     train_baselines,
 )
+from frostcast.evaluate import _availability_groups
 from frostcast.neuralnet import TrainConfig
 
 
@@ -193,6 +194,29 @@ class TestPredictionMatrices:
 @pytest.fixture(scope="module")
 def matrices(small_world, small_bank, small_test_ids):
     return build_prediction_matrices(small_world.stations, small_bank, small_test_ids)
+
+
+class TestAvailabilityGroups:
+    @pytest.mark.parametrize("n_stations", [1, 7, 8, 9, 60])
+    @pytest.mark.parametrize("p_available", [0.05, 0.5, 0.95])
+    def test_matches_row_unique(self, n_stations, p_available):
+        rng = np.random.default_rng(n_stations * 100 + int(p_available * 100))
+        avail = rng.random((n_stations, 40)) < p_available
+        avail[:, 3] = True
+        avail[:, 7] = False
+        patterns, inverse = _availability_groups(avail)
+        ref_patterns, ref_inverse = np.unique(avail.T, axis=0, return_inverse=True)
+        assert patterns.dtype == ref_patterns.dtype
+        np.testing.assert_array_equal(patterns, ref_patterns)
+        assert inverse.shape == ref_inverse.shape
+        np.testing.assert_array_equal(inverse, ref_inverse)
+
+    @pytest.mark.parametrize("fill", [True, False])
+    def test_single_pattern(self, fill):
+        avail = np.full((9, 5), fill)
+        patterns, inverse = _availability_groups(avail)
+        np.testing.assert_array_equal(patterns, avail[:, :1].T)
+        np.testing.assert_array_equal(inverse, np.zeros(5, dtype=inverse.dtype))
 
 
 class TestAblation:
