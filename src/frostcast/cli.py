@@ -22,6 +22,7 @@ from .ensemble import (
     load_baseline_fraction,
     load_baselines,
     save_bank,
+    save_coefficients,
     train_bank,
 )
 from .errors import DataError, FormatError, FrostcastError, NumericalError
@@ -215,14 +216,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         dataset = load_dataset(args.data)
         train_series = [s for s in dataset.stations if s.id in bank.models]
         coeff = calibrate_coefficients(bank, train_series, stride=args.stride)
-    bank.coefficients = coeff
-    baselines = load_baselines(args.bank)
-    save_bank(
-        bank,
-        args.bank,
-        baselines=baselines or None,
-        baseline_train_fraction=load_baseline_fraction(args.bank),
-    )
+    save_coefficients(args.bank, coeff)
     print(f"coefficients: geo={coeff.geo!r} dem={coeff.dem!r} ndvi={coeff.ndvi!r}")
     return 0
 

@@ -28,7 +28,7 @@ import multiprocessing
 import os
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -536,19 +536,21 @@ def save_bank(
 
     On-site reference models for held-out stations can ride along; they are
     stored under ``baseline_<id>.json`` and listed in the manifest together
-    with the chronological split fraction they were trained on.
+    with the chronological split fraction they were trained on. The
+    manifest is written last and replaced atomically.
     """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
-    manifest = {
+    for sid in bank.station_ids:
+        save_network(bank.models[sid], path / f"submodel_{sid}.json", bank.scalers[sid])
+    if baselines:
+        for sid, (net, scaler) in baselines.items():
+            save_network(net, path / f"baseline_{sid}.json", scaler)
+    _write_manifest(path, {
         "version": BANK_SCHEMA_VERSION,
         "fold": bank.fold,
         "horizon": bank.horizon,
-        "coefficients": {
-            "geo": bank.coefficients.geo,
-            "dem": bank.coefficients.dem,
-            "ndvi": bank.coefficients.ndvi,
-        },
+        "coefficients": asdict(bank.coefficients),
         "normalization": {
             "geo": list(bank.normalization.geo),
             "dem": list(bank.normalization.dem),
@@ -566,14 +568,27 @@ def save_bank(
         ],
         "baseline_ids": sorted(baselines) if baselines else [],
         "baseline_train_fraction": baseline_train_fraction,
-    }
-    with open(path / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-    for sid in bank.station_ids:
-        save_network(bank.models[sid], path / f"submodel_{sid}.json", bank.scalers[sid])
-    if baselines:
-        for sid, (net, scaler) in baselines.items():
-            save_network(net, path / f"baseline_{sid}.json", scaler)
+    })
+
+
+def save_coefficients(directory: str | os.PathLike, coefficients: WeightCoefficients) -> None:
+    """Store new weight coefficients in a saved bank, rewriting only its manifest."""
+    path = Path(directory)
+    manifest = _read_manifest(path)
+    manifest["coefficients"] = asdict(coefficients)
+    _write_manifest(path, manifest)
+
+
+def _write_manifest(path: Path, manifest: dict) -> None:
+    """Replace ``manifest.json`` through a temporary file in the same directory."""
+    tmp = path / f".manifest.json.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2)
+        os.replace(tmp, path / "manifest.json")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_bank(directory: str | os.PathLike) -> SubmodelBank:

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import (
     ClimateObservation,
@@ -170,6 +169,17 @@ def write_ascii_grid(grid: AttributeGrid, nodata: float = NODATA_DEFAULT) -> str
     return "\n".join(lines) + "\n"
 
 
+def _nearest_index(points: np.ndarray, queries: np.ndarray | Sequence[float]) -> np.ndarray:
+    """Index into ``points`` of the nearest point to each query (k-d tree).
+
+    scipy is imported here, not at module top, so that only the
+    nearest-cell fallbacks pay for loading it.
+    """
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points).query(queries)[1]
+
+
 def resample_grid(grid: AttributeGrid, target_cell: float) -> AttributeGrid:
     """Block-mean downsample to a coarser cell size.
 
@@ -205,10 +215,9 @@ def resample_grid(grid: AttributeGrid, target_cell: float) -> AttributeGrid:
 
     if (~mask).any() and m.any():
         src_pts = np.column_stack([lon_grid[m], lat_grid[m]])
-        tree = cKDTree(src_pts)
         t_lon = ll_lon + target_cell / 2.0 + (np.nonzero(~mask)[0] % ncols) * target_cell
         t_lat = ll_lat + target_cell / 2.0 + (np.nonzero(~mask)[0] // ncols) * target_cell
-        _, nearest = tree.query(np.column_stack([t_lon, t_lat]))
+        nearest = _nearest_index(src_pts, np.column_stack([t_lon, t_lat]))
         values[~mask] = grid.values[m][nearest]
     origin = GeoPoint(ll_lon + target_cell / 2.0, ll_lat + target_cell / 2.0)
     return AttributeGrid(origin, target_cell, values.reshape(nrows, ncols), mask.reshape(nrows, ncols))
@@ -301,8 +310,7 @@ def lookup_attribute(grid: AttributeGrid, point: GeoPoint) -> float:
         raise DataError("grid has no unmasked cells to fall back on")
     lon, lat = grid.cell_centers()
     m = grid.mask
-    tree = cKDTree(np.column_stack([lon[m], lat[m]]))
-    _, nearest = tree.query([point.lon, point.lat])
+    nearest = _nearest_index(np.column_stack([lon[m], lat[m]]), [point.lon, point.lat])
     return float(grid.values[m][nearest])
 
 
@@ -501,8 +509,12 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             attrs = StationAttributes(GeoPoint(row["lon"], row["lat"]), row["dem"], row["ndvi"])
             ts = read_npy(f"station_{row['id']}_ts.npy")
             raw = read_npy(f"station_{row['id']}_obs.npy")
+            if (ts.dtype != np.int64 or raw.dtype != np.float64
+                    or ts.ndim != 1 or raw.shape != (ts.size, 5)):
+                raise FormatError(f"station {row['id']} arrays have the wrong dtype or shape")
+            # tolist() gives the Python ints and floats that int() and float() would.
             obs = tuple(
-                ClimateObservation(int(t), *map(float, vals)) for t, vals in zip(ts, raw)
+                ClimateObservation(t, *vals) for t, vals in zip(ts.tolist(), raw.tolist())
             )
             stations.append(StationSeries(row["id"], attrs, obs))
     return Dataset(tuple(stations), grids["dem"], grids["ndvi"])

@@ -1,13 +1,18 @@
 """Command-line interface: argument parsing, the full pipeline, exit codes."""
 
 import json
+import os
 import shutil
 
 import pytest
 
 from frostcast import load_bank, load_baselines, load_dataset, save_bank
 from frostcast.cli import UsageError, main, parse_counts, parse_methods
-from frostcast.ensemble import load_baseline_fraction
+from frostcast.ensemble import (
+    FOLD_COEFFICIENT_PRESETS,
+    calibrate_coefficients,
+    load_baseline_fraction,
+)
 from frostcast.features import baseline_feature_arrays
 
 SPEC = {
@@ -176,6 +181,43 @@ class TestPipeline:
                   baselines=load_baselines(pipeline["bank"]), baseline_train_fraction=0.6)
         assert main(["calibrate", "--bank", str(tmp_path), "--preset", "paper-fold-1"]) == 0
         assert load_baseline_fraction(tmp_path) == 0.6
+
+    @pytest.mark.parametrize("source", ["preset", "data"])
+    def test_calibrate_rewrites_only_the_manifest(self, pipeline, tmp_path, source):
+        bank_dir, expected = tmp_path / "bank", tmp_path / "expected"
+        save_bank(load_bank(pipeline["bank"]), bank_dir,
+                  baselines=load_baselines(pipeline["bank"]), baseline_train_fraction=0.6)
+        shutil.copytree(bank_dir, expected)
+        # Backdate every file, so that a rewrite shows in its mtime.
+        for f in bank_dir.iterdir():
+            os.utime(f, ns=(10**18, 10**18))
+        before = {f.name: (f.stat().st_ino, f.stat().st_mtime_ns) for f in bank_dir.iterdir()}
+        old_manifest = (bank_dir / "manifest.json").read_bytes()
+        if source == "preset":
+            extra = ["--preset", "paper-fold-1"]
+        else:
+            extra = ["--data", str(pipeline["data"])]
+        assert main(["calibrate", "--bank", str(bank_dir), *extra]) == 0
+
+        # The whole bank rewritten through save_bank, as calibrate used to do.
+        bank = load_bank(expected)
+        if source == "preset":
+            bank.coefficients = FOLD_COEFFICIENT_PRESETS[1]
+        else:
+            stations = [s for s in load_dataset(pipeline["data"]).stations if s.id in bank.models]
+            bank.coefficients = calibrate_coefficients(bank, stations, stride=30)
+        save_bank(bank, expected, baselines=load_baselines(expected),
+                  baseline_train_fraction=load_baseline_fraction(expected))
+        names = sorted(f.name for f in expected.iterdir())
+        assert sorted(f.name for f in bank_dir.iterdir()) == names
+        assert any(n.startswith("baseline_") for n in names)
+        for name in names:
+            assert (bank_dir / name).read_bytes() == (expected / name).read_bytes(), name
+        assert (bank_dir / "manifest.json").read_bytes() != old_manifest
+        for name, (inode, mtime) in before.items():
+            if name != "manifest.json":
+                st = (bank_dir / name).stat()
+                assert (st.st_ino, st.st_mtime_ns) == (inode, mtime), name
 
     def test_raster_and_compare(self, pipeline, tmp_path):
         bank = load_bank(pipeline["bank"])

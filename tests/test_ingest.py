@@ -1,8 +1,13 @@
 """Grid and station-file I/O: parsing, masking, resampling, bundles."""
 
+import io
 import json
+import os
+import subprocess
+import sys
 import zipfile
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import frostcast
 from frostcast import (
     AttributeGrid,
     BoundaryPolygon,
@@ -245,6 +251,50 @@ class TestLookupAttribute:
             lookup_attribute(grid, GeoPoint(100.0, -35.0))
 
 
+FRESH_INTERPRETER_PROBE = """
+import json, sys
+import frostcast, frostcast.cli
+at_import = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import numpy as np
+from frostcast import AttributeGrid, GeoPoint, lookup_attribute, resample_grid
+row = AttributeGrid(GeoPoint(100.0, -35.0), 1.0, np.array([[1.0, 2.0, 3.0]]),
+                    np.array([[True, False, True]]))
+values = np.arange(16.0).reshape(4, 4)
+mask = np.ones((4, 4), bool)
+mask[:2, :2] = False
+coarse = resample_grid(AttributeGrid(GeoPoint(100.0, -35.0), 1.0, values, mask), 2.0)
+print(json.dumps({
+    "at_import": at_import,
+    "lookups": [lookup_attribute(row, GeoPoint(100.9, -35.0)),
+                lookup_attribute(row, GeoPoint(101.2, -35.0))],
+    "coarse_values": coarse.values.tolist(),
+    "coarse_mask": coarse.mask.tolist(),
+    "scipy_after_fallback": "scipy.spatial" in sys.modules,
+}))
+"""
+
+
+class TestScipyOffImportPath:
+    def test_fresh_import_loads_no_scipy_and_fallbacks_still_work(self):
+        src = str(Path(frostcast.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", FRESH_INTERPRETER_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        out = json.loads(proc.stdout)
+        assert out["at_import"] == []
+        assert out["lookups"] == [1.0, 3.0]
+        values = np.arange(16.0).reshape(4, 4)
+        mask = np.ones((4, 4), bool)
+        mask[:2, :2] = False
+        coarse = resample_grid(square_grid(values, mask=mask), 2.0)
+        assert out["coarse_mask"] == coarse.mask.tolist()
+        assert out["coarse_mask"][0][0] is False
+        assert out["coarse_values"] == coarse.values.tolist()
+        assert out["coarse_values"][0][0] in values[mask]
+        assert out["scipy_after_fallback"] is True
+
+
 ATTRS = StationAttributes(GeoPoint(100.0, -35.0), 200.0, 0.4)
 CSV_OK = "timestamp,temperature,dew_point,rh,wind_speed,wind_dir\n"
 
@@ -329,6 +379,48 @@ class TestDatasetBundle:
         npt.assert_array_equal(back.dem.values, ds.dem.values)
         npt.assert_array_equal(back.ndvi.mask, ds.ndvi.mask)
         assert back.dem.cell_size == ds.dem.cell_size
+
+    def test_round_trip_is_exact_python_scalars(self, tmp_path):
+        obs = (
+            ClimateObservation(28_000_000, -3.25, -7.125, 91.5, 0.0, 247.5),
+            ClimateObservation(28_000_001, -2.9999999999999996, -7.0, 88.0, 1.3, 0.1),
+            ClimateObservation(28_000_003, 0.1, -0.5, 1e-3, 12.75, 359.99),
+        )
+        ds = tiny_dataset()
+        ds = Dataset(ds.stations + (
+            StationSeries("c3", StationAttributes(GeoPoint(100.4, -34.6), 90.0, 0.2), obs),
+        ), ds.dem, ds.ndvi)
+        path = tmp_path / "ds.zip"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+        for station in ds.stations:
+            loaded = back.get(station.id).observations
+            assert loaded == station.observations
+            for got, want in zip(loaded, station.observations):
+                assert type(got.timestamp) is int
+                for field in ("temperature", "dew_point", "rh", "wind_speed", "wind_dir_met"):
+                    assert type(getattr(got, field)) is float
+                    assert getattr(got, field) == getattr(want, field)
+
+    @pytest.mark.parametrize("entry,array", [
+        ("station_a1_ts.npy", np.arange(3, dtype=np.float64)),
+        ("station_a1_obs.npy", np.zeros((3, 5), dtype=np.float32)),
+        ("station_a1_obs.npy", np.zeros((3, 4))),
+        ("station_a1_ts.npy", np.arange(3, dtype=np.int64).reshape(3, 1)),
+    ])
+    def test_station_arrays_of_wrong_dtype_or_shape_rejected(self, tmp_path, entry, array):
+        good, bad = tmp_path / "good.zip", tmp_path / "bad.zip"
+        save_dataset(tiny_dataset(), good)
+        with zipfile.ZipFile(good) as src, zipfile.ZipFile(bad, "w") as dst:
+            for name in src.namelist():
+                data = src.read(name)
+                if name == entry:
+                    buf = io.BytesIO()
+                    np.lib.format.write_array(buf, array)
+                    data = buf.getvalue()
+                dst.writestr(name, data)
+        with pytest.raises(FormatError, match="a1"):
+            load_dataset(bad)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         ds = tiny_dataset()
