@@ -285,11 +285,11 @@ def _cmd_raster(args: argparse.Namespace) -> int:
     for series in dataset.stations:
         if series.id not in bank.models:
             continue
-        for obs in series.observations:
-            if obs.timestamp == args.timestamp:
-                e, n = wind_to_components(obs.wind_dir_met, obs.wind_speed)
-                snapshot[series.id] = (obs.temperature, obs.dew_point, obs.rh, n, e)
-                break
+        i = int(series.timestamps.searchsorted(args.timestamp))
+        if i < len(series) and series.timestamps[i] == args.timestamp:
+            temperature, dew_point, rh, wind_speed, wind_dir_met = series.raw[i].tolist()
+            e, n = wind_to_components(wind_dir_met, wind_speed)
+            snapshot[series.id] = (temperature, dew_point, rh, n, e)
     if not snapshot:
         raise DataError(f"no bank station has an observation at minute {args.timestamp}")
     grid = generate_raster(bank, snapshot, dataset.dem, dataset.ndvi, method, source_id)

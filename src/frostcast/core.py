@@ -1,10 +1,12 @@
-"""Shared domain types: stations, observations, folds, training entries."""
+"""Shared domain types: stations, their columnar series, folds, training entries."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .errors import DataError, DomainError
 
@@ -47,22 +49,8 @@ class StationAttributes:
         return (self.location.lon, self.location.lat, self.dem, self.ndvi)
 
 
-@dataclass(frozen=True)
-class ClimateObservation:
-    """One timestamped sensor reading.
-
-    ``timestamp`` is integer minutes since the Unix epoch; ``wind_dir_met``
-    uses the meteorological convention (direction the wind blows from).
-    Construction is permissive so that raw parses can be inspected by
-    :func:`validate_series` instead of throwing mid-file.
-    """
-
-    timestamp: int
-    temperature: float
-    dew_point: float
-    rh: float
-    wind_speed: float
-    wind_dir_met: float
+#: Column order of ``StationSeries.raw``; ``wind_dir_met`` is the direction the wind blows from.
+RAW_COLUMNS = ("temperature", "dew_point", "rh", "wind_speed", "wind_dir_met")
 
 
 @dataclass(frozen=True)
@@ -74,60 +62,88 @@ class Violation:
     rule: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationSeries:
-    """Time-ordered observations plus static attributes for one station."""
+    """Time-ordered readings plus static attributes for one station.
+
+    ``timestamps`` is int64 ``[n]`` minutes since the Unix epoch; ``raw`` is
+    float64 ``[n, 5]`` in :data:`RAW_COLUMNS` order. Both are stored as
+    read-only views, never copies. Only dtype and shape are checked here:
+    :func:`validate_series` inspects the values.
+    """
 
     id: StationId
     attributes: StationAttributes
-    observations: tuple[ClimateObservation, ...]
+    timestamps: np.ndarray
+    raw: np.ndarray
 
     def __post_init__(self) -> None:
         if not self.id:
             raise DomainError("station id must be non-empty")
-        if not isinstance(self.observations, tuple):
-            object.__setattr__(self, "observations", tuple(self.observations))
+        ts, raw = self.timestamps, self.raw
+        if not isinstance(ts, np.ndarray) or ts.dtype != np.int64 or ts.ndim != 1:
+            raise DataError(f"station {self.id} timestamps must be a 1-D int64 array")
+        if not isinstance(raw, np.ndarray) or raw.dtype != np.float64 or raw.shape != (ts.size, 5):
+            raise DataError(f"station {self.id} raw values must be a float64 [{ts.size}, 5] array")
+        for name, arr in (("timestamps", ts), ("raw", raw)):
+            view = arr.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return self.timestamps.size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StationSeries):
+            return NotImplemented
+        return (
+            self.id == other.id
+            and self.attributes == other.attributes
+            and np.array_equal(self.timestamps, other.timestamps)
+            and np.array_equal(self.raw, other.raw)
+        )
 
 
-def observation_violations(obs: ClimateObservation, index: int = 0) -> list[Violation]:
-    """Invariant breaches of a single observation, ignoring series ordering."""
-    out: list[Violation] = []
-    _check_observation(obs, index, out)
-    return out
+# Rule order within a row; "finite" is reported under the first non-finite column.
+_RULES = (
+    (None, "finite"),
+    ("rh", "range"),
+    ("wind_speed", "nonnegative"),
+    ("wind_dir_met", "range"),
+    ("dew_point", "exceeds temperature"),
+    ("timestamp", "strictly increasing"),
+)
 
 
-def _check_observation(obs: ClimateObservation, index: int, out: list[Violation]) -> None:
-    for field in ("temperature", "dew_point", "rh", "wind_speed", "wind_dir_met"):
-        if not math.isfinite(getattr(obs, field)):
-            out.append(Violation(field, index, "finite"))
-            return
-    if not 0.0 <= obs.rh <= 100.0:
-        out.append(Violation("rh", index, "range"))
-    if obs.wind_speed < 0.0:
-        out.append(Violation("wind_speed", index, "nonnegative"))
-    if not 0.0 <= obs.wind_dir_met < 360.0:
-        out.append(Violation("wind_dir_met", index, "range"))
-    if obs.dew_point > obs.temperature + DEW_POINT_TOLERANCE:
-        out.append(Violation("dew_point", index, "exceeds temperature"))
+def violation_mask(timestamps: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Bool ``[n, 6]``: row i breaks rule k of ``_RULES``. A non-finite row
+    breaks no other value rule; the timestamp rule compares adjacent rows.
+    """
+    finite = np.isfinite(raw).all(axis=1)
+    temperature, dew_point, rh, wind_speed, wind_dir = raw.T
+    backwards = np.zeros(finite.shape, dtype=bool)
+    backwards[1:] = timestamps[1:] <= timestamps[:-1]
+    return np.column_stack([
+        ~finite,
+        finite & ~((rh >= 0.0) & (rh <= 100.0)),
+        finite & (wind_speed < 0.0),
+        finite & ~((wind_dir >= 0.0) & (wind_dir < 360.0)),
+        finite & (dew_point > temperature + DEW_POINT_TOLERANCE),
+        backwards,
+    ])
 
 
 def validate_series(series: StationSeries) -> list[Violation]:
     """Report every invariant breach in a series; empty list means valid.
 
-    Never raises: a series assembled from a messy file can always be
-    inspected, and the empty series is trivially valid.
+    Violations come by row, then in rule order: finite, rh range, wind
+    speed, wind direction, dew point, timestamp. Never raises: a series
+    assembled from a messy file can always be inspected.
     """
-    out: list[Violation] = []
-    prev_ts: int | None = None
-    for i, obs in enumerate(series.observations):
-        _check_observation(obs, i, out)
-        if prev_ts is not None and obs.timestamp <= prev_ts:
-            out.append(Violation("timestamp", i, "strictly increasing"))
-        prev_ts = obs.timestamp
-    return out
+    rows, rules = np.nonzero(violation_mask(series.timestamps, series.raw))
+    first_bad = np.argmin(np.isfinite(series.raw), axis=1)
+    return [Violation(_RULES[k][0] or RAW_COLUMNS[first_bad[i]], i, _RULES[k][1])
+            for i, k in zip(rows.tolist(), rules.tolist())]
 
 
 @dataclass(frozen=True)

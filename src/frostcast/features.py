@@ -58,19 +58,10 @@ class ObservationArrays(NamedTuple):
 
 def climate_matrix(series: StationSeries) -> ObservationArrays:
     """Extract timestamps and the 5-column climate block from a series."""
-    n = len(series.observations)
-    ts = np.empty(n, dtype=np.int64)
-    raw = np.empty((n, 5), dtype=np.float64)
-    for i, obs in enumerate(series.observations):
-        ts[i] = obs.timestamp
-        raw[i, 0] = obs.temperature
-        raw[i, 1] = obs.dew_point
-        raw[i, 2] = obs.rh
-        raw[i, 3] = obs.wind_speed
-        raw[i, 4] = obs.wind_dir_met
+    raw = series.raw
     e_wind, n_wind = _wind_component_arrays(raw[:, 4], raw[:, 3])
     climate = np.column_stack([raw[:, 0], raw[:, 1], raw[:, 2], n_wind, e_wind])
-    return ObservationArrays(ts, climate)
+    return ObservationArrays(series.timestamps, climate)
 
 
 def label_arrays(series: StationSeries, horizon: int = DEFAULT_HORIZON) -> tuple[np.ndarray, np.ndarray]:
@@ -81,13 +72,12 @@ def label_arrays(series: StationSeries, horizon: int = DEFAULT_HORIZON) -> tuple
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1: {horizon!r}")
-    n = len(series.observations)
+    n = len(series)
     if n <= horizon:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    ts = np.fromiter((o.timestamp for o in series.observations), dtype=np.int64, count=n)
-    temps = np.fromiter((o.temperature for o in series.observations), dtype=np.float64, count=n)
-    windows = np.lib.stride_tricks.sliding_window_view(temps[1:], horizon)
-    return ts[: n - horizon], windows.min(axis=1)
+    temps = np.ascontiguousarray(series.raw[1:, 0])  # min reduces it as a fresh column
+    windows = np.lib.stride_tricks.sliding_window_view(temps, horizon)
+    return series.timestamps[: n - horizon], windows.min(axis=1)
 
 
 def label_next_hour_min(series: StationSeries, horizon: int = DEFAULT_HORIZON) -> list[tuple[int, float]]:

@@ -20,13 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    ClimateObservation,
     GeoPoint,
     StationAttributes,
     StationId,
     StationSeries,
     index_series,
-    observation_violations,
+    validate_series,
+    violation_mask,
 )
 from .errors import DataError, DomainError, FormatError, OutOfExtentError, UnsupportedVersionError
 
@@ -326,10 +326,12 @@ def _parse_timestamp(token: str, iso_mode: bool | None) -> tuple[int | None, boo
     token = token.strip()
     if iso_mode in (None, False):
         try:
-            return int(token), False
+            minutes = int(token)
         except ValueError:
             if iso_mode is False:
                 return None, False
+        else:
+            return (minutes if -(2**63) <= minutes < 2**63 else None), False
     try:
         stamp = datetime.fromisoformat(token.replace("Z", "+00:00"))
     except ValueError:
@@ -361,10 +363,10 @@ def parse_station_csv(
         raise FormatError(
             f"bad station header: expected {','.join(CSV_HEADER)}, got {','.join(header)}"
         )
-    observations: list[ClimateObservation] = []
+    timestamps: list[int] = []
+    values: list[list[float]] = []
     dropped = 0
     iso_mode: bool | None = None
-    last_ts: int | None = None
     for row in reader:
         if not row or all(not c.strip() for c in row):
             continue
@@ -376,20 +378,21 @@ def parse_station_csv(
             dropped += 1
             continue
         try:
-            fields = [float(c) for c in row[1:]]
+            values.append([float(c) for c in row[1:]])
         except ValueError:
             dropped += 1
             continue
-        obs = ClimateObservation(ts, *fields)
-        if observation_violations(obs):
-            dropped += 1
-            continue
-        if last_ts is not None and ts <= last_ts:
-            dropped += 1
-            continue
-        observations.append(obs)
-        last_ts = ts
-    return StationSeries(station_id, attributes, tuple(observations)), dropped
+        timestamps.append(ts)
+    ts_col = np.array(timestamps, dtype=np.int64)
+    raw = np.array(values, dtype=np.float64).reshape(-1, 5)
+    ok = ~violation_mask(ts_col, raw)[:, :5].any(axis=1)  # the value rules
+    ts_col, raw = ts_col[ok], raw[ok]
+    # A row is kept when it is later than every earlier valid row, which is
+    # the last kept timestamp: rows dropped here never raise the maximum.
+    keep = np.ones(ts_col.size, dtype=bool)
+    keep[1:] = ts_col[1:] > np.maximum.accumulate(ts_col)[:-1]
+    dropped += len(timestamps) - int(keep.sum())
+    return StationSeries(station_id, attributes, ts_col[keep], raw[keep]), dropped
 
 
 # --- dataset bundle -----------------------------------------------------------
@@ -450,7 +453,7 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
                 "lat": s.attributes.location.lat,
                 "dem": s.attributes.dem,
                 "ndvi": s.attributes.ndvi,
-                "n_obs": len(s.observations),
+                "n_obs": len(s),
             }
             for s in sorted(dataset.stations, key=lambda s: s.id)
         ],
@@ -464,13 +467,8 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
             _write_npy(zf, f"grid_{name}_values.npy", grid.values)
             _write_npy(zf, f"grid_{name}_mask.npy", grid.mask)
         for s in sorted(dataset.stations, key=lambda s: s.id):
-            n = len(s.observations)
-            ts = np.fromiter((o.timestamp for o in s.observations), dtype=np.int64, count=n)
-            raw = np.empty((n, 5), dtype=np.float64)
-            for i, o in enumerate(s.observations):
-                raw[i] = (o.temperature, o.dew_point, o.rh, o.wind_speed, o.wind_dir_met)
-            _write_npy(zf, f"station_{s.id}_ts.npy", ts)
-            _write_npy(zf, f"station_{s.id}_obs.npy", raw)
+            _write_npy(zf, f"station_{s.id}_ts.npy", s.timestamps)
+            _write_npy(zf, f"station_{s.id}_obs.npy", s.raw)
         info = zipfile.ZipInfo("manifest.json", date_time=_BUNDLE_EPOCH)
         zf.writestr(info, json.dumps(manifest, sort_keys=True, indent=2))
 
@@ -507,16 +505,19 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
         stations = []
         for row in manifest["stations"]:
             attrs = StationAttributes(GeoPoint(row["lon"], row["lat"]), row["dem"], row["ndvi"])
-            ts = read_npy(f"station_{row['id']}_ts.npy")
-            raw = read_npy(f"station_{row['id']}_obs.npy")
-            if (ts.dtype != np.int64 or raw.dtype != np.float64
-                    or ts.ndim != 1 or raw.shape != (ts.size, 5)):
-                raise FormatError(f"station {row['id']} arrays have the wrong dtype or shape")
-            # tolist() gives the Python ints and floats that int() and float() would.
-            obs = tuple(
-                ClimateObservation(t, *vals) for t, vals in zip(ts.tolist(), raw.tolist())
-            )
-            stations.append(StationSeries(row["id"], attrs, obs))
+            try:
+                series = StationSeries(row["id"], attrs, read_npy(f"station_{row['id']}_ts.npy"),
+                                       read_npy(f"station_{row['id']}_obs.npy"))
+            except DataError as exc:
+                raise FormatError(f"bad bundle: {exc}") from exc
+            if row.get("n_obs") != len(series):
+                raise FormatError(f"station {series.id} manifest n_obs is {row.get('n_obs')!r} "
+                                  f"but its arrays hold {len(series)} rows")
+            bad = validate_series(series)
+            if bad:
+                raise FormatError(f"station {series.id} row {bad[0].index}: {bad[0].field} "
+                                  f"breaks rule {bad[0].rule!r}")
+            stations.append(series)
     return Dataset(tuple(stations), grids["dem"], grids["ndvi"])
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ClimateObservation, GeoPoint, StationAttributes, StationSeries
+from .core import GeoPoint, StationAttributes, StationSeries
 from .errors import DomainError
 from .ingest import AttributeGrid, BoundaryPolygon, boundary_to_json, write_ascii_grid
 
@@ -229,12 +229,8 @@ def generate_world(spec: WorldSpec) -> SynthWorld:
         direction = np.mod(
             dir_base + dir_swing * np.sin(2.0 * math.pi * minutes / MINUTES_PER_DAY + dir_phase), 360.0
         )
-        observations = tuple(
-            ClimateObservation(int(minutes[j]), float(temp[j]), float(dew[j]), float(rh[j]),
-                               float(speed[j]), float(direction[j]))
-            for j in range(n_samples)
-        )
-        stations.append(StationSeries(str(10001 + i), attrs, observations))
+        raw = np.column_stack([temp, dew, rh, speed, direction])
+        stations.append(StationSeries(str(10001 + i), attrs, minutes, raw))
 
     ring = (
         GeoPoint(spec.lon_min, spec.lat_min),
@@ -285,9 +281,6 @@ def write_world(world: SynthWorld, directory: str | os.PathLike) -> None:
     (base / "world.json").write_text(json.dumps(spec_doc, sort_keys=True, indent=2))
     for s in world.stations:
         lines = [",".join(("timestamp", "temperature", "dew_point", "rh", "wind_speed", "wind_dir"))]
-        for o in s.observations:
-            lines.append(
-                f"{o.timestamp},{o.temperature!r},{o.dew_point!r},{o.rh!r},"
-                f"{o.wind_speed!r},{o.wind_dir_met!r}"
-            )
+        for t, (temp, dew, rh, speed, direction) in zip(s.timestamps.tolist(), s.raw.tolist()):
+            lines.append(f"{t},{temp!r},{dew!r},{rh!r},{speed!r},{direction!r}")
         (base / "stations" / f"{s.id}.csv").write_text("\n".join(lines) + "\n")

@@ -176,6 +176,22 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(dropped) in err
 
+    def test_ingest_drops_timestamp_outside_int64(self, pipeline, tmp_path, capsys):
+        stations = tmp_path / "stations"
+        shutil.copytree(pipeline["world"] / "stations", stations)
+        first = json.loads((stations / "stations.json").read_text())["stations"][0]["id"]
+        with open(stations / f"{first}.csv", "a") as fh:
+            fh.write("100000000000000000000,10,5,50,2,90\n")
+        capsys.readouterr()
+        assert main([
+            "ingest", "--stations", str(stations),
+            "--dem", str(pipeline["world"] / "dem.asc"),
+            "--ndvi", str(pipeline["world"] / "ndvi.asc"),
+            "--out", str(tmp_path / "data.zip"),
+        ]) == 0
+        assert "(1 rows dropped)" in capsys.readouterr().out
+        assert len(load_dataset(tmp_path / "data.zip").get(str(first))) == 24 * 60 // 5
+
     def test_calibrate_keeps_baseline_split(self, pipeline, tmp_path):
         save_bank(load_bank(pipeline["bank"]), tmp_path,
                   baselines=load_baselines(pipeline["bank"]), baseline_train_fraction=0.6)
@@ -283,6 +299,14 @@ class TestExitCodes:
             "--method", "cubist", "--timestamp", "60", "--out", str(tmp_path / "r.asc"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("minute", ["61", "100000000000000000000", "-1"])
+    def test_raster_at_minute_without_observations(self, pipeline, tmp_path, minute):
+        rc = main([
+            "raster", "--data", str(pipeline["data"]), "--bank", str(pipeline["bank"]),
+            "--method", "avg", "--timestamp", minute, "--out", str(tmp_path / "r.asc"),
+        ])
+        assert rc == 3
 
     def test_compare_needs_two_distinct(self, pipeline, tmp_path):
         one = tmp_path / "a.asc"

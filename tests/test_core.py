@@ -1,11 +1,12 @@
-"""Value-object invariants: coordinates, observations, folds, entries."""
+"""Value-object invariants: coordinates, series columns, folds, entries."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from frostcast import (
-    ClimateObservation,
     DataError,
     DomainError,
     FoldAssignment,
@@ -13,21 +14,29 @@ from frostcast import (
     StationAttributes,
     StationSeries,
     TrainingEntry,
+    Violation,
     index_series,
-    observation_violations,
     validate_series,
 )
 
 
 def make_obs(ts=0, temp=5.0, dew=3.0, rh=80.0, speed=2.0, direction=90.0):
-    return ClimateObservation(ts, temp, dew, rh, speed, direction)
+    """One reading as a (timestamp, temperature, dew, rh, speed, direction) row."""
+    return (ts, temp, dew, rh, speed, direction)
 
 
-def make_series(station_id="s1", observations=None, lon=146.5, lat=-33.5):
+def make_series(station_id="s1", rows=None, lon=146.5, lat=-33.5):
     attrs = StationAttributes(GeoPoint(lon, lat), 250.0, 0.4)
-    if observations is None:
-        observations = [make_obs(ts=i) for i in range(3)]
-    return StationSeries(station_id, attrs, observations)
+    if rows is None:
+        rows = [make_obs(ts=i) for i in range(3)]
+    ts = np.array([r[0] for r in rows], dtype=np.int64)
+    raw = np.array([r[1:] for r in rows], dtype=np.float64).reshape(-1, 5)
+    return StationSeries(station_id, attrs, ts, raw)
+
+
+def observation_violations(obs):
+    """Value-rule breaches of one reading, through the series validator."""
+    return validate_series(make_series(rows=[obs]))
 
 
 class TestGeoPoint:
@@ -90,12 +99,66 @@ class TestStationSeries:
         with pytest.raises(DomainError):
             make_series(station_id="")
 
-    def test_observations_become_tuple(self):
-        s = make_series(observations=[make_obs(0), make_obs(1)])
-        assert isinstance(s.observations, tuple)
+    def test_columns_are_read_only_views(self):
+        ts = np.arange(3, dtype=np.int64)
+        raw = np.zeros((3, 5))
+        s = StationSeries("s1", make_series().attributes, ts, raw)
+        assert np.shares_memory(s.timestamps, ts) and np.shares_memory(s.raw, raw)
+        with pytest.raises(ValueError):
+            s.timestamps[0] = 7
+        with pytest.raises(ValueError):
+            s.raw[0, 0] = 7.0
+        assert ts.flags.writeable and raw.flags.writeable
+        assert len(s) == s.timestamps.size == 3
+
+    @pytest.mark.parametrize("ts,raw", [
+        (np.arange(3, dtype=np.float64), np.zeros((3, 5))),
+        (np.arange(3, dtype=np.int32), np.zeros((3, 5))),
+        (np.arange(3, dtype=np.int64).reshape(3, 1), np.zeros((3, 5))),
+        (np.arange(3, dtype=np.int64), np.zeros((3, 5), dtype=np.float32)),
+        (np.arange(3, dtype=np.int64), np.zeros((3, 4))),
+        (np.arange(3, dtype=np.int64), np.zeros((2, 5))),
+        ([0, 1, 2], np.zeros((3, 5))),
+    ])
+    def test_wrong_dtype_or_shape_rejected(self, ts, raw):
+        with pytest.raises(DataError, match="s1"):
+            StationSeries("s1", make_series().attributes, ts, raw)
+
+    def test_replace_swaps_columns(self):
+        s = make_series(rows=[make_obs(i, temp=float(i)) for i in range(5)])
+        cut = replace(s, timestamps=s.timestamps[1:4], raw=s.raw[1:4])
+        assert len(cut) == 3
+        assert cut.timestamps.tolist() == [1, 2, 3]
+        assert cut.raw[:, 0].tolist() == [1.0, 2.0, 3.0]
+        assert not cut.raw.flags.writeable
+
+    def test_equality_compares_columns(self):
+        a = make_series()
+        assert a == make_series()
+        assert a != make_series(station_id="s2")
+        assert a != make_series(rows=[make_obs(ts=i, rh=81.0) for i in range(3)])
+        assert a != make_series(rows=[make_obs(ts=2 * i) for i in range(3)])
+        assert a != make_series(lon=146.0)
+
+    def test_validate_series_reports_rows_in_rule_order(self):
+        s = make_series(rows=[
+            make_obs(5, rh=101.0, speed=-1.0),
+            make_obs(5, dew=float("nan"), rh=-1.0),
+            make_obs(7),
+            make_obs(6, temp=1.0, dew=1.6, direction=360.0),
+        ])
+        assert validate_series(s) == [
+            Violation("rh", 0, "range"),
+            Violation("wind_speed", 0, "nonnegative"),
+            Violation("dew_point", 1, "finite"),
+            Violation("timestamp", 1, "strictly increasing"),
+            Violation("wind_dir_met", 3, "range"),
+            Violation("dew_point", 3, "exceeds temperature"),
+            Violation("timestamp", 3, "strictly increasing"),
+        ]
 
     def test_validate_series_flags_backwards_timestamps(self):
-        s = make_series(observations=[make_obs(5), make_obs(4)])
+        s = make_series(rows=[make_obs(5), make_obs(4)])
         violations = validate_series(s)
         assert any(v.field == "timestamp" for v in violations)
 

@@ -353,7 +353,8 @@ class TestTrainBankColumns:
         folds = FoldAssignment((frozenset(ids[:2]), frozenset(ids[2:])))
         short_id = ids[2]
         stations = [
-            replace(s, observations=s.observations[200:1100]) if s.id == short_id else s
+            replace(s, timestamps=s.timestamps[200:1100], raw=s.raw[200:1100])
+            if s.id == short_id else s
             for s in stations
         ]
         return stations, folds, short_id
@@ -513,8 +514,7 @@ class TestTrainBankPool:
         stations, folds = world
         second = sorted(folds.train_stations(0))[1]
         stations = [
-            replace(s, observations=tuple(replace(o, timestamp=o.timestamp + 10**6)
-                                          for o in s.observations)) if s.id == second else s
+            replace(s, timestamps=s.timestamps + 10**6) if s.id == second else s
             for s in stations
         ]
         cfg = replace(self.CFG, learning_rate=1e50)

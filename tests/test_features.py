@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frostcast import (
-    ClimateObservation,
     DataError,
     DomainError,
     GeoPoint,
@@ -39,11 +38,10 @@ from frostcast.features import join_timestamps
 
 def series_from_temps(temps, station_id="s", start=0, step=1):
     attrs = StationAttributes(GeoPoint(146.0, -33.0), 100.0, 0.2)
-    obs = [
-        ClimateObservation(start + i * step, float(t), float(t) - 2.0, 70.0, 1.0, 45.0)
-        for i, t in enumerate(temps)
-    ]
-    return StationSeries(station_id, attrs, obs)
+    temps = np.asarray(temps, dtype=np.float64)
+    ts = start + np.arange(temps.size, dtype=np.int64) * step
+    raw = np.column_stack([temps, temps - 2.0, np.full((temps.size, 3), (70.0, 1.0, 45.0))])
+    return StationSeries(station_id, attrs, ts, raw)
 
 
 class TestWindComponents:

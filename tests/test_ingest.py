@@ -1,12 +1,14 @@
 """Grid and station-file I/O: parsing, masking, resampling, bundles."""
 
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import zipfile
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +21,9 @@ from hypothesis.extra import numpy as hnp
 import frostcast
 from frostcast import (
     AttributeGrid,
+    DEW_POINT_TOLERANCE,
+    RAW_COLUMNS,
     BoundaryPolygon,
-    ClimateObservation,
     DataError,
     Dataset,
     DomainError,
@@ -30,6 +33,7 @@ from frostcast import (
     StationAttributes,
     StationSeries,
     UnsupportedVersionError,
+    Violation,
     apply_boundary_mask,
     boundary_to_json,
     ingest_directory,
@@ -41,8 +45,10 @@ from frostcast import (
     point_in_polygon,
     resample_grid,
     save_dataset,
+    validate_series,
     write_ascii_grid,
 )
+from frostcast.ingest import CSV_HEADER, _parse_timestamp
 
 GRID_TEXT = """\
 ncols 3
@@ -299,13 +305,21 @@ ATTRS = StationAttributes(GeoPoint(100.0, -35.0), 200.0, 0.4)
 CSV_OK = "timestamp,temperature,dew_point,rh,wind_speed,wind_dir\n"
 
 
+def series_of(rows, station_id="s1", attrs=ATTRS):
+    """A series from (timestamp, temperature, dew, rh, speed, direction) rows."""
+    ts = np.array([r[0] for r in rows], dtype=np.int64)
+    raw = np.array([r[1:] for r in rows], dtype=np.float64).reshape(-1, 5)
+    return StationSeries(station_id, attrs, ts, raw)
+
+
 class TestStationCsv:
     def test_clean_rows_parse(self):
         text = CSV_OK + "0,10,5,50,2,90\n1,9,4,55,1,180\n"
         series, dropped = parse_station_csv(text, "s1", ATTRS)
         assert dropped == 0
-        assert len(series.observations) == 2
-        assert series.observations[0] == ClimateObservation(0, 10.0, 5.0, 50.0, 2.0, 90.0)
+        assert len(series) == 2
+        assert series.timestamps[0] == 0
+        assert series.raw[0].tolist() == [10.0, 5.0, 50.0, 2.0, 90.0]
 
     def test_bad_rows_dropped_and_counted(self):
         rows = [
@@ -320,14 +334,14 @@ class TestStationCsv:
         ]
         series, dropped = parse_station_csv(CSV_OK + "\n".join(rows), "s1", ATTRS)
         assert dropped == 5
-        assert [o.timestamp for o in series.observations] == [0, 3, 10]
+        assert series.timestamps.tolist() == [0, 3, 10]
 
     def test_iso_timestamps(self):
         stamp = "2024-01-01T00:10:00Z"
         expected = int(datetime(2024, 1, 1, 0, 10, tzinfo=timezone.utc).timestamp() // 60)
         series, dropped = parse_station_csv(CSV_OK + f"{stamp},10,5,50,2,90\n", "s1", ATTRS)
         assert dropped == 0
-        assert series.observations[0].timestamp == expected
+        assert series.timestamps[0] == expected
 
     def test_timestamp_mode_pinned_by_first_row(self):
         text = CSV_OK + "0,10,5,50,2,90\n2024-01-01T00:10:00Z,10,5,50,2,90\n"
@@ -343,9 +357,16 @@ class TestStationCsv:
         )
         assert dropped == 1
 
+    def test_integer_timestamp_outside_int64_dropped(self):
+        text = CSV_OK + "0,10,5,50,2,90\n100000000000000000000,10,5,50,2,90\n" \
+            "-9223372036854775809,10,5,50,2,90\n9223372036854775807,10,5,50,2,90\n"
+        series, dropped = parse_station_csv(text, "s1", ATTRS)
+        assert dropped == 2
+        assert series.timestamps.tolist() == [0, 2**63 - 1]
+
     def test_blank_lines_skipped_silently(self):
         series, dropped = parse_station_csv(CSV_OK + "\n0,10,5,50,2,90\n\n", "s1", ATTRS)
-        assert dropped == 0 and len(series.observations) == 1
+        assert dropped == 0 and len(series) == 1
 
     def test_header_mismatch(self):
         with pytest.raises(FormatError):
@@ -356,15 +377,157 @@ class TestStationCsv:
             parse_station_csv("", "s1", ATTRS)
 
 
+# --- per-row reference oracles --------------------------------------------------
+# The rules as a row-at-a-time validator and parser applied them before series
+# became columns. The vectorised code must agree with them exactly.
+
+
+def reference_row_violations(row, index):
+    _, *values = row
+    for field, value in zip(RAW_COLUMNS, values):
+        if not math.isfinite(value):
+            return [Violation(field, index, "finite")]
+    temperature, dew_point, rh, wind_speed, wind_dir = values
+    out = []
+    if not 0.0 <= rh <= 100.0:
+        out.append(Violation("rh", index, "range"))
+    if wind_speed < 0.0:
+        out.append(Violation("wind_speed", index, "nonnegative"))
+    if not 0.0 <= wind_dir < 360.0:
+        out.append(Violation("wind_dir_met", index, "range"))
+    if dew_point > temperature + DEW_POINT_TOLERANCE:
+        out.append(Violation("dew_point", index, "exceeds temperature"))
+    return out
+
+
+def reference_validate(rows):
+    out = []
+    for i, row in enumerate(rows):
+        out.extend(reference_row_violations(row, i))
+        if i > 0 and row[0] <= rows[i - 1][0]:
+            out.append(Violation("timestamp", i, "strictly increasing"))
+    return out
+
+
+def reference_parse(text):
+    """(kept rows, dropped count), keeping a row only after the last kept one."""
+    reader = csv.reader(io.StringIO(text))
+    assert tuple(next(reader)) == CSV_HEADER
+    kept, dropped, iso_mode = [], 0, None
+    for row in reader:
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 6:
+            dropped += 1
+            continue
+        ts, iso_mode = _parse_timestamp(row[0], iso_mode)
+        if ts is None:
+            dropped += 1
+            continue
+        try:
+            parsed = (ts, *(float(c) for c in row[1:]))
+        except ValueError:
+            dropped += 1
+            continue
+        if reference_row_violations(parsed, 0) or (kept and ts <= kept[-1][0]):
+            dropped += 1
+            continue
+        kept.append(parsed)
+    return kept, dropped
+
+
+EDGE_VALUES = st.sampled_from([
+    0.0, -0.0, 100.0, 360.0, 359.99999999999994, -5e-324, 100.00000000000001,
+    math.nan, math.inf, -math.inf, 5.0, 5.5,
+])
+VALUES = st.one_of(EDGE_VALUES, st.floats(-400.0, 400.0))
+
+
+@st.composite
+def raw_rows(draw):
+    """Half plausible readings, half edge values (dew point sometimes on its bound)."""
+    ts = draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        temperature = draw(st.floats(-10.0, 30.0))
+        values = [temperature, temperature - draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 100.0)),
+                  draw(st.floats(0.0, 20.0)), draw(st.floats(0.0, 359.9))]
+    else:
+        values = [draw(VALUES) for _ in range(5)]
+        if draw(st.booleans()):
+            values[1] = values[0] + DEW_POINT_TOLERANCE
+    return (ts, *values)
+
+
+def iso_minute(minute, second=0):
+    stamp = datetime(2024, 1, 1, tzinfo=timezone.utc) + timedelta(minutes=minute, seconds=second)
+    return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+@st.composite
+def csv_lines(draw, iso):
+    minute = draw(st.integers(0, 8))
+    own = iso_minute(minute) if iso else str(minute)
+    token = draw(st.sampled_from([
+        *[own] * 8, iso_minute(minute, 30), str(minute) if iso else iso_minute(minute),
+        "100000000000000000000", "-100000000000000000000", "x",
+    ]))
+    values = [repr(v) for v in draw(raw_rows())[1:]]
+    kind = draw(st.sampled_from([*["row"] * 6, "arity", "float", "blank"]))
+    if kind == "arity":
+        values = values[:-1]
+    elif kind == "float":
+        values[draw(st.integers(0, 4))] = "bad"
+    elif kind == "blank":
+        return ""
+    return ",".join([token, *values])
+
+
+class TestVectorisedValidation:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(raw_rows(), max_size=12))
+    def test_validate_series_matches_per_row_reference(self, rows):
+        assert validate_series(series_of(rows)) == reference_validate(rows)
+
+    def test_empty_series_is_valid(self):
+        assert validate_series(series_of([])) == reference_validate([]) == []
+
+    @pytest.mark.parametrize("iso", [False, True], ids=["integer", "iso"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_parse_matches_per_row_reference(self, iso, data):
+        first = f"{iso_minute(0) if iso else 0},10.0,5.0,50.0,2.0,90.0"
+        lines = [first, *data.draw(st.lists(csv_lines(iso), max_size=25))]
+        text = CSV_OK + "\n".join(lines) + "\n"
+        series, dropped = parse_station_csv(text, "s1", ATTRS)
+        kept, want_dropped = reference_parse(text)
+        assert dropped == want_dropped
+        want = series_of(kept)
+        assert series.timestamps.tolist() == want.timestamps.tolist()
+        assert series.raw.tobytes() == want.raw.tobytes()
+
+
 def tiny_dataset():
-    obs = tuple(ClimateObservation(t, 10.0 - t, 5.0, 50.0, 2.0, 90.0) for t in range(3))
+    rows = [(t, 10.0 - t, 5.0, 50.0, 2.0, 90.0) for t in range(3)]
     stations = (
-        StationSeries("a1", StationAttributes(GeoPoint(100.2, -34.8), 150.0, 0.3), obs),
-        StationSeries("b2", StationAttributes(GeoPoint(100.7, -34.2), 420.0, 0.6), obs),
+        series_of(rows, "a1", StationAttributes(GeoPoint(100.2, -34.8), 150.0, 0.3)),
+        series_of(rows, "b2", StationAttributes(GeoPoint(100.7, -34.2), 420.0, 0.6)),
     )
     dem = square_grid([[100.0, 200.0], [300.0, 400.0]])
     ndvi = square_grid([[0.1, 0.2], [0.3, 0.4]])
     return Dataset(stations, dem, ndvi)
+
+
+def rewrite_entry(good, bad, entry, data):
+    """Copy bundle ``good`` to ``bad`` with ``entry`` replaced by ``data``."""
+    with zipfile.ZipFile(good) as src, zipfile.ZipFile(bad, "w") as dst:
+        for name in src.namelist():
+            dst.writestr(name, data if name == entry else src.read(name))
+
+
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array)
+    return buf.getvalue()
 
 
 class TestDatasetBundle:
@@ -375,32 +538,31 @@ class TestDatasetBundle:
         back = load_dataset(path)
         assert back.station_ids() == ["a1", "b2"]
         assert back.get("a1").attributes == ds.get("a1").attributes
-        assert back.get("b2").observations == ds.get("b2").observations
+        assert back.get("b2") == ds.get("b2")
         npt.assert_array_equal(back.dem.values, ds.dem.values)
         npt.assert_array_equal(back.ndvi.mask, ds.ndvi.mask)
         assert back.dem.cell_size == ds.dem.cell_size
 
-    def test_round_trip_is_exact_python_scalars(self, tmp_path):
-        obs = (
-            ClimateObservation(28_000_000, -3.25, -7.125, 91.5, 0.0, 247.5),
-            ClimateObservation(28_000_001, -2.9999999999999996, -7.0, 88.0, 1.3, 0.1),
-            ClimateObservation(28_000_003, 0.1, -0.5, 1e-3, 12.75, 359.99),
-        )
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        rows = [
+            (28_000_000, -3.25, -7.125, 91.5, 0.0, 247.5),
+            (28_000_001, -2.9999999999999996, -7.0, 88.0, 1.3, 0.1),
+            (28_000_003, 0.1, -0.5, 1e-3, 12.75, 359.99),
+        ]
         ds = tiny_dataset()
         ds = Dataset(ds.stations + (
-            StationSeries("c3", StationAttributes(GeoPoint(100.4, -34.6), 90.0, 0.2), obs),
+            series_of(rows, "c3", StationAttributes(GeoPoint(100.4, -34.6), 90.0, 0.2)),
         ), ds.dem, ds.ndvi)
         path = tmp_path / "ds.zip"
         save_dataset(ds, path)
         back = load_dataset(path)
         for station in ds.stations:
-            loaded = back.get(station.id).observations
-            assert loaded == station.observations
-            for got, want in zip(loaded, station.observations):
-                assert type(got.timestamp) is int
-                for field in ("temperature", "dew_point", "rh", "wind_speed", "wind_dir_met"):
-                    assert type(getattr(got, field)) is float
-                    assert getattr(got, field) == getattr(want, field)
+            loaded = back.get(station.id)
+            assert loaded == station
+            assert loaded.timestamps.dtype == np.int64 and loaded.raw.dtype == np.float64
+            assert loaded.timestamps.tobytes() == station.timestamps.tobytes()
+            assert loaded.raw.tobytes() == station.raw.tobytes()
+            assert not loaded.timestamps.flags.writeable and not loaded.raw.flags.writeable
 
     @pytest.mark.parametrize("entry,array", [
         ("station_a1_ts.npy", np.arange(3, dtype=np.float64)),
@@ -411,15 +573,35 @@ class TestDatasetBundle:
     def test_station_arrays_of_wrong_dtype_or_shape_rejected(self, tmp_path, entry, array):
         good, bad = tmp_path / "good.zip", tmp_path / "bad.zip"
         save_dataset(tiny_dataset(), good)
-        with zipfile.ZipFile(good) as src, zipfile.ZipFile(bad, "w") as dst:
-            for name in src.namelist():
-                data = src.read(name)
-                if name == entry:
-                    buf = io.BytesIO()
-                    np.lib.format.write_array(buf, array)
-                    data = buf.getvalue()
-                dst.writestr(name, data)
+        rewrite_entry(good, bad, entry, npy_bytes(array))
         with pytest.raises(FormatError, match="a1"):
+            load_dataset(bad)
+
+    def test_manifest_row_count_must_match_arrays(self, tmp_path):
+        good, bad = tmp_path / "good.zip", tmp_path / "bad.zip"
+        save_dataset(tiny_dataset(), good)
+        with zipfile.ZipFile(good) as zf:
+            manifest = json.loads(zf.read("manifest.json"))
+        manifest["stations"][1]["n_obs"] = 4
+        rewrite_entry(good, bad, "manifest.json", json.dumps(manifest))
+        with pytest.raises(FormatError, match="b2 manifest n_obs is 4 but its arrays hold 3"):
+            load_dataset(bad)
+
+    @pytest.mark.parametrize("entry,array,message", [
+        ("station_a1_obs.npy",
+         np.array([[10.0, 5, 50, 2, 90], [math.nan, 5, 50, 2, 90], [8, 5, 50, 2, 90]]),
+         "a1 row 1: temperature breaks rule 'finite'"),
+        ("station_b2_ts.npy", np.array([0, 2, 1], dtype=np.int64),
+         "b2 row 2: timestamp breaks rule 'strictly increasing'"),
+        ("station_b2_obs.npy",
+         np.array([[10.0, 5, 50, 2, 90], [9, 5, 50, 2, 360], [8, 5, 50, 2, 90]]),
+         "b2 row 1: wind_dir_met breaks rule 'range'"),
+    ])
+    def test_invalid_station_values_rejected(self, tmp_path, entry, array, message):
+        good, bad = tmp_path / "good.zip", tmp_path / "bad.zip"
+        save_dataset(tiny_dataset(), good)
+        rewrite_entry(good, bad, entry, npy_bytes(array))
+        with pytest.raises(FormatError, match=message):
             load_dataset(bad)
 
     def test_save_is_byte_deterministic(self, tmp_path):
@@ -472,7 +654,7 @@ class TestIngestDirectory:
         assert s1.attributes.ndvi == pytest.approx(0.1)
         s2 = dataset.get("s2")
         assert s2.attributes.dem == 400.0
-        assert len(s2.observations) == 1
+        assert len(s2) == 1
 
     def test_missing_listing(self, tmp_path):
         with pytest.raises(FormatError):

@@ -80,11 +80,11 @@ class TestGeneratedWorld:
     def test_station_count_and_sample_count(self, tiny_world):
         assert len(tiny_world.stations) == 5
         for s in tiny_world.stations:
-            assert len(s.observations) == 24  # one day at hourly cadence
+            assert len(s) == s.timestamps.size == 24  # one day at hourly cadence
 
     def test_every_station_validates(self, tiny_world):
         for s in tiny_world.stations:
-            validate_series(s)
+            assert validate_series(s) == []
 
     def test_stations_inside_boundary(self, tiny_world):
         for s in tiny_world.stations:
@@ -92,19 +92,19 @@ class TestGeneratedWorld:
 
     def test_physical_ranges(self, tiny_world):
         for s in tiny_world.stations:
-            for o in s.observations:
-                assert 0.0 < o.rh <= 100.0
-                assert o.dew_point < o.temperature
-                assert o.wind_speed >= 0.0
-                assert 0.0 <= o.wind_dir_met < 360.0
+            temperature, dew_point, rh, wind_speed, wind_dir_met = s.raw.T
+            assert np.all((0.0 < rh) & (rh <= 100.0))
+            assert np.all(dew_point < temperature)
+            assert np.all(wind_speed >= 0.0)
+            assert np.all((0.0 <= wind_dir_met) & (wind_dir_met < 360.0))
 
     def test_start_minute_offsets_timestamps(self):
         shifted = generate_world(replace(TINY, start_minute=500))
-        assert shifted.stations[0].observations[0].timestamp == 500
+        assert shifted.stations[0].timestamps[0] == 500
 
     def test_seed_changes_world(self, tiny_world):
         other = generate_world(replace(TINY, seed=22))
-        assert other.stations[0].observations != tiny_world.stations[0].observations
+        assert not np.array_equal(other.stations[0].raw, tiny_world.stations[0].raw)
 
 
 class TestTruthField:
@@ -113,10 +113,8 @@ class TestTruthField:
         truth = world.truth
         for s in world.stations:
             loc = s.attributes.location
-            ts = np.array([o.timestamp for o in s.observations])
-            expected = truth.temperature(loc.lon, loc.lat, ts)
-            observed = np.array([o.temperature for o in s.observations])
-            np.testing.assert_array_equal(observed, expected)
+            expected = truth.temperature(loc.lon, loc.lat, s.timestamps)
+            np.testing.assert_array_equal(s.raw[:, 0], expected)
 
     def test_station_attributes_come_from_truth(self, tiny_world):
         s = tiny_world.stations[0]
@@ -174,6 +172,7 @@ class TestWriteWorld:
         for s in tiny_world.stations:
             back = dataset.get(s.id)
             # repr-encoded floats survive the text round trip bit-exactly.
-            assert back.observations == s.observations
+            assert back.timestamps.tobytes() == s.timestamps.tobytes()
+            assert back.raw.tobytes() == s.raw.tobytes()
             assert back.attributes.location == s.attributes.location
             assert -1.0 <= back.attributes.ndvi <= 1.0
