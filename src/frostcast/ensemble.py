@@ -12,9 +12,9 @@ The normalization bounds are frozen on the full training-station set of a
 fold, so removing stations from the available set never changes the
 remaining stations' unnormalized weights.
 
-Training uses one process per available CPU: the parent builds each
-submodel's corpus and forked workers, each held to one OpenBLAS thread,
-train the networks. Results are identical whatever the number of CPUs.
+Training uses one process per available CPU: forked workers, each held to
+one OpenBLAS thread, build each submodel's corpus and train its network.
+Results are identical whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ import json
 import math
 import multiprocessing
 import os
-from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -323,9 +322,18 @@ def _blas_thread_setter():
     return None
 
 
-def _one_blas_thread() -> None:
+_worker_task: Callable | None = None  # in a pool worker, the task its pool runs
+
+
+def _start_worker(task: Callable | None) -> None:
+    global _worker_task
     # Workers already share the CPUs; BLAS threads on top of them oversubscribe.
     _blas_thread_setter()(1)
+    _worker_task = task
+
+
+def _run_worker_task(index: int):
+    return _worker_task(index)
 
 
 def _worker_count() -> int:
@@ -335,8 +343,8 @@ def _worker_count() -> int:
         return 1
 
 
-def _submodel_pool(jobs: int) -> ProcessPoolExecutor | None:
-    """A pool of ``jobs`` forked workers, or None to train in-process.
+def _submodel_pool(jobs: int, task: Callable | None = None) -> ProcessPoolExecutor | None:
+    """A pool of ``jobs`` forked workers that run ``task``, or None to train in-process.
 
     Training stays in-process for one job, inside a daemonic process (which
     may not have children), and when OpenBLAS's thread count cannot be set.
@@ -344,20 +352,59 @@ def _submodel_pool(jobs: int) -> ProcessPoolExecutor | None:
     if jobs < 2 or multiprocessing.current_process().daemon or _blas_thread_setter() is None:
         return None
     # Forked workers start with numpy and frostcast already imported; spawned
-    # ones would import them again on every call, about 0.5 s each.
+    # ones would import them again on every call, about 0.5 s each. Fork also
+    # hands ``task`` and the data it holds to each worker without pickling.
     return ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_one_blas_thread)
+                               initializer=_start_worker, initargs=(task,))
 
 
-def _run_now(fn, *args) -> Future:
-    done = Future()
-    done.set_result(fn(*args))
-    return done
+def map_in_workers(task: Callable[[int], object], n: int) -> Iterator:
+    """Yield ``task(0)``, ..., ``task(n - 1)``, run on one forked worker per CPU.
+
+    Every index is queued at once. Results, and the first error, come back
+    in index order, as the in-process loop that replaces the pool gives them.
+    """
+    pool = _submodel_pool(min(_worker_count(), n), task)
+    if pool is None:
+        yield from map(task, range(n))
+        return
+    try:
+        yield from pool.map(_run_worker_task, range(n))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _train_submodel(x: np.ndarray, y: np.ndarray, seed: int, cfg: TrainConfig) -> Network:
-    net, _ = train(init_network(SUBMODEL_SPEC, seed=seed), x, y, cfg)
-    return net
+def _train_submodel(by_id, train_ids, test_ids, labels_by_id, cfg: TrainConfig,
+                    max_entries: int | None, idx: int) -> tuple[ScalerStats, int, Network]:
+    """Build source ``train_ids[idx]``'s corpus and train it: (scaler, entries, network)."""
+    source_id = train_ids[idx]
+    source = by_id[source_id]
+    assert source_id not in test_ids
+    climate = climate_matrix(source)
+    blocks_x, blocks_y = [], []
+    for target_id in train_ids:
+        if target_id == source_id:
+            continue
+        assert target_id not in test_ids
+        x, y, _ = join_pair_arrays(
+            source.attributes, by_id[target_id].attributes, climate, *labels_by_id[target_id]
+        )
+        if x.shape[0]:
+            blocks_x.append(x)
+            blocks_y.append(y)
+    if not blocks_x:
+        raise DataError(f"station {source_id} shares no timestamps with any target")
+    x = np.concatenate(blocks_x)
+    y = np.concatenate(blocks_y)
+    if max_entries is not None and x.shape[0] > max_entries:
+        keep = _child_seed(cfg.seed, idx).choice(x.shape[0], size=max_entries, replace=False)
+        keep.sort()
+        x, y = x[keep], y[keep]
+    scaler = fit_scaler_arrays(x, y)
+    net, _ = train(init_network(SUBMODEL_SPEC, seed=int(cfg.seed * 100003 + idx)),
+                   apply_scaler(scaler, x), np.asarray(scale_label(scaler, y)), cfg,
+                   _skip_train_loss=True)
+    return scaler, x.shape[0], net
 
 
 def train_bank(
@@ -377,9 +424,9 @@ def train_bank(
     fold's held-out stations contribute nothing, which is asserted on the
     assembled examples. ``entry_stride`` thins the label stream before the
     join and ``max_entries`` caps the per-submodel corpus by a seeded draw.
-    Corpora are built here and the networks trained by ``_submodel_pool``'s
-    workers, at most one task per worker in flight; models, progress lines
-    and errors come back in station order, as a serial run gives them.
+    Each submodel's corpus is built and its network trained by one of
+    ``map_in_workers``'s workers; models, progress lines and errors come
+    back in station order, as a serial run gives them.
     """
     if not 0 <= fold < folds.n_folds:
         raise DomainError(f"fold index out of range: {fold}")
@@ -400,66 +447,17 @@ def train_bank(
         lab_ts, labels = label_arrays(by_id[sid], horizon)
         labels_by_id[sid] = (lab_ts[::entry_stride].copy(), labels[::entry_stride].copy())
 
-    def corpus(idx: int, source_id: StationId) -> tuple[np.ndarray, np.ndarray]:
-        source = by_id[source_id]
-        assert source_id not in test_ids
-        climate = climate_matrix(source)
-        blocks_x, blocks_y = [], []
-        for target_id in train_ids:
-            if target_id == source_id:
-                continue
-            assert target_id not in test_ids
-            x, y, _ = join_pair_arrays(
-                source.attributes, by_id[target_id].attributes, climate, *labels_by_id[target_id]
-            )
-            if x.shape[0]:
-                blocks_x.append(x)
-                blocks_y.append(y)
-        if not blocks_x:
-            raise DataError(f"station {source_id} shares no timestamps with any target")
-        x = np.concatenate(blocks_x)
-        y = np.concatenate(blocks_y)
-        if max_entries is not None and x.shape[0] > max_entries:
-            keep = _child_seed(cfg.seed, idx).choice(x.shape[0], size=max_entries, replace=False)
-            keep.sort()
-            x, y = x[keep], y[keep]
-        return x, y
-
     normalization = fit_normalization([by_id[i].attributes for i in train_ids])
+    task = functools.partial(_train_submodel, by_id, train_ids, test_ids, labels_by_id, cfg,
+                             max_entries)
     models: dict[StationId, Network] = {}
     scalers: dict[StationId, ScalerStats] = {}
-    jobs = min(_worker_count(), len(train_ids))
-    pool = _submodel_pool(jobs)
-    submit, window = (pool.submit, jobs) if pool else (_run_now, 1)
-    pending: deque[tuple[StationId, int, Future]] = deque()
-
-    def collect() -> None:
-        source_id, n_entries, result = pending.popleft()
-        models[source_id] = result.result()
+    for idx, (scaler, n_entries, net) in enumerate(map_in_workers(task, len(train_ids))):
+        source_id = train_ids[idx]
+        models[source_id] = net
+        scalers[source_id] = scaler
         if progress:
             print(f"trained {source_id} on {n_entries} entries")
-
-    try:
-        for idx, source_id in enumerate(train_ids):
-            try:
-                x, y = corpus(idx, source_id)
-            except Exception:
-                # A serial run would have met the earlier submodels' errors first.
-                while pending:
-                    collect()
-                raise
-            scaler = fit_scaler_arrays(x, y)
-            scalers[source_id] = scaler
-            task = submit(_train_submodel, apply_scaler(scaler, x),
-                          np.asarray(scale_label(scaler, y)), int(cfg.seed * 100003 + idx), cfg)
-            pending.append((source_id, x.shape[0], task))
-            if len(pending) >= window:
-                collect()
-        while pending:
-            collect()
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
     attrs = {i: by_id[i].attributes for i in train_ids}
     return SubmodelBank(
         fold=fold,

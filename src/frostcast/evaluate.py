@@ -9,6 +9,7 @@ over seeded subsets, so every method sees identical draws at a given size.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -16,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import FoldAssignment, StationId, StationSeries, index_series
-from .ensemble import SubmodelBank
+from .ensemble import SubmodelBank, map_in_workers
 from .errors import DataError, DomainError
 from .features import (
     DEFAULT_HORIZON,
@@ -221,6 +222,22 @@ class BaselineModel:
     split_index: int
 
 
+def _train_baseline(by_id, ids, cfg: TrainConfig, horizon: int, train_fraction: float,
+                    idx: int) -> BaselineModel:
+    sid = ids[idx]
+    if sid not in by_id:
+        raise DataError(f"no series for station {sid}")
+    x, y, _ = baseline_feature_arrays(by_id[sid], horizon)
+    if x.shape[0] < 10:
+        raise DataError(f"station {sid} has too few labeled rows for a baseline")
+    split = int(x.shape[0] * train_fraction)
+    scaler = fit_scaler_arrays(x[:split], y[:split])
+    net = init_network(ONSITE_SPEC, seed=int(cfg.seed * 99991 + idx))
+    net, _ = train(net, apply_scaler(scaler, x[:split]), np.asarray(scale_label(scaler, y[:split])),
+                   cfg, _skip_train_loss=True)
+    return BaselineModel(net, scaler, split)
+
+
 def train_baselines(
     stations: Sequence[StationSeries],
     ids: Sequence[StationId],
@@ -232,26 +249,14 @@ def train_baselines(
 
     The earliest ``train_fraction`` of each station's labeled rows is used
     for fitting; everything after the split index is reserved for scoring.
+    The models train on ``map_in_workers``'s workers, one station per task.
     """
     if not 0.0 < train_fraction < 1.0:
         raise DomainError(f"train_fraction must be in (0, 1): {train_fraction!r}")
-    cfg = cfg or TrainConfig()
-    by_id = index_series(stations)
-    out: dict[StationId, BaselineModel] = {}
-    for idx, sid in enumerate(sorted(ids)):
-        if sid not in by_id:
-            raise DataError(f"no series for station {sid}")
-        x, y, _ = baseline_feature_arrays(by_id[sid], horizon)
-        if x.shape[0] < 10:
-            raise DataError(f"station {sid} has too few labeled rows for a baseline")
-        split = int(x.shape[0] * train_fraction)
-        scaler = fit_scaler_arrays(x[:split], y[:split])
-        net = init_network(ONSITE_SPEC, seed=int(cfg.seed * 99991 + idx))
-        net, _ = train(
-            net, apply_scaler(scaler, x[:split]), np.asarray(scale_label(scaler, y[:split])), cfg
-        )
-        out[sid] = BaselineModel(net, scaler, split)
-    return out
+    ids = sorted(ids)
+    task = functools.partial(_train_baseline, index_series(stations), ids, cfg or TrainConfig(),
+                             horizon, train_fraction)
+    return dict(zip(ids, list(map_in_workers(task, len(ids)))))
 
 
 def evaluate_baselines(

@@ -69,10 +69,6 @@ class AttributeGrid:
     def ncols(self) -> int:
         return self.values.shape[1]
 
-    def cell_center(self, row: int, col: int) -> GeoPoint:
-        return GeoPoint(self.origin.lon + col * self.cell_size,
-                        self.origin.lat + row * self.cell_size)
-
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrid arrays (lon, lat) of every cell center, shape (nrows, ncols)."""
         lon = self.origin.lon + np.arange(self.ncols) * self.cell_size
@@ -494,30 +490,35 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             except KeyError as exc:
                 raise FormatError(f"bundle missing entry {name}") from exc
 
-        grids: dict[str, AttributeGrid | None] = {"dem": None, "ndvi": None}
-        for name, meta in manifest.get("grids", {}).items():
-            grids[name] = AttributeGrid(
-                GeoPoint(meta["origin_lon"], meta["origin_lat"]),
-                meta["cell_size"],
-                read_npy(f"grid_{name}_values.npy"),
-                read_npy(f"grid_{name}_mask.npy"),
-            )
-        stations = []
-        for row in manifest["stations"]:
-            attrs = StationAttributes(GeoPoint(row["lon"], row["lat"]), row["dem"], row["ndvi"])
-            try:
-                series = StationSeries(row["id"], attrs, read_npy(f"station_{row['id']}_ts.npy"),
-                                       read_npy(f"station_{row['id']}_obs.npy"))
-            except DataError as exc:
-                raise FormatError(f"bad bundle: {exc}") from exc
-            if row.get("n_obs") != len(series):
-                raise FormatError(f"station {series.id} manifest n_obs is {row.get('n_obs')!r} "
-                                  f"but its arrays hold {len(series)} rows")
-            bad = validate_series(series)
-            if bad:
-                raise FormatError(f"station {series.id} row {bad[0].index}: {bad[0].field} "
-                                  f"breaks rule {bad[0].rule!r}")
-            stations.append(series)
+        try:  # a manifest value that is missing or of the wrong type is a FormatError
+            grids: dict[str, AttributeGrid | None] = {"dem": None, "ndvi": None}
+            for name, meta in manifest.get("grids", {}).items():
+                grids[name] = AttributeGrid(
+                    GeoPoint(meta["origin_lon"], meta["origin_lat"]),
+                    meta["cell_size"],
+                    read_npy(f"grid_{name}_values.npy"),
+                    read_npy(f"grid_{name}_mask.npy"),
+                )
+            stations = []
+            for row in manifest["stations"]:
+                attrs = StationAttributes(GeoPoint(row["lon"], row["lat"]), row["dem"], row["ndvi"])
+                try:
+                    series = StationSeries(row["id"], attrs, read_npy(f"station_{row['id']}_ts.npy"),
+                                           read_npy(f"station_{row['id']}_obs.npy"))
+                except DataError as exc:
+                    raise FormatError(f"bad bundle: {exc}") from exc
+                if row.get("n_obs") != len(series):
+                    raise FormatError(f"station {series.id} manifest n_obs is {row.get('n_obs')!r} "
+                                      f"but its arrays hold {len(series)} rows")
+                bad = validate_series(series)
+                if bad:
+                    raise FormatError(f"station {series.id} row {bad[0].index}: {bad[0].field} "
+                                      f"breaks rule {bad[0].rule!r}")
+                stations.append(series)
+        except FormatError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"malformed manifest: {exc}") from exc
     return Dataset(tuple(stations), grids["dem"], grids["ndvi"])
 
 

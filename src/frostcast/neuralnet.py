@@ -66,9 +66,6 @@ class Network:
         self.weights = weights
         self.biases = biases
 
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 def init_network(spec: NetworkSpec, seed: int) -> Network:
     """Glorot-uniform weights, zero biases, reproducible per seed."""
@@ -189,7 +186,7 @@ def _unflatten(spec: NetworkSpec, flat: np.ndarray) -> tuple[list[np.ndarray], l
 
 
 def train(
-    net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
+    net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *, _skip_train_loss: bool = False
 ) -> tuple[Network, list[tuple[float, float]]]:
     """Mini-batch training with early stopping on a held-out slice.
 
@@ -201,6 +198,10 @@ def train(
     All parameters live in one flat vector that the working network's
     arrays view, so Adam (beta1=0.9, beta2=0.999, eps=1e-8) or SGD updates
     them with one in-place pass per step.
+
+    ``_skip_train_loss``, for callers that discard the history, skips the
+    train loss (NaN in the history) whenever a bound proves it finite, so the
+    DivergenceError epoch and the result stay exactly as without it.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -238,6 +239,8 @@ def train(
     history: list[tuple[float, float]] = []
     n_train = x_train.shape[0]
     x_epoch, y_epoch = np.empty_like(x_train), np.empty_like(y_train)
+    if _skip_train_loss:
+        x_bound, y_bound = float(np.abs(x_train).max()), float(np.abs(y_train).max())
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_train)
         np.take(x_train, order, axis=0, out=x_epoch)
@@ -269,9 +272,17 @@ def train(
                 else:
                     np.multiply(grad, lr, out=scratch)
                 theta -= scratch
-            train_loss = mse_loss(net, x_train, y_train)
+            skip = False
+            if _skip_train_loss:
+                # |output| <= bound on every training row; outputs and labels
+                # below 1e100 keep each squared error, and the loss, finite.
+                bound = x_bound
+                for w, b in zip(net.weights, net.biases):
+                    bound = bound * float(np.abs(w).sum(axis=0).max()) + float(np.abs(b).max())
+                skip = bound + y_bound < 1e100
+            train_loss = math.nan if skip else mse_loss(net, x_train, y_train)
             val_loss = mse_loss(net, x_val, y_val)
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+        if not ((skip or math.isfinite(train_loss)) and math.isfinite(val_loss)):
             raise DivergenceError(epoch)
         history.append((train_loss, val_loss))
         if val_loss < best_val:

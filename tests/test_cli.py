@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import zipfile
 
 import pytest
 
@@ -285,6 +286,21 @@ class TestExitCodes:
         ])
         assert rc == 4
         assert "error: training diverged at epoch " in capsys.readouterr().err
+
+    def test_manifest_missing_station_key(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "data.zip"
+        with zipfile.ZipFile(pipeline["data"]) as src, zipfile.ZipFile(bad, "w") as dst:
+            for name in src.namelist():
+                data = src.read(name)
+                if name == "manifest.json":
+                    manifest = json.loads(data)
+                    del manifest["stations"][0]["lon"]
+                    data = json.dumps(manifest)
+                dst.writestr(name, data)
+        capsys.readouterr()
+        rc = main(["folds", "--data", str(bad), "--seed", "0", "--out", str(tmp_path / "f.json")])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: malformed manifest: 'lon'\n"
 
     def test_bad_preset(self, pipeline):
         assert main(["calibrate", "--bank", str(pipeline["bank"]), "--preset", "bogus"]) == 2

@@ -394,6 +394,9 @@ class TestTrainBankColumns:
 
         for name in ("climate_matrix", "label_arrays"):
             monkeypatch.setattr(ensemble, name, counted(name, getattr(ensemble, name)))
+        # Corpora are built by pool workers, whose calls the parent cannot
+        # count; one worker builds them in-process.
+        monkeypatch.setattr(ensemble, "_worker_count", lambda: 1)
         train_bank(stations, folds, 0, TrainConfig(seed=4, epochs=1, batch_size=128),
                    horizon=self.HORIZON, entry_stride=self.STRIDE)
         train_ids = folds.train_stations(0)

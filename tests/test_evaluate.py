@@ -17,6 +17,7 @@ from scipy import stats as sp_stats
 from frostcast import (
     ConfusionCounts,
     DataError,
+    DivergenceError,
     DomainError,
     build_prediction_matrices,
     event_confusion,
@@ -29,6 +30,7 @@ from frostcast import (
     run_station_ablation,
     train_baselines,
 )
+from frostcast import ensemble
 from frostcast.evaluate import _availability_groups
 from frostcast.neuralnet import TrainConfig
 
@@ -310,6 +312,36 @@ class TestBaselines:
     def test_missing_station_rejected(self, small_world):
         with pytest.raises(DataError):
             train_baselines(small_world.stations, ["nope"], TrainConfig(epochs=1))
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        def force(n):
+            monkeypatch.setattr(ensemble, "_worker_count", lambda: n)
+        return force
+
+    def test_identical_at_one_and_two_workers(self, small_world, small_test_ids, workers):
+        cfg = TrainConfig(seed=1, epochs=4, patience=2)
+        trained = []
+        for n in (1, 2):
+            workers(n)
+            models = train_baselines(small_world.stations, small_test_ids, cfg)
+            trained.append({
+                sid: (b"".join(p.tobytes() for p in m.network.weights + m.network.biases),
+                      m.scaler, m.split_index)
+                for sid, m in models.items()
+            })
+        assert len(trained[0]) == len(small_test_ids) >= 2
+        assert trained[0] == trained[1]
+
+    def test_divergence_same_pooled_and_serial(self, small_world, small_test_ids, workers):
+        cfg = TrainConfig(seed=1, epochs=4, learning_rate=1e50, optimizer="sgd")
+        raised = []
+        for n in (1, 2):
+            workers(n)
+            with pytest.raises(DivergenceError) as exc_info:
+                train_baselines(small_world.stations, small_test_ids, cfg)
+            raised.append((exc_info.value.epoch, str(exc_info.value)))
+        assert raised[0] == raised[1]
 
 
 class TestFoldExperiment:

@@ -587,6 +587,24 @@ class TestDatasetBundle:
         with pytest.raises(FormatError, match="b2 manifest n_obs is 4 but its arrays hold 3"):
             load_dataset(bad)
 
+    @pytest.mark.parametrize("mutate", [
+        *(lambda m, k=k: m["stations"][0].pop(k) for k in ("id", "lon", "lat", "dem", "ndvi")),
+        lambda m: m["stations"][0].update(lon="east"),
+        lambda m: m["grids"]["dem"].pop("cell_size"),
+        lambda m: m["grids"]["dem"].update(origin_lat=[1.0]),
+        lambda m: m.update(grids=[]),
+    ], ids=["no-id", "no-lon", "no-lat", "no-dem", "no-ndvi", "str-lon", "no-cell-size",
+            "list-origin", "grids-list"])
+    def test_malformed_manifest_rejected(self, tmp_path, mutate):
+        good, bad = tmp_path / "good.zip", tmp_path / "bad.zip"
+        save_dataset(tiny_dataset(), good)
+        with zipfile.ZipFile(good) as zf:
+            manifest = json.loads(zf.read("manifest.json"))
+        mutate(manifest)
+        rewrite_entry(good, bad, "manifest.json", json.dumps(manifest))
+        with pytest.raises(FormatError, match="malformed manifest"):
+            load_dataset(bad)
+
     @pytest.mark.parametrize("entry,array,message", [
         ("station_a1_obs.npy",
          np.array([[10.0, 5, 50, 2, 90], [math.nan, 5, 50, 2, 90], [8, 5, 50, 2, 90]]),
