@@ -1,4 +1,4 @@
-"""Shared domain types: stations, their columnar series, folds, training entries."""
+"""Shared domain types: stations, their columnar series, folds."""
 
 from __future__ import annotations
 
@@ -185,39 +185,6 @@ class FoldAssignment:
             if station in f:
                 return k
         raise KeyError(station)
-
-
-#: Order of the per-observation climate features inside a training entry.
-CLIMATE_FEATURE_NAMES = ("temperature", "dew_point", "rh", "n_wind", "e_wind")
-
-
-@dataclass(frozen=True)
-class TrainingEntry:
-    """One supervised example: off-site conditions paired with an on-site label.
-
-    ``climate`` holds the source station's reading in the order of
-    :data:`CLIMATE_FEATURE_NAMES`; ``label`` is the target station's
-    next-window minimum temperature. Source and target ids are kept so a
-    harness can assert that held-out stations never leak into training.
-    """
-
-    source_id: StationId
-    target_id: StationId
-    source_attrs: StationAttributes
-    target_attrs: StationAttributes
-    climate: tuple[float, float, float, float, float]
-    label: float
-
-    def __post_init__(self) -> None:
-        if len(self.climate) != 5:
-            raise DataError(f"expected 5 climate values, got {len(self.climate)}")
-        values = self.features() + (self.label,)
-        if not all(math.isfinite(v) for v in values):
-            raise DataError("training entry contains non-finite values")
-
-    def features(self) -> tuple[float, ...]:
-        """13-vector: source attributes, target attributes, source climate."""
-        return self.source_attrs.as_tuple() + self.target_attrs.as_tuple() + tuple(self.climate)
 
 
 def index_series(stations: Iterable[StationSeries]) -> dict[StationId, StationSeries]:

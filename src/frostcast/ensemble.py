@@ -2,15 +2,19 @@
 
 One submodel is trained per source station, each mapping that station's
 current conditions (plus both stations' static attributes) to the target
-site's next-window minimum temperature. Aggregation combines the bank's
-predictions by plain averaging, by attribute-distance weighting, or by
-weighted frost voting.
+site's next-window minimum temperature. ``SubmodelBank.predict_batch`` is
+the one inference path, for one target site or per-row target attributes.
 
 Weights follow w_i = 1 / (a*g_i + b*d_i + c*n_i) where g, d, n are
-min-max-normalized geographic, elevation, and vegetation-index distances.
-The normalization bounds are frozen on the full training-station set of a
-fold, so removing stations from the available set never changes the
-remaining stations' unnormalized weights.
+min-max-normalized geographic, elevation, and vegetation-index distances
+(:func:`attribute_weights`). The normalization bounds are frozen on the full
+training-station set of a fold, so removing stations from the available set
+never changes the remaining stations' unnormalized weights.
+
+:data:`AGGREGATORS` maps each aggregation method (plain averaging,
+attribute-weighted averaging, weighted frost voting, and the weighted mean
+of inverse-distance weights) to one function over a block of predictions;
+evaluation and rasters both use it.
 
 Training uses one process per available CPU: forked workers, each held to
 one OpenBLAS thread, build each submodel's corpus and train its network.
@@ -106,31 +110,19 @@ class DistanceNormalization:
     dem: tuple[float, float]
     ndvi: tuple[float, float]
 
-    def normalize(self, triples: np.ndarray, clamp: bool = True) -> np.ndarray:
-        """Map raw (n, 3) distance rows into [0, 1] per dimension.
+    def normalize(self, triples: np.ndarray) -> np.ndarray:
+        """Map raw (..., 3) distance rows into [0, 1] per dimension.
 
-        A degenerate dimension (min == max) maps to 0. With ``clamp`` the
-        output is clipped, so sites outside the frozen bounds saturate
-        instead of extrapolating.
+        A degenerate dimension (min == max) maps to 0. The output is
+        clipped, so sites outside the frozen bounds saturate instead of
+        extrapolating.
         """
         triples = np.asarray(triples, dtype=np.float64)
         out = np.empty_like(triples)
         for k, (lo, hi) in enumerate((self.geo, self.dem, self.ndvi)):
             span = hi - lo
-            out[:, k] = 0.0 if span <= 0 else (triples[:, k] - lo) / span
-        if clamp:
-            np.clip(out, 0.0, 1.0, out=out)
-        return out
-
-
-def normalize_distances(triples: Sequence[DistanceTriple]) -> list[DistanceTriple]:
-    """Min-max normalize a batch of raw distances over the batch itself."""
-    arr = np.asarray(triples, dtype=np.float64).reshape(-1, 3)
-    if arr.shape[0] == 0:
-        return []
-    lo, hi = arr.min(axis=0), arr.max(axis=0)
-    norm = DistanceNormalization((lo[0], hi[0]), (lo[1], hi[1]), (lo[2], hi[2]))
-    return [DistanceTriple(*row) for row in norm.normalize(arr, clamp=False)]
+            out[..., k] = 0.0 if span <= 0 else (triples[..., k] - lo) / span
+        return np.clip(out, 0.0, 1.0, out=out)
 
 
 def fit_normalization(attrs: Sequence[StationAttributes]) -> DistanceNormalization:
@@ -146,26 +138,12 @@ def fit_normalization(attrs: Sequence[StationAttributes]) -> DistanceNormalizati
                                  (float(lo[2]), float(hi[2])))
 
 
-def station_weights(
-    normalized: Mapping[StationId, DistanceTriple], coefficients: WeightCoefficients
-) -> dict[StationId, float]:
-    """Inverse-distance-combination weights, normalized to sum to one."""
-    if not normalized:
-        raise DataError("no stations to weight")
-    ids = sorted(normalized)
-    raw = np.empty(len(ids))
-    for i, sid in enumerate(ids):
-        g, d, n = normalized[sid]
-        denom = coefficients.geo * g + coefficients.dem * d + coefficients.ndvi * n
-        raw[i] = 1.0 / max(denom, WEIGHT_EPSILON)
-    raw /= raw.sum()
-    return dict(zip(ids, raw))
-
-
-def unnormalized_weight(triple: DistanceTriple, coefficients: WeightCoefficients) -> float:
-    """Single-station weight before the sum-to-one normalization."""
-    denom = coefficients.geo * triple.geo + coefficients.dem * triple.dem + coefficients.ndvi * triple.ndvi
-    return 1.0 / max(denom, WEIGHT_EPSILON)
+def attribute_weights(normalized: np.ndarray, coefficients: WeightCoefficients) -> np.ndarray:
+    """Unnormalized weights ``1 / max(a*g + b*d + c*n, WEIGHT_EPSILON)`` of (..., 3) distances."""
+    normalized = np.asarray(normalized, dtype=np.float64)
+    denom = (coefficients.geo * normalized[..., 0] + coefficients.dem * normalized[..., 1]
+             + coefficients.ndvi * normalized[..., 2])
+    return 1.0 / np.maximum(denom, WEIGHT_EPSILON)
 
 
 @dataclass
@@ -188,17 +166,29 @@ class SubmodelBank:
         return len(self.models)
 
     def predict_batch(
-        self, source_id: StationId, climate: np.ndarray, target_attrs: StationAttributes
+        self,
+        source_id: StationId,
+        climate: np.ndarray,
+        target_attrs: StationAttributes | np.ndarray,
     ) -> np.ndarray:
-        """Predictions from one submodel for an (n, 5) climate block."""
+        """Predictions from one submodel for an (n, 5) climate block.
+
+        ``target_attrs`` is one site for every row, or an (n, 4) array of
+        per-row (lon, lat, dem, ndvi) target attributes.
+        """
         if source_id not in self.models:
             raise DataError(f"unknown source station: {source_id}")
         climate = np.asarray(climate, dtype=np.float64)
         if climate.ndim != 2 or climate.shape[1] != 5:
             raise DataError(f"expected (n, 5) climate block, got {climate.shape}")
+        if isinstance(target_attrs, StationAttributes):
+            target_attrs = target_attrs.as_tuple()
+        elif np.shape(target_attrs) != (climate.shape[0], 4):
+            raise DataError(f"expected ({climate.shape[0]}, 4) target attributes, "
+                            f"got {np.shape(target_attrs)}")
         x = np.empty((climate.shape[0], 13), dtype=np.float64)
         x[:, 0:4] = self.station_attrs[source_id].as_tuple()
-        x[:, 4:8] = target_attrs.as_tuple()
+        x[:, 4:8] = target_attrs
         x[:, 8:13] = climate
         scaler = self.scalers[source_id]
         scaled = forward_batch(self.models[source_id], apply_scaler(scaler, x))
@@ -220,82 +210,56 @@ class SubmodelBank:
         if unknown:
             raise DataError(f"stations not in bank: {unknown}")
         raw = np.array([station_distances(self.station_attrs[i], target_attrs) for i in ids])
-        norm = self.normalization.normalize(raw)
-        w = np.empty(len(ids))
-        for k in range(len(ids)):
-            denom = (self.coefficients.geo * norm[k, 0]
-                     + self.coefficients.dem * norm[k, 1]
-                     + self.coefficients.ndvi * norm[k, 2])
-            w[k] = 1.0 / max(denom, WEIGHT_EPSILON)
+        w = attribute_weights(self.normalization.normalize(raw), self.coefficients)
         w /= w.sum()
         return dict(zip(ids, w))
 
 
-def predict_single(
-    bank: SubmodelBank,
-    source_id: StationId,
-    climate: Sequence[float],
-    target_attrs: StationAttributes,
-) -> float:
-    """One submodel's estimate of the target's next-window minimum."""
-    climate = np.asarray(climate, dtype=np.float64)
-    if climate.shape != (5,):
-        raise DataError(f"expected 5 climate values, got shape {climate.shape}")
-    return float(bank.predict_batch(source_id, climate[None, :], target_attrs)[0])
+def _masked_weighted_mean(
+    values: np.ndarray, available: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column-wise weighted mean over the available rows of a (k, n) block.
+
+    ``weights`` is (k,) per row or (k, n) per cell. Returns (mean, valid);
+    a column is valid when its available weights sum above zero.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    w = (weights[:, None] if weights.ndim == 1 else weights) * available
+    total = w.sum(axis=0)
+    valid = total > 0
+    safe_total = np.where(valid, total, 1.0)
+    mean = (w * np.where(available, values, 0.0)).sum(axis=0) / safe_total
+    return mean, valid
 
 
-def aggregate_average(predictions: Mapping[StationId, float]) -> float:
-    if not predictions:
-        raise DataError("cannot aggregate zero predictions")
-    return float(np.mean(list(predictions.values())))
+def _average(values, available, weights, trigger=0.0):
+    return _masked_weighted_mean(values, available, np.ones(len(values)))
 
 
-def aggregate_weighted(
-    predictions: Mapping[StationId, float], weights: Mapping[StationId, float]
-) -> float:
-    """Weighted mean over whichever stations actually produced predictions."""
-    if not predictions:
-        raise DataError("cannot aggregate zero predictions")
-    missing = set(predictions) - set(weights)
-    if missing:
-        raise DataError(f"no weight for stations: {sorted(missing)}")
-    ids = list(predictions)
-    w = np.array([weights[i] for i in ids], dtype=np.float64)
-    total = w.sum()
-    if total <= 0:
-        raise DataError("available weights sum to zero")
-    p = np.array([predictions[i] for i in ids], dtype=np.float64)
-    return float((w @ p) / total)
+def _weighted_average(values, available, weights, trigger=0.0):
+    return _masked_weighted_mean(values, available, weights)
 
 
-class VoteResult(NamedTuple):
-    frost: bool
-    score: float
-
-
-def aggregate_vote(
-    predictions: Mapping[StationId, float],
-    weights: Mapping[StationId, float],
-    trigger: float = 0.0,
-) -> VoteResult:
-    """Weighted frost vote: +1 below the trigger, -1 otherwise.
+def _weighted_vote(values, available, weights, trigger=0.0):
+    """Weighted frost vote: +1 strictly below the trigger, -1 otherwise.
 
     The tie (score exactly zero) counts as frost; a missed frost is the
     expensive mistake, so ambiguity resolves toward warning.
     """
-    if not predictions:
-        raise DataError("cannot aggregate zero predictions")
-    missing = set(predictions) - set(weights)
-    if missing:
-        raise DataError(f"no weight for stations: {sorted(missing)}")
-    ids = list(predictions)
-    w = np.array([weights[i] for i in ids], dtype=np.float64)
-    total = w.sum()
-    if total <= 0:
-        raise DataError("available weights sum to zero")
-    votes = np.where(np.array([predictions[i] for i in ids]) < trigger, 1.0, -1.0)
-    score = float((w @ votes) / total)
-    return VoteResult(score >= 0.0, score)
+    score, valid = _masked_weighted_mean(np.where(values < trigger, 1.0, -1.0), available, weights)
+    return score >= 0.0, valid
+
+
+#: Aggregation method -> ``fn(values, available, weights, trigger)`` over a (k, n)
+#: block of k sources' predictions, its availability mask and (k,) or (k, n)
+#: weights; returns (n,) (prediction, valid). ``idw`` is the weighted mean of
+#: inverse-distance weights, and ``average`` ignores the weights it is given.
+AGGREGATORS: dict[str, Callable] = {
+    "average": _average,
+    "weighted_average": _weighted_average,
+    "weighted_vote": _weighted_vote,
+    "idw": _weighted_average,
+}
 
 
 def _child_seed(base: int, index: int) -> np.random.Generator:
@@ -591,14 +555,7 @@ def _write_manifest(path: Path, manifest: dict) -> None:
 
 def load_bank(directory: str | os.PathLike) -> SubmodelBank:
     path = Path(directory)
-    manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise FormatError(f"no manifest.json in {path}")
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed manifest: {exc}") from exc
+    manifest = _read_manifest(path)
     if manifest.get("version") != BANK_SCHEMA_VERSION:
         raise UnsupportedVersionError(f"unsupported bank version: {manifest.get('version')!r}")
     try:
@@ -636,11 +593,15 @@ def load_bank(directory: str | os.PathLike) -> SubmodelBank:
 
 
 def _read_manifest(path: Path) -> dict:
+    """A bank's ``manifest.json``; FormatError when missing, unreadable or not an object."""
     try:
         with open(path / "manifest.json", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            manifest = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"manifest is not a JSON object: {type(manifest).__name__}")
+    return manifest
 
 
 def load_baselines(directory: str | os.PathLike) -> dict[StationId, tuple[Network, ScalerStats]]:

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import FoldAssignment, StationId, StationSeries, index_series
-from .ensemble import SubmodelBank, map_in_workers
+from .ensemble import AGGREGATORS, SubmodelBank, map_in_workers
 from .errors import DataError, DomainError
 from .features import (
     DEFAULT_HORIZON,
@@ -360,18 +360,6 @@ def build_prediction_matrices(
     return out
 
 
-def _masked_weighted_mean(
-    vals: np.ndarray, avail: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise weighted mean over available rows; returns (mean, valid)."""
-    w = weights[:, None] * avail
-    total = w.sum(axis=0)
-    valid = total > 0
-    safe_total = np.where(valid, total, 1.0)
-    mean = (w * np.where(avail, vals, 0.0)).sum(axis=0) / safe_total
-    return mean, valid
-
-
 def _idw_weights(pm: PredictionMatrix, subset: np.ndarray, bank: SubmodelBank,
                  target_attrs, power: float) -> np.ndarray:
     t = target_attrs.location
@@ -509,30 +497,17 @@ def run_station_ablation(
             for pm in matrices:
                 attrs = by_id[pm.target_id].attributes
                 vals = pm.values[subset]
-                avail = ~np.isnan(vals)
-                if method == "average":
-                    pred, valid = _masked_weighted_mean(vals, avail, np.ones(k))
-                elif method == "weighted_average":
-                    pred, valid = _masked_weighted_mean(vals, avail, weight_vec[pm.target_id][subset])
-                elif method == "weighted_vote":
-                    votes = np.where(np.nan_to_num(vals, nan=np.inf) < trigger, 1.0, -1.0)
-                    w = weight_vec[pm.target_id][subset][:, None] * avail
-                    total = w.sum(axis=0)
-                    valid = total > 0
-                    score = (w * votes).sum(axis=0) / np.where(valid, total, 1.0)
-                    pred = score >= 0.0
-                elif method == "idw":
-                    u = _idw_weights(pm, subset, bank, attrs, idw_power)
-                    pred, valid = _masked_weighted_mean(vals, avail, u)
-                elif method == "ok":
+                if method == "ok":
                     if ok_refit or frozen_model is None:
                         pred, valid = _ok_refit_series(
                             pm, subset, bank, attrs, variogram_kind, n_bins
                         )
                     else:
                         pred, valid = _ok_series(pm, subset, bank, attrs, frozen_model)
-                else:  # pragma: no cover - guarded above
-                    raise DomainError(method)
+                else:
+                    weights = (_idw_weights(pm, subset, bank, attrs, idw_power) if method == "idw"
+                               else weight_vec[pm.target_id][subset])
+                    pred, valid = AGGREGATORS[method](vals, ~np.isnan(vals), weights, trigger)
                 pooled_pred.append(np.asarray(pred)[valid])
                 pooled_labels.append(pm.labels[valid])
             pred_all = np.concatenate(pooled_pred)

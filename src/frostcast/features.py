@@ -9,11 +9,11 @@ inputs instead of a circular coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import StationAttributes, StationSeries, TrainingEntry
+from .core import StationAttributes, StationSeries
 from .errors import DataError, DomainError
 
 DEFAULT_HORIZON = 60
@@ -78,12 +78,6 @@ def label_arrays(series: StationSeries, horizon: int = DEFAULT_HORIZON) -> tuple
     temps = np.ascontiguousarray(series.raw[1:, 0])  # min reduces it as a fresh column
     windows = np.lib.stride_tricks.sliding_window_view(temps, horizon)
     return series.timestamps[: n - horizon], windows.min(axis=1)
-
-
-def label_next_hour_min(series: StationSeries, horizon: int = DEFAULT_HORIZON) -> list[tuple[int, float]]:
-    """List form of :func:`label_arrays` for small-scale use."""
-    ts, labels = label_arrays(series, horizon)
-    return [(int(t), float(v)) for t, v in zip(ts, labels)]
 
 
 def pair_feature_arrays(
@@ -151,26 +145,6 @@ def join_pair_arrays(
     return x, labels[lab_idx], common
 
 
-def build_pair_entries(
-    source: StationSeries,
-    target: StationSeries,
-    horizon: int = DEFAULT_HORIZON,
-) -> list[TrainingEntry]:
-    """Materialize one pair's examples as TrainingEntry objects."""
-    x, y, _ = pair_feature_arrays(source, target, horizon)
-    return [
-        TrainingEntry(
-            source_id=source.id,
-            target_id=target.id,
-            source_attrs=source.attributes,
-            target_attrs=target.attributes,
-            climate=tuple(row[8:13]),
-            label=float(label),
-        )
-        for row, label in zip(x, y)
-    ]
-
-
 def baseline_feature_arrays(
     series: StationSeries,
     horizon: int = DEFAULT_HORIZON,
@@ -179,14 +153,6 @@ def baseline_feature_arrays(
     lab_ts, labels = label_arrays(series, horizon)
     obs = climate_matrix(series)
     return obs.climate[: lab_ts.size].copy(), labels, lab_ts
-
-
-def entries_to_arrays(entries: Sequence[TrainingEntry]) -> tuple[np.ndarray, np.ndarray]:
-    if not entries:
-        raise DataError("no training entries")
-    x = np.array([e.features() for e in entries], dtype=np.float64)
-    y = np.array([e.label for e in entries], dtype=np.float64)
-    return x, y
 
 
 @dataclass(frozen=True)
@@ -215,12 +181,6 @@ def fit_scaler_arrays(x: np.ndarray, y: np.ndarray) -> ScalerStats:
     if label_sd == 0.0 or not np.isfinite(label_sd):
         label_sd = 1.0
     return ScalerStats(tuple(map(float, mean)), tuple(map(float, sd)), float(y.mean()), label_sd)
-
-
-def fit_scaler(entries: Sequence[TrainingEntry]) -> ScalerStats:
-    """Standardization statistics over a batch of entries."""
-    x, y = entries_to_arrays(entries)
-    return fit_scaler_arrays(x, y)
 
 
 def apply_scaler(stats: ScalerStats, features: np.ndarray) -> np.ndarray:

@@ -201,6 +201,32 @@ def _dedup(samples: Sequence[SamplePoint]) -> tuple[np.ndarray, np.ndarray]:
     return coords, values
 
 
+def _solve_kriging(
+    coords: np.ndarray, query: GeoPoint, model: VariogramModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the ordinary-kriging system for (n, 2) sample ``coords``.
+
+    Returns the solution (n weights, then the Lagrange multiplier) and the
+    right-hand side (the model at each sample's distance to ``query``, then 1).
+    """
+    n = coords.shape[0]
+    dx = coords[:, 0][:, None] - coords[:, 0][None, :]
+    dy = coords[:, 1][:, None] - coords[:, 1][None, :]
+    a = np.empty((n + 1, n + 1), dtype=np.float64)
+    a[:n, :n] = model(np.hypot(dx, dy))
+    a[np.arange(n), np.arange(n)] += KRIGING_JITTER
+    a[n, :n] = 1.0
+    a[:n, n] = 1.0
+    a[n, n] = 0.0
+    b = np.empty(n + 1, dtype=np.float64)
+    b[:n] = model(np.hypot(coords[:, 0] - query.lon, coords[:, 1] - query.lat))
+    b[n] = 1.0
+    try:
+        return np.linalg.solve(a, b), b
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular kriging system: {exc}") from exc
+
+
 def ordinary_kriging(
     samples: Sequence[SamplePoint], query: GeoPoint, model: VariogramModel
 ) -> tuple[float, float]:
@@ -218,22 +244,7 @@ def ordinary_kriging(
     n = coords.shape[0]
     if n < 2:
         raise DataError("ordinary kriging needs two distinct sample locations")
-    dx = coords[:, 0][:, None] - coords[:, 0][None, :]
-    dy = coords[:, 1][:, None] - coords[:, 1][None, :]
-    a = np.empty((n + 1, n + 1), dtype=np.float64)
-    a[:n, :n] = model(np.hypot(dx, dy))
-    a[np.arange(n), np.arange(n)] += KRIGING_JITTER
-    a[n, :n] = 1.0
-    a[:n, n] = 1.0
-    a[n, n] = 0.0
-    d0 = np.hypot(coords[:, 0] - query.lon, coords[:, 1] - query.lat)
-    b = np.empty(n + 1, dtype=np.float64)
-    b[:n] = model(d0)
-    b[n] = 1.0
-    try:
-        sol = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular kriging system: {exc}") from exc
+    sol, b = _solve_kriging(coords, query, model)
     if not np.all(np.isfinite(sol)):
         raise NumericalError("kriging solve produced non-finite weights")
     w, mu = sol[:n], sol[n]
@@ -246,25 +257,8 @@ def kriging_weights(
     samples: Sequence[SamplePoint], query: GeoPoint, model: VariogramModel
 ) -> np.ndarray:
     """The weight vector of :func:`ordinary_kriging` (diagnostics, tests)."""
-    coords, values = _coords_values(samples)
-    del values
-    n = coords.shape[0]
-    dx = coords[:, 0][:, None] - coords[:, 0][None, :]
-    dy = coords[:, 1][:, None] - coords[:, 1][None, :]
-    a = np.empty((n + 1, n + 1), dtype=np.float64)
-    a[:n, :n] = model(np.hypot(dx, dy))
-    a[np.arange(n), np.arange(n)] += KRIGING_JITTER
-    a[n, :n] = 1.0
-    a[:n, n] = 1.0
-    a[n, n] = 0.0
-    b = np.empty(n + 1, dtype=np.float64)
-    b[:n] = model(np.hypot(coords[:, 0] - query.lon, coords[:, 1] - query.lat))
-    b[n] = 1.0
-    try:
-        sol = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular kriging system: {exc}") from exc
-    return sol[:n]
+    coords, _ = _coords_values(samples)
+    return _solve_kriging(coords, query, model)[0][: len(samples)]
 
 
 def _fallback_model(samples: Sequence[SamplePoint], kind: str) -> VariogramModel:

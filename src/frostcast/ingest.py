@@ -477,8 +477,10 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     with zf:
         try:
             manifest = json.loads(zf.read("manifest.json"))
-        except (KeyError, json.JSONDecodeError) as exc:
+        except (KeyError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"bundle missing manifest: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise FormatError(f"bundle manifest is not a JSON object: {type(manifest).__name__}")
         if manifest.get("version") != BUNDLE_SCHEMA_VERSION:
             raise UnsupportedVersionError(
                 f"unsupported bundle version: {manifest.get('version')!r}"

@@ -18,7 +18,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -92,10 +91,6 @@ def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
         if i != last:
             np.maximum(h, 0.0, out=h)
     return h[:, 0]
-
-
-def forward(net: Network, x: Sequence[float]) -> float:
-    return float(forward_batch(net, np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
 def _forward_backward(

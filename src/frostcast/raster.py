@@ -2,8 +2,11 @@
 
 A raster evaluates the submodel bank at every unmasked grid cell for one
 climate snapshot, treating each cell as a virtual target site whose static
-attributes come from the DEM and NDVI grids. Rasters from different folds
-or methods are compared cell-by-cell with the paired t-test.
+attributes come from the DEM and NDVI grids: one ``predict_batch`` call per
+source station with per-cell target attributes. Cells are combined by the
+``average`` or ``weighted_average`` entry of the ensemble's aggregation
+table, with per-cell attribute weights. Rasters from different folds or
+methods are compared cell-by-cell with the paired t-test.
 """
 
 from __future__ import annotations
@@ -15,12 +18,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import StationId
-from .ensemble import SubmodelBank, WEIGHT_EPSILON
+from .ensemble import AGGREGATORS, SubmodelBank, attribute_weights
 from .errors import DataError, DomainError
 from .evaluate import paired_t_test
-from .features import apply_scaler, invert_label
 from .ingest import AttributeGrid
-from .neuralnet import forward_batch
 
 RASTER_METHODS = ("average", "weighted_average", "single")
 
@@ -68,56 +69,29 @@ def generate_raster(
     cell_ndvi = ndvi.values[mask]
     n_cells = lon.size
 
+    targets = np.column_stack([lon, lat, cell_dem, cell_ndvi])
     preds = np.empty((len(ids), n_cells))
     for i, sid in enumerate(ids):
         snap = np.asarray(climate[sid], dtype=np.float64)
         if snap.shape != (5,):
             raise DataError(f"climate snapshot for {sid} must have 5 values, got {snap.shape}")
-        x = np.empty((n_cells, 13))
-        x[:, 0:4] = bank.station_attrs[sid].as_tuple()
-        x[:, 4] = lon
-        x[:, 5] = lat
-        x[:, 6] = cell_dem
-        x[:, 7] = cell_ndvi
-        x[:, 8:13] = snap
-        scaler = bank.scalers[sid]
-        preds[i] = invert_label(scaler, forward_batch(bank.models[sid], apply_scaler(scaler, x)))
+        preds[i] = bank.predict_batch(sid, np.broadcast_to(snap, (n_cells, 5)), targets)
 
     if method == "single":
         cell_values = preds[0]
-    elif method == "average":
-        cell_values = preds.mean(axis=0)
     else:
-        cell_values = _weighted_cells(bank, ids, lon, lat, cell_dem, cell_ndvi, preds)
+        weights = None
+        if method == "weighted_average":
+            src = np.array([bank.station_attrs[sid].as_tuple() for sid in ids])[:, :, None]
+            raw = np.stack([np.hypot(src[:, 0] - lon, src[:, 1] - lat),
+                            np.abs(src[:, 2] - cell_dem),
+                            np.abs(src[:, 3] - cell_ndvi)], axis=-1)
+            weights = attribute_weights(bank.normalization.normalize(raw), bank.coefficients)
+        cell_values, _ = AGGREGATORS[method](preds, np.ones(preds.shape, dtype=bool), weights)
 
     values = np.full(dem.values.shape, np.nan)
     values[mask] = cell_values
     return AttributeGrid(dem.origin, dem.cell_size, values, mask)
-
-
-def _weighted_cells(
-    bank: SubmodelBank,
-    ids: Sequence[StationId],
-    lon: np.ndarray,
-    lat: np.ndarray,
-    cell_dem: np.ndarray,
-    cell_ndvi: np.ndarray,
-    preds: np.ndarray,
-) -> np.ndarray:
-    """Attribute-distance weighted mean per cell, vectorized over cells."""
-    c = bank.coefficients
-    weights = np.empty_like(preds)
-    for i, sid in enumerate(ids):
-        a = bank.station_attrs[sid]
-        geo = np.hypot(a.location.lon - lon, a.location.lat - lat)
-        dem_d = np.abs(a.dem - cell_dem)
-        ndvi_d = np.abs(a.ndvi - cell_ndvi)
-        raw = np.column_stack([geo, dem_d, ndvi_d])
-        norm = bank.normalization.normalize(raw)
-        denom = c.geo * norm[:, 0] + c.dem * norm[:, 1] + c.ndvi * norm[:, 2]
-        weights[i] = 1.0 / np.maximum(denom, WEIGHT_EPSILON)
-    weights /= weights.sum(axis=0)
-    return (weights * preds).sum(axis=0)
 
 
 def compare_rasters(a: AttributeGrid, b: AttributeGrid) -> tuple[float, float]:

@@ -13,15 +13,15 @@ from dataclasses import replace
 import numpy as np
 
 from frostcast import (
+    AGGREGATORS,
     FOLD_COEFFICIENT_PRESETS,
     GeoPoint,
     SamplePoint,
+    StationAttributes,
     VariogramModel,
     WeightCoefficients,
     WorldSpec,
-    aggregate_average,
-    aggregate_weighted,
-    build_pair_entries,
+    attribute_weights,
     build_prediction_matrices,
     empirical_semivariogram,
     event_confusion,
@@ -36,15 +36,14 @@ from frostcast import (
     make_folds,
     mse_loss,
     ordinary_kriging,
+    pair_feature_arrays,
     paired_t_test,
     rmse,
     run_station_ablation,
-    station_weights,
     train_bank,
-    unnormalized_weight,
 )
 from frostcast.cli import main
-from frostcast.ensemble import DistanceTriple
+from frostcast.ensemble import DistanceNormalization, SubmodelBank
 from frostcast.features import climate_matrix
 from frostcast.neuralnet import ONSITE_SPEC, SUBMODEL_SPEC, TrainConfig
 
@@ -110,18 +109,25 @@ def test_criterion_01_gradient_oracle():
 
 def test_criterion_02_attribute_weight_oracle():
     coeff = FOLD_COEFFICIENT_PRESETS[0]
-    w = unnormalized_weight(DistanceTriple(1.0, 1.0, 1.0), coeff)
+    w = float(attribute_weights(np.array([1.0, 1.0, 1.0]), coeff))
     worked_ok = abs(w - 4.8757) <= 1e-3
 
+    # A bank whose stations sit at (lon g, lat 0, dem d, ndvi n) with unit
+    # bounds sees exactly the normalized triple (g, d, n) from the origin.
+    origin = StationAttributes(GeoPoint(0.0, 0.0), 0.0, 0.0)
+    unit = (0.0, 1.0)
     rng = np.random.default_rng(12)
     worst_dev = 0.0
     for _ in range(50):
         n = int(rng.integers(2, 25))
-        triples = {
-            f"s{i}": DistanceTriple(*rng.uniform(0.0, 1.0, 3)) for i in range(n)
-        }
+        triples = rng.uniform(0.0, 1.0, (n, 3))
         c = WeightCoefficients(*rng.uniform(0.01, 1.0, 3))
-        weights = station_weights(triples, c)
+        station_attrs = {f"s{i:02d}": StationAttributes(GeoPoint(g, 0.0), d, nd)
+                         for i, (g, d, nd) in enumerate(triples)}
+        bank = SubmodelBank(fold=0, horizon=60, models=dict.fromkeys(station_attrs), scalers={},
+                            station_attrs=station_attrs, coefficients=c,
+                            normalization=DistanceNormalization(unit, unit, unit))
+        weights = bank.weights_for_target(origin)
         worst_dev = max(worst_dev, abs(sum(weights.values()) - 1.0))
     ok = worked_ok and worst_dev <= 1e-9
     report(2, "attribute weights: worked value and unit sums", ok,
@@ -289,10 +295,12 @@ def test_criterion_08_aggregation_identities(small_world, small_folds, small_ban
     uniform_dev = 0.0
     for _ in range(30):
         n = int(rng.integers(1, 12))
-        preds = {f"s{i}": float(rng.normal()) for i in range(n)}
-        uniform = {sid: 1.0 / n for sid in preds}
-        uniform_dev = max(uniform_dev,
-                          abs(aggregate_weighted(preds, uniform) - aggregate_average(preds)))
+        preds = rng.normal(size=(n, 1))
+        avail = np.ones(preds.shape, dtype=bool)
+        uniform = np.full(n, 1.0 / n)
+        weighted, _ = AGGREGATORS["weighted_average"](preds, avail, uniform)
+        average, _ = AGGREGATORS["average"](preds, avail, None)
+        uniform_dev = max(uniform_dev, abs(float(weighted[0]) - float(average[0])))
 
     matrices = build_prediction_matrices(small_world.stations, small_bank, small_test_ids)
     rows = run_station_ablation(small_world.stations, small_folds, 0, small_bank,
@@ -379,6 +387,8 @@ def test_criterion_10_fold_isolation():
     disjoint_ok = sum(len(f) for f in folds.folds) == len(set().union(*folds.folds)) == 75
 
     by_id = index_series(world.stations)
+    id_of = {s.attributes.as_tuple(): s.id for s in world.stations}
+    unambiguous = len(id_of) == len(ids)
     exact_split = True
     leaked = False
     for fold in (0, 3):
@@ -387,17 +397,20 @@ def test_criterion_10_fold_isolation():
                           TrainConfig(seed=1, epochs=1, batch_size=256), horizon=12)
         if set(bank.models) != folds.train_stations(fold):
             exact_split = False
-        # Re-derive the pairing from what the bank actually trained on, so a
-        # leaked test station would surface in the provenance tags here.
+        # Re-derive the pairing from what the bank actually trained on, and map
+        # each row's source (columns 0-3) and target (4-7) attributes back to
+        # station ids, so a leaked test station would surface here.
         sources = sorted(bank.models)
         for src in sources[:2]:
             for tgt in sources:
                 if tgt == src:
                     continue
-                for entry in build_pair_entries(by_id[src], by_id[tgt], horizon=12):
-                    if entry.source_id in test_ids or entry.target_id in test_ids:
-                        leaked = True
-    ok = sizes_ok and disjoint_ok and exact_split and not leaked
+                x, _, _ = pair_feature_arrays(by_id[src], by_id[tgt], horizon=12)
+                row_ids = {id_of.get(tuple(r[cols])) for r in x
+                           for cols in (slice(0, 4), slice(4, 8))}
+                if None in row_ids or row_ids & test_ids:
+                    leaked = True
+    ok = sizes_ok and disjoint_ok and exact_split and unambiguous and not leaked
     report(10, "five disjoint 15-station folds; no test-station entries", ok,
            f" (sizes ok {sizes_ok}, disjoint {disjoint_ok}, "
-           f"split exact {exact_split}, leaked {leaked})")
+           f"split exact {exact_split}, ids from attributes {unambiguous}, leaked {leaked})")

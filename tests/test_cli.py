@@ -302,6 +302,27 @@ class TestExitCodes:
         assert rc == 3
         assert capsys.readouterr().err == "error: malformed manifest: 'lon'\n"
 
+    def test_bundle_manifest_not_an_object(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "data.zip"
+        with zipfile.ZipFile(pipeline["data"]) as src, zipfile.ZipFile(bad, "w") as dst:
+            for name in src.namelist():
+                dst.writestr(name, "[]" if name == "manifest.json" else src.read(name))
+        capsys.readouterr()
+        rc = main(["folds", "--data", str(bad), "--seed", "0", "--out", str(tmp_path / "f.json")])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: bundle manifest is not a JSON object: list\n"
+
+    def test_bank_manifest_not_an_object(self, pipeline, tmp_path, capsys):
+        bank = tmp_path / "bank"
+        shutil.copytree(pipeline["bank"], bank)
+        (bank / "manifest.json").write_text("[]")
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(pipeline["data"]), "--bank", str(bank),
+                   "--out", str(tmp_path / "report.json")])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: manifest is not a JSON object: list\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_bad_preset(self, pipeline):
         assert main(["calibrate", "--bank", str(pipeline["bank"]), "--preset", "bogus"]) == 2
         assert main(["calibrate", "--bank", str(pipeline["bank"]), "--preset", "paper-fold-9"]) == 2

@@ -1,6 +1,5 @@
-"""Value-object invariants: coordinates, series columns, folds, entries."""
+"""Value-object invariants: coordinates, series columns, folds."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +12,6 @@ from frostcast import (
     GeoPoint,
     StationAttributes,
     StationSeries,
-    TrainingEntry,
     Violation,
     index_series,
     validate_series,
@@ -187,22 +185,3 @@ class TestFoldAssignment:
     def test_empty_fold_rejected(self):
         with pytest.raises(DataError):
             FoldAssignment((frozenset({"a"}), frozenset()))
-
-
-class TestTrainingEntry:
-    def test_feature_layout(self):
-        src = StationAttributes(GeoPoint(146.0, -33.0), 100.0, 0.1)
-        tgt = StationAttributes(GeoPoint(147.0, -34.0), 200.0, 0.2)
-        climate = (4.0, 2.0, 80.0, -1.0, 0.5)
-        entry = TrainingEntry("a", "b", src, tgt, climate, label=1.5)
-        feats = entry.features()
-        assert len(feats) == 13
-        assert feats[:4] == (146.0, -33.0, 100.0, 0.1)
-        assert feats[4:8] == (147.0, -34.0, 200.0, 0.2)
-        assert feats[8:] == climate
-        assert entry.source_id == "a" and entry.target_id == "b"
-
-    def test_non_finite_label_rejected(self):
-        src = StationAttributes(GeoPoint(0, 0), 0.0, 0.0)
-        with pytest.raises(DataError):
-            TrainingEntry("a", "b", src, src, (0, 0, 0, 0, 0), label=math.nan)

@@ -1,4 +1,4 @@
-"""Attribute-weighted aggregation: weight oracle, vote semantics, bank IO.
+"""Attribute-weighted aggregation: weight oracle, aggregation table, bank IO.
 
 The weight oracle is evaluated by hand: with per-dimension coefficients
 (0.1629, 0.0132, 0.0290) and all three normalized distances equal to 1,
@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frostcast import (
+    AGGREGATORS,
     DataError,
     DivergenceError,
     DomainError,
@@ -29,24 +30,20 @@ from frostcast import (
     FALLBACK_COEFFICIENTS,
     FOLD_COEFFICIENT_PRESETS,
     FoldAssignment,
+    FormatError,
     GeoPoint,
     StationAttributes,
     UnsupportedVersionError,
     WeightCoefficients,
     WorldSpec,
-    aggregate_average,
-    aggregate_vote,
-    aggregate_weighted,
+    attribute_weights,
     calibrate_coefficients,
     fit_normalization,
     generate_world,
     load_bank,
-    normalize_distances,
     save_bank,
     station_distances,
-    station_weights,
     train_bank,
-    unnormalized_weight,
 )
 from frostcast import ensemble
 from frostcast.core import index_series
@@ -66,10 +63,33 @@ def attrs(lon, lat, dem, ndvi):
     return StationAttributes(GeoPoint(lon, lat), dem, ndvi)
 
 
+ORIGIN = attrs(0.0, 0.0, 0.0, 0.0)
+
+
+def triple_bank(triples, coefficients):
+    """A model-less bank whose stations sit at the given normalized distances from ORIGIN.
+
+    Station i is at (lon g, lat 0, dem d, ndvi n) and every bound is (0, 1),
+    so its normalized distance triple to ORIGIN is exactly (g, d, n).
+    """
+    ids = [f"s{i:02d}" for i in range(len(triples))]
+    unit = (0.0, 1.0)
+    return SubmodelBank(
+        fold=0, horizon=60, models=dict.fromkeys(ids), scalers={},
+        station_attrs={sid: attrs(g, 0.0, d, n) for sid, (g, d, n) in zip(ids, triples)},
+        coefficients=coefficients, normalization=DistanceNormalization(unit, unit, unit),
+    )
+
+
 class TestWeightOracle:
     def test_hand_evaluated_weight(self):
-        w = unnormalized_weight(DistanceTriple(1.0, 1.0, 1.0), FOLD0)
+        w = attribute_weights(np.array([1.0, 1.0, 1.0]), FOLD0)
         assert w == pytest.approx(4.8757, abs=1e-3)
+
+    def test_each_coefficient_weighs_its_own_distance(self):
+        w = attribute_weights(np.array([[0.2, 0.5, 0.9], [0.9, 0.2, 0.5]]), FOLD0)
+        np.testing.assert_allclose(w, [1.0 / (0.1629 * 0.2 + 0.0132 * 0.5 + 0.0290 * 0.9),
+                                       1.0 / (0.1629 * 0.9 + 0.0132 * 0.2 + 0.0290 * 0.5)])
 
     def test_presets_contain_hand_checked_fold(self):
         assert set(FOLD_COEFFICIENT_PRESETS) == {0, 1, 2, 3, 4}
@@ -81,7 +101,7 @@ class TestWeightOracle:
                 FALLBACK_COEFFICIENTS.ndvi) == (1.0, 0.0, 0.0)
 
     def test_zero_distance_capped_not_infinite(self):
-        w = unnormalized_weight(DistanceTriple(0.0, 0.0, 0.0), FOLD0)
+        w = attribute_weights(np.array([0.0, 0.0, 0.0]), FOLD0)
         assert np.isfinite(w) and w == pytest.approx(1e6)
 
     def test_coefficient_validation(self):
@@ -93,17 +113,12 @@ class TestWeightOracle:
 
 class TestStationWeights:
     def test_equal_distances_give_equal_weights(self):
-        normalized = {s: DistanceTriple(1.0, 1.0, 1.0) for s in ("a", "b", "c")}
-        w = station_weights(normalized, FOLD0)
+        w = triple_bank([(1.0, 1.0, 1.0)] * 3, FOLD0).weights_for_target(ORIGIN)
         np.testing.assert_allclose(list(w.values()), [1 / 3] * 3, atol=1e-12)
 
     def test_nearer_station_weighs_more(self):
-        normalized = {
-            "near": DistanceTriple(0.1, 0.1, 0.1),
-            "far": DistanceTriple(1.0, 1.0, 1.0),
-        }
-        w = station_weights(normalized, FOLD0)
-        assert w["near"] > w["far"]
+        w = triple_bank([(0.1, 0.1, 0.1), (1.0, 1.0, 1.0)], FOLD0).weights_for_target(ORIGIN)
+        assert w["s00"] > w["s01"]
 
     @given(
         st.lists(
@@ -115,8 +130,7 @@ class TestStationWeights:
     )
     @settings(max_examples=200, deadline=None)
     def test_weights_sum_to_one(self, triples, coeff):
-        normalized = {f"s{i}": DistanceTriple(*t) for i, t in enumerate(triples)}
-        w = station_weights(normalized, WeightCoefficients(*coeff))
+        w = triple_bank(triples, WeightCoefficients(*coeff)).weights_for_target(ORIGIN)
         assert sum(w.values()) == pytest.approx(1.0, abs=1e-9)
         assert all(v > 0 for v in w.values())
 
@@ -131,8 +145,10 @@ class TestDistances:
         assert t.ndvi == pytest.approx(0.3, abs=1e-12)
 
     def test_batch_normalization_spans_unit_interval(self):
-        triples = [DistanceTriple(1.0, 10.0, 0.1), DistanceTriple(3.0, 30.0, 0.5)]
-        normed = normalize_distances(triples)
+        # Bounds taken over the batch itself map its extremes to 0 and 1.
+        triples = np.array([DistanceTriple(1.0, 10.0, 0.1), DistanceTriple(3.0, 30.0, 0.5)])
+        norm = DistanceNormalization(*zip(triples.min(axis=0), triples.max(axis=0)))
+        normed = norm.normalize(triples)
         np.testing.assert_allclose(normed[0], (0.0, 0.0, 0.0), atol=1e-12)
         np.testing.assert_allclose(normed[1], (1.0, 1.0, 1.0), atol=1e-12)
 
@@ -156,65 +172,70 @@ class TestDistances:
         np.testing.assert_allclose(out, [[0.5, 0.0, 0.25]])
 
 
+def aggregate(method, values, weights=None, trigger=0.0, available=None):
+    """One column of the aggregation table: (prediction, valid) over the given rows."""
+    values = np.asarray(values, dtype=np.float64)[:, None]
+    available = np.ones(values.shape, dtype=bool) if available is None else (
+        np.asarray(available)[:, None])
+    weights = None if weights is None else np.asarray(weights, dtype=np.float64)
+    pred, valid = AGGREGATORS[method](values, available, weights, trigger)
+    return pred[0], bool(valid[0])
+
+
 class TestAggregation:
-    PREDICTIONS = {"a": 1.0, "b": 2.0, "c": 6.0}
+    PREDICTIONS = [1.0, 2.0, 6.0]
 
     def test_average(self):
-        assert aggregate_average(self.PREDICTIONS) == pytest.approx(3.0)
+        assert aggregate("average", self.PREDICTIONS)[0] == pytest.approx(3.0)
 
     def test_uniform_weights_match_average(self):
-        weights = {k: 1 / 3 for k in self.PREDICTIONS}
-        assert aggregate_weighted(self.PREDICTIONS, weights) == pytest.approx(
-            aggregate_average(self.PREDICTIONS), abs=1e-12
-        )
+        weighted, _ = aggregate("weighted_average", self.PREDICTIONS, [1 / 3] * 3)
+        assert weighted == pytest.approx(aggregate("average", self.PREDICTIONS)[0], abs=1e-12)
 
     def test_subset_renormalizes(self):
-        weights = {"a": 0.5, "b": 0.3, "c": 0.2}
-        out = aggregate_weighted({"a": 1.0, "b": 2.0}, weights)
-        assert out == pytest.approx((0.5 * 1.0 + 0.3 * 2.0) / 0.8)
+        out, valid = aggregate("weighted_average", [1.0, 2.0, np.nan], [0.5, 0.3, 0.2],
+                               available=[True, True, False])
+        assert valid and out == pytest.approx((0.5 * 1.0 + 0.3 * 2.0) / 0.8)
 
     def test_single_prediction_is_identity(self):
-        assert aggregate_weighted({"a": 4.2}, {"a": 0.37}) == pytest.approx(4.2)
+        assert aggregate("weighted_average", [4.2], [0.37])[0] == pytest.approx(4.2)
 
     def test_missing_weight_rejected(self):
         with pytest.raises(DataError):
-            aggregate_weighted({"a": 1.0}, {"b": 1.0})
+            triple_bank([(0.5, 0.5, 0.5)], FOLD0).weights_for_target(ORIGIN, available=["b"])
 
     def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            aggregate_average({})
+        for method in AGGREGATORS:
+            _, valid = AGGREGATORS[method](np.empty((0, 3)), np.empty((0, 3), dtype=bool),
+                                           np.empty(0), 0.0)
+            assert not valid.any()
 
 
 class TestVote:
     def test_unanimous_frost(self):
-        w = {"a": 0.6, "b": 0.4}
-        result = aggregate_vote({"a": -2.0, "b": -0.5}, w, trigger=0.0)
-        assert result.frost and result.score == pytest.approx(1.0)
+        assert aggregate("weighted_vote", [-2.0, -0.5], [0.6, 0.4]) == (True, True)
 
     def test_unanimous_warm(self):
-        w = {"a": 0.6, "b": 0.4}
-        result = aggregate_vote({"a": 2.0, "b": 0.5}, w, trigger=0.0)
-        assert not result.frost and result.score == pytest.approx(-1.0)
+        assert aggregate("weighted_vote", [2.0, 0.5], [0.6, 0.4]) == (False, True)
 
     def test_tie_resolves_to_frost(self):
-        w = {"a": 0.5, "b": 0.5}
-        result = aggregate_vote({"a": -1.0, "b": 1.0}, w, trigger=0.0)
-        assert result.score == pytest.approx(0.0, abs=1e-12)
-        assert result.frost
+        assert aggregate("weighted_vote", [-1.0, 1.0], [0.5, 0.5])[0]
 
     def test_prediction_at_trigger_votes_warm(self):
-        result = aggregate_vote({"a": 0.0}, {"a": 1.0}, trigger=0.0)
-        assert not result.frost
+        assert not aggregate("weighted_vote", [0.0], [1.0], trigger=0.0)[0]
 
     def test_weight_majority_decides(self):
-        w = {"cold": 0.7, "warm": 0.3}
-        result = aggregate_vote({"cold": -1.0, "warm": 5.0}, w)
-        assert result.frost and result.score == pytest.approx(0.4)
+        assert aggregate("weighted_vote", [-1.0, 5.0], [0.7, 0.3])[0]
+        assert not aggregate("weighted_vote", [-1.0, 5.0], [0.3, 0.7])[0]
 
     def test_trigger_shifts_votes(self):
-        w = {"a": 1.0}
-        assert aggregate_vote({"a": 1.5}, w, trigger=2.0).frost
-        assert not aggregate_vote({"a": 1.5}, w, trigger=1.0).frost
+        assert aggregate("weighted_vote", [1.5], [1.0], trigger=2.0)[0]
+        assert not aggregate("weighted_vote", [1.5], [1.0], trigger=1.0)[0]
+
+    def test_unavailable_rows_do_not_vote(self):
+        frost, valid = aggregate("weighted_vote", [-1.0, np.nan], [0.1, 0.9],
+                                 available=[True, False])
+        assert frost and valid
 
 
 class TestPearson:
@@ -253,14 +274,27 @@ class TestBank:
             assert direct[k] == pytest.approx(partial[k] / total, abs=1e-12)
 
     def test_predict_batch_matches_single(self, small_bank, small_world):
-        from frostcast.ensemble import predict_single
-
         target = small_world.stations[0].attributes
         sid = small_bank.station_ids[0]
         climate = np.array([[2.0, 0.5, 80.0, -1.0, 0.3], [5.0, 3.0, 60.0, 1.0, -0.2]])
         batch = small_bank.predict_batch(sid, climate, target)
-        singles = [predict_single(small_bank, sid, row, target) for row in climate]
+        singles = [small_bank.predict_batch(sid, row[None, :], target)[0] for row in climate]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
+
+    def test_per_row_targets_match_one_call_per_site(self, small_bank, small_world):
+        sites = [s.attributes for s in small_world.stations[:3]]
+        climate = np.random.default_rng(8).normal([2.0, 0.5, 80.0, 0.0, 0.0], 1.0, (10, 5))
+        pick = np.arange(10) % 3
+        targets = np.array([sites[j].as_tuple() for j in pick])
+        for sid in small_bank.station_ids:
+            per_site = np.stack([small_bank.predict_batch(sid, climate, a) for a in sites])
+            np.testing.assert_array_equal(small_bank.predict_batch(sid, climate, targets),
+                                          per_site[pick, np.arange(10)])
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 3), (3,), (3, 4, 1)])
+    def test_misshapen_targets_rejected(self, small_bank, shape):
+        with pytest.raises(DataError):
+            small_bank.predict_batch(small_bank.station_ids[0], np.zeros((3, 5)), np.zeros(shape))
 
     def test_save_load_round_trip(self, small_bank, small_world, tmp_path):
         save_bank(small_bank, tmp_path)
@@ -275,6 +309,17 @@ class TestBank:
                 small_bank.predict_batch(sid, climate, target),
                 loaded.predict_batch(sid, climate, target),
             )
+
+    @pytest.mark.parametrize("text", [None, "[]", "3", "null", "{"])
+    def test_manifest_missing_or_not_an_object(self, small_bank, tmp_path, text):
+        save_bank(small_bank, tmp_path)
+        if text is None:
+            (tmp_path / "manifest.json").unlink()
+        else:
+            (tmp_path / "manifest.json").write_text(text)
+        for load in (load_bank, ensemble.load_baselines, ensemble.load_baseline_fraction):
+            with pytest.raises(FormatError):
+                load(tmp_path)
 
     def test_manifest_version_gate(self, small_bank, tmp_path):
         save_bank(small_bank, tmp_path)

@@ -7,6 +7,8 @@ d = [-1, 0, 1, 2, 3]: mean 1, sd sqrt(2.5), t = 1/sqrt(0.5) = sqrt(2),
 two-sided p = 0.230200 (reference CDF).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,13 +17,16 @@ from scipy import special as sp_special
 from scipy import stats as sp_stats
 
 from frostcast import (
+    FOLD_COEFFICIENT_PRESETS,
     ConfusionCounts,
     DataError,
     DivergenceError,
     DomainError,
+    aggregate_by_interpolation,
     build_prediction_matrices,
     event_confusion,
     evaluate_baselines,
+    index_series,
     make_folds,
     paired_t_test,
     regularized_incomplete_beta,
@@ -256,6 +261,40 @@ class TestAblation:
         pooled_labels = np.concatenate([m.labels for m in matrices])
         manual = float(np.sqrt(np.mean((pooled_pred - pooled_labels) ** 2)))
         assert results[0].rmse == pytest.approx(manual, abs=1e-9)
+
+    def test_table_methods_match_per_timestep_reference(
+        self, small_world, small_folds, small_bank, matrices
+    ):
+        # Each timestep aggregated on its own: the attribute-weighted mean and
+        # vote from weights_for_target, and IDW from geostats' own interpolator.
+        bank = replace(small_bank, coefficients=FOLD_COEFFICIENT_PRESETS[0])
+        results = run_station_ablation(
+            small_world.stations, small_folds, 0, bank, counts=[len(bank)],
+            methods=("weighted_average", "weighted_vote", "idw"), matrices=matrices,
+        )
+        by_id = index_series(small_world.stations)
+        locations = {sid: a.location for sid, a in bank.station_attrs.items()}
+        wavg, vote, idw, labels = [], [], [], []
+        for pm in matrices:
+            target = by_id[pm.target_id].attributes
+            weights = bank.weights_for_target(target)
+            for t in range(pm.labels.size):
+                snap = {sid: pm.values[i, t] for i, sid in enumerate(pm.source_ids)
+                        if not np.isnan(pm.values[i, t])}
+                if not snap:
+                    continue
+                total = sum(weights[sid] for sid in snap)
+                wavg.append(sum(weights[sid] * v for sid, v in snap.items()) / total)
+                vote.append(sum(weights[sid] * (1.0 if v < 0.0 else -1.0)
+                                for sid, v in snap.items()) >= 0.0)
+                idw.append(aggregate_by_interpolation(snap, locations, target.location, "idw"))
+                labels.append(pm.labels[t])
+        by_method = {r.method: r for r in results}
+        assert by_method["weighted_average"].rmse == pytest.approx(rmse(wavg, labels), abs=1e-9)
+        assert by_method["idw"].rmse == pytest.approx(rmse(idw, labels), abs=1e-9)
+        conf = event_confusion(np.array(vote), labels)
+        assert (by_method["weighted_vote"].tpr, by_method["weighted_vote"].fdr) == (conf.tpr, conf.fdr)
+        assert by_method["weighted_vote"].n_predictions == len(vote)
 
     def test_vote_reports_no_rmse(self, small_world, small_folds, small_bank, matrices):
         results = run_station_ablation(

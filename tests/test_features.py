@@ -22,18 +22,16 @@ from frostcast import (
     StationSeries,
     apply_scaler,
     baseline_feature_arrays,
-    build_pair_entries,
     climate_matrix,
     fit_scaler_arrays,
     invert_label,
     label_arrays,
-    label_next_hour_min,
     pair_feature_arrays,
     reverse_direction,
     scale_label,
     wind_to_components,
 )
-from frostcast.features import join_timestamps
+from frostcast.features import ObservationArrays, join_pair_arrays, join_timestamps
 
 
 def series_from_temps(temps, station_id="s", start=0, step=1):
@@ -121,11 +119,6 @@ class TestLabels:
         ts, labels = label_arrays(series_from_temps([1.0, 2.0, 3.0]), horizon=5)
         assert ts.size == 0 and labels.size == 0
 
-    def test_list_wrapper_matches(self):
-        s = series_from_temps([5.0, 4.0, 3.0, 6.0, 7.0])
-        pairs = label_next_hour_min(s, horizon=2)
-        assert pairs == [(0, 3.0), (1, 3.0), (2, 6.0)]
-
     @given(
         st.lists(st.floats(-20.0, 30.0), min_size=4, max_size=40),
         st.integers(1, 6),
@@ -173,10 +166,28 @@ class TestPairJoin:
         assert x.shape == (0, 13) and y.size == 0
 
     def test_entries_carry_station_ids(self):
+        # Rows name their pair by attributes: columns 0-3 are the source's,
+        # 4-7 the target's, and these two stations differ in every one.
         src = series_from_temps([1.0, 2.0, 3.0], station_id="a")
-        tgt = series_from_temps([3.0, 2.0, 1.0], station_id="b")
-        entries = build_pair_entries(src, tgt, horizon=1)
-        assert entries and all(e.source_id == "a" and e.target_id == "b" for e in entries)
+        tgt = StationSeries("b", StationAttributes(GeoPoint(147.0, -34.0), 200.0, 0.5),
+                            src.timestamps, src.raw[::-1].copy())
+        ids = {src.attributes.as_tuple(): "a", tgt.attributes.as_tuple(): "b"}
+        x, _, _ = pair_feature_arrays(src, tgt, horizon=1)
+        assert x.shape[0] == 2
+        assert {(ids[tuple(r[0:4])], ids[tuple(r[4:8])]) for r in x} == {("a", "b")}
+
+    def test_feature_layout(self):
+        src = StationAttributes(GeoPoint(146.0, -33.0), 100.0, 0.1)
+        tgt = StationAttributes(GeoPoint(147.0, -34.0), 200.0, 0.2)
+        climate = (4.0, 2.0, 80.0, -1.0, 0.5)
+        obs = ObservationArrays(np.array([7], dtype=np.int64), np.array([climate]))
+        x, y, ts = join_pair_arrays(src, tgt, obs, np.array([7], dtype=np.int64),
+                                    np.array([1.5]))
+        assert x.shape == (1, 13)
+        assert tuple(x[0, :4]) == (146.0, -33.0, 100.0, 0.1)
+        assert tuple(x[0, 4:8]) == (147.0, -34.0, 200.0, 0.2)
+        assert tuple(x[0, 8:]) == climate
+        assert y.tolist() == [1.5] and ts.tolist() == [7]
 
     def test_baseline_arrays_alignment(self):
         s = series_from_temps([5.0, 4.0, 3.0, 2.0, 1.0])

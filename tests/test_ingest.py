@@ -605,6 +605,14 @@ class TestDatasetBundle:
         with pytest.raises(FormatError, match="malformed manifest"):
             load_dataset(bad)
 
+    @pytest.mark.parametrize("text", [b"[]", b"3", b"null", b'{"version": "\xff"}'])
+    def test_manifest_not_an_object_or_not_text_rejected(self, tmp_path, text):
+        good, bad = tmp_path / "good.zip", tmp_path / "bad.zip"
+        save_dataset(tiny_dataset(), good)
+        rewrite_entry(good, bad, "manifest.json", text)
+        with pytest.raises(FormatError):
+            load_dataset(bad)
+
     @pytest.mark.parametrize("entry,array,message", [
         ("station_a1_obs.npy",
          np.array([[10.0, 5, 50, 2, 90], [math.nan, 5, 50, 2, 90], [8, 5, 50, 2, 90]]),

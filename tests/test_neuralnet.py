@@ -22,7 +22,6 @@ from frostcast import (
     SUBMODEL_SPEC,
     TrainConfig,
     UnsupportedVersionError,
-    forward,
     forward_batch,
     gradients,
     init_network,
@@ -118,7 +117,7 @@ class TestArchitecture:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(8, 5))
         batch = forward_batch(net, x)
-        singles = np.array([forward(net, row) for row in x])
+        singles = np.array([forward_batch(net, row[None, :])[0] for row in x])
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
 

@@ -1,5 +1,7 @@
 """Region rasters: per-method semantics and pairwise significance tables."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,6 +11,7 @@ from frostcast import (
     AttributeGrid,
     DataError,
     DomainError,
+    FOLD_COEFFICIENT_PRESETS,
     GeoPoint,
     climate_matrix,
     compare_rasters,
@@ -46,6 +49,43 @@ class TestGenerateRaster:
         ]
         stacked = np.stack([s.values for s in singles])
         npt.assert_allclose(avg.values[avg.mask], stacked.mean(axis=0)[avg.mask], atol=1e-9)
+
+    def test_average_is_table_mean_bit_for_bit(self, small_world, small_bank, climate):
+        # Each single raster holds one row of the prediction block the
+        # average aggregates, so the table's mean must equal preds.mean(axis=0).
+        avg = generate_raster(small_bank, climate, small_world.dem, small_world.ndvi, "average")
+        preds = np.stack([
+            generate_raster(small_bank, climate, small_world.dem, small_world.ndvi, "single",
+                            source_id=sid).values[avg.mask]
+            for sid in sorted(small_bank.models)
+        ])
+        npt.assert_array_equal(avg.values[avg.mask], preds.mean(axis=0))
+
+    def test_weighted_matches_per_station_reference(self, small_world, small_bank, climate):
+        # Per-station cell weights, normalized per cell before the weighted sum,
+        # under coefficients that weigh all three distances.
+        small_bank = replace(small_bank, coefficients=FOLD_COEFFICIENT_PRESETS[0])
+        dem, ndvi = small_world.dem, small_world.ndvi
+        wavg = generate_raster(small_bank, climate, dem, ndvi, "weighted_average")
+        mask = wavg.mask
+        lon_g, lat_g = dem.cell_centers()
+        lon, lat, cell_dem, cell_ndvi = lon_g[mask], lat_g[mask], dem.values[mask], ndvi.values[mask]
+        c = small_bank.coefficients
+        ids = sorted(small_bank.models)
+        weights, preds = [], []
+        for sid in ids:
+            a = small_bank.station_attrs[sid]
+            raw = np.column_stack([np.hypot(a.location.lon - lon, a.location.lat - lat),
+                                   np.abs(a.dem - cell_dem), np.abs(a.ndvi - cell_ndvi)])
+            norm = small_bank.normalization.normalize(raw)
+            denom = c.geo * norm[:, 0] + c.dem * norm[:, 1] + c.ndvi * norm[:, 2]
+            weights.append(1.0 / np.maximum(denom, 1e-6))
+            preds.append(generate_raster(small_bank, climate, dem, ndvi, "single",
+                                         source_id=sid).values[mask])
+        weights = np.array(weights)
+        weights /= weights.sum(axis=0)
+        npt.assert_allclose(wavg.values[mask], (weights * np.array(preds)).sum(axis=0),
+                            rtol=0, atol=1e-12)
 
     def test_mask_follows_grids(self, small_world, small_bank, climate):
         dem = small_world.dem
