@@ -608,8 +608,11 @@ def load_baselines(directory: str | os.PathLike) -> dict[StationId, tuple[Networ
     """The on-site reference models stored beside a bank, possibly none."""
     path = Path(directory)
     manifest = _read_manifest(path)
+    ids = manifest.get("baseline_ids", [])
+    if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
+        raise FormatError(f"malformed baseline_ids: {ids!r}")
     out: dict[StationId, tuple[Network, ScalerStats]] = {}
-    for sid in manifest.get("baseline_ids", []):
+    for sid in ids:
         net, scaler = load_network(path / f"baseline_{sid}.json")
         if scaler is None:
             raise FormatError(f"baseline {sid} is missing its scaler")

@@ -152,36 +152,37 @@ def fit_variogram(bins: Sequence[VariogramBin], kind: str = "spherical") -> Vari
         return VariogramModel(kind, 0.0, 0.0, l_max)
 
     if kind == "spherical":
-        def predict(nugget: float, psill: float, rng: float) -> np.ndarray:
+        def predict(nugget: np.ndarray, psill: np.ndarray, rng: np.ndarray) -> np.ndarray:
             hr = np.minimum(lags / rng, 1.0)
             return nugget + psill * (1.5 * hr - 0.5 * hr * hr * hr)
     else:
-        def predict(nugget: float, psill: float, rng: float) -> np.ndarray:
+        def predict(nugget: np.ndarray, psill: np.ndarray, rng: np.ndarray) -> np.ndarray:
             return nugget + psill * (1.0 - np.exp(-3.0 * lags / rng))
 
-    def cost(nugget: float, psill: float, rng: float) -> float:
-        resid = predict(nugget, psill, rng) - gammas
-        return float(np.sum(counts * resid * resid))
+    def costs(nuggets, psills, rngs) -> tuple[list[np.ndarray], np.ndarray]:
+        # One row per point; each contiguous row sums its lags as a 1-D sum does.
+        grid = [g.reshape(-1, 1) for g in np.meshgrid(nuggets, psills, rngs, indexing="ij")]
+        resid = predict(*grid) - gammas
+        return grid, np.sum(counts * resid * resid, axis=1)
 
     best = (0.0, g_max, l_max)
-    best_cost = cost(*best)
-    for nugget in np.linspace(0.0, g_max, 6):
-        for psill in np.linspace(0.0, 1.5 * g_max, 8):
-            for rng in np.linspace(l_max / 20.0, 1.5 * l_max, 12):
-                c = cost(nugget, psill, rng)
-                if c < best_cost:
-                    best, best_cost = (float(nugget), float(psill), float(rng)), c
-
+    best_cost = costs([0.0], [g_max], [l_max])[1][0]
+    axes = (np.linspace(0.0, g_max, 6), np.linspace(0.0, 1.5 * g_max, 8),
+            np.linspace(l_max / 20.0, 1.5 * l_max, 12))
     spans = (g_max / 5.0, 1.5 * g_max / 7.0, 1.45 * l_max / 11.0)
-    for _ in range(4):
-        n0, p0, r0 = best
-        for nugget in np.clip(np.linspace(n0 - spans[0], n0 + spans[0], 7), 0.0, None):
-            for psill in np.clip(np.linspace(p0 - spans[1], p0 + spans[1], 7), 0.0, None):
-                for rng in np.clip(np.linspace(r0 - spans[2], r0 + spans[2], 7), l_max * 1e-3, None):
-                    c = cost(nugget, psill, rng)
-                    if c < best_cost:
-                        best, best_cost = (float(nugget), float(psill), float(rng)), c
-        spans = tuple(s * 0.35 for s in spans)
+    floors = (0.0, 0.0, l_max * 1e-3)
+    for stage in range(5):
+        if stage:
+            axes = tuple(np.clip(np.linspace(c - s, c + s, 7), f, None)
+                         for c, s, f in zip(best, spans, floors))
+            spans = tuple(s * 0.35 for s in spans)
+        grid, cost = costs(*axes)
+        # A NaN cost never wins the strict <, but argmin would pick it. The
+        # first minimum is the winner of a point-by-point scan in this order.
+        cost[np.isnan(cost)] = np.inf
+        k = int(np.argmin(cost))
+        if cost[k] < best_cost:
+            best, best_cost = tuple(float(g[k, 0]) for g in grid), cost[k]
     nugget, psill, rng = best
     return VariogramModel(kind, nugget, nugget + psill, rng)
 

@@ -10,6 +10,12 @@ Training runs on one flat float64 parameter vector: the working network's
 weight matrices and bias vectors are views into it, backprop writes into
 views of a matching gradient vector, and each optimizer step is one
 in-place update of the whole vector.
+
+Backprop keeps the textbook pass's bits in fewer numpy calls. A bias gradient
+of two or more columns is ``np.einsum("ij->j", delta)``, which adds the rows in
+order as ``delta.sum(axis=0)`` does; a one-column delta keeps ``sum``, which
+adds a contiguous column pairwise. ``np.putmask`` zeroes dead rectifier units
+in place, with the values (NaN and inf included) of ``np.where``'s new array.
 """
 
 from __future__ import annotations
@@ -117,9 +123,13 @@ def _forward_backward(
     delta = (2.0 / x.shape[0]) * (activations[-1][:, 0] - y)[:, None]
     for i in range(last, -1, -1):
         np.matmul(activations[i].T, delta, out=grads_w[i])
-        delta.sum(axis=0, out=grads_b[i])
+        if delta.shape[1] > 1:
+            np.einsum("ij->j", delta, out=grads_b[i])
+        else:
+            delta.sum(axis=0, out=grads_b[i])
         if i > 0:
-            delta = np.where(dead[i - 1], 0.0, delta @ net.weights[i].T)
+            delta = delta @ net.weights[i].T
+            np.putmask(delta, dead[i - 1], 0.0)
 
 
 def gradients(net: Network, x: np.ndarray, y: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -221,11 +231,15 @@ def train(
     net = Network(net.spec, *_unflatten(net.spec, theta))
     grad = np.empty_like(theta)
     grads_w, grads_b = _unflatten(net.spec, grad)
-    scratch, scratch2 = np.empty_like(theta), np.empty_like(theta)
     lr = cfg.learning_rate
     adam = cfg.optimizer == "adam"
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    # m and v are the rows of one array (scratch likewise), so one call scales
+    # or adds both. Rates are full width: a (2, 1) column broadcast is slower.
+    moments, pair = np.zeros((2, theta.size)), np.empty((2, theta.size))
+    (m, v), (scratch, scratch2) = moments, pair
+    betas = np.repeat([[beta1], [beta2]], theta.size, axis=1)
+    one_minus = 1.0 - betas
     t = 0
 
     best_val = math.inf
@@ -251,13 +265,10 @@ def train(
                     # theta -= lr*(m/b1c) / (sqrt(v/b2c) + eps). Results depend
                     # on this operation order down to the last bit.
                     t += 1
-                    m *= beta1
-                    np.multiply(grad, 1.0 - beta1, out=scratch)
-                    m += scratch
-                    v *= beta2
-                    np.multiply(grad, 1.0 - beta2, out=scratch)
-                    scratch *= grad
-                    v += scratch
+                    moments *= betas
+                    np.multiply(grad, one_minus, out=pair)
+                    scratch2 *= grad
+                    moments += pair
                     np.divide(m, 1.0 - beta1**t, out=scratch)
                     scratch *= lr
                     np.divide(v, 1.0 - beta2**t, out=scratch2)

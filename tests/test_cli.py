@@ -323,6 +323,33 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: manifest is not a JSON object: list\n"
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("ids", [5, "abc", [1, 2], None, {"a": 1}])
+    def test_bank_baseline_ids_not_a_list_of_strings(self, pipeline, tmp_path, capsys, ids):
+        bank = tmp_path / "bank"
+        shutil.copytree(pipeline["bank"], bank)
+        manifest = json.loads((bank / "manifest.json").read_text())
+        manifest["baseline_ids"] = ids
+        (bank / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(pipeline["data"]), "--bank", str(bank),
+                   "--methods", "baseline", "--counts", "2", "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: malformed baseline_ids: {ids!r}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_eval_ok_refit(self, pipeline, tmp_path):
+        out = tmp_path / "r.json"
+        assert main([
+            "eval", "--data", str(pipeline["data"]), "--bank", str(pipeline["bank"]),
+            "--methods", "ok,idw", "--ok-refit", "--counts", "2..4", "--deterministic",
+            "--out", str(out),
+        ]) == 0
+        rows = json.loads(out.read_text())["results"]
+        assert [(r["method"], r["station_count"]) for r in rows] == [
+            (m, k) for k in (2, 3, 4) for m in ("ok", "idw")
+        ]
+        assert all(r["n_predictions"] > 0 for r in rows)
+
     def test_bad_preset(self, pipeline):
         assert main(["calibrate", "--bank", str(pipeline["bank"]), "--preset", "bogus"]) == 2
         assert main(["calibrate", "--bank", str(pipeline["bank"]), "--preset", "paper-fold-9"]) == 2

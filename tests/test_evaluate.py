@@ -22,12 +22,15 @@ from frostcast import (
     DataError,
     DivergenceError,
     DomainError,
+    SamplePoint,
     aggregate_by_interpolation,
     build_prediction_matrices,
+    empirical_semivariogram,
     event_confusion,
     evaluate_baselines,
     index_series,
     make_folds,
+    ordinary_kriging,
     paired_t_test,
     regularized_incomplete_beta,
     rmse,
@@ -37,7 +40,9 @@ from frostcast import (
 )
 from frostcast import ensemble
 from frostcast.evaluate import _availability_groups
+from frostcast.geostats import _fallback_model
 from frostcast.neuralnet import TrainConfig
+from test_geostats import reference_fit_variogram
 
 
 class TestMakeFolds:
@@ -311,6 +316,54 @@ class TestAblation:
         )
         for r in results:
             assert np.isfinite(r.rmse)
+
+    def test_ok_refit_matches_per_timestep_reference(
+        self, small_world, small_folds, small_bank, matrices
+    ):
+        # Each timestep kriged on its own, with a variogram fitted point by
+        # point. The first 30 timesteps per target, with a fifth of the cells
+        # missing, keep the reference search affordable.
+        rng = np.random.default_rng(4)
+        short = []
+        for pm in matrices:
+            values = pm.values[:, :30].copy()
+            values[rng.random(values.shape) < 0.2] = np.nan
+            short.append(replace(pm, timestamps=pm.timestamps[:30], labels=pm.labels[:30],
+                                 values=values))
+        counts = [2, 3, len(small_bank)]
+        results = run_station_ablation(
+            small_world.stations, small_folds, 0, small_bank, counts=counts,
+            methods=("ok",), ok_refit=True, matrices=short,
+        )
+        by_id = index_series(small_world.stations)
+        locations = {sid: a.location for sid, a in small_bank.station_attrs.items()}
+        fits = fallbacks = 0
+        for row, k in zip(results, counts):
+            draw = np.random.default_rng(np.random.SeedSequence((0, k)))
+            subset = [short[0].source_ids[i]
+                      for i in np.sort(draw.choice(len(small_bank), size=k, replace=False))]
+            preds, labels = [], []
+            for pm in short:
+                target = by_id[pm.target_id].attributes.location
+                for t in range(pm.labels.size):
+                    samples = [SamplePoint(locations[sid], float(pm.values[i, t]))
+                               for i, sid in enumerate(pm.source_ids)
+                               if sid in subset and not np.isnan(pm.values[i, t])]
+                    if len(samples) < 2:
+                        continue
+                    try:
+                        model = reference_fit_variogram(empirical_semivariogram(samples))
+                        fits += 1
+                    except DataError:
+                        model = _fallback_model(samples, "spherical")
+                        fallbacks += 1
+                    preds.append(ordinary_kriging(samples, target, model)[0])
+                    labels.append(pm.labels[t])
+            conf = event_confusion(np.array(preds), labels)
+            assert (row.method, row.station_count) == ("ok", k)
+            assert (row.rmse, row.tpr, row.fdr, row.n_predictions) == (
+                rmse(preds, labels), conf.tpr, conf.fdr, len(preds))
+        assert fits > 0 and fallbacks > 0
 
     def test_count_bounds_checked(self, small_world, small_folds, small_bank, matrices):
         with pytest.raises(DomainError):

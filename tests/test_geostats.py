@@ -9,6 +9,8 @@ gamma = (11/16, 1, 1) and the solution is weights (13/24, 11/48, 11/48),
 multiplier 11/48, estimate 23/6, variance 407/384.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,6 +235,126 @@ class TestVariogramFit:
         bins = [VariogramBin(0.5, 1.0, 3), VariogramBin(1.0, 2.0, 3)]
         with pytest.raises(DataError):
             fit_variogram(bins)
+
+
+def reference_fit_variogram(bins, kind="spherical"):
+    """The point-by-point grid search that `fit_variogram` must reproduce exactly.
+
+    Costs one (nugget, psill, range) point at a time, nugget outermost and
+    range innermost, and keeps the first point that beats the incumbent.
+    """
+    if kind not in ("spherical", "exponential"):
+        raise DomainError(f"unknown variogram kind: {kind!r}")
+    bins = [b for b in bins if b.count > 0]
+    if len(bins) < 3:
+        raise DataError(f"variogram fit needs >= 3 non-empty bins, got {len(bins)}")
+    lags = np.array([b.lag for b in bins])
+    gammas = np.array([b.semivariance for b in bins])
+    counts = np.array([b.count for b in bins], dtype=np.float64)
+    g_max = float(gammas.max())
+    l_max = float(lags.max())
+    if l_max <= 0:
+        raise DataError("variogram fit needs positive lags")
+    if g_max == 0.0:
+        return VariogramModel(kind, 0.0, 0.0, l_max)
+
+    def cost(nugget, psill, rng):
+        if kind == "spherical":
+            hr = np.minimum(lags / rng, 1.0)
+            pred = nugget + psill * (1.5 * hr - 0.5 * hr * hr * hr)
+        else:
+            pred = nugget + psill * (1.0 - np.exp(-3.0 * lags / rng))
+        resid = pred - gammas
+        return float(np.sum(counts * resid * resid))
+
+    best = (0.0, g_max, l_max)
+    best_cost = cost(*best)
+    for nugget in np.linspace(0.0, g_max, 6):
+        for psill in np.linspace(0.0, 1.5 * g_max, 8):
+            for rng in np.linspace(l_max / 20.0, 1.5 * l_max, 12):
+                c = cost(nugget, psill, rng)
+                if c < best_cost:
+                    best, best_cost = (float(nugget), float(psill), float(rng)), c
+    spans = (g_max / 5.0, 1.5 * g_max / 7.0, 1.45 * l_max / 11.0)
+    for _ in range(4):
+        n0, p0, r0 = best
+        for nugget in np.clip(np.linspace(n0 - spans[0], n0 + spans[0], 7), 0.0, None):
+            for psill in np.clip(np.linspace(p0 - spans[1], p0 + spans[1], 7), 0.0, None):
+                for rng in np.clip(np.linspace(r0 - spans[2], r0 + spans[2], 7), l_max * 1e-3, None):
+                    c = cost(nugget, psill, rng)
+                    if c < best_cost:
+                        best, best_cost = (float(nugget), float(psill), float(rng)), c
+        spans = tuple(s * 0.35 for s in spans)
+    nugget, psill, rng = best
+    return VariogramModel(kind, nugget, nugget + psill, rng)
+
+
+def fit_outcome(fit, bins, kind):
+    """The model's kind and parameter bits, or the type and message of the error."""
+    try:
+        with np.errstate(all="ignore"):
+            m = fit(bins, kind=kind)
+    except (DataError, DomainError) as exc:
+        return type(exc), str(exc)
+    return m.kind, np.array([m.nugget, m.sill, m.range_]).tobytes()
+
+
+def random_bins(rng, n_bins):
+    lags = np.sort(rng.uniform(0.0, 10.0 ** rng.uniform(-2, 2), n_bins))
+    gammas = rng.gamma(2.0, 10.0 ** rng.uniform(-3, 3), n_bins)
+    if rng.random() < 0.5:
+        gammas = np.sort(gammas)  # a rising curve, closer to a real field's
+    counts = rng.integers(1, 200, n_bins)
+    return [VariogramBin(float(h), float(g), int(c)) for h, g, c in zip(lags, gammas, counts)]
+
+
+class TestVariogramFitReference:
+    """`fit_variogram` against the point-by-point search, exactly."""
+
+    KINDS = ("spherical", "exponential")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_bins(self, kind):
+        rng = np.random.default_rng(23 if kind == "spherical" else 24)
+        for case in range(60):
+            bins = random_bins(rng, int(rng.integers(3, 16)))
+            assert fit_outcome(fit_variogram, bins, kind) == fit_outcome(
+                reference_fit_variogram, bins, kind), case
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_constant_fields(self, kind):
+        for value in (0.0, 2.5):
+            bins = [VariogramBin(h, value, 4) for h in (0.5, 1.0, 1.5, 2.0)]
+            want = fit_outcome(reference_fit_variogram, bins, kind)
+            assert fit_outcome(fit_variogram, bins, kind) == want
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ties_keep_the_first_point(self, kind):
+        # A pure-nugget field: every range ties at psill 0 and zero cost, so
+        # the shortest coarse range must win, as it does point by point.
+        bins = [VariogramBin(h, 3.0, 7) for h in (1.0, 2.0, 4.0, 8.0)]
+        fit = fit_variogram(bins, kind=kind)
+        assert (fit.nugget, fit.sill, fit.range_) == (3.0, 3.0, 8.0 / 20.0)
+        assert fit_outcome(fit_variogram, bins, kind) == fit_outcome(
+            reference_fit_variogram, bins, kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("field, special", [
+        ("semivariance", np.inf), ("semivariance", np.nan), ("semivariance", 1e308),
+        ("semivariance", 1.7e308), ("lag", 0.0), ("lag", np.inf), ("lag", 1.7e308),
+    ])
+    def test_non_finite_costs(self, kind, field, special):
+        # One bin with an infinite, NaN or huge semivariance or lag turns some
+        # or all costs into NaN or inf. At 1.7e308, 1.5 times the largest
+        # value overflows and the coarse axis reads [nan, inf, ...]: NaN
+        # costs come first, finite ones after them.
+        rng = np.random.default_rng(31)
+        for case in range(10):
+            bins = random_bins(rng, int(rng.integers(3, 10)))
+            i = int(rng.integers(len(bins)))
+            bins[i] = replace(bins[i], **{field: float(special)})
+            assert fit_outcome(fit_variogram, bins, kind) == fit_outcome(
+                reference_fit_variogram, bins, kind), case
 
 
 class TestAggregateByInterpolation:

@@ -31,6 +31,7 @@ from frostcast import (
     train,
 )
 from frostcast.features import ScalerStats
+from frostcast.neuralnet import _forward_backward
 
 
 def finite_difference_gradients(net, x, y, eps=1e-5):
@@ -290,6 +291,73 @@ def reference_train(net, x, y, cfg):
     for p, b in zip(params, best):
         p[...] = b
     return net, history
+
+
+def reference_forward_backward(net, x, y, grads_w, grads_b):
+    """The backward pass that `_forward_backward` must reproduce bit for bit.
+
+    Bias gradients are ``sum(axis=0)`` of each layer's delta, and the
+    rectifier derivative masks a fresh product with ``np.where``.
+    """
+    activations = [x]
+    dead = []
+    h = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w
+        h += b
+        if i != last:
+            dead.append(h <= 0.0)
+            np.maximum(h, 0.0, out=h)
+        activations.append(h)
+    delta = (2.0 / x.shape[0]) * (activations[-1][:, 0] - y)[:, None]
+    for i in range(last, -1, -1):
+        np.matmul(activations[i].T, delta, out=grads_w[i])
+        delta.sum(axis=0, out=grads_b[i])
+        if i > 0:
+            delta = np.where(dead[i - 1], 0.0, delta @ net.weights[i].T)
+
+
+#: Includes width-1 hidden layers, whose bias sums take the column path.
+NARROW_SPEC = NetworkSpec(input_dim=3, layer_sizes=(1, 4, 1, 1))
+SPECIAL_VALUES = np.array([np.nan, np.inf, -np.inf, -0.0, 1e308, -1e308, 1e200])
+
+
+def _backward_case(spec, rng):
+    """A random network and batch, with dead units and special values mixed in."""
+    n = int(rng.choice([1, 2, 3, 7, 8, 9, 16, 17, 255, 256, 257, 512, 700, rng.integers(1, 701)]))
+    net = init_network(spec, seed=int(rng.integers(1 << 30)))
+    for b in net.biases:
+        b[...] = rng.normal(size=b.shape)
+        b[rng.random(b.shape) < 0.2] = -1e6  # units dead on every row
+    if rng.random() < 0.1:
+        net.biases[int(rng.integers(len(net.biases) - 1))][...] = -1e6  # a dead layer
+    x = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(n, spec.input_dim))
+    y = rng.normal(size=n)
+    if rng.random() < 0.5:
+        x[rng.random(x.shape) < 0.01] = rng.choice(SPECIAL_VALUES)
+        y[rng.random(n) < 0.01] = rng.choice(SPECIAL_VALUES)
+    if rng.random() < 0.2:
+        x[rng.random(x.shape) < 0.3] = -0.0
+    return net, x, y
+
+
+class TestBackwardPass:
+    """`_forward_backward` against the reference pass, bit for bit."""
+
+    @pytest.mark.parametrize("spec", [SUBMODEL_SPEC, ONSITE_SPEC, NARROW_SPEC],
+                             ids=["submodel", "onsite", "narrow"])
+    def test_bit_identical_to_reference(self, spec):
+        rng = np.random.default_rng(spec.input_dim)
+        for case in range(150):
+            net, x, y = _backward_case(spec, rng)
+            got = ([np.empty_like(w) for w in net.weights], [np.empty_like(b) for b in net.biases])
+            want = ([np.empty_like(w) for w in net.weights], [np.empty_like(b) for b in net.biases])
+            with np.errstate(all="ignore"):
+                _forward_backward(net, x, y, *got)
+                reference_forward_backward(net, x, y, *want)
+            for g, w in zip(got[0] + got[1], want[0] + want[1]):
+                assert g.tobytes() == w.tobytes(), (case, x.shape)
 
 
 class TestFlatTraining:
