@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import FoldAssignment, StationId, StationSeries, index_series
+from .core import FoldAssignment, GeoPoint, StationId, StationSeries, index_series
 from .ensemble import AGGREGATORS, SubmodelBank, map_in_workers
 from .errors import DataError, DomainError
 from .features import (
@@ -32,14 +32,11 @@ from .features import (
     scale_label,
 )
 from .geostats import (
-    EXACT_DISTANCE,
-    SamplePoint,
     VariogramModel,
-    _fallback_model,
-    aggregate_by_interpolation,
-    empirical_semivariogram,
-    fit_variogram,
+    idw_weights,
     kriging_weights,
+    ordinary_kriging,
+    snapshot_variogram,
 )
 from .neuralnet import Network, ONSITE_SPEC, TrainConfig, forward_batch, init_network, train
 
@@ -360,20 +357,6 @@ def build_prediction_matrices(
     return out
 
 
-def _idw_weights(pm: PredictionMatrix, subset: np.ndarray, bank: SubmodelBank,
-                 target_attrs, power: float) -> np.ndarray:
-    t = target_attrs.location
-    d = np.array([
-        math.hypot(bank.station_attrs[pm.source_ids[i]].location.lon - t.lon,
-                   bank.station_attrs[pm.source_ids[i]].location.lat - t.lat)
-        for i in subset
-    ])
-    exact = d < EXACT_DISTANCE
-    if exact.any():
-        return exact.astype(np.float64)
-    return d ** -power
-
-
 def _availability_groups(avail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(avail.T, axis=0, return_inverse=True)``, sorting packed bits.
 
@@ -387,53 +370,33 @@ def _availability_groups(avail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ok_series(
-    pm: PredictionMatrix,
-    subset: np.ndarray,
-    bank: SubmodelBank,
-    target_attrs,
-    model: VariogramModel,
+    vals: np.ndarray, coords: np.ndarray, target: GeoPoint, model: VariogramModel | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Kriging aggregate per timestep, grouping columns by availability."""
-    vals = pm.values[subset]
+    """Kriging aggregate per column of a ``(k, n)`` block, grouping columns by availability.
+
+    With a ``model`` each group solves its weights once. Without one, every
+    column fits a variogram to its own snapshot first (slow).
+    """
     avail = ~np.isnan(vals)
     n_t = vals.shape[1]
     pred = np.full(n_t, np.nan)
     valid = np.zeros(n_t, dtype=bool)
     patterns, inverse = _availability_groups(avail)
-    target = target_attrs.location
     for p_idx, pattern in enumerate(patterns):
         cols = np.nonzero(inverse == p_idx)[0]
         rows = np.nonzero(pattern)[0]
         if rows.size < 2:
             continue
-        points = [
-            SamplePoint(bank.station_attrs[pm.source_ids[subset[r]]].location, 0.0) for r in rows
-        ]
-        w = kriging_weights(points, target, model)
-        pred[cols] = w @ vals[np.ix_(rows, cols)]
+        xy = coords[rows]
+        if model is not None:
+            pred[cols] = kriging_weights(xy, target, model) @ vals[np.ix_(rows, cols)]
+        else:
+            for col in cols:
+                snapshot = vals[rows, col]
+                pred[col] = ordinary_kriging(xy, snapshot, target,
+                                             snapshot_variogram(xy, snapshot))[0]
         valid[cols] = True
     return pred, valid
-
-
-def _frozen_variogram(
-    pm_list: list[PredictionMatrix], bank: SubmodelBank, kind: str, n_bins: int
-) -> VariogramModel | None:
-    """Fit one variogram on the first fully available prediction snapshot."""
-    for pm in pm_list:
-        avail = ~np.isnan(pm.values)
-        full = np.nonzero(avail.all(axis=0))[0]
-        if full.size == 0:
-            continue
-        col = full[0]
-        points = [
-            SamplePoint(bank.station_attrs[sid].location, float(pm.values[i, col]))
-            for i, sid in enumerate(pm.source_ids)
-        ]
-        try:
-            return fit_variogram(empirical_semivariogram(points, n_bins), kind=kind)
-        except DataError:
-            return _fallback_model(points, kind)
-    return None
 
 
 def run_station_ablation(
@@ -447,18 +410,16 @@ def run_station_ablation(
     trigger: float = DEFAULT_TRIGGER,
     baselines: Mapping[StationId, BaselineModel] | None = None,
     horizon: int | None = None,
-    idw_power: float = 2.0,
     ok_refit: bool = False,
-    ok_variogram: VariogramModel | None = None,
-    variogram_kind: str = "spherical",
-    n_bins: int = 15,
     matrices: list[PredictionMatrix] | None = None,
 ) -> list[AblationResult]:
     """Score each method at each source-station count on one fold.
 
     At a given count the same seeded subset of stations feeds every method,
     so comparisons are paired. The count equal to the full bank reproduces
-    the plain fold experiment.
+    the plain fold experiment. Kriging uses one variogram fitted on the
+    first prediction snapshot where every source is available, or with
+    ``ok_refit`` (or without such a snapshot) a fresh fit per timestep.
     """
     for m in methods:
         if m not in METHODS:
@@ -481,9 +442,16 @@ def run_station_ablation(
         w = bank.weights_for_target(by_id[pm.target_id].attributes)
         weight_vec[pm.target_id] = np.array([w[sid] for sid in pm.source_ids])
 
-    frozen_model = ok_variogram
-    if "ok" in methods and not ok_refit and frozen_model is None:
-        frozen_model = _frozen_variogram(matrices, bank, variogram_kind, n_bins)
+    # Rows of every matrix follow bank.station_ids, as do these coordinates.
+    locations = [bank.station_attrs[sid].location for sid in bank.station_ids]
+    src_xy = np.array([(loc.lon, loc.lat) for loc in locations])
+    frozen_model = None
+    if "ok" in methods and not ok_refit:
+        for pm in matrices:
+            full = np.nonzero(~np.isnan(pm.values).any(axis=0))[0]
+            if full.size:
+                frozen_model = snapshot_variogram(src_xy, pm.values[:, full[0]])
+                break
 
     results: list[AblationResult] = []
     for k in counts:
@@ -495,17 +463,12 @@ def run_station_ablation(
             pooled_pred: list[np.ndarray] = []
             pooled_labels: list[np.ndarray] = []
             for pm in matrices:
-                attrs = by_id[pm.target_id].attributes
+                target = by_id[pm.target_id].attributes.location
                 vals = pm.values[subset]
                 if method == "ok":
-                    if ok_refit or frozen_model is None:
-                        pred, valid = _ok_refit_series(
-                            pm, subset, bank, attrs, variogram_kind, n_bins
-                        )
-                    else:
-                        pred, valid = _ok_series(pm, subset, bank, attrs, frozen_model)
+                    pred, valid = _ok_series(vals, src_xy[subset], target, frozen_model)
                 else:
-                    weights = (_idw_weights(pm, subset, bank, attrs, idw_power) if method == "idw"
+                    weights = (idw_weights(src_xy[subset], target) if method == "idw"
                                else weight_vec[pm.target_id][subset])
                     pred, valid = AGGREGATORS[method](vals, ~np.isnan(vals), weights, trigger)
                 pooled_pred.append(np.asarray(pred)[valid])
@@ -547,35 +510,6 @@ def run_station_ablation(
             )
         )
     return results
-
-
-def _ok_refit_series(
-    pm: PredictionMatrix,
-    subset: np.ndarray,
-    bank: SubmodelBank,
-    target_attrs,
-    kind: str,
-    n_bins: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-timestep kriging with a fresh variogram fit each minute (slow)."""
-    locations = {sid: bank.station_attrs[sid].location for sid in pm.source_ids}
-    vals = pm.values[subset]
-    avail = ~np.isnan(vals)
-    n_t = vals.shape[1]
-    pred = np.full(n_t, np.nan)
-    valid = np.zeros(n_t, dtype=bool)
-    ids = [pm.source_ids[i] for i in subset]
-    for col in range(n_t):
-        rows = np.nonzero(avail[:, col])[0]
-        if rows.size < 2:
-            continue
-        snapshot = {ids[r]: float(vals[r, col]) for r in rows}
-        pred[col] = aggregate_by_interpolation(
-            snapshot, locations, target_attrs.location, "ok",
-            variogram_kind=kind, n_bins=n_bins,
-        )
-        valid[col] = True
-    return pred, valid
 
 
 @dataclass

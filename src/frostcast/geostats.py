@@ -1,21 +1,24 @@
 """Classical spatial interpolation: IDW and ordinary kriging.
 
-Distances are plain Euclidean in degree space; at the regional scale used
-here the anisotropy that introduces is small against station spacing, and
-it keeps every routine translation-equivariant. Variograms are fit by
-weighted least squares with pair counts as weights, using a coarse grid
-search followed by shrinking local refinement so fits are deterministic.
+Every routine takes sample locations as a ``(k, 2)`` array of (lon, lat)
+rows and, where it needs them, sample values as a ``(k,)`` array; the
+query is a ``GeoPoint``. Distances are plain Euclidean in degree space; at
+the regional scale used here the anisotropy that introduces is small
+against station spacing, and it keeps every routine
+translation-equivariant. Variograms are fit by weighted least squares with
+pair counts as weights, using a coarse grid search followed by shrinking
+local refinement so fits are deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import GeoPoint, StationId
+from .core import GeoPoint
 from .errors import DataError, DomainError, NumericalError
 
 #: Queries closer than this to a sample collapse to that sample's value.
@@ -27,39 +30,36 @@ KRIGING_JITTER = 1e-10
 DEFAULT_BINS = 15
 
 
-@dataclass(frozen=True)
-class SamplePoint:
-    location: GeoPoint
-    value: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise DataError(f"sample value must be finite: {self.value!r}")
-
-
-def _coords_values(samples: Sequence[SamplePoint]) -> tuple[np.ndarray, np.ndarray]:
-    coords = np.array([(s.location.lon, s.location.lat) for s in samples], dtype=np.float64)
-    values = np.array([s.value for s in samples], dtype=np.float64)
+def _samples(coords, values) -> tuple[np.ndarray, np.ndarray]:
+    """``(k, 2)`` coordinates and ``(k,)`` finite values as float64 arrays."""
+    coords = np.asarray(coords, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or coords.shape != (values.size, 2):
+        raise DataError(f"need (k, 2) coords and (k,) values, got {coords.shape} / {values.shape}")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise DataError(f"sample value must be finite: {float(values[bad][0])!r}")
     return coords, values
 
 
-def idw(samples: Sequence[SamplePoint], query: GeoPoint, power: float = 2.0) -> float:
-    """Inverse-distance-weighted estimate at ``query``.
+def idw_weights(coords, query: GeoPoint, power: float = 2.0) -> np.ndarray:
+    """Unnormalised inverse-distance weights of ``(k, 2)`` sample ``coords``.
 
-    Exact at sample locations: a query within EXACT_DISTANCE of a sample
-    returns that sample's value directly (first match in input order).
+    A query within EXACT_DISTANCE of a sample gives every such sample
+    weight 1 and the rest 0, so the weighted mean is exact there.
+    Distances use ``math.hypot`` per sample, whose bits ``np.hypot`` does
+    not always match.
     """
-    if not samples:
-        raise DataError("idw needs at least one sample")
     if power <= 0:
         raise DomainError(f"idw power must be > 0: {power!r}")
-    coords, values = _coords_values(samples)
-    d = np.hypot(coords[:, 0] - query.lon, coords[:, 1] - query.lat)
-    hit = np.nonzero(d < EXACT_DISTANCE)[0]
-    if hit.size:
-        return float(values[hit[0]])
-    w = d ** -power
-    return float(np.sum(w * values) / np.sum(w))
+    if len(coords) == 0:
+        raise DataError("idw needs at least one sample")
+    d = np.array([math.hypot(lon - query.lon, lat - query.lat)
+                  for lon, lat in np.asarray(coords, dtype=np.float64).tolist()])
+    exact = d < EXACT_DISTANCE
+    if exact.any():
+        return exact.astype(np.float64)
+    return d ** -power
 
 
 @dataclass(frozen=True)
@@ -69,19 +69,19 @@ class VariogramBin:
     count: int
 
 
-def empirical_semivariogram(samples: Sequence[SamplePoint], n_bins: int = DEFAULT_BINS) -> list[VariogramBin]:
+def empirical_semivariogram(coords, values, n_bins: int = DEFAULT_BINS) -> list[VariogramBin]:
     """Binned Matheron estimator: gamma(h) = mean of half squared differences.
 
     Pairs are grouped into ``n_bins`` equal-width distance bins spanning
     (0, max pair distance]; empty bins are omitted. The reported lag is the
     mean pair distance inside the bin.
     """
-    if len(samples) < 2:
+    coords, values = _samples(coords, values)
+    if values.size < 2:
         raise DataError("semivariogram needs at least two samples")
     if n_bins < 1:
         raise DomainError(f"n_bins must be >= 1: {n_bins!r}")
-    coords, values = _coords_values(samples)
-    i, j = np.triu_indices(len(samples), k=1)
+    i, j = np.triu_indices(values.size, k=1)
     d = np.hypot(coords[i, 0] - coords[j, 0], coords[i, 1] - coords[j, 1])
     gamma = 0.5 * (values[i] - values[j]) ** 2
     d_max = float(d.max())
@@ -111,6 +111,9 @@ class VariogramModel:
     def __post_init__(self) -> None:
         if self.kind not in ("spherical", "exponential"):
             raise DomainError(f"unknown variogram kind: {self.kind!r}")
+        if not all(map(math.isfinite, (self.nugget, self.sill, self.range_))):
+            raise DomainError(f"variogram parameters must be finite, got "
+                              f"{self.nugget!r}, {self.sill!r}, {self.range_!r}")
         if self.nugget < 0 or self.sill < self.nugget:
             raise DomainError(f"need 0 <= nugget <= sill, got {self.nugget!r}, {self.sill!r}")
         if self.range_ <= 0:
@@ -143,6 +146,8 @@ def fit_variogram(bins: Sequence[VariogramBin], kind: str = "spherical") -> Vari
     lags = np.array([b.lag for b in bins])
     gammas = np.array([b.semivariance for b in bins])
     counts = np.array([b.count for b in bins], dtype=np.float64)
+    if not (np.isfinite(lags).all() and np.isfinite(gammas).all()):
+        raise DataError("variogram bins must have finite lags and semivariances")
     g_max = float(gammas.max())
     l_max = float(lags.max())
     if l_max <= 0:
@@ -187,19 +192,14 @@ def fit_variogram(bins: Sequence[VariogramBin], kind: str = "spherical") -> Vari
     return VariogramModel(kind, nugget, nugget + psill, rng)
 
 
-def _dedup(samples: Sequence[SamplePoint]) -> tuple[np.ndarray, np.ndarray]:
-    """Average values at exactly coincident locations before solving."""
-    seen: dict[tuple[float, float], list[float]] = {}
-    order: list[tuple[float, float]] = []
-    for s in samples:
-        key = (s.location.lon, s.location.lat)
-        if key not in seen:
-            seen[key] = []
-            order.append(key)
-        seen[key].append(s.value)
-    coords = np.array(order, dtype=np.float64)
-    values = np.array([np.mean(seen[k]) for k in order], dtype=np.float64)
-    return coords, values
+def _dedup(coords: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average values at exactly coincident locations, in first-seen order."""
+    unique, first, inverse = np.unique(coords, axis=0, return_index=True, return_inverse=True)
+    if unique.shape[0] == coords.shape[0]:
+        return coords, values
+    inverse = inverse.ravel()
+    groups = np.argsort(first)
+    return unique[groups], np.array([values[inverse == g].mean() for g in groups])
 
 
 def _solve_kriging(
@@ -228,20 +228,17 @@ def _solve_kriging(
         raise NumericalError(f"singular kriging system: {exc}") from exc
 
 
-def ordinary_kriging(
-    samples: Sequence[SamplePoint], query: GeoPoint, model: VariogramModel
-) -> tuple[float, float]:
+def ordinary_kriging(coords, values, query: GeoPoint, model: VariogramModel) -> tuple[float, float]:
     """Ordinary-kriging estimate and variance at ``query``.
 
     Solves the standard (n+1) x (n+1) system with a Lagrange multiplier
     enforcing unit weight sum. Duplicate sample locations are averaged
     first; a singular system raises NumericalError.
     """
-    if len(samples) < 2:
+    coords, values = _samples(coords, values)
+    if values.size < 2:
         raise DataError("ordinary kriging needs at least two samples")
-    coords, values = _coords_values(samples)
-    if np.unique(coords, axis=0).shape[0] < coords.shape[0]:
-        coords, values = _dedup(samples)
+    coords, values = _dedup(coords, values)
     n = coords.shape[0]
     if n < 2:
         raise DataError("ordinary kriging needs two distinct sample locations")
@@ -254,57 +251,29 @@ def ordinary_kriging(
     return estimate, max(variance, 0.0)
 
 
-def kriging_weights(
-    samples: Sequence[SamplePoint], query: GeoPoint, model: VariogramModel
-) -> np.ndarray:
-    """The weight vector of :func:`ordinary_kriging` (diagnostics, tests)."""
-    coords, _ = _coords_values(samples)
-    return _solve_kriging(coords, query, model)[0][: len(samples)]
+def kriging_weights(coords, query: GeoPoint, model: VariogramModel) -> np.ndarray:
+    """The weight vector of :func:`ordinary_kriging` for ``(k, 2)`` sample ``coords``.
 
-
-def _fallback_model(samples: Sequence[SamplePoint], kind: str) -> VariogramModel:
-    """Stand-in model when too few bins exist to fit one properly."""
-    coords, values = _coords_values(samples)
-    i, j = np.triu_indices(len(samples), k=1)
-    d_max = float(np.hypot(coords[i, 0] - coords[j, 0], coords[i, 1] - coords[j, 1]).max())
-    sill = float(values.var())
-    return VariogramModel(kind, 0.0, sill, d_max if d_max > 0 else 1.0)
-
-
-def aggregate_by_interpolation(
-    predictions: Mapping[StationId, float],
-    locations: Mapping[StationId, GeoPoint],
-    target: GeoPoint,
-    method: str,
-    power: float = 2.0,
-    variogram: VariogramModel | None = None,
-    variogram_kind: str = "spherical",
-    n_bins: int = DEFAULT_BINS,
-) -> float:
-    """Interpolate per-station predictions to the target location.
-
-    ``method`` is "idw" or "ok". For kriging a variogram is fit to the
-    prediction snapshot itself unless a frozen ``variogram`` is supplied;
-    snapshots too small to support a fit fall back to a zero-nugget model
-    with the sample variance as sill.
+    Coincident samples are not merged. The weights depend on the locations
+    alone, so ``eval`` solves them once for every timestep that has the
+    same sources available.
     """
-    missing = set(predictions) - set(locations)
-    if missing:
-        raise DataError(f"no location for stations: {sorted(missing)}")
-    ids = sorted(predictions)
-    samples = [SamplePoint(locations[i], float(predictions[i])) for i in ids]
-    if method == "idw":
-        return idw(samples, target, power=power)
-    if method != "ok":
-        raise DomainError(f"unknown interpolation method: {method!r}")
-    if len(samples) < 2:
-        raise DataError("ok aggregation needs at least two predictions")
-    model = variogram
-    if model is None:
-        bins = empirical_semivariogram(samples, n_bins)
-        try:
-            model = fit_variogram(bins, kind=variogram_kind)
-        except DataError:
-            model = _fallback_model(samples, variogram_kind)
-    estimate, _ = ordinary_kriging(samples, target, model)
-    return estimate
+    coords = np.asarray(coords, dtype=np.float64)
+    return _solve_kriging(coords, query, model)[0][: coords.shape[0]]
+
+
+def snapshot_variogram(coords, values) -> VariogramModel:
+    """Spherical variogram fitted to one snapshot of ``(k, 2)`` coords and ``(k,)`` values.
+
+    Snapshots too small to support a fit fall back to a zero-nugget model
+    with the sample variance as sill and the largest pair distance as range.
+    """
+    bins = empirical_semivariogram(coords, values)
+    try:
+        return fit_variogram(bins)
+    except DataError:
+        pass
+    coords, values = _samples(coords, values)
+    i, j = np.triu_indices(values.size, k=1)
+    d_max = float(np.hypot(coords[i, 0] - coords[j, 0], coords[i, 1] - coords[j, 1]).max())
+    return VariogramModel("spherical", 0.0, float(values.var()), d_max if d_max > 0 else 1.0)

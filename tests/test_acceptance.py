@@ -16,7 +16,6 @@ from frostcast import (
     AGGREGATORS,
     FOLD_COEFFICIENT_PRESETS,
     GeoPoint,
-    SamplePoint,
     StationAttributes,
     VariogramModel,
     WeightCoefficients,
@@ -29,7 +28,7 @@ from frostcast import (
     generate_raster,
     generate_world,
     gradients,
-    idw,
+    idw_weights,
     index_series,
     init_network,
     kriging_weights,
@@ -136,31 +135,34 @@ def test_criterion_02_attribute_weight_oracle():
 
 # --- 03: interpolator exactness plus a hand-solved kriging system --------------
 
-THREE_POINTS = (
-    SamplePoint(GeoPoint(0.0, 0.0), 2.0),
-    SamplePoint(GeoPoint(2.0, 0.0), 4.0),
-    SamplePoint(GeoPoint(0.0, 2.0), 8.0),
-)
+THREE_XY = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+THREE_VALUES = np.array([2.0, 4.0, 8.0])
 SATURATING = VariogramModel("spherical", nugget=0.0, sill=1.0, range_=1.0)
 
 
 def test_criterion_03_interpolator_exactness():
     rng = np.random.default_rng(4)
-    pts = [SamplePoint(GeoPoint(float(lon), float(lat)), float(v))
-           for lon, lat, v in zip(rng.uniform(0, 10, 8), rng.uniform(0, 10, 8),
-                                  rng.normal(0, 3, 8))]
-    model = fit_variogram(empirical_semivariogram(pts))
+    xy = np.column_stack([rng.uniform(0, 10, 8), rng.uniform(0, 10, 8)])
+    values = rng.normal(0, 3, 8)
+    sites = [GeoPoint(float(lon), float(lat)) for lon, lat in xy]
+    model = fit_variogram(empirical_semivariogram(xy, values))
     nugget_free = VariogramModel(model.kind, 0.0, max(model.sill, 1e-6), model.range_)
 
-    idw_dev = max(abs(idw(pts, p.location) - p.value) for p in pts)
-    ok_dev = max(abs(ordinary_kriging(pts, p.location, nugget_free)[0] - p.value)
-                 for p in pts)
+    # IDW as eval runs it: idw_weights through the AGGREGATORS table.
+    block = values[:, None]
+    idw_dev = 0.0
+    for site, value in zip(sites, values):
+        pred, valid = AGGREGATORS["idw"](block, np.ones(block.shape, dtype=bool),
+                                         idw_weights(xy, site), 0.0)
+        idw_dev = max(idw_dev, abs(pred[0] - value) if valid[0] else np.inf)
+    ok_dev = max(abs(ordinary_kriging(xy, values, site, nugget_free)[0] - value)
+                 for site, value in zip(sites, values))
     sum_dev = 0.0
     for _ in range(20):
         q = GeoPoint(float(rng.uniform(0, 10)), float(rng.uniform(0, 10)))
-        sum_dev = max(sum_dev, abs(kriging_weights(pts, q, nugget_free).sum() - 1.0))
+        sum_dev = max(sum_dev, abs(kriging_weights(xy, q, nugget_free).sum() - 1.0))
 
-    est, var = ordinary_kriging(THREE_POINTS, GeoPoint(0.5, 0.0), SATURATING)
+    est, var = ordinary_kriging(THREE_XY, THREE_VALUES, GeoPoint(0.5, 0.0), SATURATING)
     hand_ok = abs(est - 23.0 / 6.0) <= 1e-9 and abs(var - 407.0 / 384.0) <= 1e-9
 
     ok = idw_dev <= 1e-6 and ok_dev <= 1e-6 and sum_dev <= 1e-9 and hand_ok
@@ -181,16 +183,14 @@ def _spherical_field(n, nugget, sill, range_, seed, extent=10.0):
     cov = psill * (1.0 - (1.5 * hr - 0.5 * hr**3))
     np.fill_diagonal(cov, psill + nugget)
     chol = np.linalg.cholesky(cov + 1e-9 * np.eye(n))
-    values = chol @ rng.standard_normal(n)
-    return [SamplePoint(GeoPoint(float(x), float(y)), float(v))
-            for (x, y), v in zip(xy, values)]
+    return xy, chol @ rng.standard_normal(n)
 
 
 def test_criterion_04_variogram_recovery():
     t0 = time.monotonic()
     true_sill, true_range = 1.0, 2.0
-    pts = _spherical_field(200, 0.0, true_sill, true_range, seed=9)
-    fit = fit_variogram(empirical_semivariogram(pts), "spherical")
+    xy, values = _spherical_field(200, 0.0, true_sill, true_range, seed=9)
+    fit = fit_variogram(empirical_semivariogram(xy, values), "spherical")
     elapsed = time.monotonic() - t0
     sill_err = abs(fit.sill - true_sill) / true_sill
     range_err = abs(fit.range_ - true_range) / true_range

@@ -5,12 +5,14 @@ import os
 import shutil
 import zipfile
 
+import numpy as np
 import pytest
 
 from frostcast import load_bank, load_baselines, load_dataset, save_bank
 from frostcast.cli import UsageError, main, parse_counts, parse_methods
 from frostcast.ensemble import (
     FOLD_COEFFICIENT_PRESETS,
+    SubmodelBank,
     calibrate_coefficients,
     load_baseline_fraction,
 )
@@ -349,6 +351,27 @@ class TestExitCodes:
             (m, k) for k in (2, 3, 4) for m in ("ok", "idw")
         ]
         assert all(r["n_predictions"] > 0 for r in rows)
+
+    def test_eval_ok_refit_rejects_inf_prediction(self, pipeline, tmp_path, capsys, monkeypatch):
+        # Every source's first prediction is inf, so the first snapshot the
+        # refit path kriges holds a non-finite value.
+        predict = SubmodelBank.predict_batch
+
+        def first_inf(self, *args):
+            out = predict(self, *args)
+            out[0] = np.inf
+            return out
+
+        monkeypatch.setattr(SubmodelBank, "predict_batch", first_inf)
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main([
+            "eval", "--data", str(pipeline["data"]), "--bank", str(pipeline["bank"]),
+            "--methods", "ok", "--ok-refit", "--counts", "2", "--deterministic",
+            "--out", str(out),
+        ]) == 3
+        assert capsys.readouterr().err == "error: sample value must be finite: inf\n"
+        assert not out.exists()
 
     def test_bad_preset(self, pipeline):
         assert main(["calibrate", "--bank", str(pipeline["bank"]), "--preset", "bogus"]) == 2

@@ -22,8 +22,7 @@ from frostcast import (
     DataError,
     DivergenceError,
     DomainError,
-    SamplePoint,
-    aggregate_by_interpolation,
+    VariogramModel,
     build_prediction_matrices,
     empirical_semivariogram,
     event_confusion,
@@ -40,7 +39,6 @@ from frostcast import (
 )
 from frostcast import ensemble
 from frostcast.evaluate import _availability_groups
-from frostcast.geostats import _fallback_model
 from frostcast.neuralnet import TrainConfig
 from test_geostats import reference_fit_variogram
 
@@ -271,14 +269,15 @@ class TestAblation:
         self, small_world, small_folds, small_bank, matrices
     ):
         # Each timestep aggregated on its own: the attribute-weighted mean and
-        # vote from weights_for_target, and IDW from geostats' own interpolator.
+        # vote from weights_for_target, and IDW with inverse squared distances.
         bank = replace(small_bank, coefficients=FOLD_COEFFICIENT_PRESETS[0])
         results = run_station_ablation(
             small_world.stations, small_folds, 0, bank, counts=[len(bank)],
             methods=("weighted_average", "weighted_vote", "idw"), matrices=matrices,
         )
         by_id = index_series(small_world.stations)
-        locations = {sid: a.location for sid, a in bank.station_attrs.items()}
+        xy = {sid: np.array([a.location.lon, a.location.lat])
+              for sid, a in bank.station_attrs.items()}
         wavg, vote, idw, labels = [], [], [], []
         for pm in matrices:
             target = by_id[pm.target_id].attributes
@@ -292,7 +291,9 @@ class TestAblation:
                 wavg.append(sum(weights[sid] * v for sid, v in snap.items()) / total)
                 vote.append(sum(weights[sid] * (1.0 if v < 0.0 else -1.0)
                                 for sid, v in snap.items()) >= 0.0)
-                idw.append(aggregate_by_interpolation(snap, locations, target.location, "idw"))
+                q = np.array([target.location.lon, target.location.lat])
+                w = np.array([np.hypot(*(xy[sid] - q)) ** -2.0 for sid in snap])
+                idw.append(float(w @ list(snap.values()) / w.sum()))
                 labels.append(pm.labels[t])
         by_method = {r.method: r for r in results}
         assert by_method["weighted_average"].rmse == pytest.approx(rmse(wavg, labels), abs=1e-9)
@@ -336,7 +337,7 @@ class TestAblation:
             methods=("ok",), ok_refit=True, matrices=short,
         )
         by_id = index_series(small_world.stations)
-        locations = {sid: a.location for sid, a in small_bank.station_attrs.items()}
+        xy = {sid: (a.location.lon, a.location.lat) for sid, a in small_bank.station_attrs.items()}
         fits = fallbacks = 0
         for row, k in zip(results, counts):
             draw = np.random.default_rng(np.random.SeedSequence((0, k)))
@@ -346,24 +347,75 @@ class TestAblation:
             for pm in short:
                 target = by_id[pm.target_id].attributes.location
                 for t in range(pm.labels.size):
-                    samples = [SamplePoint(locations[sid], float(pm.values[i, t]))
-                               for i, sid in enumerate(pm.source_ids)
-                               if sid in subset and not np.isnan(pm.values[i, t])]
-                    if len(samples) < 2:
+                    rows = [i for i, sid in enumerate(pm.source_ids)
+                            if sid in subset and not np.isnan(pm.values[i, t])]
+                    if len(rows) < 2:
                         continue
+                    coords = [xy[pm.source_ids[i]] for i in rows]
+                    values = pm.values[rows, t]
                     try:
-                        model = reference_fit_variogram(empirical_semivariogram(samples))
+                        model = reference_fit_variogram(empirical_semivariogram(coords, values))
                         fits += 1
                     except DataError:
-                        model = _fallback_model(samples, "spherical")
+                        # Zero nugget, the sample variance as sill, the
+                        # largest pair distance as range.
+                        c = np.array(coords)
+                        i, j = np.triu_indices(len(rows), k=1)
+                        d_max = float(np.hypot(c[i, 0] - c[j, 0], c[i, 1] - c[j, 1]).max())
+                        model = VariogramModel("spherical", 0.0, float(values.var()),
+                                               d_max if d_max > 0 else 1.0)
                         fallbacks += 1
-                    preds.append(ordinary_kriging(samples, target, model)[0])
+                    preds.append(ordinary_kriging(coords, values, target, model)[0])
                     labels.append(pm.labels[t])
             conf = event_confusion(np.array(preds), labels)
             assert (row.method, row.station_count) == ("ok", k)
             assert (row.rmse, row.tpr, row.fdr, row.n_predictions) == (
                 rmse(preds, labels), conf.tpr, conf.fdr, len(preds))
         assert fits > 0 and fallbacks > 0
+
+    def test_ok_frozen_matches_per_timestep_reference(
+        self, small_world, small_folds, small_bank, matrices
+    ):
+        # One variogram fitted on the first fully available snapshot, then
+        # each timestep kriged on its own with it. A fifth of the cells are
+        # missing, so the subsets fall into several availability groups. The
+        # ablation applies one weight vector per group as a matrix product,
+        # which may differ from a per-column dot in the last bit.
+        rng = np.random.default_rng(5)
+        short = []
+        for pm in matrices:
+            values = pm.values[:, :200].copy()
+            values[rng.random(values.shape) < 0.2] = np.nan
+            short.append(replace(pm, timestamps=pm.timestamps[:200], labels=pm.labels[:200],
+                                 values=values))
+        counts = [2, 3, len(small_bank)]
+        results = run_station_ablation(
+            small_world.stations, small_folds, 0, small_bank, counts=counts,
+            methods=("ok",), matrices=short,
+        )
+        by_id = index_series(small_world.stations)
+        xy = np.array([(a.location.lon, a.location.lat)
+                       for a in map(small_bank.station_attrs.get, short[0].source_ids)])
+        snapshot = next(pm.values[:, t] for pm in short for t in range(pm.labels.size)
+                        if not np.isnan(pm.values[:, t]).any())
+        model = reference_fit_variogram(empirical_semivariogram(xy, snapshot))
+        for row, k in zip(results, counts):
+            draw = np.random.default_rng(np.random.SeedSequence((0, k)))
+            subset = np.sort(draw.choice(len(small_bank), size=k, replace=False))
+            preds, labels = [], []
+            for pm in short:
+                target = by_id[pm.target_id].attributes.location
+                for t in range(pm.labels.size):
+                    rows = [i for i in subset if not np.isnan(pm.values[i, t])]
+                    if len(rows) < 2:
+                        continue
+                    preds.append(ordinary_kriging(xy[rows], pm.values[rows, t], target, model)[0])
+                    labels.append(pm.labels[t])
+            conf = event_confusion(np.array(preds), labels)
+            assert (row.method, row.station_count) == ("ok", k)
+            assert (row.rmse, row.tpr, row.fdr) == pytest.approx(
+                (rmse(preds, labels), conf.tpr, conf.fdr), abs=1e-9)
+            assert row.n_predictions == len(preds)
 
     def test_count_bounds_checked(self, small_world, small_folds, small_bank, matrices):
         with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ gamma = (11/16, 1, 1) and the solution is weights (13/24, 11/48, 11/48),
 multiplier 11/48, estimate 23/6, variance 407/384.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,60 +18,74 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frostcast import (
+    AGGREGATORS,
     DataError,
     DomainError,
     GeoPoint,
-    SamplePoint,
     VariogramBin,
     VariogramModel,
-    aggregate_by_interpolation,
     empirical_semivariogram,
     fit_variogram,
-    idw,
+    idw_weights,
     kriging_weights,
     ordinary_kriging,
 )
+from frostcast.geostats import _dedup
 
-
-def sp(lon, lat, value):
-    return SamplePoint(GeoPoint(lon, lat), value)
-
-
-THREE_POINTS = [sp(0.0, 0.0, 2.0), sp(2.0, 0.0, 4.0), sp(0.0, 2.0, 8.0)]
+THREE_XY = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+THREE_VALUES = np.array([2.0, 4.0, 8.0])
 UNIT_SPHERICAL = VariogramModel("spherical", 0.0, 1.0, 1.0)
+
+
+def idw_estimate(coords, values, query, power=2.0):
+    """The IDW estimate ``eval`` makes: ``idw_weights`` through ``AGGREGATORS``."""
+    block = np.asarray(values, dtype=np.float64)[:, None]
+    weights = idw_weights(np.asarray(coords, dtype=np.float64), query, power)
+    pred, valid = AGGREGATORS["idw"](block, np.ones(block.shape, dtype=bool), weights, 0.0)
+    assert valid[0]
+    return float(pred[0])
 
 
 class TestIdw:
     def test_hand_example(self):
         # d = (1.5, 0.5); weights (1/2.25, 1/0.25); estimate 16/4.444... = 3.6
-        samples = [sp(0.0, 0.0, 0.0), sp(2.0, 0.0, 4.0)]
-        assert idw(samples, GeoPoint(1.5, 0.0)) == pytest.approx(3.6, abs=1e-12)
+        est = idw_estimate([[0.0, 0.0], [2.0, 0.0]], [0.0, 4.0], GeoPoint(1.5, 0.0))
+        assert est == pytest.approx(3.6, abs=1e-12)
 
     def test_exact_at_samples(self):
-        samples = [sp(0.0, 0.0, 5.0), sp(1.0, 1.0, -3.0)]
-        assert idw(samples, GeoPoint(0.0, 0.0)) == 5.0
-        assert idw(samples, GeoPoint(1.0, 1.0)) == -3.0
+        xy, values = [[0.0, 0.0], [1.0, 1.0]], [5.0, -3.0]
+        assert idw_estimate(xy, values, GeoPoint(0.0, 0.0)) == 5.0
+        assert idw_estimate(xy, values, GeoPoint(1.0, 1.0)) == -3.0
 
     def test_bounded_by_extremes(self):
-        samples = [sp(0.0, 0.0, 1.0), sp(1.0, 0.0, 2.0), sp(0.0, 1.0, 7.0)]
-        v = idw(samples, GeoPoint(0.4, 0.4))
+        v = idw_estimate([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1.0, 2.0, 7.0], GeoPoint(0.4, 0.4))
         assert 1.0 <= v <= 7.0
 
     def test_power_domain(self):
         with pytest.raises(DomainError):
-            idw(THREE_POINTS, GeoPoint(0.5, 0.5), power=0.0)
+            idw_weights(THREE_XY, GeoPoint(0.5, 0.5), power=0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            idw([], GeoPoint(0.0, 0.0))
+            idw_weights(np.empty((0, 2)), GeoPoint(0.0, 0.0))
+
+    def test_distances_are_math_hypot(self):
+        # One math.hypot per sample, so eval's IDW figures keep their bits.
+        # At these three sites np.hypot's last bit differs (numpy 2.4).
+        xy = np.array([[146.4180541658839, -33.08518994341424],
+                       [146.28531283347155, -33.5796486284887],
+                       [146.35379201272224, -33.45813840415546]])
+        q = GeoPoint(146.5123, -33.4)
+        d = np.array([math.hypot(lon - q.lon, lat - q.lat) for lon, lat in xy.tolist()])
+        assert idw_weights(xy, q).tobytes() == (d ** -2.0).tobytes()
 
     @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95))
     @settings(max_examples=50, deadline=None)
     def test_translation_equivariance(self, qx, qy):
-        samples = [sp(0.0, 0.0, 1.0), sp(1.0, 0.0, 4.0), sp(0.0, 1.0, -2.0)]
-        shifted = [sp(s.location.lon + 3.0, s.location.lat - 2.0, s.value) for s in samples]
-        a = idw(samples, GeoPoint(qx, qy))
-        b = idw(shifted, GeoPoint(qx + 3.0, qy - 2.0))
+        xy = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        values = [1.0, 4.0, -2.0]
+        a = idw_estimate(xy, values, GeoPoint(qx, qy))
+        b = idw_estimate(xy + [3.0, -2.0], values, GeoPoint(qx + 3.0, qy - 2.0))
         assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -100,11 +115,19 @@ class TestVariogramModel:
         with pytest.raises(DomainError):
             VariogramModel("gaussian", 0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("params", [
+        (np.nan, 1.0, 1.0), (0.0, np.nan, 1.0), (0.0, 1.0, np.nan),
+        (0.0, np.inf, 1.0), (0.0, 1.0, np.inf), (np.inf, np.inf, 1.0),
+    ])
+    def test_non_finite_parameters_rejected(self, params):
+        with pytest.raises(DomainError):
+            VariogramModel("spherical", *params)
+
 
 class TestEmpiricalSemivariogram:
     def test_two_point_oracle(self):
         # One pair at distance 1 with values 0 and 2: gamma = 0.5*(2)^2/1 = 2.
-        bins = empirical_semivariogram([sp(0, 0, 0.0), sp(1, 0, 2.0)], n_bins=4)
+        bins = empirical_semivariogram([[0, 0], [1, 0]], [0.0, 2.0], n_bins=4)
         assert len(bins) == 1
         assert bins[0].lag == pytest.approx(1.0)
         assert bins[0].semivariance == pytest.approx(2.0)
@@ -112,55 +135,77 @@ class TestEmpiricalSemivariogram:
 
     def test_counts_cover_all_pairs(self):
         rng = np.random.default_rng(3)
-        pts = [sp(x, y, v) for x, y, v in rng.normal(0, 1, (12, 3))]
-        bins = empirical_semivariogram(pts, n_bins=5)
+        pts = rng.normal(0, 1, (12, 3))
+        bins = empirical_semivariogram(pts[:, :2], pts[:, 2], n_bins=5)
         assert sum(b.count for b in bins) == 12 * 11 // 2
 
     def test_colocated_points(self):
-        bins = empirical_semivariogram([sp(0, 0, 1.0), sp(0, 0, 3.0)], n_bins=3)
+        bins = empirical_semivariogram([[0, 0], [0, 0]], [1.0, 3.0], n_bins=3)
         assert len(bins) == 1 and bins[0].lag == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(DataError, match="sample value must be finite"):
+            empirical_semivariogram(THREE_XY, [2.0, bad, 8.0])
+
+    def test_coords_values_mismatch_rejected(self):
+        # A value without a location, as a prediction from an unplaced station.
+        with pytest.raises(DataError):
+            empirical_semivariogram(THREE_XY, [2.0, 4.0, 8.0, 1.0])
 
 
 class TestOrdinaryKriging:
     def test_hand_solved_system(self):
-        est, var = ordinary_kriging(THREE_POINTS, GeoPoint(0.5, 0.0), UNIT_SPHERICAL)
+        est, var = ordinary_kriging(THREE_XY, THREE_VALUES, GeoPoint(0.5, 0.0), UNIT_SPHERICAL)
         assert est == pytest.approx(23.0 / 6.0, abs=1e-9)
         assert var == pytest.approx(407.0 / 384.0, abs=1e-9)
 
     def test_hand_solved_weights(self):
-        w = kriging_weights(THREE_POINTS, GeoPoint(0.5, 0.0), UNIT_SPHERICAL)
+        w = kriging_weights(THREE_XY, GeoPoint(0.5, 0.0), UNIT_SPHERICAL)
         np.testing.assert_allclose(w, [13.0 / 24.0, 11.0 / 48.0, 11.0 / 48.0], atol=1e-9)
 
     def test_exact_at_samples_nugget_free(self):
         model = VariogramModel("spherical", 0.0, 2.0, 1.5)
-        for s in THREE_POINTS:
-            est, var = ordinary_kriging(THREE_POINTS, s.location, model)
-            assert est == pytest.approx(s.value, abs=1e-6)
+        for (lon, lat), value in zip(THREE_XY, THREE_VALUES):
+            est, var = ordinary_kriging(THREE_XY, THREE_VALUES, GeoPoint(lon, lat), model)
+            assert est == pytest.approx(value, abs=1e-6)
             assert var == pytest.approx(0.0, abs=1e-6)
 
     @given(st.floats(-1.0, 3.0), st.floats(-1.0, 3.0))
     @settings(max_examples=50, deadline=None)
     def test_weights_sum_to_one(self, qx, qy):
-        w = kriging_weights(THREE_POINTS, GeoPoint(qx, qy), UNIT_SPHERICAL)
+        w = kriging_weights(THREE_XY, GeoPoint(qx, qy), UNIT_SPHERICAL)
         assert float(w.sum()) == pytest.approx(1.0, abs=1e-9)
 
     def test_duplicate_locations_averaged(self):
-        samples = THREE_POINTS + [sp(0.0, 0.0, 4.0)]  # duplicates (0,0): mean 3
-        est, _ = ordinary_kriging(samples, GeoPoint(0.0, 0.0), UNIT_SPHERICAL)
+        xy = np.vstack([THREE_XY, [[0.0, 0.0]]])  # duplicates (0,0): mean 3
+        est, _ = ordinary_kriging(xy, np.append(THREE_VALUES, 4.0), GeoPoint(0.0, 0.0),
+                                  UNIT_SPHERICAL)
         assert est == pytest.approx(3.0, abs=1e-6)
+
+    def test_dedup_keeps_first_seen_order(self):
+        xy = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
+        coords, values = _dedup(xy, np.array([1.0, 2.0, 5.0, 4.0, 7.0]))
+        np.testing.assert_array_equal(coords, [[1.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
+        np.testing.assert_array_equal(values, [3.0, 3.0, 7.0])
 
     def test_variance_non_negative(self):
         rng = np.random.default_rng(8)
-        pts = [sp(x, y, v) for x, y, v in rng.normal(0, 1, (10, 3))]
+        pts = rng.normal(0, 1, (10, 3))
         model = VariogramModel("exponential", 0.1, 1.0, 1.0)
         for _ in range(20):
             q = GeoPoint(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-            _, var = ordinary_kriging(pts, q, model)
+            _, var = ordinary_kriging(pts[:, :2], pts[:, 2], q, model)
             assert var >= 0.0
 
     def test_too_few_samples(self):
         with pytest.raises(DataError):
-            ordinary_kriging([THREE_POINTS[0]], GeoPoint(0, 0), UNIT_SPHERICAL)
+            ordinary_kriging(THREE_XY[:1], THREE_VALUES[:1], GeoPoint(0, 0), UNIT_SPHERICAL)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(DataError, match="sample value must be finite"):
+            ordinary_kriging(THREE_XY, [2.0, 4.0, bad], GeoPoint(0.5, 0.0), UNIT_SPHERICAL)
 
 
 def simulate_spherical_field(n, nugget, sill, range_, seed, extent=10.0):
@@ -169,6 +214,7 @@ def simulate_spherical_field(n, nugget, sill, range_, seed, extent=10.0):
     The covariance of the smooth part is psill * (1 - spherical(h)); the
     nugget enters as iid noise on the diagonal. Built directly from the
     textbook formulas so it shares nothing with the fitted code path.
+    Returns (n, 2) coordinates and (n,) values.
     """
     rng = np.random.default_rng(seed)
     coords = rng.uniform(0.0, extent, (n, 2))
@@ -179,7 +225,7 @@ def simulate_spherical_field(n, nugget, sill, range_, seed, extent=10.0):
     cov[np.arange(n), np.arange(n)] = psill + nugget
     chol = np.linalg.cholesky(cov + 1e-9 * np.eye(n))
     values = chol @ rng.standard_normal(n)
-    return [sp(float(x), float(y), float(v)) for (x, y), v in zip(coords, values)]
+    return coords, values
 
 
 class TestVariogramFit:
@@ -188,8 +234,8 @@ class TestVariogramFit:
         # (sill 1, range 2). With a zero true nugget the nugget tolerance
         # is read against the sill. Recovery from a single realization is
         # subject to ergodic fluctuation, so the seed pins a typical draw.
-        samples = simulate_spherical_field(200, nugget=0.0, sill=1.0, range_=2.0, seed=9)
-        bins = empirical_semivariogram(samples, n_bins=15)
+        coords, values = simulate_spherical_field(200, nugget=0.0, sill=1.0, range_=2.0, seed=9)
+        bins = empirical_semivariogram(coords, values, n_bins=15)
         model = fit_variogram(bins, kind="spherical")
         assert model.nugget <= 0.25 * 1.0
         assert abs(model.sill - 1.0) / 1.0 <= 0.25
@@ -220,8 +266,8 @@ class TestVariogramFit:
         assert float(np.max(np.abs(pred - actual) / actual)) <= 0.10
 
     def test_fit_is_deterministic(self):
-        samples = simulate_spherical_field(80, 0.2, 1.0, 3.0, seed=1)
-        bins = empirical_semivariogram(samples, n_bins=10)
+        bins = empirical_semivariogram(*simulate_spherical_field(80, 0.2, 1.0, 3.0, seed=1),
+                                       n_bins=10)
         a = fit_variogram(bins)
         b = fit_variogram(bins)
         assert (a.nugget, a.sill, a.range_) == (b.nugget, b.sill, b.range_)
@@ -235,6 +281,19 @@ class TestVariogramFit:
         bins = [VariogramBin(0.5, 1.0, 3), VariogramBin(1.0, 2.0, 3)]
         with pytest.raises(DataError):
             fit_variogram(bins)
+
+    @pytest.mark.parametrize("field, special", [
+        ("semivariance", np.nan), ("semivariance", np.inf), ("lag", np.nan), ("lag", np.inf),
+    ])
+    def test_non_finite_bin_rejected(self, field, special):
+        # A NaN semivariance once came back as a model with sill nan.
+        bins = [VariogramBin(0.5, 1.0, 3), VariogramBin(1.0, 1.5, 3), VariogramBin(1.5, 2.0, 3)]
+        bins[1] = replace(bins[1], **{field: special})
+        for kind in ("spherical", "exponential"):
+            with pytest.raises(DataError, match="finite"):
+                fit_variogram(bins, kind=kind)
+            assert fit_outcome(reference_fit_variogram, bins, kind) == fit_outcome(
+                fit_variogram, bins, kind)
 
 
 def reference_fit_variogram(bins, kind="spherical"):
@@ -251,6 +310,8 @@ def reference_fit_variogram(bins, kind="spherical"):
     lags = np.array([b.lag for b in bins])
     gammas = np.array([b.semivariance for b in bins])
     counts = np.array([b.count for b in bins], dtype=np.float64)
+    if not (np.isfinite(lags).all() and np.isfinite(gammas).all()):
+        raise DataError("variogram bins must have finite lags and semivariances")
     g_max = float(gammas.max())
     l_max = float(lags.max())
     if l_max <= 0:
@@ -344,10 +405,11 @@ class TestVariogramFitReference:
         ("semivariance", 1.7e308), ("lag", 0.0), ("lag", np.inf), ("lag", 1.7e308),
     ])
     def test_non_finite_costs(self, kind, field, special):
-        # One bin with an infinite, NaN or huge semivariance or lag turns some
-        # or all costs into NaN or inf. At 1.7e308, 1.5 times the largest
-        # value overflows and the coarse axis reads [nan, inf, ...]: NaN
-        # costs come first, finite ones after them.
+        # One bin with an infinite or NaN semivariance or lag is rejected
+        # before the search; a huge one turns some or all costs into NaN or
+        # inf. At 1.7e308, 1.5 times the largest value overflows and the
+        # coarse axis reads [nan, inf, ...]: NaN costs come first, finite
+        # ones after them.
         rng = np.random.default_rng(31)
         for case in range(10):
             bins = random_bins(rng, int(rng.integers(3, 10)))
@@ -355,42 +417,3 @@ class TestVariogramFitReference:
             bins[i] = replace(bins[i], **{field: float(special)})
             assert fit_outcome(fit_variogram, bins, kind) == fit_outcome(
                 reference_fit_variogram, bins, kind), case
-
-
-class TestAggregateByInterpolation:
-    PREDICTIONS = {"a": 1.0, "b": 4.0, "c": -2.0}
-    LOCATIONS = {
-        "a": GeoPoint(0.0, 0.0),
-        "b": GeoPoint(1.0, 0.0),
-        "c": GeoPoint(0.0, 1.0),
-    }
-
-    def test_idw_route_matches_direct_call(self):
-        target = GeoPoint(0.3, 0.3)
-        via_map = aggregate_by_interpolation(self.PREDICTIONS, self.LOCATIONS, target, "idw")
-        direct = idw(
-            [sp(0.0, 0.0, 1.0), sp(1.0, 0.0, 4.0), sp(0.0, 1.0, -2.0)], target
-        )
-        assert via_map == pytest.approx(direct, abs=1e-12)
-
-    def test_frozen_variogram_route(self):
-        target = GeoPoint(0.3, 0.3)
-        est = aggregate_by_interpolation(
-            self.PREDICTIONS, self.LOCATIONS, target, "ok", variogram=UNIT_SPHERICAL
-        )
-        direct, _ = ordinary_kriging(
-            [sp(0.0, 0.0, 1.0), sp(1.0, 0.0, 4.0), sp(0.0, 1.0, -2.0)],
-            target,
-            UNIT_SPHERICAL,
-        )
-        assert est == pytest.approx(direct, abs=1e-12)
-
-    def test_missing_location_rejected(self):
-        with pytest.raises(DataError):
-            aggregate_by_interpolation({"z": 1.0}, self.LOCATIONS, GeoPoint(0, 0), "idw")
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(DomainError):
-            aggregate_by_interpolation(
-                self.PREDICTIONS, self.LOCATIONS, GeoPoint(0, 0), "bilinear"
-            )
