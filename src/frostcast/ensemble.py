@@ -16,9 +16,13 @@ attribute-weighted averaging, weighted frost voting, and the weighted mean
 of inverse-distance weights) to one function over a block of predictions;
 evaluation and rasters both use it.
 
-Training uses one process per available CPU: forked workers, each held to
-one OpenBLAS thread, build each submodel's corpus and train its network.
-Results are identical whatever the number of CPUs.
+Training and inference use one process per available CPU
+(:func:`map_in_workers`): forked workers build each submodel's corpus and
+train its network, and ``evaluate.build_prediction_matrices`` runs every
+submodel at one target per task. The parent process pins OpenBLAS to one
+thread before it forks the workers and restores its own count when the pool
+shuts down, so each worker inherits a one-thread library. Results are
+identical whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -267,8 +271,8 @@ def _child_seed(base: int, index: int) -> np.random.Generator:
 
 
 @functools.lru_cache(maxsize=None)
-def _blas_thread_setter():
-    """numpy's OpenBLAS ``set_num_threads``, or None when it cannot be found."""
+def _blas_thread_controls():
+    """numpy's OpenBLAS ``(get_num_threads, set_num_threads)``, or None when not found."""
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                   "*openblas*.so*"))
     for path in libs:
@@ -276,13 +280,13 @@ def _blas_thread_setter():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                return setter
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
     return None
 
 
@@ -291,8 +295,6 @@ _worker_task: Callable | None = None  # in a pool worker, the task its pool runs
 
 def _start_worker(task: Callable | None) -> None:
     global _worker_task
-    # Workers already share the CPUs; BLAS threads on top of them oversubscribe.
-    _blas_thread_setter()(1)
     _worker_task = task
 
 
@@ -307,19 +309,43 @@ def _worker_count() -> int:
         return 1
 
 
-def _submodel_pool(jobs: int, task: Callable | None = None) -> ProcessPoolExecutor | None:
-    """A pool of ``jobs`` forked workers that run ``task``, or None to train in-process.
+class _OneBlasThreadPool(ProcessPoolExecutor):
+    """Forked workers that inherit a one-thread OpenBLAS from the parent.
 
-    Training stays in-process for one job, inside a daemonic process (which
-    may not have children), and when OpenBLAS's thread count cannot be set.
+    BLAS threads on top of one worker per CPU oversubscribe, and calling
+    ``set_num_threads`` in a forked worker starts an OpenBLAS server thread
+    that spins through its first tasks. So the parent holds OpenBLAS at one
+    thread from construction until shutdown, which restores its own count.
     """
-    if jobs < 2 or multiprocessing.current_process().daemon or _blas_thread_setter() is None:
+
+    def __init__(self, jobs: int, task: Callable | None) -> None:
+        # Forked workers start with numpy and frostcast already imported;
+        # spawned ones would import them again on every call, about 0.5 s
+        # each. Fork also hands ``task`` and the data it holds to each worker
+        # without pickling. The workers fork at the first submit, after the pin.
+        super().__init__(jobs, mp_context=multiprocessing.get_context("fork"),
+                         initializer=_start_worker, initargs=(task,))
+        get_threads, set_threads = _blas_thread_controls()
+        self._caller_blas_threads = get_threads()
+        set_threads(1)
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        try:
+            super().shutdown(wait, cancel_futures=cancel_futures)
+        finally:
+            _blas_thread_controls()[1](self._caller_blas_threads)
+
+
+def _submodel_pool(jobs: int, task: Callable | None = None) -> ProcessPoolExecutor | None:
+    """A pool of ``jobs`` forked workers that run ``task``, or None to run in-process.
+
+    Work stays in-process for one job, inside a daemonic process (which may
+    not have children), and when OpenBLAS's thread count cannot be read and
+    set.
+    """
+    if jobs < 2 or multiprocessing.current_process().daemon or _blas_thread_controls() is None:
         return None
-    # Forked workers start with numpy and frostcast already imported; spawned
-    # ones would import them again on every call, about 0.5 s each. Fork also
-    # hands ``task`` and the data it holds to each worker without pickling.
-    return ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(task,))
+    return _OneBlasThreadPool(jobs, task)
 
 
 def map_in_workers(task: Callable[[int], object], n: int) -> Iterator:

@@ -326,13 +326,29 @@ class PredictionMatrix:
     values: np.ndarray
 
 
+def _prediction_block(bank: SubmodelBank, source_obs, targets, idx: int) -> np.ndarray:
+    """Every source's predictions at ``targets[idx]``: (sources, labels), NaN where unobserved."""
+    attrs, lab_ts = targets[idx]
+    source_ids = bank.station_ids
+    values = np.full((len(source_ids), lab_ts.size), np.nan)
+    for i, sid in enumerate(source_ids):
+        obs = source_obs[sid]
+        _, src_idx, lab_idx = join_timestamps(obs.timestamps, lab_ts)
+        if lab_idx.size:
+            values[i, lab_idx] = bank.predict_batch(sid, obs.climate[src_idx], attrs)
+    return values
+
+
 def build_prediction_matrices(
     data: Sequence[StationSeries],
     bank: SubmodelBank,
     target_ids: Sequence[StationId],
     horizon: int | None = None,
 ) -> list[PredictionMatrix]:
-    """Run every submodel against every target once; methods share the result."""
+    """Run every submodel against every target once; methods share the result.
+
+    Each target's block of predictions is one ``map_in_workers`` task.
+    """
     horizon = bank.horizon if horizon is None else horizon
     by_id = index_series(data)
     source_ids = bank.station_ids
@@ -340,21 +356,16 @@ def build_prediction_matrices(
     if len(source_obs) != len(source_ids):
         missing = sorted(set(source_ids) - set(source_obs))
         raise DataError(f"no series for bank stations: {missing}")
-    out: list[PredictionMatrix] = []
-    for tid in sorted(target_ids):
+    target_ids = sorted(target_ids)
+    for tid in target_ids:
         if tid not in by_id:
             raise DataError(f"no series for target station {tid}")
-        target = by_id[tid]
-        lab_ts, labels = label_arrays(target, horizon)
-        values = np.full((len(source_ids), lab_ts.size), np.nan)
-        for i, sid in enumerate(source_ids):
-            obs = source_obs[sid]
-            _, src_idx, lab_idx = join_timestamps(obs.timestamps, lab_ts)
-            if lab_idx.size == 0:
-                continue
-            values[i, lab_idx] = bank.predict_batch(sid, obs.climate[src_idx], target.attributes)
-        out.append(PredictionMatrix(tid, list(source_ids), lab_ts, labels, values))
-    return out
+    labels = [label_arrays(by_id[tid], horizon) for tid in target_ids]
+    targets = [(by_id[tid].attributes, lab_ts) for tid, (lab_ts, _) in zip(target_ids, labels)]
+    task = functools.partial(_prediction_block, bank, source_obs, targets)
+    blocks = list(map_in_workers(task, len(targets)))
+    return [PredictionMatrix(tid, list(source_ids), lab_ts, lab, values)
+            for tid, (lab_ts, lab), values in zip(target_ids, labels, blocks)]
 
 
 def _availability_groups(avail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -420,6 +431,8 @@ def run_station_ablation(
     the plain fold experiment. Kriging uses one variogram fitted on the
     first prediction snapshot where every source is available, or with
     ``ok_refit`` (or without such a snapshot) a fresh fit per timestep.
+    Kriging needs two stations, so its row at a count of 1 has no
+    predictions and null metrics; any other empty result is a DataError.
     """
     for m in methods:
         if m not in METHODS:
@@ -475,7 +488,7 @@ def run_station_ablation(
                 pooled_labels.append(pm.labels[valid])
             pred_all = np.concatenate(pooled_pred)
             labels_all = np.concatenate(pooled_labels)
-            if pred_all.size == 0:
+            if pred_all.size == 0 and not (method == "ok" and k < 2):
                 raise DataError(f"method {method} produced no valid predictions")
             conf = event_confusion(pred_all, labels_all, trigger)
             results.append(
@@ -484,7 +497,8 @@ def run_station_ablation(
                     station_count=k,
                     fold=fold,
                     seed=seed,
-                    rmse=None if pred_all.dtype == np.bool_ else rmse(pred_all, labels_all),
+                    rmse=(None if pred_all.dtype == np.bool_ or pred_all.size == 0
+                          else rmse(pred_all, labels_all)),
                     tpr=conf.tpr,
                     fdr=conf.fdr,
                     n_predictions=int(pred_all.size),

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import shutil
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,3 +408,39 @@ class TestExitCodes:
         assert main([
             "compare", "--rasters", str(one), str(twin), "--out", str(tmp_path / "m.csv"),
         ]) == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block():
+    """The README's spec text and its ``frostcast`` commands, each as an argv list."""
+    text = README.read_text(encoding="utf-8")
+    spec = re.search(r"cat > spec\.json <<'EOF'\n(.*?)\nEOF", text, re.S).group(1)
+    joined = text.replace("\\\n", " ")
+    commands = [line.split()[1:] for line in joined.splitlines() if line.startswith("frostcast ")]
+    return spec, commands
+
+
+class TestReadmeEval:
+    def test_readme_eval_line_exits_0_with_an_empty_ok_row(self, tmp_path, monkeypatch):
+        # The README commands up to its eval line, verbatim, except that the
+        # bank trains for 2 epochs instead of 50: the ok row at one station
+        # does not depend on how well the submodels fit.
+        spec, commands = _readme_block()
+        names = [argv[0] for argv in commands]
+        monkeypatch.chdir(tmp_path)
+        Path("spec.json").write_text(spec)
+        for argv in commands[:names.index("eval") + 1]:
+            if argv[0] == "train":
+                argv[argv.index("--epochs") + 1] = "2"
+            assert main(argv) == 0, argv
+        report = commands[names.index("eval")]
+        rows = json.loads(Path(report[report.index("--out") + 1]).read_text())["results"]
+        empty = [r for r in rows if r["n_predictions"] == 0]
+        assert empty == [{"method": "ok", "station_count": 1, "fold": 0, "seed": 0, "rmse": None,
+                          "tpr": None, "fdr": None, "n_predictions": 0, "n_events": 0}]
+        assert {(r["method"], r["station_count"]) for r in rows} == {
+            (m, k) for m in ("average", "weighted_average", "weighted_vote", "idw", "ok")
+            for k in (*range(1, 11), 15)
+        }

@@ -528,6 +528,23 @@ class TestTrainBankPool:
             assert pool.submit(_blas_threads).result(timeout=60) == 1
         assert _blas_threads() == before
 
+    def test_pooled_worker_starts_no_blas_thread(self, workers):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task")
+        if _blas_thread_getter() is None:
+            pytest.skip("no OpenBLAS thread getter resolves")
+        workers(2)
+        parent = os.getpid()
+        before = _blas_threads()
+
+        def task(_):
+            a = np.ones((400, 400))
+            a @ a
+            return os.getpid() != parent, len(os.listdir("/proc/self/task")), _blas_threads()
+
+        assert list(ensemble.map_in_workers(task, 4)) == [(True, 1, 1)] * 4
+        assert _blas_threads() == before
+
     def test_daemonic_caller_trains_serially(self, world, workers, tmp_path):
         stations, folds = world
         workers(2)

@@ -200,6 +200,53 @@ class TestPredictionMatrices:
         expected = small_bank.predict_batch(sid, obs.climate[keep], target_attrs)
         np.testing.assert_allclose(pm.values[0], expected, atol=1e-12)
 
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        def force(n):
+            monkeypatch.setattr(ensemble, "_worker_count", lambda: n)
+        return force
+
+    def test_pooled_equal_in_process_bit_for_bit(self, small_world, small_bank, small_test_ids,
+                                                 workers):
+        # A gapped world: the first source stops before the first target's
+        # series begins, so that row of the target's block stays NaN, and the
+        # second source has a hole in its day.
+        first, second = small_bank.station_ids[:2]
+        target = small_test_ids[0]
+        cut = {first: np.r_[0:600], second: np.r_[0:200, 500:1440], target: np.r_[700:1440]}
+        stations = [replace(s, timestamps=s.timestamps[cut[s.id]], raw=s.raw[cut[s.id]])
+                    if s.id in cut else s for s in small_world.stations]
+        runs = []
+        for n in (1, 2):
+            workers(n)
+            runs.append(build_prediction_matrices(stations, small_bank, small_test_ids))
+        in_process, pooled = runs
+        assert len(pooled) == len(small_test_ids) >= 2
+        for a, b in zip(in_process, pooled):
+            assert (a.target_id, a.source_ids) == (b.target_id, b.source_ids)
+            for name in ("values", "labels", "timestamps"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        assert np.isnan(pooled[0].values[0]).all()
+        assert np.isfinite(pooled[0].values[1:]).all()
+        for row in pooled[1].values[:2]:
+            assert np.isnan(row).any() and np.isfinite(row).any()
+
+    def test_worker_error_reaches_caller(self, small_world, small_bank, small_test_ids, workers,
+                                         monkeypatch):
+        def refuse(self, source_id, climate, target_attrs):
+            raise DataError(f"no prediction from {source_id}")
+
+        monkeypatch.setattr(ensemble.SubmodelBank, "predict_batch", refuse)
+        raised = []
+        for n in (1, 2):
+            workers(n)
+            with pytest.raises(DataError) as exc_info:
+                build_prediction_matrices(small_world.stations, small_bank, small_test_ids)
+            raised.append((type(exc_info.value), str(exc_info.value)))
+        first = small_bank.station_ids[0]
+        assert raised[0] == raised[1] == (DataError, f"no prediction from {first}")
+
 
 @pytest.fixture(scope="module")
 def matrices(small_world, small_bank, small_test_ids):
@@ -416,6 +463,30 @@ class TestAblation:
             assert (row.rmse, row.tpr, row.fdr) == pytest.approx(
                 (rmse(preds, labels), conf.tpr, conf.fdr), abs=1e-9)
             assert row.n_predictions == len(preds)
+
+    def test_ok_below_two_stations_reports_an_empty_row(
+        self, small_world, small_folds, small_bank, matrices
+    ):
+        results = run_station_ablation(
+            small_world.stations, small_folds, 0, small_bank,
+            counts=[1, 2], methods=("ok", "idw"), matrices=matrices,
+        )
+        rows = {(r.method, r.station_count): r for r in results}
+        empty = rows["ok", 1].to_dict()
+        assert {key: empty[key] for key in ("rmse", "tpr", "fdr", "n_predictions", "n_events")} == {
+            "rmse": None, "tpr": None, "fdr": None, "n_predictions": 0, "n_events": 0}
+        assert rows["ok", 2].n_predictions > 0 and np.isfinite(rows["ok", 2].rmse)
+        assert rows["idw", 1].n_predictions > 0
+
+    @pytest.mark.parametrize("method, k", [("ok", 2), ("average", 1), ("idw", 1)])
+    def test_other_empty_results_raise(self, small_world, small_folds, small_bank, matrices,
+                                       method, k):
+        unobserved = [replace(pm, values=np.full_like(pm.values, np.nan)) for pm in matrices]
+        with pytest.raises(DataError, match=f"method {method} produced no valid predictions"):
+            run_station_ablation(
+                small_world.stations, small_folds, 0, small_bank,
+                counts=[k], methods=(method,), matrices=unobserved,
+            )
 
     def test_count_bounds_checked(self, small_world, small_folds, small_bank, matrices):
         with pytest.raises(DomainError):
