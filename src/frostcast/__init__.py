@@ -4,36 +4,26 @@ Per-station neural submodels map one station's climate to another site's
 upcoming minimum temperature; their outputs are combined by averaging,
 attribute-weighted averaging, or weighted frost voting, with inverse-distance
 and kriging interpolation of the same outputs as spatial baselines.
+
+This namespace holds what README.md documents; everything else is imported
+from its submodule.
 """
 
 from .core import (
-    DEW_POINT_TOLERANCE,
     RAW_COLUMNS,
     FoldAssignment,
     GeoPoint,
     StationAttributes,
-    StationId,
     StationSeries,
-    Violation,
-    index_series,
     validate_series,
 )
 from .ensemble import (
     AGGREGATORS,
-    FALLBACK_COEFFICIENTS,
-    FOLD_COEFFICIENT_PRESETS,
     WEIGHT_EPSILON,
-    DistanceNormalization,
-    DistanceTriple,
     SubmodelBank,
-    WeightCoefficients,
     attribute_weights,
-    calibrate_coefficients,
-    fit_normalization,
     load_bank,
-    load_baselines,
     save_bank,
-    station_distances,
     train_bank,
 )
 from .errors import (
@@ -46,210 +36,40 @@ from .errors import (
     OutOfExtentError,
     UnsupportedVersionError,
 )
-from .evaluate import (
-    DEFAULT_TRIGGER,
-    METHODS,
-    AblationResult,
-    BaselineModel,
-    ConfusionCounts,
-    EvaluationReport,
-    PredictionMatrix,
-    build_prediction_matrices,
-    evaluate_baselines,
-    event_confusion,
-    make_folds,
-    paired_t_test,
-    regularized_incomplete_beta,
-    rmse,
-    run_fold_experiment,
-    run_station_ablation,
-    train_baselines,
-)
-from .features import (
-    DEFAULT_HORIZON,
-    ScalerStats,
-    WindComponents,
-    apply_scaler,
-    baseline_feature_arrays,
-    climate_matrix,
-    fit_scaler_arrays,
-    invert_label,
-    label_arrays,
-    pair_feature_arrays,
-    reverse_direction,
-    scale_label,
-    wind_to_components,
-)
-from .geostats import (
-    VariogramBin,
-    VariogramModel,
-    empirical_semivariogram,
-    fit_variogram,
-    idw_weights,
-    kriging_weights,
-    ordinary_kriging,
-)
-from .ingest import (
-    AttributeGrid,
-    BoundaryPolygon,
-    Dataset,
-    apply_boundary_mask,
-    boundary_to_json,
-    ingest_directory,
-    load_dataset,
-    lookup_attribute,
-    parse_ascii_grid,
-    parse_boundary_json,
-    parse_station_csv,
-    point_in_polygon,
-    resample_grid,
-    save_dataset,
-    write_ascii_grid,
-)
-from .neuralnet import (
-    ONSITE_SPEC,
-    SUBMODEL_SPEC,
-    Network,
-    NetworkSpec,
-    TrainConfig,
-    forward_batch,
-    gradients,
-    init_network,
-    load_network,
-    mse_loss,
-    save_network,
-    train,
-)
-from .raster import (
-    RASTER_METHODS,
-    compare_rasters,
-    generate_raster,
-    matrix_to_csv,
-    raster_matrix,
-    write_png,
-)
-from .synth import (
-    SynthWorld,
-    TruthField,
-    WorldSpec,
-    generate_world,
-    relative_humidity,
-    spec_from_json,
-    write_world,
-)
+from .evaluate import build_prediction_matrices, make_folds, run_fold_experiment
+from .ingest import load_dataset
+from .neuralnet import TrainConfig
+from .synth import WorldSpec, generate_world
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AGGREGATORS",
-    "AblationResult",
-    "AttributeGrid",
-    "BaselineModel",
-    "BoundaryPolygon",
-    "ConfusionCounts",
-    "DEFAULT_HORIZON",
-    "DEFAULT_TRIGGER",
-    "DEW_POINT_TOLERANCE",
     "DataError",
-    "Dataset",
-    "DistanceNormalization",
-    "DistanceTriple",
     "DivergenceError",
     "DomainError",
-    "EvaluationReport",
-    "FALLBACK_COEFFICIENTS",
-    "FOLD_COEFFICIENT_PRESETS",
     "FoldAssignment",
     "FormatError",
     "FrostcastError",
     "GeoPoint",
-    "METHODS",
-    "Network",
-    "NetworkSpec",
     "NumericalError",
-    "ONSITE_SPEC",
     "OutOfExtentError",
-    "PredictionMatrix",
-    "RASTER_METHODS",
     "RAW_COLUMNS",
-    "SUBMODEL_SPEC",
-    "ScalerStats",
     "StationAttributes",
-    "StationId",
     "StationSeries",
     "SubmodelBank",
-    "SynthWorld",
     "TrainConfig",
-    "TruthField",
     "UnsupportedVersionError",
-    "VariogramBin",
-    "VariogramModel",
-    "Violation",
     "WEIGHT_EPSILON",
-    "WeightCoefficients",
-    "WindComponents",
     "WorldSpec",
-    "apply_boundary_mask",
-    "apply_scaler",
     "attribute_weights",
-    "baseline_feature_arrays",
-    "boundary_to_json",
     "build_prediction_matrices",
-    "calibrate_coefficients",
-    "climate_matrix",
-    "compare_rasters",
-    "empirical_semivariogram",
-    "evaluate_baselines",
-    "event_confusion",
-    "fit_normalization",
-    "fit_scaler_arrays",
-    "fit_variogram",
-    "forward_batch",
-    "generate_raster",
     "generate_world",
-    "gradients",
-    "idw_weights",
-    "index_series",
-    "ingest_directory",
-    "init_network",
-    "invert_label",
-    "kriging_weights",
-    "label_arrays",
     "load_bank",
-    "load_baselines",
     "load_dataset",
-    "load_network",
-    "lookup_attribute",
     "make_folds",
-    "matrix_to_csv",
-    "mse_loss",
-    "ordinary_kriging",
-    "pair_feature_arrays",
-    "paired_t_test",
-    "parse_ascii_grid",
-    "parse_boundary_json",
-    "parse_station_csv",
-    "point_in_polygon",
-    "raster_matrix",
-    "regularized_incomplete_beta",
-    "relative_humidity",
-    "resample_grid",
-    "reverse_direction",
-    "rmse",
     "run_fold_experiment",
-    "run_station_ablation",
     "save_bank",
-    "save_dataset",
-    "save_network",
-    "scale_label",
-    "spec_from_json",
-    "station_distances",
-    "train",
     "train_bank",
-    "train_baselines",
     "validate_series",
-    "wind_to_components",
-    "write_ascii_grid",
-    "write_png",
-    "write_world",
 ]

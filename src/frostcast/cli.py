@@ -32,9 +32,8 @@ from .evaluate import (
     run_fold_experiment,
     train_baselines,
 )
-from .features import DEFAULT_HORIZON, baseline_feature_arrays, wind_to_components
+from .features import DEFAULT_HORIZON, _wind_component_arrays, baseline_feature_arrays
 from .ingest import (
-    Dataset,
     ingest_directory,
     load_dataset,
     parse_ascii_grid,
@@ -287,9 +286,10 @@ def _cmd_raster(args: argparse.Namespace) -> int:
             continue
         i = int(series.timestamps.searchsorted(args.timestamp))
         if i < len(series) and series.timestamps[i] == args.timestamp:
-            temperature, dew_point, rh, wind_speed, wind_dir_met = series.raw[i].tolist()
-            e, n = wind_to_components(wind_dir_met, wind_speed)
-            snapshot[series.id] = (temperature, dew_point, rh, n, e)
+            row = series.raw[i:i + 1]
+            e, n = _wind_component_arrays(row[:, 4], row[:, 3])
+            temperature, dew_point, rh = row[0, :3].tolist()
+            snapshot[series.id] = (temperature, dew_point, rh, float(n[0]), float(e[0]))
     if not snapshot:
         raise DataError(f"no bank station has an observation at minute {args.timestamp}")
     grid = generate_raster(bank, snapshot, dataset.dem, dataset.ndvi, method, source_id)

@@ -180,12 +180,6 @@ class FoldAssignment:
     def train_stations(self, fold: int) -> frozenset[StationId]:
         return self.all_stations() - self.folds[fold]
 
-    def fold_of(self, station: StationId) -> int:
-        for k, f in enumerate(self.folds):
-            if station in f:
-                return k
-        raise KeyError(station)
-
 
 def index_series(stations: Iterable[StationSeries]) -> dict[StationId, StationSeries]:
     """Map id -> series, rejecting duplicate ids."""

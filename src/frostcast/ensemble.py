@@ -428,6 +428,8 @@ def train_bank(
         raise DataError("need at least two training stations")
     if entry_stride < 1:
         raise DomainError(f"entry_stride must be >= 1: {entry_stride!r}")
+    if max_entries is not None and max_entries < 1:
+        raise DomainError(f"max_entries must be >= 1: {max_entries!r}")
 
     # Columns are extracted once per station, not once per pair. Every source
     # joins against all labels, so they are kept; the copies stop the strided

@@ -260,7 +260,6 @@ def evaluate_baselines(
     baselines: Mapping[StationId, BaselineModel],
     stations: Sequence[StationSeries],
     horizon: int = DEFAULT_HORIZON,
-    trigger: float = DEFAULT_TRIGGER,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pooled (predictions, labels) over every baseline's held-out slice."""
     by_id = index_series(stations)
@@ -343,13 +342,12 @@ def build_prediction_matrices(
     data: Sequence[StationSeries],
     bank: SubmodelBank,
     target_ids: Sequence[StationId],
-    horizon: int | None = None,
 ) -> list[PredictionMatrix]:
     """Run every submodel against every target once; methods share the result.
 
-    Each target's block of predictions is one ``map_in_workers`` task.
+    Labels use the bank's own horizon. Each target's block of predictions is
+    one ``map_in_workers`` task.
     """
-    horizon = bank.horizon if horizon is None else horizon
     by_id = index_series(data)
     source_ids = bank.station_ids
     source_obs = {sid: climate_matrix(by_id[sid]) for sid in source_ids if sid in by_id}
@@ -360,7 +358,7 @@ def build_prediction_matrices(
     for tid in target_ids:
         if tid not in by_id:
             raise DataError(f"no series for target station {tid}")
-    labels = [label_arrays(by_id[tid], horizon) for tid in target_ids]
+    labels = [label_arrays(by_id[tid], bank.horizon) for tid in target_ids]
     targets = [(by_id[tid].attributes, lab_ts) for tid, (lab_ts, _) in zip(target_ids, labels)]
     task = functools.partial(_prediction_block, bank, source_obs, targets)
     blocks = list(map_in_workers(task, len(targets)))
@@ -420,7 +418,6 @@ def run_station_ablation(
     seed: int = 0,
     trigger: float = DEFAULT_TRIGGER,
     baselines: Mapping[StationId, BaselineModel] | None = None,
-    horizon: int | None = None,
     ok_refit: bool = False,
     matrices: list[PredictionMatrix] | None = None,
 ) -> list[AblationResult]:
@@ -445,7 +442,7 @@ def run_station_ablation(
         raise DomainError(f"counts must lie in [1, {n_src}]: {counts}")
     target_ids = sorted(folds.test_stations(fold))
     if matrices is None:
-        matrices = build_prediction_matrices(data, bank, target_ids, horizon)
+        matrices = build_prediction_matrices(data, bank, target_ids)
     by_id = index_series(data)
 
     # Per-target unnormalized attribute weights; frozen bounds make the
@@ -508,7 +505,7 @@ def run_station_ablation(
     if "baseline" in methods:
         if not baselines:
             raise DataError("baseline method requested but no baseline models supplied")
-        pred, labels = evaluate_baselines(baselines, data, bank.horizon, trigger)
+        pred, labels = evaluate_baselines(baselines, data, bank.horizon)
         conf = event_confusion(pred, labels, trigger)
         results.append(
             AblationResult(

@@ -19,27 +19,8 @@ from .errors import DataError, DomainError
 DEFAULT_HORIZON = 60
 
 
-def reverse_direction(met_deg: float) -> float:
-    """Flip a meteorological direction to the direction of travel."""
-    if not 0.0 <= met_deg < 360.0:
-        raise DomainError(f"wind direction outside [0, 360): {met_deg!r}")
-    return met_deg + 180.0 if met_deg < 180.0 else met_deg - 180.0
-
-
-class WindComponents(NamedTuple):
-    e_wind: float
-    n_wind: float
-
-
-def wind_to_components(met_deg: float, speed: float) -> WindComponents:
-    """Decompose a (direction-from, speed) pair into east/north velocities."""
-    if speed < 0.0:
-        raise DomainError(f"wind speed must be non-negative: {speed!r}")
-    deg = np.radians(reverse_direction(met_deg))
-    return WindComponents(float(speed * np.sin(deg)), float(speed * np.cos(deg)))
-
-
 def _wind_component_arrays(met_deg: np.ndarray, speed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """East/north velocities of (direction-from, speed) columns."""
     if met_deg.size and (met_deg.min() < 0.0 or met_deg.max() >= 360.0):
         raise DomainError("wind direction outside [0, 360)")
     if speed.size and speed.min() < 0.0:

@@ -272,18 +272,11 @@ def _crossings_inside(lon: np.ndarray, lat: np.ndarray, ring: Sequence[GeoPoint]
     return inside
 
 
-def point_in_polygon(poly: BoundaryPolygon, point: GeoPoint) -> bool:
-    """Even-odd containment over every ring, so hole rings punch out."""
-    lon = np.array([point.lon])
-    lat = np.array([point.lat])
-    inside = np.zeros(1, dtype=bool)
-    for ring in poly.rings:
-        inside ^= _crossings_inside(lon, lat, ring)
-    return bool(inside[0])
-
-
 def apply_boundary_mask(grid: AttributeGrid, poly: BoundaryPolygon) -> AttributeGrid:
-    """Mask out every cell whose center lies outside the polygon."""
+    """Mask out every cell whose center lies outside the polygon.
+
+    Containment is even-odd over every ring, so hole rings punch out.
+    """
     lon, lat = grid.cell_centers()
     inside = np.zeros(lon.shape, dtype=bool)
     for ring in poly.rings:
@@ -411,12 +404,6 @@ class Dataset:
 
     def station_ids(self) -> list[StationId]:
         return sorted(s.id for s in self.stations)
-
-    def get(self, sid: StationId) -> StationSeries:
-        for s in self.stations:
-            if s.id == sid:
-                return s
-        raise DataError(f"no station {sid} in dataset")
 
 
 def _write_npy(zf: zipfile.ZipFile, name: str, arr: np.ndarray) -> None:

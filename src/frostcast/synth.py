@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import GeoPoint, StationAttributes, StationSeries
-from .errors import DomainError
+from .errors import DomainError, FormatError
 from .ingest import AttributeGrid, BoundaryPolygon, boundary_to_json, write_ascii_grid
 
 MINUTES_PER_DAY = 1440
@@ -241,21 +241,39 @@ def generate_world(spec: WorldSpec) -> SynthWorld:
     return SynthWorld(spec, truth, tuple(stations), dem_grid, ndvi_grid, BoundaryPolygon((ring,)))
 
 
-def spec_from_json(text: str) -> WorldSpec:
-    from .errors import FormatError
+def _is_finite_number(value) -> bool:
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
+
+def spec_from_json(text: str) -> WorldSpec:
+    """Parse a world spec: integer fields take JSON integers (not booleans),
+    every other field and each amplitude a finite number."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"world spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("world spec must be a JSON object")
-    known = set(WorldSpec.__dataclass_fields__)
-    unknown = set(doc) - known
+    fields = WorldSpec.__dataclass_fields__
+    unknown = set(doc) - set(fields)
     if unknown:
         raise FormatError(f"unknown world spec fields: {sorted(unknown)}")
-    if "harmonic_amplitudes" in doc:
-        doc["harmonic_amplitudes"] = tuple(doc["harmonic_amplitudes"])
+    for name, value in doc.items():
+        default = fields[name].default
+        if isinstance(default, tuple):
+            if not isinstance(value, list) or not all(map(_is_finite_number, value)):
+                raise FormatError(f"world spec {name} must be a list of finite numbers: {value!r}")
+            doc[name] = tuple(value)
+        elif isinstance(default, int):
+            if type(value) is not int:
+                raise FormatError(f"world spec {name} must be an integer: {value!r}")
+        elif not _is_finite_number(value):
+            raise FormatError(f"world spec {name} must be a finite number: {value!r}")
     try:
         return WorldSpec(**doc)
     except (TypeError, DomainError) as exc:

@@ -8,43 +8,47 @@ other criterion is an exact small-instance oracle.
 
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from frostcast import (
     AGGREGATORS,
-    FOLD_COEFFICIENT_PRESETS,
     GeoPoint,
     StationAttributes,
-    VariogramModel,
-    WeightCoefficients,
     WorldSpec,
     attribute_weights,
     build_prediction_matrices,
-    empirical_semivariogram,
-    event_confusion,
-    fit_variogram,
-    generate_raster,
     generate_world,
-    gradients,
-    idw_weights,
-    index_series,
-    init_network,
-    kriging_weights,
     make_folds,
-    mse_loss,
-    ordinary_kriging,
-    pair_feature_arrays,
-    paired_t_test,
-    rmse,
-    run_station_ablation,
     train_bank,
 )
 from frostcast.cli import main
-from frostcast.ensemble import DistanceNormalization, SubmodelBank
-from frostcast.features import climate_matrix
-from frostcast.neuralnet import ONSITE_SPEC, SUBMODEL_SPEC, TrainConfig
+from frostcast.core import index_series
+from frostcast.ensemble import (
+    FOLD_COEFFICIENT_PRESETS,
+    DistanceNormalization,
+    SubmodelBank,
+    WeightCoefficients,
+)
+from frostcast.evaluate import event_confusion, paired_t_test, rmse, run_station_ablation
+from frostcast.features import climate_matrix, pair_feature_arrays
+from frostcast.geostats import (
+    VariogramModel,
+    empirical_semivariogram,
+    fit_variogram,
+    idw_weights,
+    kriging_weights,
+    ordinary_kriging,
+)
+from frostcast.neuralnet import (
+    ONSITE_SPEC,
+    SUBMODEL_SPEC,
+    TrainConfig,
+    gradients,
+    init_network,
+    mse_loss,
+)
+from frostcast.raster import generate_raster
 
 
 def report(n, label, ok, detail=""):

@@ -10,13 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frostcast import load_bank, load_baselines, load_dataset, save_bank
+from frostcast import load_bank, load_dataset, save_bank
 from frostcast.cli import UsageError, main, parse_counts, parse_methods
+from frostcast.core import index_series
 from frostcast.ensemble import (
     FOLD_COEFFICIENT_PRESETS,
     SubmodelBank,
     calibrate_coefficients,
     load_baseline_fraction,
+    load_baselines,
 )
 from frostcast.features import baseline_feature_arrays
 
@@ -195,7 +197,8 @@ class TestPipeline:
             "--out", str(tmp_path / "data.zip"),
         ]) == 0
         assert "(1 rows dropped)" in capsys.readouterr().out
-        assert len(load_dataset(tmp_path / "data.zip").get(str(first))) == 24 * 60 // 5
+        by_id = index_series(load_dataset(tmp_path / "data.zip").stations)
+        assert len(by_id[str(first)]) == 24 * 60 // 5
 
     def test_calibrate_keeps_baseline_split(self, pipeline, tmp_path):
         save_bank(load_bank(pipeline["bank"]), tmp_path,
@@ -422,21 +425,32 @@ def _readme_block():
     return spec, commands
 
 
-class TestReadmeEval:
-    def test_readme_eval_line_exits_0_with_an_empty_ok_row(self, tmp_path, monkeypatch):
-        # The README commands up to its eval line, verbatim, except that the
-        # bank trains for 2 epochs instead of 50: the ok row at one station
-        # does not depend on how well the submodels fit.
-        spec, commands = _readme_block()
-        names = [argv[0] for argv in commands]
-        monkeypatch.chdir(tmp_path)
+@pytest.fixture(scope="class")
+def readme_run(tmp_path_factory):
+    """Every README command in order, verbatim except that the bank trains for
+    2 epochs instead of 50. Returns the directory, the commands and their exit codes."""
+    spec, commands = _readme_block()
+    workdir = tmp_path_factory.mktemp("readme")
+    codes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(workdir)
         Path("spec.json").write_text(spec)
-        for argv in commands[:names.index("eval") + 1]:
+        for argv in commands:
             if argv[0] == "train":
                 argv[argv.index("--epochs") + 1] = "2"
-            assert main(argv) == 0, argv
+            codes.append(main(argv))
+    return workdir, commands, codes
+
+
+class TestReadmeEval:
+    def test_readme_eval_line_exits_0_with_an_empty_ok_row(self, readme_run):
+        # The ok row at one station does not depend on how well the submodels fit.
+        workdir, commands, codes = readme_run
+        names = [argv[0] for argv in commands]
+        upto = names.index("eval") + 1
+        assert codes[:upto] == [0] * upto, commands[:upto]
         report = commands[names.index("eval")]
-        rows = json.loads(Path(report[report.index("--out") + 1]).read_text())["results"]
+        rows = json.loads((workdir / report[report.index("--out") + 1]).read_text())["results"]
         empty = [r for r in rows if r["n_predictions"] == 0]
         assert empty == [{"method": "ok", "station_count": 1, "fold": 0, "seed": 0, "rmse": None,
                           "tpr": None, "fdr": None, "n_predictions": 0, "n_events": 0}]
@@ -444,3 +458,50 @@ class TestReadmeEval:
             (m, k) for m in ("average", "weighted_average", "weighted_vote", "idw", "ok")
             for k in (*range(1, 11), 15)
         }
+
+    def test_readme_raster_and_compare_lines_exit_0(self, readme_run):
+        workdir, commands, codes = readme_run
+        names = [argv[0] for argv in commands]
+        assert names[-3:] == ["raster", "raster", "compare"]
+        assert codes[-3:] == [0, 0, 0], commands[-3:]
+        compare = commands[-1]
+        rasters = compare[compare.index("--rasters") + 1:compare.index("--out")]
+        labels = [Path(r).stem for r in rasters]
+        assert len(labels) == 2
+        rows = [line.split(",") for line in
+                (workdir / compare[compare.index("--out") + 1]).read_text().splitlines()]
+        assert rows[0] == ["", *labels]
+        assert [row[0] for row in rows[1:]] == labels
+        assert rows[1][1] == rows[2][2] == "N/A"
+        assert rows[1][2] == rows[2][1]
+        assert 0.0 <= float(rows[1][2]) <= 1.0
+
+
+BAD_SPECS = [
+    '{"seed": "a"}',
+    '{"days": 1.5}',
+    '{"n_stations": 5.5}',
+    '{"harmonic_amplitudes": 5}',
+    '{"harmonic_amplitudes": ["a"]}',
+    '{"noise_sd": NaN}',
+]
+
+
+class TestBadInputsExit3:
+    @pytest.mark.parametrize("spec", BAD_SPECS)
+    def test_mistyped_synth_spec(self, spec, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "world")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "world").exists()
+
+    def test_negative_max_entries(self, pipeline, tmp_path, capsys):
+        rc = main([
+            "train", "--data", str(pipeline["data"]), "--folds", str(pipeline["folds"]),
+            "--fold", "0", "--max-entries", "-1", "--out", str(tmp_path / "bank"),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: max_entries must be >= 1: -1\n"
+        assert not (tmp_path / "bank").exists()

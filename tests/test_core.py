@@ -12,10 +12,9 @@ from frostcast import (
     GeoPoint,
     StationAttributes,
     StationSeries,
-    Violation,
-    index_series,
     validate_series,
 )
+from frostcast.core import Violation, index_series
 
 
 def make_obs(ts=0, temp=5.0, dew=3.0, rh=80.0, speed=2.0, direction=90.0):
@@ -175,7 +174,6 @@ class TestFoldAssignment:
         assert folds.n_folds == 2
         assert folds.test_stations(0) == frozenset({"a", "b"})
         assert folds.train_stations(0) == frozenset({"c"})
-        assert folds.fold_of("c") == 1
         assert folds.all_stations() == frozenset({"a", "b", "c"})
 
     def test_overlapping_folds_rejected(self):

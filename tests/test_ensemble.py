@@ -25,29 +25,34 @@ from frostcast import (
     DataError,
     DivergenceError,
     DomainError,
-    DistanceNormalization,
-    DistanceTriple,
-    FALLBACK_COEFFICIENTS,
-    FOLD_COEFFICIENT_PRESETS,
     FoldAssignment,
     FormatError,
     GeoPoint,
     StationAttributes,
     UnsupportedVersionError,
-    WeightCoefficients,
     WorldSpec,
     attribute_weights,
-    calibrate_coefficients,
-    fit_normalization,
     generate_world,
     load_bank,
     save_bank,
-    station_distances,
     train_bank,
 )
 from frostcast import ensemble
 from frostcast.core import index_series
-from frostcast.ensemble import SUBMODEL_SPEC, SubmodelBank, _child_seed, pearson
+from frostcast.ensemble import (
+    FALLBACK_COEFFICIENTS,
+    FOLD_COEFFICIENT_PRESETS,
+    SUBMODEL_SPEC,
+    DistanceNormalization,
+    DistanceTriple,
+    SubmodelBank,
+    WeightCoefficients,
+    _child_seed,
+    calibrate_coefficients,
+    fit_normalization,
+    pearson,
+    station_distances,
+)
 from frostcast.features import (
     apply_scaler,
     fit_scaler_arrays,
@@ -453,6 +458,13 @@ class TestTrainBankColumns:
         stations, folds, _ = gapped
         with pytest.raises(DomainError):
             train_bank(stations, folds, 0, TrainConfig(epochs=1), entry_stride=0)
+
+    @pytest.mark.parametrize("max_entries", [0, -1])
+    def test_bad_max_entries_rejected_before_any_work(self, gapped, monkeypatch, max_entries):
+        stations, folds, _ = gapped
+        monkeypatch.setattr(ensemble, "label_arrays", None)  # a label pass would be a TypeError
+        with pytest.raises(DomainError, match="max_entries must be >= 1"):
+            train_bank(stations, folds, 0, TrainConfig(epochs=1), max_entries=max_entries)
 
 
 def _blas_thread_getter():

@@ -17,29 +17,30 @@ from scipy import special as sp_special
 from scipy import stats as sp_stats
 
 from frostcast import (
-    FOLD_COEFFICIENT_PRESETS,
-    ConfusionCounts,
     DataError,
     DivergenceError,
     DomainError,
-    VariogramModel,
+    TrainConfig,
     build_prediction_matrices,
-    empirical_semivariogram,
+    make_folds,
+    run_fold_experiment,
+)
+from frostcast import ensemble
+from frostcast.core import index_series
+from frostcast.ensemble import FOLD_COEFFICIENT_PRESETS
+from frostcast.evaluate import (
+    ConfusionCounts,
+    _availability_groups,
     event_confusion,
     evaluate_baselines,
-    index_series,
-    make_folds,
-    ordinary_kriging,
     paired_t_test,
     regularized_incomplete_beta,
     rmse,
-    run_fold_experiment,
     run_station_ablation,
     train_baselines,
 )
-from frostcast import ensemble
-from frostcast.evaluate import _availability_groups
-from frostcast.neuralnet import TrainConfig
+from frostcast.features import climate_matrix
+from frostcast.geostats import VariogramModel, empirical_semivariogram, ordinary_kriging
 from test_geostats import reference_fit_variogram
 
 
@@ -188,8 +189,6 @@ class TestPredictionMatrices:
             assert np.isfinite(m.values).all()
 
     def test_rows_match_direct_predictions(self, small_world, small_bank, small_test_ids):
-        from frostcast import climate_matrix, index_series
-
         matrices = build_prediction_matrices(small_world.stations, small_bank, small_test_ids)
         pm = matrices[0]
         by_id = index_series(small_world.stations)

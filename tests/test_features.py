@@ -13,25 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frostcast import (
-    DataError,
-    DomainError,
-    GeoPoint,
+from frostcast import DataError, DomainError, GeoPoint, StationAttributes, StationSeries
+from frostcast.features import (
+    ObservationArrays,
     ScalerStats,
-    StationAttributes,
-    StationSeries,
+    _wind_component_arrays,
     apply_scaler,
     baseline_feature_arrays,
     climate_matrix,
     fit_scaler_arrays,
     invert_label,
+    join_pair_arrays,
+    join_timestamps,
     label_arrays,
     pair_feature_arrays,
-    reverse_direction,
     scale_label,
-    wind_to_components,
 )
-from frostcast.features import ObservationArrays, join_pair_arrays, join_timestamps
 
 
 def series_from_temps(temps, station_id="s", start=0, step=1):
@@ -42,61 +39,93 @@ def series_from_temps(temps, station_id="s", start=0, step=1):
     return StationSeries(station_id, attrs, ts, raw)
 
 
+def reference_reverse_direction(met_deg):
+    """The scalar flip from the direction the wind blows from to its travel."""
+    return met_deg + 180.0 if met_deg < 180.0 else met_deg - 180.0
+
+
+def reference_wind_components(met_deg, speed):
+    """The scalar (east, north) formula the array path must match bit for bit."""
+    deg = np.radians(reference_reverse_direction(met_deg))
+    return float(speed * np.sin(deg)), float(speed * np.cos(deg))
+
+
+def wind(met_deg, speed):
+    """(east, north) of one (direction, speed) pair through the array path."""
+    e, n = _wind_component_arrays(np.array([met_deg]), np.array([speed]))
+    return float(e[0]), float(n[0])
+
+
 class TestWindComponents:
     def test_northerly_moves_air_south(self):
-        e, n = wind_to_components(0.0, 5.0)
+        e, n = wind(0.0, 5.0)
         assert e == pytest.approx(0.0, abs=1e-12)
         assert n == pytest.approx(-5.0, abs=1e-12)
 
     def test_westerly_moves_air_east(self):
-        e, n = wind_to_components(270.0, 4.0)
+        e, n = wind(270.0, 4.0)
         assert e == pytest.approx(4.0, abs=1e-12)
         assert n == pytest.approx(0.0, abs=1e-12)
 
     def test_southerly_moves_air_north(self):
-        e, n = wind_to_components(180.0, 3.0)
+        e, n = wind(180.0, 3.0)
         assert e == pytest.approx(0.0, abs=1e-12)
         assert n == pytest.approx(3.0, abs=1e-12)
 
     def test_direction_domain(self):
         with pytest.raises(DomainError):
-            wind_to_components(360.0, 1.0)
+            wind(360.0, 1.0)
         with pytest.raises(DomainError):
-            wind_to_components(-1.0, 1.0)
+            wind(-1.0, 1.0)
+        with pytest.raises(DomainError):
+            wind(90.0, -1.0)
 
     def test_reverse_direction_oracle(self):
-        assert reverse_direction(0.0) == 180.0
-        assert reverse_direction(179.0) == 359.0
-        assert reverse_direction(180.0) == 0.0
-        assert reverse_direction(270.0) == 90.0
+        # Wind from 0, 179, 180 and 270 degrees travels toward 180, 359, 0 and 90.
+        for met_deg, travel_deg in [(0.0, 180.0), (179.0, 359.0), (180.0, 0.0), (270.0, 90.0)]:
+            e, n = wind(met_deg, 1.0)
+            assert e == pytest.approx(math.sin(math.radians(travel_deg)), abs=1e-12)
+            assert n == pytest.approx(math.cos(math.radians(travel_deg)), abs=1e-12)
 
     @given(st.floats(0.0, 359.999), st.floats(0.0, 50.0))
     @settings(max_examples=200, deadline=None)
     def test_magnitude_preserved(self, direction, speed):
-        e, n = wind_to_components(direction, speed)
+        e, n = wind(direction, speed)
         assert math.hypot(e, n) == pytest.approx(speed, abs=1e-9)
 
     @given(st.floats(0.0, 359.999))
     @settings(max_examples=200, deadline=None)
     def test_reverse_is_involution(self, direction):
-        assert reverse_direction(reverse_direction(direction)) == pytest.approx(
-            direction, abs=1e-9
-        )
+        twice = reference_reverse_direction(reference_reverse_direction(direction))
+        assert twice == pytest.approx(direction, abs=1e-9)
+        assert wind(twice, 1.0) == pytest.approx(wind(direction, 1.0), abs=1e-9)
 
     @given(st.floats(0.0, 359.999), st.floats(0.01, 50.0))
     @settings(max_examples=200, deadline=None)
     def test_reversed_direction_negates_components(self, direction, speed):
-        e, n = wind_to_components(direction, speed)
-        re, rn = wind_to_components(reverse_direction(direction), speed)
+        e, n = wind(direction, speed)
+        re, rn = wind(reference_reverse_direction(direction), speed)
         assert re == pytest.approx(-e, abs=1e-9)
         assert rn == pytest.approx(-n, abs=1e-9)
+
+    def test_array_path_matches_scalar_formula_bit_for_bit(self):
+        # The raster snapshot converts one row, climate_matrix whole columns;
+        # a SIMD sin/cos for arrays must not move either off the scalar formula.
+        rng = np.random.default_rng(0)
+        met = np.concatenate([[0.0, 90.0, 180.0, 270.0, 359.999], rng.uniform(0.0, 360.0, 20_000)])
+        speed = np.concatenate([[1.0, 2.0, 3.0, 4.0, 5.0], rng.uniform(0.0, 50.0, 20_000)])
+        expected = np.array([reference_wind_components(d, v) for d, v in zip(met.tolist(), speed.tolist())])
+        e, n = _wind_component_arrays(met, speed)
+        assert np.column_stack([e, n]).tobytes() == expected.tobytes()
+        rows = np.array([wind(d, v) for d, v in zip(met[:2000].tolist(), speed[:2000].tolist())])
+        assert rows.tobytes() == expected[:2000].tobytes()
 
 
 class TestClimateMatrix:
     def test_column_order(self):
         s = series_from_temps([10.0])
         m = climate_matrix(s)
-        e, n = wind_to_components(45.0, 1.0)
+        e, n = reference_wind_components(45.0, 1.0)
         np.testing.assert_allclose(m.climate[0], [10.0, 8.0, 70.0, n, e])
         assert m.timestamps[0] == 0
 

@@ -17,20 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frostcast import (
-    AGGREGATORS,
-    DataError,
-    DomainError,
-    GeoPoint,
+from frostcast import AGGREGATORS, DataError, DomainError, GeoPoint
+from frostcast.geostats import (
     VariogramBin,
     VariogramModel,
+    _dedup,
     empirical_semivariogram,
     fit_variogram,
     idw_weights,
     kriging_weights,
     ordinary_kriging,
 )
-from frostcast.geostats import _dedup
 
 THREE_XY = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
 THREE_VALUES = np.array([2.0, 4.0, 8.0])

@@ -20,12 +20,8 @@ from hypothesis.extra import numpy as hnp
 
 import frostcast
 from frostcast import (
-    AttributeGrid,
-    DEW_POINT_TOLERANCE,
     RAW_COLUMNS,
-    BoundaryPolygon,
     DataError,
-    Dataset,
     DomainError,
     FormatError,
     GeoPoint,
@@ -33,22 +29,27 @@ from frostcast import (
     StationAttributes,
     StationSeries,
     UnsupportedVersionError,
-    Violation,
+    load_dataset,
+    validate_series,
+)
+from frostcast.core import DEW_POINT_TOLERANCE, Violation, index_series
+from frostcast.ingest import (
+    CSV_HEADER,
+    AttributeGrid,
+    BoundaryPolygon,
+    Dataset,
+    _parse_timestamp,
     apply_boundary_mask,
     boundary_to_json,
     ingest_directory,
-    load_dataset,
     lookup_attribute,
     parse_ascii_grid,
     parse_boundary_json,
     parse_station_csv,
-    point_in_polygon,
     resample_grid,
     save_dataset,
-    validate_series,
     write_ascii_grid,
 )
-from frostcast.ingest import CSV_HEADER, _parse_timestamp
 
 GRID_TEXT = """\
 ncols 3
@@ -197,15 +198,19 @@ class TestBoundary:
     OUTER = tuple(GeoPoint(lon, lat) for lon, lat in [(0, 0), (10, 0), (10, 10), (0, 10)])
     HOLE = tuple(GeoPoint(lon, lat) for lon, lat in [(4, 4), (6, 4), (6, 6), (4, 6)])
 
+    @staticmethod
+    def inside(poly, origin, cell, shape):
+        return apply_boundary_mask(square_grid(np.zeros(shape), origin, cell), poly).mask
+
     def test_containment(self):
-        poly = BoundaryPolygon((self.OUTER,))
-        assert point_in_polygon(poly, GeoPoint(5, 5))
-        assert not point_in_polygon(poly, GeoPoint(11, 5))
+        # Cell centers (5, 5) and (11, 5).
+        mask = self.inside(BoundaryPolygon((self.OUTER,)), (5.0, 5.0), 6.0, (1, 2))
+        npt.assert_array_equal(mask, [[True, False]])
 
     def test_hole_ring_punches_out(self):
-        poly = BoundaryPolygon((self.OUTER, self.HOLE))
-        assert point_in_polygon(poly, GeoPoint(2, 2))
-        assert not point_in_polygon(poly, GeoPoint(5, 5))
+        # Cell centers (2, 2), (5, 2) / (2, 5), (5, 5); only (5, 5) is in the hole.
+        mask = self.inside(BoundaryPolygon((self.OUTER, self.HOLE)), (2.0, 2.0), 3.0, (2, 2))
+        npt.assert_array_equal(mask, [[True, True], [True, False]])
 
     def test_json_round_trip(self):
         poly = BoundaryPolygon((self.OUTER, self.HOLE))
@@ -262,7 +267,8 @@ import json, sys
 import frostcast, frostcast.cli
 at_import = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 import numpy as np
-from frostcast import AttributeGrid, GeoPoint, lookup_attribute, resample_grid
+from frostcast import GeoPoint
+from frostcast.ingest import AttributeGrid, lookup_attribute, resample_grid
 row = AttributeGrid(GeoPoint(100.0, -35.0), 1.0, np.array([[1.0, 2.0, 3.0]]),
                     np.array([[True, False, True]]))
 values = np.arange(16.0).reshape(4, 4)
@@ -537,8 +543,9 @@ class TestDatasetBundle:
         save_dataset(ds, path)
         back = load_dataset(path)
         assert back.station_ids() == ["a1", "b2"]
-        assert back.get("a1").attributes == ds.get("a1").attributes
-        assert back.get("b2") == ds.get("b2")
+        by_id, back_by_id = index_series(ds.stations), index_series(back.stations)
+        assert back_by_id["a1"].attributes == by_id["a1"].attributes
+        assert back_by_id["b2"] == by_id["b2"]
         npt.assert_array_equal(back.dem.values, ds.dem.values)
         npt.assert_array_equal(back.ndvi.mask, ds.ndvi.mask)
         assert back.dem.cell_size == ds.dem.cell_size
@@ -555,9 +562,9 @@ class TestDatasetBundle:
         ), ds.dem, ds.ndvi)
         path = tmp_path / "ds.zip"
         save_dataset(ds, path)
-        back = load_dataset(path)
+        back = index_series(load_dataset(path).stations)
         for station in ds.stations:
-            loaded = back.get(station.id)
+            loaded = back[station.id]
             assert loaded == station
             assert loaded.timestamps.dtype == np.int64 and loaded.raw.dtype == np.float64
             assert loaded.timestamps.tobytes() == station.timestamps.tobytes()
@@ -674,11 +681,12 @@ class TestIngestDirectory:
         ndvi = square_grid([[0.1, 0.2], [0.3, 0.4]])
         dataset, drops = ingest_directory(tmp_path, dem, ndvi)
         assert drops == {"s1": 0, "s2": 1}
-        s1 = dataset.get("s1")
+        by_id = index_series(dataset.stations)
+        s1 = by_id["s1"]
         # (100.2, -34.8) falls in the SW cell of both grids.
         assert s1.attributes.dem == 100.0
         assert s1.attributes.ndvi == pytest.approx(0.1)
-        s2 = dataset.get("s2")
+        s2 = by_id["s2"]
         assert s2.attributes.dem == 400.0
         assert len(s2) == 1
 

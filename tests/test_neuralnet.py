@@ -16,12 +16,15 @@ from frostcast import (
     DivergenceError,
     DomainError,
     FormatError,
+    TrainConfig,
+    UnsupportedVersionError,
+)
+from frostcast.neuralnet import (
     Network,
     NetworkSpec,
     ONSITE_SPEC,
     SUBMODEL_SPEC,
-    TrainConfig,
-    UnsupportedVersionError,
+    _forward_backward,
     forward_batch,
     gradients,
     init_network,
@@ -31,7 +34,6 @@ from frostcast import (
     train,
 )
 from frostcast.features import ScalerStats
-from frostcast.neuralnet import _forward_backward
 
 
 def finite_difference_gradients(net, x, y, eps=1e-5):

@@ -7,19 +7,12 @@ import numpy.testing as npt
 import pytest
 from scipy import stats as sp_stats
 
-from frostcast import (
-    AttributeGrid,
-    DataError,
-    DomainError,
-    FOLD_COEFFICIENT_PRESETS,
-    GeoPoint,
-    climate_matrix,
-    compare_rasters,
-    generate_raster,
-    index_series,
-    matrix_to_csv,
-    raster_matrix,
-)
+from frostcast import DataError, DomainError, GeoPoint
+from frostcast.core import index_series
+from frostcast.ensemble import FOLD_COEFFICIENT_PRESETS
+from frostcast.features import climate_matrix
+from frostcast.ingest import AttributeGrid
+from frostcast.raster import compare_rasters, generate_raster, matrix_to_csv, raster_matrix
 
 
 def snapshot(world, ids, minute=30):
@@ -226,7 +219,7 @@ class TestRasterMatrix:
 class TestPng:
     def test_writes_image_and_sidecar(self, tmp_path):
         pytest.importorskip("matplotlib")
-        from frostcast import write_png
+        from frostcast.raster import write_png
 
         grid = grid_of(np.arange(12.0).reshape(3, 4), mask=np.arange(12).reshape(3, 4) % 5 != 0)
         png = tmp_path / "out.png"

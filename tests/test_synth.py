@@ -6,19 +6,16 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from frostcast import (
-    DomainError,
-    FormatError,
-    WorldSpec,
-    generate_world,
+from frostcast import DomainError, FormatError, WorldSpec, generate_world, validate_series
+from frostcast.core import index_series
+from frostcast.ingest import (
+    AttributeGrid,
+    apply_boundary_mask,
     ingest_directory,
     parse_ascii_grid,
     parse_boundary_json,
-    point_in_polygon,
-    spec_from_json,
-    validate_series,
-    write_world,
 )
+from frostcast.synth import spec_from_json, write_world
 
 TINY = WorldSpec(
     seed=21,
@@ -88,7 +85,9 @@ class TestGeneratedWorld:
 
     def test_stations_inside_boundary(self, tiny_world):
         for s in tiny_world.stations:
-            assert point_in_polygon(tiny_world.boundary, s.attributes.location)
+            # A one-cell grid centred on the station keeps its cell only inside.
+            cell = AttributeGrid(s.attributes.location, 1.0, np.zeros((1, 1)), np.ones((1, 1), bool))
+            assert apply_boundary_mask(cell, tiny_world.boundary).mask[0, 0]
 
     def test_physical_ranges(self, tiny_world):
         for s in tiny_world.stations:
@@ -169,8 +168,9 @@ class TestWriteWorld:
         boundary = parse_boundary_json((tmp_path / "boundary.json").read_text())
         dataset, drops = ingest_directory(tmp_path / "stations", dem, ndvi, boundary)
         assert all(n == 0 for n in drops.values())
+        by_id = index_series(dataset.stations)
         for s in tiny_world.stations:
-            back = dataset.get(s.id)
+            back = by_id[s.id]
             # repr-encoded floats survive the text round trip bit-exactly.
             assert back.timestamps.tobytes() == s.timestamps.tobytes()
             assert back.raw.tobytes() == s.raw.tobytes()
