@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--validation-fraction", type=float, default=0.1)
     p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
+    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON, help="label window in minutes")
     p.add_argument("--entry-stride", type=int, default=1)
     p.add_argument("--max-entries", type=int, default=None)
     p.add_argument("--out", required=True, help="bank output directory")

@@ -18,8 +18,9 @@ evaluation and rasters both use it.
 
 Training and inference use one process per available CPU
 (:func:`map_in_workers`): forked workers build each submodel's corpus and
-train its network, and ``evaluate.build_prediction_matrices`` runs every
-submodel at one target per task. The parent process pins OpenBLAS to one
+train its network, and ``evaluate.build_prediction_matrices`` and
+:func:`calibrate_coefficients` run every submodel at one target per task
+(:func:`_predictions_at_targets`). The parent process pins OpenBLAS to one
 thread before it forks the workers and restores its own count when the pool
 shuts down, so each worker inherits a one-thread library. Results are
 identical whatever the number of CPUs.
@@ -27,6 +28,7 @@ identical whatever the number of CPUs.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -62,7 +64,7 @@ from .neuralnet import load_network, save_network, train
 #: every attribute would otherwise divide by zero.
 WEIGHT_EPSILON = 1e-6
 
-BANK_SCHEMA_VERSION = 1
+BANK_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -290,6 +292,18 @@ def _blas_thread_controls():
     return None
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread inside the block, where its controls resolve."""
+    get_threads, set_threads = _blas_thread_controls() or (lambda: None, lambda n: None)
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 _worker_task: Callable | None = None  # in a pool worker, the task its pool runs
 
 
@@ -325,15 +339,14 @@ class _OneBlasThreadPool(ProcessPoolExecutor):
         # without pickling. The workers fork at the first submit, after the pin.
         super().__init__(jobs, mp_context=multiprocessing.get_context("fork"),
                          initializer=_start_worker, initargs=(task,))
-        get_threads, set_threads = _blas_thread_controls()
-        self._caller_blas_threads = get_threads()
-        set_threads(1)
+        self._blas_pin = contextlib.ExitStack()
+        self._blas_pin.enter_context(_one_blas_thread())
 
     def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
         try:
             super().shutdown(wait, cancel_futures=cancel_futures)
         finally:
-            _blas_thread_controls()[1](self._caller_blas_threads)
+            self._blas_pin.close()
 
 
 def _submodel_pool(jobs: int, task: Callable | None = None) -> ProcessPoolExecutor | None:
@@ -362,6 +375,28 @@ def map_in_workers(task: Callable[[int], object], n: int) -> Iterator:
         yield from pool.map(_run_worker_task, range(n))
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _prediction_block(bank: SubmodelBank, source_obs, targets, idx: int) -> np.ndarray:
+    """Each source's predictions at ``targets[idx]``: (sources, labels), NaN where unobserved."""
+    attrs, lab_ts = targets[idx]
+    values = np.full((len(source_obs), lab_ts.size), np.nan)
+    for i, (sid, obs) in enumerate(source_obs.items()):
+        _, src_idx, lab_idx = join_timestamps(obs.timestamps, lab_ts)
+        if lab_idx.size:
+            values[i, lab_idx] = bank.predict_batch(sid, obs.climate[src_idx], attrs)
+    return values
+
+
+def _predictions_at_targets(bank: SubmodelBank, by_id, targets) -> tuple[list[StationId], list]:
+    """(source ids, one :func:`_prediction_block` per ``(attributes, label timestamps)`` target).
+
+    The sources are the bank's stations with a series in ``by_id``, in bank
+    order. Each target is one ``map_in_workers`` task.
+    """
+    source_obs = {sid: climate_matrix(by_id[sid]) for sid in bank.station_ids if sid in by_id}
+    task = functools.partial(_prediction_block, bank, source_obs, targets)
+    return list(source_obs), list(map_in_workers(task, len(targets)))
 
 
 def _train_submodel(by_id, train_ids, test_ids, labels_by_id, cfg: TrainConfig,
@@ -472,34 +507,25 @@ def calibrate_coefficients(
     For every (submodel, validation target) pair the per-prediction absolute
     error is correlated against each normalized distance; the coefficient is
     the magnitude of the Pearson correlation. If all three vanish the
-    fallback (1, 0, 0) applies.
+    fallback (1, 0, 0) applies. ``stride`` keeps every stride-th label.
     """
     if stride < 1:
         raise DomainError(f"stride must be >= 1: {stride!r}")
     by_id = index_series(stations)
-    source_ids = [sid for sid in bank.station_ids if sid in by_id]
-    if not source_ids:
+    if not any(sid in by_id for sid in bank.station_ids):
         raise DataError("none of the bank's source stations have series to calibrate on")
-    source_obs: dict[StationId, object] = {}
+    labels = [label_arrays(target, bank.horizon) for target in stations]
+    labels = [(lab_ts[::stride], lab[::stride]) for lab_ts, lab in labels]
+    source_ids, blocks = _predictions_at_targets(
+        bank, by_id, [(t.attributes, lab_ts) for t, (lab_ts, _) in zip(stations, labels)])
     dist_rows: list[np.ndarray] = []
     err_blocks: list[np.ndarray] = []
-    for target in stations:
-        lab_ts, labels = label_arrays(target, bank.horizon)
-        if stride > 1:
-            lab_ts, labels = lab_ts[::stride], labels[::stride]
-        if lab_ts.size == 0:
-            continue
-        for source_id in source_ids:
-            if source_id == target.id:
+    for target, (_, lab), block in zip(stations, labels, blocks):
+        for source_id, preds in zip(source_ids, block):
+            observed = ~np.isnan(preds)
+            if source_id == target.id or not observed.any():
                 continue
-            if source_id not in source_obs:
-                source_obs[source_id] = climate_matrix(by_id[source_id])
-            obs = source_obs[source_id]
-            _, src_idx, lab_idx = join_timestamps(obs.timestamps, lab_ts)
-            if lab_idx.size == 0:
-                continue
-            preds = bank.predict_batch(source_id, obs.climate[src_idx], target.attributes)
-            errors = np.abs(preds - labels[lab_idx])
+            errors = np.abs(preds[observed] - lab[observed])
             raw = np.asarray(station_distances(bank.station_attrs[source_id], target.attributes))
             norm = bank.normalization.normalize(raw[None, :])[0]
             dist_rows.append(np.broadcast_to(norm, (errors.size, 3)))
@@ -597,10 +623,14 @@ def load_bank(directory: str | os.PathLike) -> SubmodelBank:
             row["id"]: StationAttributes(GeoPoint(row["lon"], row["lat"]), row["dem"], row["ndvi"])
             for row in manifest["stations"]
         }
-        fold = int(manifest["fold"])
-        horizon = int(manifest["horizon"])
+        fold, horizon = manifest["fold"], manifest["horizon"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed manifest: {exc}") from exc
+    for name, value in (("fold", fold), ("horizon", horizon)):
+        if type(value) is not int:
+            raise FormatError(f"malformed manifest: {name} must be an integer, got {value!r}")
+    if horizon < 1:
+        raise FormatError(f"malformed manifest: horizon must be >= 1 minute, got {horizon}")
     models: dict[StationId, Network] = {}
     scalers: dict[StationId, ScalerStats] = {}
     for sid in attrs:
@@ -666,7 +696,9 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
         return 0.0
     xc = x - x.mean()
     yc = y - y.mean()
-    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
+    with _one_blas_thread():  # threaded dot products sum in an order set by the CPU count
+        xx, yy, xy = float(xc @ xc), float(yc @ yc), float(xc @ yc)
+    denom = math.sqrt(xx * yy)
     if denom == 0.0 or not math.isfinite(denom):
         return 0.0
-    return float((xc @ yc) / denom)
+    return xy / denom

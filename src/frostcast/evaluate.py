@@ -11,23 +11,21 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import FoldAssignment, GeoPoint, StationId, StationSeries, index_series
-from .ensemble import AGGREGATORS, SubmodelBank, map_in_workers
+from .ensemble import AGGREGATORS, SubmodelBank, _predictions_at_targets, map_in_workers
 from .errors import DataError, DomainError
 from .features import (
     DEFAULT_HORIZON,
     ScalerStats,
     apply_scaler,
     baseline_feature_arrays,
-    climate_matrix,
     fit_scaler_arrays,
     invert_label,
-    join_timestamps,
     label_arrays,
     scale_label,
 )
@@ -296,19 +294,6 @@ class AblationResult:
     n_predictions: int
     n_events: int
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "station_count": self.station_count,
-            "fold": self.fold,
-            "seed": self.seed,
-            "rmse": self.rmse,
-            "tpr": self.tpr,
-            "fdr": self.fdr,
-            "n_predictions": self.n_predictions,
-            "n_events": self.n_events,
-        }
-
 
 @dataclass
 class PredictionMatrix:
@@ -325,19 +310,6 @@ class PredictionMatrix:
     values: np.ndarray
 
 
-def _prediction_block(bank: SubmodelBank, source_obs, targets, idx: int) -> np.ndarray:
-    """Every source's predictions at ``targets[idx]``: (sources, labels), NaN where unobserved."""
-    attrs, lab_ts = targets[idx]
-    source_ids = bank.station_ids
-    values = np.full((len(source_ids), lab_ts.size), np.nan)
-    for i, sid in enumerate(source_ids):
-        obs = source_obs[sid]
-        _, src_idx, lab_idx = join_timestamps(obs.timestamps, lab_ts)
-        if lab_idx.size:
-            values[i, lab_idx] = bank.predict_batch(sid, obs.climate[src_idx], attrs)
-    return values
-
-
 def build_prediction_matrices(
     data: Sequence[StationSeries],
     bank: SubmodelBank,
@@ -346,22 +318,20 @@ def build_prediction_matrices(
     """Run every submodel against every target once; methods share the result.
 
     Labels use the bank's own horizon. Each target's block of predictions is
-    one ``map_in_workers`` task.
+    one ``map_in_workers`` task (``ensemble._predictions_at_targets``, which
+    ``calibrate_coefficients`` shares).
     """
     by_id = index_series(data)
-    source_ids = bank.station_ids
-    source_obs = {sid: climate_matrix(by_id[sid]) for sid in source_ids if sid in by_id}
-    if len(source_obs) != len(source_ids):
-        missing = sorted(set(source_ids) - set(source_obs))
+    missing = sorted(set(bank.station_ids) - set(by_id))
+    if missing:
         raise DataError(f"no series for bank stations: {missing}")
     target_ids = sorted(target_ids)
     for tid in target_ids:
         if tid not in by_id:
             raise DataError(f"no series for target station {tid}")
     labels = [label_arrays(by_id[tid], bank.horizon) for tid in target_ids]
-    targets = [(by_id[tid].attributes, lab_ts) for tid, (lab_ts, _) in zip(target_ids, labels)]
-    task = functools.partial(_prediction_block, bank, source_obs, targets)
-    blocks = list(map_in_workers(task, len(targets)))
+    source_ids, blocks = _predictions_at_targets(
+        bank, by_id, [(by_id[tid].attributes, lab_ts) for tid, (lab_ts, _) in zip(target_ids, labels)])
     return [PredictionMatrix(tid, list(source_ids), lab_ts, lab, values)
             for tid, (lab_ts, lab), values in zip(target_ids, labels, blocks)]
 
@@ -536,16 +506,7 @@ class EvaluationReport:
     results: list[AblationResult] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "fold": self.fold,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "trigger": self.trigger,
-            "methods": list(self.methods),
-            "counts": list(self.counts),
-            "results": [r.to_dict() for r in self.results],
-        }
+        return {"version": 1, **asdict(self)}
 
 
 def run_fold_experiment(

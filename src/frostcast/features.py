@@ -4,6 +4,11 @@ Wind directions arrive in the meteorological convention (degrees the wind
 blows *from*). They are first flipped to the direction of travel and then
 split into east/north velocity components so the learner sees continuous
 inputs instead of a circular coordinate.
+
+Labels are time-true: the label at minute t is the minimum temperature
+observed in (t, t + horizon], with the horizon in minutes whatever the
+sample interval, and a window that a gap leaves uncovered gets no label
+(:func:`label_arrays`).
 """
 
 from __future__ import annotations
@@ -46,19 +51,31 @@ def climate_matrix(series: StationSeries) -> ObservationArrays:
 
 
 def label_arrays(series: StationSeries, horizon: int = DEFAULT_HORIZON) -> tuple[np.ndarray, np.ndarray]:
-    """Next-window minimum labels as (timestamps, labels) arrays.
+    """Next-``horizon``-minute minimum labels as (timestamps, labels) arrays.
 
-    The label at index t is the minimum temperature over indices
-    t+1 .. t+horizon; trailing indices without a full window get none.
+    The label at observation time t is the minimum temperature over the
+    observations with timestamps in (t, t + horizon]. It exists only when
+    that window is covered: no step from t to the window's last observation
+    is wider than the series' median step, and that last observation is
+    strictly later than t + horizon - the median step.
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1: {horizon!r}")
-    n = len(series)
-    if n <= horizon:
+    ts = series.timestamps
+    if ts.size < 2:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    temps = np.ascontiguousarray(series.raw[1:, 0])  # min reduces it as a fresh column
-    windows = np.lib.stride_tricks.sliding_window_view(temps, horizon)
-    return series.timestamps[: n - horizon], windows.min(axis=1)
+    steps = np.diff(ts)
+    step = np.median(steps)
+    last = np.searchsorted(ts, ts + horizon, side="right") - 1  # each window's last row
+    wide_before = np.concatenate(([0], np.cumsum(steps > step)))  # wide steps up to each row
+    rows = np.arange(ts.size)
+    rows = rows[(last > rows) & (ts[last] - ts > horizon - step)
+                & (wide_before[last] == wide_before)]
+    # Interleaved (start, stop) bounds: every even reduceat slot is one window's
+    # minimum. The appended slot makes a stop at the series end a valid index.
+    temps = np.append(series.raw[:, 0], np.inf)
+    bounds = np.column_stack([rows + 1, last[rows] + 1]).ravel()
+    return ts[rows], np.minimum.reduceat(temps, bounds)[::2]
 
 
 def pair_feature_arrays(
@@ -133,7 +150,7 @@ def baseline_feature_arrays(
     """On-site variant: 5 climate features predicting the station's own label."""
     lab_ts, labels = label_arrays(series, horizon)
     obs = climate_matrix(series)
-    return obs.climate[: lab_ts.size].copy(), labels, lab_ts
+    return obs.climate[np.searchsorted(obs.timestamps, lab_ts)], labels, lab_ts
 
 
 @dataclass(frozen=True)

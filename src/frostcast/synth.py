@@ -86,10 +86,6 @@ class _HarmonicField:
             out += a * np.sin(2.0 * math.pi * (fx * lon + fy * lat) + ph)
         return out
 
-    def gradient_bound(self) -> float:
-        """sup |d/dlon| + sup |d/dlat| of the field."""
-        return float(np.sum(self.amps * 2.0 * math.pi * (np.abs(self.fx) + np.abs(self.fy))))
-
 
 class TruthField:
     """Noiseless world: queryable temperature, elevation, and NDVI surfaces."""
@@ -134,16 +130,6 @@ class TruthField:
                 + self._wave.phases[k]
             )
         return base
-
-    def spatial_lipschitz_bound(self) -> float:
-        """Bound on |temperature(p) - temperature(q)| / (|dlon| + |dlat|)."""
-        dem_part = self.spec.lapse_rate * self.spec.dem_relief * 0.5 * self._dem_field.gradient_bound()
-        wave_part = float(
-            np.sum(self._wave_amps * 2.0 * math.pi
-                   * (np.abs(self._wave.fx[: self._wave_amps.size])
-                      + np.abs(self._wave.fy[: self._wave_amps.size])))
-        )
-        return dem_part + wave_part
 
 
 @dataclass(frozen=True)

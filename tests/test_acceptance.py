@@ -395,10 +395,12 @@ def test_criterion_10_fold_isolation():
     unambiguous = len(id_of) == len(ids)
     exact_split = True
     leaked = False
+    inspected = 0
     for fold in (0, 3):
         test_ids = folds.test_stations(fold)
+        # 360 minutes: twelve 30-minute samples ahead.
         bank = train_bank(world.stations, folds, fold,
-                          TrainConfig(seed=1, epochs=1, batch_size=256), horizon=12)
+                          TrainConfig(seed=1, epochs=1, batch_size=256), horizon=360)
         if set(bank.models) != folds.train_stations(fold):
             exact_split = False
         # Re-derive the pairing from what the bank actually trained on, and map
@@ -409,12 +411,14 @@ def test_criterion_10_fold_isolation():
             for tgt in sources:
                 if tgt == src:
                     continue
-                x, _, _ = pair_feature_arrays(by_id[src], by_id[tgt], horizon=12)
+                x, _, _ = pair_feature_arrays(by_id[src], by_id[tgt], horizon=360)
+                inspected += x.shape[0]
                 row_ids = {id_of.get(tuple(r[cols])) for r in x
                            for cols in (slice(0, 4), slice(4, 8))}
                 if None in row_ids or row_ids & test_ids:
                     leaked = True
-    ok = sizes_ok and disjoint_ok and exact_split and unambiguous and not leaked
+    ok = sizes_ok and disjoint_ok and exact_split and unambiguous and not leaked and inspected > 0
     report(10, "five disjoint 15-station folds; no test-station entries", ok,
            f" (sizes ok {sizes_ok}, disjoint {disjoint_ok}, "
-           f"split exact {exact_split}, ids from attributes {unambiguous}, leaked {leaked})")
+           f"split exact {exact_split}, ids from attributes {unambiguous}, leaked {leaked}, "
+           f"rows inspected {inspected})")

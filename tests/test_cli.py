@@ -344,6 +344,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: malformed baseline_ids: {ids!r}\n"
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("horizon", True), ("horizon", 60.9), ("horizon", 60.0), ("horizon", "60"),
+        ("horizon", None), ("horizon", 0), ("horizon", -60), ("fold", False),
+        ("fold", 0.5), ("fold", "0"), ("fold", None),
+    ])
+    def test_bank_horizon_and_fold_must_be_integers(self, pipeline, tmp_path, capsys, key, value):
+        bank = tmp_path / "bank"
+        shutil.copytree(pipeline["bank"], bank)
+        manifest = json.loads((bank / "manifest.json").read_text())
+        manifest[key] = value
+        (bank / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(pipeline["data"]), "--bank", str(bank),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: malformed manifest: {key} must be")
+        assert not (tmp_path / "r.json").exists()
+
     def test_eval_ok_refit(self, pipeline, tmp_path):
         out = tmp_path / "r.json"
         assert main([

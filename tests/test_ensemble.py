@@ -55,7 +55,10 @@ from frostcast.ensemble import (
 )
 from frostcast.features import (
     apply_scaler,
+    climate_matrix,
     fit_scaler_arrays,
+    join_timestamps,
+    label_arrays,
     pair_feature_arrays,
     scale_label,
 )
@@ -260,6 +263,24 @@ class TestPearson:
         manual = float(np.sum(xc * yc) / np.sqrt(np.sum(xc**2) * np.sum(yc**2)))
         assert pearson(x, y) == pytest.approx(manual, abs=1e-12)
 
+    def test_same_bits_whatever_the_blas_thread_count(self):
+        # OpenBLAS splits a long dot product's sum across its threads.
+        controls = ensemble._blas_thread_controls()
+        if controls is None:
+            pytest.skip("no OpenBLAS thread controls resolve")
+        get_threads, set_threads = controls
+        x, y = np.random.default_rng(5).normal(size=(2, 200_000))
+        before = get_threads()
+        try:
+            values = []
+            for n in (1, 2, 4):
+                set_threads(n)
+                values.append(pearson(x, y))
+                assert get_threads() == n
+        finally:
+            set_threads(before)
+        assert values[0] == values[1] == values[2]
+
 
 class TestBank:
     def test_bank_contains_only_training_stations(self, small_bank, small_folds):
@@ -335,7 +356,56 @@ class TestBank:
             load_bank(tmp_path)
 
 
+def reference_calibrate(bank, stations, stride):
+    """calibrate_coefficients as a per-(target, source) join-and-predict loop."""
+    by_id = index_series(stations)
+    dist_rows, err_blocks = [], []
+    for target in stations:
+        lab_ts, labels = label_arrays(target, bank.horizon)
+        lab_ts, labels = lab_ts[::stride], labels[::stride]
+        for source_id in bank.station_ids:
+            if source_id not in by_id or source_id == target.id:
+                continue
+            obs = climate_matrix(by_id[source_id])
+            _, src_idx, lab_idx = join_timestamps(obs.timestamps, lab_ts)
+            if lab_idx.size == 0:
+                continue
+            preds = bank.predict_batch(source_id, obs.climate[src_idx], target.attributes)
+            errors = np.abs(preds - labels[lab_idx])
+            raw = np.asarray(station_distances(bank.station_attrs[source_id], target.attributes))
+            norm = bank.normalization.normalize(raw[None, :])[0]
+            dist_rows.append(np.broadcast_to(norm, (errors.size, 3)))
+            err_blocks.append(errors)
+    dists, errors = np.concatenate(dist_rows), np.concatenate(err_blocks)
+    geo, dem, ndvi = (abs(pearson(dists[:, k], errors)) for k in range(3))
+    if geo + dem + ndvi == 0.0:
+        return FALLBACK_COEFFICIENTS
+    return WeightCoefficients(geo, dem, ndvi)
+
+
+def _drop_rows(series, lo, hi):
+    """The series without rows lo..hi-1: a gap in its timestamps."""
+    keep = np.r_[0:lo, hi:len(series)]
+    return replace(series, timestamps=series.timestamps[keep], raw=series.raw[keep])
+
+
 class TestCalibration:
+    @pytest.mark.parametrize("gapped", [False, True])
+    @pytest.mark.parametrize("stride", [1, 30, 60])
+    def test_matches_reference_loop_at_one_and_two_workers(
+        self, small_bank, small_world, small_folds, monkeypatch, stride, gapped
+    ):
+        train_ids = small_folds.train_stations(0)
+        train_series = [s for s in small_world.stations if s.id in train_ids]
+        if gapped:
+            # One target loses two hours of labels, one source two hours of inputs.
+            train_series[0] = _drop_rows(train_series[0], 300, 420)
+            train_series[-1] = _drop_rows(train_series[-1], 600, 720)
+        expected = reference_calibrate(small_bank, train_series, stride)
+        for n in (1, 2):
+            monkeypatch.setattr(ensemble, "_worker_count", lambda: n)
+            assert calibrate_coefficients(small_bank, train_series, stride=stride) == expected
+
     def test_returns_valid_coefficients(self, small_bank, small_world, small_folds):
         train_ids = small_folds.train_stations(0)
         train_series = [s for s in small_world.stations if s.id in train_ids]

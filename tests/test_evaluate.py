@@ -7,7 +7,7 @@ d = [-1, 0, 1, 2, 3]: mean 1, sd sqrt(2.5), t = 1/sqrt(0.5) = sqrt(2),
 two-sided p = 0.230200 (reference CDF).
 """
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -471,7 +471,7 @@ class TestAblation:
             counts=[1, 2], methods=("ok", "idw"), matrices=matrices,
         )
         rows = {(r.method, r.station_count): r for r in results}
-        empty = rows["ok", 1].to_dict()
+        empty = asdict(rows["ok", 1])
         assert {key: empty[key] for key in ("rmse", "tpr", "fdr", "n_predictions", "n_events")} == {
             "rmse": None, "tpr": None, "fdr": None, "n_predictions": 0, "n_events": 0}
         assert rows["ok", 2].n_predictions > 0 and np.isfinite(rows["ok", 2].rmse)

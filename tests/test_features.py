@@ -7,6 +7,8 @@ component is 0 and its north component is -5.
 """
 
 import math
+import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +39,38 @@ def series_from_temps(temps, station_id="s", start=0, step=1):
     ts = start + np.arange(temps.size, dtype=np.int64) * step
     raw = np.column_stack([temps, temps - 2.0, np.full((temps.size, 3), (70.0, 1.0, 45.0))])
     return StationSeries(station_id, attrs, ts, raw)
+
+
+def series_at(timestamps, temps, station_id="s"):
+    """A series observed at the given minutes with the given temperatures."""
+    ts = np.asarray(timestamps, dtype=np.int64)
+    return replace(series_from_temps(temps, station_id), timestamps=ts)
+
+
+def reference_labels(timestamps, temps, horizon):
+    """The label rule, one timestamp at a time: [(t, label), ...].
+
+    A label at t is the minimum over observations in (t, t + horizon]. It
+    needs every step from t up to the window's last observation to be at
+    most the median step, and that last observation later than
+    t + horizon - the median step.
+    """
+    ts = [int(t) for t in timestamps]
+    step = statistics.median(b - a for a, b in zip(ts, ts[1:]))
+    out = []
+    for i, t in enumerate(ts):
+        window = [j for j in range(i + 1, len(ts)) if ts[j] <= t + horizon]
+        if not window or ts[window[-1]] <= t + horizon - step:
+            continue
+        if max(ts[j] - ts[j - 1] for j in window) > step:
+            continue
+        out.append((t, min(float(temps[j]) for j in window)))
+    return out
+
+
+def labels_as_pairs(series, horizon):
+    ts, labels = label_arrays(series, horizon)
+    return list(zip(ts.tolist(), labels.tolist()))
 
 
 def reference_reverse_direction(met_deg):
@@ -147,6 +181,8 @@ class TestLabels:
     def test_too_short_series_yields_nothing(self):
         ts, labels = label_arrays(series_from_temps([1.0, 2.0, 3.0]), horizon=5)
         assert ts.size == 0 and labels.size == 0
+        ts, labels = label_arrays(series_from_temps([1.0]), horizon=1)
+        assert ts.size == 0 and labels.size == 0
 
     @given(
         st.lists(st.floats(-20.0, 30.0), min_size=4, max_size=40),
@@ -165,6 +201,48 @@ class TestLabels:
     def test_horizon_domain(self):
         with pytest.raises(DomainError):
             label_arrays(series_from_temps([1.0, 2.0, 3.0]), horizon=0)
+
+    def test_two_hour_hole_in_one_minute_series(self, rng):
+        # Minutes 0..299, then nothing until 420..719. A window that reaches
+        # into the hole is not covered, so minutes 240..299 get no label and
+        # no label is taken from the far side of the hole.
+        ts = np.r_[0:300, 420:720]
+        temps = rng.normal(0.0, 5.0, ts.size)
+        series = series_at(ts, temps)
+        got = labels_as_pairs(series, 60)
+        assert got == reference_labels(ts, temps, 60)
+        assert [t for t, _ in got] == list(range(0, 240)) + list(range(420, 660))
+        assert got[0] == (0, float(temps[1:61].min()))
+
+    @pytest.mark.parametrize("step", [2, 5, 7, 10])
+    def test_coarse_sampling_covers_sixty_minutes(self, rng, step):
+        # At 7-minute sampling the window (t, t + 60] holds t + 7 .. t + 56.
+        temps = rng.normal(0.0, 5.0, 200)
+        series = series_from_temps(temps, step=step)
+        per_window = 60 // step
+        got = labels_as_pairs(series, 60)
+        assert got == reference_labels(series.timestamps, temps, 60)
+        assert got == [(i * step, float(temps[i + 1:i + 1 + per_window].min()))
+                       for i in range(200 - per_window)]
+
+    def test_ragged_spacing(self):
+        # Median step 1: the step 2 -> 4 is too wide, and a window whose last
+        # observation is not later than t + 1 ends short.
+        ts = [0, 1, 2, 4, 5, 6, 7]
+        temps = [9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0]
+        got = labels_as_pairs(series_at(ts, temps), 2)
+        assert got == reference_labels(ts, temps, 2) == [(0, 7.0), (4, 4.0), (5, 3.0)]
+
+    @given(
+        st.lists(st.integers(1, 30), min_size=1, max_size=60),
+        st.integers(1, 120),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_timestamp_rule(self, steps, horizon, seed):
+        ts = np.concatenate([[0], np.cumsum(steps)])
+        temps = np.random.default_rng(seed).normal(0.0, 5.0, ts.size)
+        assert labels_as_pairs(series_at(ts, temps), horizon) == reference_labels(ts, temps, horizon)
 
 
 class TestPairJoin:
@@ -224,6 +302,15 @@ class TestPairJoin:
         assert x.shape == (3, 5)
         np.testing.assert_allclose(y, [3.0, 2.0, 1.0])
         np.testing.assert_allclose(x[:, 0], [5.0, 4.0, 3.0])
+
+    def test_baseline_rows_are_taken_at_label_timestamps(self):
+        # Temperature equals the minute, so each row's column 0 names the
+        # observation it was taken from; the hole withholds labels mid-series.
+        ts = np.r_[0:100, 200:300]
+        x, y, lab_ts = baseline_feature_arrays(series_at(ts, ts.astype(np.float64)), horizon=10)
+        assert lab_ts.tolist() == list(range(0, 90)) + list(range(200, 290))
+        assert x[:, 0].tolist() == lab_ts.tolist()
+        assert y.tolist() == (lab_ts + 1).tolist()
 
 
 class TestJoinTimestamps:

@@ -133,19 +133,6 @@ class TestTruthField:
         # traveling-wave phase, whose amplitude is below the diurnal swing.
         assert temps[14 * 60] > temps[4 * 60]
 
-    def test_spatial_lipschitz_bound_holds(self, tiny_world):
-        truth = tiny_world.truth
-        bound = truth.spatial_lipschitz_bound()
-        rng = np.random.default_rng(5)
-        lon = rng.uniform(146.0, 147.0, 200)
-        lat = rng.uniform(-34.0, -33.0, 200)
-        dlon = rng.uniform(-0.05, 0.05, 200)
-        dlat = rng.uniform(-0.05, 0.05, 200)
-        t = rng.integers(0, 1440, 200)
-        a = truth.temperature(lon, lat, t)
-        b = truth.temperature(lon + dlon, lat + dlat, t)
-        assert (np.abs(a - b) <= bound * (np.abs(dlon) + np.abs(dlat)) + 1e-12).all()
-
 
 class TestWriteWorld:
     def test_emits_ingestible_layout(self, tiny_world, tmp_path):
