@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from .core import FoldAssignment
+from .core import FoldAssignment, write_atomically
 from .ensemble import (
     FOLD_COEFFICIENT_PRESETS,
     calibrate_coefficients,
@@ -32,7 +32,7 @@ from .evaluate import (
     run_fold_experiment,
     train_baselines,
 )
-from .features import DEFAULT_HORIZON, _wind_component_arrays, baseline_feature_arrays
+from .features import DEFAULT_HORIZON, station_frame
 from .ingest import (
     ingest_directory,
     load_dataset,
@@ -118,9 +118,7 @@ def _write_json(path: str, doc: dict, deterministic: bool) -> None:
     if not deterministic:
         doc = dict(doc)
         doc["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_atomically(path, lambda fh: fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n"))
 
 
 def _load_folds(path: str) -> FoldAssignment:
@@ -231,19 +229,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise DataError("dataset has no held-out stations for this bank")
     folds = FoldAssignment((frozenset(test_ids), frozenset(train_ids)))
     baselines = None
-    if "baseline" in methods:
-        stored = load_baselines(args.bank)
-        if not stored:
-            raise DataError("bank directory has no baseline models")
+    if "baseline" in methods:  # run_fold_experiment checks the models and their stations
         fraction = load_baseline_fraction(args.bank)
-        by_id = {s.id: s for s in dataset.stations}
-        missing = sorted(set(stored) - set(by_id))
-        if missing:
-            raise DataError(f"dataset has no series for baseline stations: {missing}")
-        baselines = {}
-        for sid, (net, scaler) in stored.items():
-            x, _, _ = baseline_feature_arrays(by_id[sid], bank.horizon)
-            baselines[sid] = BaselineModel(net, scaler, int(x.shape[0] * fraction))
+        baselines = {sid: BaselineModel(net, scaler, fraction)
+                     for sid, (net, scaler) in load_baselines(args.bank).items()}
     report = run_fold_experiment(
         dataset.stations,
         folds,
@@ -286,14 +275,12 @@ def _cmd_raster(args: argparse.Namespace) -> int:
             continue
         i = int(series.timestamps.searchsorted(args.timestamp))
         if i < len(series) and series.timestamps[i] == args.timestamp:
-            row = series.raw[i:i + 1]
-            e, n = _wind_component_arrays(row[:, 4], row[:, 3])
-            temperature, dew_point, rh = row[0, :3].tolist()
-            snapshot[series.id] = (temperature, dew_point, rh, float(n[0]), float(e[0]))
+            # Climate columns: temperature, dew point, rh, north wind, east wind.
+            snapshot[series.id] = tuple(station_frame(series, bank.horizon).climate[i].tolist())
     if not snapshot:
         raise DataError(f"no bank station has an observation at minute {args.timestamp}")
     grid = generate_raster(bank, snapshot, dataset.dem, dataset.ndvi, method, source_id)
-    Path(args.out).write_text(write_ascii_grid(grid))
+    write_atomically(args.out, lambda fh: fh.write(write_ascii_grid(grid)))
     if args.png:
         write_png(grid, args.png, Path(args.png).with_suffix(".json"))
     print(f"wrote {method} raster over {int(grid.mask.sum())} cells -> {args.out}")
@@ -309,7 +296,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if len(grids) != len(args.rasters):
         raise UsageError("raster file names must be distinct")
     labels, matrix = raster_matrix(grids)
-    Path(args.out).write_text(matrix_to_csv(labels, matrix))
+    write_atomically(args.out, lambda fh: fh.write(matrix_to_csv(labels, matrix)))
     print(f"wrote {len(labels)}x{len(labels)} p-value matrix -> {args.out}")
     return 0
 

@@ -1,10 +1,12 @@
-"""Shared domain types: stations, their columnar series, folds."""
+"""Shared domain types: stations, their columnar series, folds; the atomic text writer."""
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from typing import Iterable
+from pathlib import Path
+from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
@@ -189,3 +191,19 @@ def index_series(stations: Iterable[StationSeries]) -> dict[StationId, StationSe
             raise DataError(f"duplicate station id: {s.id}")
         out[s.id] = s
     return out
+
+
+def write_atomically(path: str | os.PathLike, write: Callable[[TextIO], object]) -> None:
+    """Replace ``path`` with what ``write`` writes to a temporary file beside it.
+
+    On any error the temporary file is removed and ``path`` keeps its old bytes.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

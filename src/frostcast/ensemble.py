@@ -44,18 +44,19 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import FoldAssignment, GeoPoint, StationAttributes, StationId, StationSeries, index_series
+from .core import write_atomically
 from .errors import DataError, DomainError, FormatError, UnsupportedVersionError
 from .features import (
     DEFAULT_HORIZON,
     ScalerStats,
+    StationFrame,
     apply_scaler,
-    climate_matrix,
     fit_scaler_arrays,
     invert_label,
     join_pair_arrays,
     join_timestamps,
-    label_arrays,
     scale_label,
+    station_frame,
 )
 from .neuralnet import Network, SUBMODEL_SPEC, TrainConfig, forward_batch, init_network
 from .neuralnet import load_network, save_network, train
@@ -377,43 +378,44 @@ def map_in_workers(task: Callable[[int], object], n: int) -> Iterator:
         pool.shutdown(cancel_futures=True)
 
 
-def _prediction_block(bank: SubmodelBank, source_obs, targets, idx: int) -> np.ndarray:
-    """Each source's predictions at ``targets[idx]``: (sources, labels), NaN where unobserved."""
-    attrs, lab_ts = targets[idx]
-    values = np.full((len(source_obs), lab_ts.size), np.nan)
-    for i, (sid, obs) in enumerate(source_obs.items()):
-        _, src_idx, lab_idx = join_timestamps(obs.timestamps, lab_ts)
+def _prediction_block(bank: SubmodelBank, sources: list[StationFrame],
+                      targets: list[StationFrame], idx: int) -> np.ndarray:
+    """Each source's predictions at ``targets[idx]``; NaN where unobserved or where source is target."""
+    target = targets[idx]
+    values = np.full((len(sources), target.labels.size), np.nan)
+    for i, source in enumerate(sources):
+        if source.id == target.id:
+            continue
+        _, src_idx, lab_idx = join_timestamps(source.timestamps, target.label_timestamps)
         if lab_idx.size:
-            values[i, lab_idx] = bank.predict_batch(sid, obs.climate[src_idx], attrs)
+            values[i, lab_idx] = bank.predict_batch(source.id, source.climate[src_idx],
+                                                    target.attributes)
     return values
 
 
-def _predictions_at_targets(bank: SubmodelBank, by_id, targets) -> tuple[list[StationId], list]:
-    """(source ids, one :func:`_prediction_block` per ``(attributes, label timestamps)`` target).
+def _predictions_at_targets(bank: SubmodelBank, frames: Mapping[StationId, StationFrame],
+                            targets: list[StationFrame]) -> tuple[list[StationId], list]:
+    """(source ids, one :func:`_prediction_block` per target frame).
 
-    The sources are the bank's stations with a series in ``by_id``, in bank
+    The sources are the bank's stations with a frame in ``frames``, in bank
     order. Each target is one ``map_in_workers`` task.
     """
-    source_obs = {sid: climate_matrix(by_id[sid]) for sid in bank.station_ids if sid in by_id}
-    task = functools.partial(_prediction_block, bank, source_obs, targets)
-    return list(source_obs), list(map_in_workers(task, len(targets)))
+    sources = [frames[sid] for sid in bank.station_ids if sid in frames]
+    task = functools.partial(_prediction_block, bank, sources, targets)
+    return [s.id for s in sources], list(map_in_workers(task, len(targets)))
 
 
-def _train_submodel(by_id, train_ids, test_ids, labels_by_id, cfg: TrainConfig,
+def _train_submodel(frames: Mapping[StationId, StationFrame], train_ids, test_ids, cfg: TrainConfig,
                     max_entries: int | None, idx: int) -> tuple[ScalerStats, int, Network]:
     """Build source ``train_ids[idx]``'s corpus and train it: (scaler, entries, network)."""
     source_id = train_ids[idx]
-    source = by_id[source_id]
     assert source_id not in test_ids
-    climate = climate_matrix(source)
     blocks_x, blocks_y = [], []
     for target_id in train_ids:
         if target_id == source_id:
             continue
         assert target_id not in test_ids
-        x, y, _ = join_pair_arrays(
-            source.attributes, by_id[target_id].attributes, climate, *labels_by_id[target_id]
-        )
+        x, y, _ = join_pair_arrays(frames[source_id], frames[target_id])
         if x.shape[0]:
             blocks_x.append(x)
             blocks_y.append(y)
@@ -466,17 +468,10 @@ def train_bank(
     if max_entries is not None and max_entries < 1:
         raise DomainError(f"max_entries must be >= 1: {max_entries!r}")
 
-    # Columns are extracted once per station, not once per pair. Every source
-    # joins against all labels, so they are kept; the copies stop the strided
-    # views from pinning full-length arrays.
-    labels_by_id = {}
-    for sid in train_ids:
-        lab_ts, labels = label_arrays(by_id[sid], horizon)
-        labels_by_id[sid] = (lab_ts[::entry_stride].copy(), labels[::entry_stride].copy())
-
+    # One frame per station, not per pair, keeping every entry_stride-th label.
+    frames = {sid: station_frame(by_id[sid], horizon).thinned(entry_stride) for sid in train_ids}
     normalization = fit_normalization([by_id[i].attributes for i in train_ids])
-    task = functools.partial(_train_submodel, by_id, train_ids, test_ids, labels_by_id, cfg,
-                             max_entries)
+    task = functools.partial(_train_submodel, frames, train_ids, test_ids, cfg, max_entries)
     models: dict[StationId, Network] = {}
     scalers: dict[StationId, ScalerStats] = {}
     for idx, (scaler, n_entries, net) in enumerate(map_in_workers(task, len(train_ids))):
@@ -514,18 +509,17 @@ def calibrate_coefficients(
     by_id = index_series(stations)
     if not any(sid in by_id for sid in bank.station_ids):
         raise DataError("none of the bank's source stations have series to calibrate on")
-    labels = [label_arrays(target, bank.horizon) for target in stations]
-    labels = [(lab_ts[::stride], lab[::stride]) for lab_ts, lab in labels]
-    source_ids, blocks = _predictions_at_targets(
-        bank, by_id, [(t.attributes, lab_ts) for t, (lab_ts, _) in zip(stations, labels)])
+    frames = {sid: station_frame(series, bank.horizon) for sid, series in by_id.items()}
+    targets = [frame.thinned(stride) for frame in frames.values()]
+    source_ids, blocks = _predictions_at_targets(bank, frames, targets)
     dist_rows: list[np.ndarray] = []
     err_blocks: list[np.ndarray] = []
-    for target, (_, lab), block in zip(stations, labels, blocks):
+    for target, block in zip(targets, blocks):
         for source_id, preds in zip(source_ids, block):
-            observed = ~np.isnan(preds)
-            if source_id == target.id or not observed.any():
+            observed = ~np.isnan(preds)  # a source's row at its own site is all NaN
+            if not observed.any():
                 continue
-            errors = np.abs(preds[observed] - lab[observed])
+            errors = np.abs(preds[observed] - target.labels[observed])
             raw = np.asarray(station_distances(bank.station_attrs[source_id], target.attributes))
             norm = bank.normalization.normalize(raw[None, :])[0]
             dist_rows.append(np.broadcast_to(norm, (errors.size, 3)))
@@ -596,15 +590,8 @@ def save_coefficients(directory: str | os.PathLike, coefficients: WeightCoeffici
 
 
 def _write_manifest(path: Path, manifest: dict) -> None:
-    """Replace ``manifest.json`` through a temporary file in the same directory."""
-    tmp = path / f".manifest.json.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-        os.replace(tmp, path / "manifest.json")
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomically(path / "manifest.json",
+                     lambda fh: json.dump(manifest, fh, sort_keys=True, indent=2))
 
 
 def load_bank(directory: str | os.PathLike) -> SubmodelBank:

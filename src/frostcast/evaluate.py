@@ -22,12 +22,12 @@ from .errors import DataError, DomainError
 from .features import (
     DEFAULT_HORIZON,
     ScalerStats,
+    StationFrame,
     apply_scaler,
-    baseline_feature_arrays,
     fit_scaler_arrays,
     invert_label,
-    label_arrays,
     scale_label,
+    station_frame,
 )
 from .geostats import (
     VariogramModel,
@@ -205,32 +205,38 @@ def paired_t_test(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]
     return t, min(max(p, 0.0), 1.0)
 
 
+def _frames(by_id, ids: Sequence[StationId], horizon: int) -> dict[StationId, StationFrame]:
+    """One :func:`~frostcast.features.station_frame` per listed station, each derived once."""
+    missing = sorted(set(ids) - set(by_id))
+    if missing:
+        raise DataError(f"no series for stations: {missing}")
+    return {sid: station_frame(by_id[sid], horizon) for sid in dict.fromkeys(ids)}
+
+
 # --- baseline (on-site) models ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class BaselineModel:
-    """On-site model plus the index where its held-out slice begins."""
+    """On-site model, trained on the first ``train_fraction`` of its station's labels."""
 
     network: Network
     scaler: ScalerStats
-    split_index: int
+    train_fraction: float
 
 
-def _train_baseline(by_id, ids, cfg: TrainConfig, horizon: int, train_fraction: float,
-                    idx: int) -> BaselineModel:
-    sid = ids[idx]
-    if sid not in by_id:
-        raise DataError(f"no series for station {sid}")
-    x, y, _ = baseline_feature_arrays(by_id[sid], horizon)
+def _train_baseline(frames: Mapping[StationId, StationFrame], ids, cfg: TrainConfig,
+                    train_fraction: float, idx: int) -> BaselineModel:
+    frame = frames[ids[idx]]
+    x, y = frame.onsite_climate(), frame.labels
     if x.shape[0] < 10:
-        raise DataError(f"station {sid} has too few labeled rows for a baseline")
+        raise DataError(f"station {frame.id} has too few labeled rows for a baseline")
     split = int(x.shape[0] * train_fraction)
     scaler = fit_scaler_arrays(x[:split], y[:split])
     net = init_network(ONSITE_SPEC, seed=int(cfg.seed * 99991 + idx))
     net, _ = train(net, apply_scaler(scaler, x[:split]), np.asarray(scale_label(scaler, y[:split])),
                    cfg, _skip_train_loss=True)
-    return BaselineModel(net, scaler, split)
+    return BaselineModel(net, scaler, train_fraction)
 
 
 def train_baselines(
@@ -249,29 +255,27 @@ def train_baselines(
     if not 0.0 < train_fraction < 1.0:
         raise DomainError(f"train_fraction must be in (0, 1): {train_fraction!r}")
     ids = sorted(ids)
-    task = functools.partial(_train_baseline, index_series(stations), ids, cfg or TrainConfig(),
-                             horizon, train_fraction)
+    frames = _frames(index_series(stations), ids, horizon)
+    task = functools.partial(_train_baseline, frames, ids, cfg or TrainConfig(), train_fraction)
     return dict(zip(ids, list(map_in_workers(task, len(ids)))))
 
 
 def evaluate_baselines(
     baselines: Mapping[StationId, BaselineModel],
-    stations: Sequence[StationSeries],
-    horizon: int = DEFAULT_HORIZON,
+    frames: Mapping[StationId, StationFrame],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled (predictions, labels) over every baseline's held-out slice."""
-    by_id = index_series(stations)
+    """Pooled (predictions, labels) over every baseline's held-out slice of its station's frame."""
     preds: list[np.ndarray] = []
     labels: list[np.ndarray] = []
     for sid, model in sorted(baselines.items()):
-        x, y, _ = baseline_feature_arrays(by_id[sid], horizon)
-        xs = x[model.split_index:]
-        ys = y[model.split_index:]
+        frame = frames[sid]
+        split = int(frame.labels.size * model.train_fraction)
+        xs = frame.onsite_climate()[split:]
         if xs.shape[0] == 0:
             continue
         scaled = forward_batch(model.network, apply_scaler(model.scaler, xs))
         preds.append(np.asarray(invert_label(model.scaler, scaled), dtype=np.float64))
-        labels.append(ys)
+        labels.append(frame.labels[split:])
     if not preds:
         raise DataError("baselines have no held-out rows to score")
     return np.concatenate(preds), np.concatenate(labels)
@@ -300,7 +304,7 @@ class PredictionMatrix:
     """All submodel predictions at one target station.
 
     ``values[i, t]`` is source ``source_ids[i]``'s prediction for label
-    timestamp ``t``; NaN marks source observations missing at that minute.
+    timestamp ``t``; NaN where the source is unobserved at that minute or is the target.
     """
 
     target_id: StationId
@@ -321,19 +325,17 @@ def build_prediction_matrices(
     one ``map_in_workers`` task (``ensemble._predictions_at_targets``, which
     ``calibrate_coefficients`` shares).
     """
-    by_id = index_series(data)
-    missing = sorted(set(bank.station_ids) - set(by_id))
-    if missing:
-        raise DataError(f"no series for bank stations: {missing}")
     target_ids = sorted(target_ids)
-    for tid in target_ids:
-        if tid not in by_id:
-            raise DataError(f"no series for target station {tid}")
-    labels = [label_arrays(by_id[tid], bank.horizon) for tid in target_ids]
-    source_ids, blocks = _predictions_at_targets(
-        bank, by_id, [(by_id[tid].attributes, lab_ts) for tid, (lab_ts, _) in zip(target_ids, labels)])
-    return [PredictionMatrix(tid, list(source_ids), lab_ts, lab, values)
-            for tid, (lab_ts, lab), values in zip(target_ids, labels, blocks)]
+    frames = _frames(index_series(data), [*bank.station_ids, *target_ids], bank.horizon)
+    return _prediction_matrices(frames, bank, target_ids)
+
+
+def _prediction_matrices(frames: Mapping[StationId, StationFrame], bank: SubmodelBank,
+                         target_ids: Sequence[StationId]) -> list[PredictionMatrix]:
+    targets = [frames[tid] for tid in target_ids]
+    source_ids, blocks = _predictions_at_targets(bank, frames, targets)
+    return [PredictionMatrix(t.id, list(source_ids), t.label_timestamps, t.labels, values)
+            for t, values in zip(targets, blocks)]
 
 
 def _availability_groups(avail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -410,10 +412,20 @@ def run_station_ablation(
         raise DomainError("no station counts given")
     if counts[0] < 1 or counts[-1] > n_src:
         raise DomainError(f"counts must lie in [1, {n_src}]: {counts}")
+    if "baseline" in methods and not baselines:
+        raise DataError("baseline method requested but no baseline models supplied")
     target_ids = sorted(folds.test_stations(fold))
-    if matrices is None:
-        matrices = build_prediction_matrices(data, bank, target_ids)
     by_id = index_series(data)
+    # Each station is derived once, for the matrices and the baselines alike. The
+    # frames go before the ablation, whose peak memory they would otherwise raise.
+    wanted = [*bank.station_ids, *target_ids] if matrices is None else []
+    if "baseline" in methods:
+        wanted += list(baselines)
+    frames = _frames(by_id, wanted, bank.horizon)
+    if matrices is None:
+        matrices = _prediction_matrices(frames, bank, target_ids)
+    scored = evaluate_baselines(baselines, frames) if "baseline" in methods else None
+    del frames
 
     # Per-target unnormalized attribute weights; frozen bounds make the
     # subset restriction equivalent to recomputing from scratch.
@@ -457,40 +469,21 @@ def run_station_ablation(
             labels_all = np.concatenate(pooled_labels)
             if pred_all.size == 0 and not (method == "ok" and k < 2):
                 raise DataError(f"method {method} produced no valid predictions")
-            conf = event_confusion(pred_all, labels_all, trigger)
-            results.append(
-                AblationResult(
-                    method=method,
-                    station_count=k,
-                    fold=fold,
-                    seed=seed,
-                    rmse=(None if pred_all.dtype == np.bool_ or pred_all.size == 0
-                          else rmse(pred_all, labels_all)),
-                    tpr=conf.tpr,
-                    fdr=conf.fdr,
-                    n_predictions=int(pred_all.size),
-                    n_events=conf.tp + conf.fn,
-                )
-            )
-    if "baseline" in methods:
-        if not baselines:
-            raise DataError("baseline method requested but no baseline models supplied")
-        pred, labels = evaluate_baselines(baselines, data, bank.horizon)
-        conf = event_confusion(pred, labels, trigger)
-        results.append(
-            AblationResult(
-                method="baseline",
-                station_count=0,
-                fold=fold,
-                seed=seed,
-                rmse=rmse(pred, labels),
-                tpr=conf.tpr,
-                fdr=conf.fdr,
-                n_predictions=int(pred.size),
-                n_events=conf.tp + conf.fn,
-            )
-        )
+            results.append(_result(method, k, fold, seed, trigger, pred_all, labels_all))
+    if scored is not None:
+        results.append(_result("baseline", 0, fold, seed, trigger, *scored))
     return results
+
+
+def _result(method: str, count: int, fold: int, seed: int, trigger: float,
+            pred: np.ndarray, labels: np.ndarray) -> AblationResult:
+    """One report row; RMSE is None for frost votes and for no predictions."""
+    conf = event_confusion(pred, labels, trigger)
+    return AblationResult(
+        method=method, station_count=count, fold=fold, seed=seed,
+        rmse=None if pred.dtype == np.bool_ or pred.size == 0 else rmse(pred, labels),
+        tpr=conf.tpr, fdr=conf.fdr, n_predictions=int(pred.size), n_events=conf.tp + conf.fn,
+    )
 
 
 @dataclass

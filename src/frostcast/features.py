@@ -9,6 +9,11 @@ Labels are time-true: the label at minute t is the minimum temperature
 observed in (t, t + horizon], with the horizon in minutes whatever the
 sample interval, and a window that a gap leaves uncovered gets no label
 (:func:`label_arrays`).
+
+A station's :class:`StationFrame` holds its attributes, observation timestamps,
+5-column climate block, label timestamps and labels. :func:`station_frame` is
+the one place that derives them; each public entry point builds one frame per
+station it uses, and every step inside it reads that frame.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import StationAttributes, StationSeries
+from .core import StationAttributes, StationId, StationSeries
 from .errors import DataError, DomainError
 
 DEFAULT_HORIZON = 60
@@ -78,6 +83,33 @@ def label_arrays(series: StationSeries, horizon: int = DEFAULT_HORIZON) -> tuple
     return ts[rows], np.minimum.reduceat(temps, bounds)[::2]
 
 
+class StationFrame(NamedTuple):
+    """One station's derived arrays: the climate block and the labels it is scored on."""
+
+    id: StationId
+    attributes: StationAttributes
+    timestamps: np.ndarray
+    climate: np.ndarray
+    label_timestamps: np.ndarray
+    labels: np.ndarray
+
+    def thinned(self, stride: int) -> StationFrame:
+        """The frame keeping every ``stride``-th label, as copies, so the full arrays can go."""
+        return self._replace(label_timestamps=self.label_timestamps[::stride].copy(),
+                             labels=self.labels[::stride].copy())
+
+    def onsite_climate(self) -> np.ndarray:
+        """The climate rows at the label timestamps: an on-site model's inputs."""
+        return self.climate[np.searchsorted(self.timestamps, self.label_timestamps)]
+
+
+def station_frame(series: StationSeries, horizon: int = DEFAULT_HORIZON) -> StationFrame:
+    """Derive a series' frame: its climate block and its ``horizon``-minute labels."""
+    obs = climate_matrix(series)
+    return StationFrame(series.id, series.attributes, obs.timestamps, obs.climate,
+                        *label_arrays(series, horizon))
+
+
 def pair_feature_arrays(
     source: StationSeries,
     target: StationSeries,
@@ -93,12 +125,8 @@ def pair_feature_arrays(
     """
     if stride < 1:
         raise DomainError(f"stride must be >= 1: {stride!r}")
-    lab_ts, labels = label_arrays(target, horizon)
-    if stride > 1:
-        lab_ts, labels = lab_ts[::stride], labels[::stride]
-    return join_pair_arrays(
-        source.attributes, target.attributes, climate_matrix(source), lab_ts, labels
-    )
+    return join_pair_arrays(station_frame(source, horizon),
+                            station_frame(target, horizon).thinned(stride))
 
 
 def join_timestamps(
@@ -124,33 +152,19 @@ def join_timestamps(
 
 
 def join_pair_arrays(
-    source_attrs: StationAttributes,
-    target_attrs: StationAttributes,
-    src: ObservationArrays,
-    lab_ts: np.ndarray,
-    labels: np.ndarray,
+    source: StationFrame, target: StationFrame
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Join a source's climate columns to a target's labels on exact timestamps.
+    """Join a source's climate block to a target's labels on exact timestamps.
 
     Returns the (n, 13) feature matrix, the label vector and the shared
     timestamps, as :func:`pair_feature_arrays` does from the two series.
     """
-    common, src_idx, lab_idx = join_timestamps(src.timestamps, lab_ts)
+    common, src_idx, lab_idx = join_timestamps(source.timestamps, target.label_timestamps)
     x = np.empty((common.size, 13), dtype=np.float64)
-    x[:, 0:4] = source_attrs.as_tuple()
-    x[:, 4:8] = target_attrs.as_tuple()
-    x[:, 8:13] = src.climate[src_idx]
-    return x, labels[lab_idx], common
-
-
-def baseline_feature_arrays(
-    series: StationSeries,
-    horizon: int = DEFAULT_HORIZON,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """On-site variant: 5 climate features predicting the station's own label."""
-    lab_ts, labels = label_arrays(series, horizon)
-    obs = climate_matrix(series)
-    return obs.climate[np.searchsorted(obs.timestamps, lab_ts)], labels, lab_ts
+    x[:, 0:4] = source.attributes.as_tuple()
+    x[:, 4:8] = target.attributes.as_tuple()
+    x[:, 8:13] = source.climate[src_idx]
+    return x, target.labels[lab_idx], common
 
 
 @dataclass(frozen=True)

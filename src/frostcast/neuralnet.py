@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import write_atomically
 from .errors import DataError, DivergenceError, DomainError, FormatError, UnsupportedVersionError
 from .features import ScalerStats
 
@@ -325,8 +326,7 @@ def save_network(net: Network, path: str | os.PathLike, scaler: ScalerStats | No
         "biases": [b.tolist() for b in net.biases],
         "scaler": None if scaler is None else _scaler_to_dict(scaler),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    write_atomically(path, lambda fh: json.dump(doc, fh, sort_keys=True))
 
 
 def load_network(path: str | os.PathLike) -> tuple[Network, ScalerStats | None]:

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import StationId
+from .core import StationId, write_atomically
 from .ensemble import AGGREGATORS, SubmodelBank, attribute_weights
 from .errors import DataError, DomainError
 from .evaluate import paired_t_test
@@ -151,5 +151,5 @@ def write_png(grid: AttributeGrid, path: str | os.PathLike, sidecar: str | os.Pa
     fig.savefig(path, bbox_inches="tight", pad_inches=0)
     plt.close(fig)
     if sidecar is not None:
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            json.dump({"min": lo, "max": hi, "cmap": "viridis"}, fh, sort_keys=True)
+        write_atomically(sidecar, lambda fh: json.dump({"min": lo, "max": hi, "cmap": "viridis"},
+                                                       fh, sort_keys=True))

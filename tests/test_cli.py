@@ -5,12 +5,13 @@ import os
 import re
 import shutil
 import zipfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from frostcast import load_bank, load_dataset, save_bank
+from frostcast import cli, ensemble, evaluate, features, load_bank, load_dataset, save_bank
 from frostcast.cli import UsageError, main, parse_counts, parse_methods
 from frostcast.core import index_series
 from frostcast.ensemble import (
@@ -20,7 +21,7 @@ from frostcast.ensemble import (
     load_baseline_fraction,
     load_baselines,
 )
-from frostcast.features import baseline_feature_arrays
+from frostcast.features import climate_matrix, station_frame
 
 SPEC = {
     "seed": 77,
@@ -153,11 +154,43 @@ class TestPipeline:
         ]) == 0
         [row] = json.loads(out.read_text())["results"]
         by_id = {s.id: s for s in load_dataset(pipeline["data"]).stations}
-        rows = {sid: baseline_feature_arrays(by_id[sid])[0].shape[0] for sid in stored}
+        rows = {sid: station_frame(by_id[sid]).labels.size for sid in stored}
         held_out = sum(n - int(n * 0.6) for n in rows.values())
         assert held_out != sum(n - int(n * 0.8) for n in rows.values())
         assert row["method"] == "baseline"
         assert row["n_predictions"] == held_out
+
+    @pytest.mark.parametrize("command", ["train", "calibrate", "eval", "raster"])
+    def test_each_station_derived_once_per_command(self, pipeline, tmp_path, monkeypatch,
+                                                   command):
+        bank_dir, data = tmp_path / "bank", str(pipeline["data"])
+        shutil.copytree(pipeline["bank"], bank_dir)
+        argv = {
+            "train": ["train", "--data", data, "--folds", str(pipeline["folds"]), "--fold", "0",
+                      "--epochs", "1", "--entry-stride", "10", "--out", str(bank_dir)],
+            "calibrate": ["calibrate", "--bank", str(bank_dir), "--data", data],
+            "eval": ["eval", "--data", data, "--bank", str(bank_dir), "--methods", "avg,baseline",
+                     "--deterministic", "--out", str(tmp_path / "r.json")],
+            "raster": ["raster", "--data", data, "--bank", str(bank_dir), "--method", "avg",
+                       "--timestamp", "60", "--out", str(tmp_path / "a.asc")],
+        }[command]
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(series, *args, **kwargs):
+                calls[name, series.id] += 1
+                return fn(series, *args, **kwargs)
+            return wrapper
+
+        for name in ("label_arrays", "climate_matrix"):
+            wrapper = counted(name, getattr(features, name))
+            for module in (features, ensemble, evaluate, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        # Pool workers' calls are invisible to this process; one worker runs in it.
+        monkeypatch.setattr(ensemble, "_worker_count", lambda: 1)
+        assert main(argv) == 0
+        assert calls and max(calls.values()) == 1, dict(calls)
 
     def test_eval_baseline_station_missing_from_data(self, pipeline, tmp_path, capsys):
         dropped = sorted(load_baselines(pipeline["bank"]))[-1]
@@ -493,6 +526,30 @@ class TestReadmeEval:
         assert rows[1][1] == rows[2][2] == "N/A"
         assert rows[1][2] == rows[2][1]
         assert 0.0 <= float(rows[1][2]) <= 1.0
+
+    def test_readme_raster_snapshot_is_the_climate_block_row(self, readme_run, tmp_path,
+                                                             monkeypatch):
+        workdir, commands, _ = readme_run
+        argv = next(argv for argv in commands if argv[0] == "raster")
+        minute = int(argv[argv.index("--timestamp") + 1])
+        snapshots = []
+
+        def capture(bank, snapshot, *args):
+            snapshots.append(snapshot)
+            return generate_raster(bank, snapshot, *args)
+
+        generate_raster = cli.generate_raster
+        monkeypatch.setattr(cli, "generate_raster", capture)
+        monkeypatch.chdir(workdir)
+        out = argv.index("--out") + 1
+        assert main([*argv[:out], str(tmp_path / "r.asc"), *argv[out + 1:]]) == 0
+        [snapshot] = snapshots
+        by_id = index_series(load_dataset(argv[argv.index("--data") + 1]).stations)
+        assert sorted(snapshot) == sorted(load_bank(argv[argv.index("--bank") + 1]).models)
+        for sid, values in snapshot.items():
+            obs = climate_matrix(by_id[sid])
+            row = obs.climate[int(np.searchsorted(obs.timestamps, minute))]
+            assert np.array(values).tobytes() == row.tobytes()
 
 
 BAD_SPECS = [

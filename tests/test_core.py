@@ -1,4 +1,4 @@
-"""Value-object invariants: coordinates, series columns, folds."""
+"""Value-object invariants: coordinates, series columns, folds; the atomic writer."""
 
 from dataclasses import replace
 
@@ -14,7 +14,7 @@ from frostcast import (
     StationSeries,
     validate_series,
 )
-from frostcast.core import Violation, index_series
+from frostcast.core import Violation, index_series, write_atomically
 
 
 def make_obs(ts=0, temp=5.0, dew=3.0, rh=80.0, speed=2.0, direction=90.0):
@@ -183,3 +183,29 @@ class TestFoldAssignment:
     def test_empty_fold_rejected(self):
         with pytest.raises(DataError):
             FoldAssignment((frozenset({"a"}), frozenset()))
+
+
+class TestWriteAtomically:
+    def test_replaces_the_file_and_leaves_nothing_else(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        write_atomically(path, lambda fh: fh.write("new\n"))
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_serialiser_failing_partway_keeps_the_old_bytes(self, tmp_path, existing):
+        path = tmp_path / "out.json"
+        if existing:
+            path.write_bytes(b'{"old": true}\n')
+
+        def serialiser(fh):
+            fh.write('{"new": ')
+            fh.flush()  # the partial text is on disk, in the temporary file
+            raise RuntimeError("serialiser failed")
+
+        with pytest.raises(RuntimeError, match="serialiser failed"):
+            write_atomically(path, serialiser)
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["out.json"] if existing else [])
+        if existing:
+            assert path.read_bytes() == b'{"old": true}\n'

@@ -37,7 +37,7 @@ from frostcast import (
     save_bank,
     train_bank,
 )
-from frostcast import ensemble
+from frostcast import ensemble, features
 from frostcast.core import index_series
 from frostcast.ensemble import (
     FALLBACK_COEFFICIENTS,
@@ -347,6 +347,14 @@ class TestBank:
             with pytest.raises(FormatError):
                 load(tmp_path)
 
+    def test_manifest_serialiser_failing_partway_keeps_the_old_manifest(self, small_bank,
+                                                                        tmp_path):
+        save_bank(small_bank, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(TypeError):  # json.dump has written part of the object by then
+            ensemble._write_manifest(tmp_path, {"a": 1, "b": object()})
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_manifest_version_gate(self, small_bank, tmp_path):
         save_bank(small_bank, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -405,6 +413,29 @@ class TestCalibration:
         for n in (1, 2):
             monkeypatch.setattr(ensemble, "_worker_count", lambda: n)
             assert calibrate_coefficients(small_bank, train_series, stride=stride) == expected
+
+    def test_predicts_no_target_from_itself(self, small_bank, small_world, small_folds,
+                                            monkeypatch):
+        train_ids = small_folds.train_stations(0)
+        train_series = [s for s in small_world.stations if s.id in train_ids]
+        expected = Counter()
+        for target in train_series:
+            lab_ts = label_arrays(target, small_bank.horizon)[0][::30]
+            for source in train_series:
+                if source.id != target.id:
+                    expected[source.id, target.attributes] += join_timestamps(
+                        source.timestamps, lab_ts)[0].size
+        rows = Counter()
+        predict_batch = SubmodelBank.predict_batch
+
+        def counted(bank, source_id, climate, target_attrs):
+            rows[source_id, target_attrs] += len(climate)
+            return predict_batch(bank, source_id, climate, target_attrs)
+
+        monkeypatch.setattr(SubmodelBank, "predict_batch", counted)
+        monkeypatch.setattr(ensemble, "_worker_count", lambda: 1)
+        calibrate_coefficients(small_bank, train_series, stride=30)
+        assert rows == expected
 
     def test_returns_valid_coefficients(self, small_bank, small_world, small_folds):
         train_ids = small_folds.train_stations(0)
@@ -513,7 +544,7 @@ class TestTrainBankColumns:
             return wrapper
 
         for name in ("climate_matrix", "label_arrays"):
-            monkeypatch.setattr(ensemble, name, counted(name, getattr(ensemble, name)))
+            monkeypatch.setattr(features, name, counted(name, getattr(features, name)))
         # Corpora are built by pool workers, whose calls the parent cannot
         # count; one worker builds them in-process.
         monkeypatch.setattr(ensemble, "_worker_count", lambda: 1)
@@ -532,7 +563,7 @@ class TestTrainBankColumns:
     @pytest.mark.parametrize("max_entries", [0, -1])
     def test_bad_max_entries_rejected_before_any_work(self, gapped, monkeypatch, max_entries):
         stations, folds, _ = gapped
-        monkeypatch.setattr(ensemble, "label_arrays", None)  # a label pass would be a TypeError
+        monkeypatch.setattr(features, "label_arrays", None)  # a label pass would be a TypeError
         with pytest.raises(DomainError, match="max_entries must be >= 1"):
             train_bank(stations, folds, 0, TrainConfig(epochs=1), max_entries=max_entries)
 

@@ -39,7 +39,7 @@ from frostcast.evaluate import (
     run_station_ablation,
     train_baselines,
 )
-from frostcast.features import climate_matrix
+from frostcast.features import climate_matrix, station_frame
 from frostcast.geostats import VariogramModel, empirical_semivariogram, ordinary_kriging
 from test_geostats import reference_fit_variogram
 
@@ -519,7 +519,8 @@ class TestBaselines:
         cfg = TrainConfig(seed=1, epochs=4, patience=2)
         models = train_baselines(small_world.stations, small_test_ids, cfg)
         assert set(models) == set(small_test_ids)
-        pred, labels = evaluate_baselines(models, small_world.stations, small_bank.horizon)
+        frames = {s.id: station_frame(s, small_bank.horizon) for s in small_world.stations}
+        pred, labels = evaluate_baselines(models, frames)
         assert pred.shape == labels.shape and pred.size > 0
         assert np.isfinite(pred).all()
 
@@ -541,7 +542,7 @@ class TestBaselines:
             models = train_baselines(small_world.stations, small_test_ids, cfg)
             trained.append({
                 sid: (b"".join(p.tobytes() for p in m.network.weights + m.network.biases),
-                      m.scaler, m.split_index)
+                      m.scaler, m.train_fraction)
                 for sid, m in models.items()
             })
         assert len(trained[0]) == len(small_test_ids) >= 2

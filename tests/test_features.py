@@ -17,11 +17,10 @@ from hypothesis import strategies as st
 
 from frostcast import DataError, DomainError, GeoPoint, StationAttributes, StationSeries
 from frostcast.features import (
-    ObservationArrays,
     ScalerStats,
+    StationFrame,
     _wind_component_arrays,
     apply_scaler,
-    baseline_feature_arrays,
     climate_matrix,
     fit_scaler_arrays,
     invert_label,
@@ -30,6 +29,7 @@ from frostcast.features import (
     label_arrays,
     pair_feature_arrays,
     scale_label,
+    station_frame,
 )
 
 
@@ -164,6 +164,29 @@ class TestClimateMatrix:
         assert m.timestamps[0] == 0
 
 
+class TestStationFrame:
+    def test_is_the_climate_block_and_the_labels(self):
+        ts = np.r_[0:100, 200:300]
+        series = series_at(ts, np.sin(ts / 7.0))
+        frame = station_frame(series, horizon=10)
+        obs = climate_matrix(series)
+        lab_ts, labels = label_arrays(series, horizon=10)
+        assert (frame.id, frame.attributes) == (series.id, series.attributes)
+        assert frame.timestamps.tobytes() == obs.timestamps.tobytes()
+        assert frame.climate.tobytes() == obs.climate.tobytes()
+        assert frame.label_timestamps.tobytes() == lab_ts.tobytes()
+        assert frame.labels.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_thinned_copies_every_stride_th_label(self, stride):
+        frame = station_frame(series_from_temps(np.arange(20.0)), horizon=2)
+        thin = frame.thinned(stride)
+        np.testing.assert_array_equal(thin.label_timestamps, frame.label_timestamps[::stride])
+        np.testing.assert_array_equal(thin.labels, frame.labels[::stride])
+        assert not np.shares_memory(thin.labels, frame.labels)
+        assert thin.climate is frame.climate
+
+
 class TestLabels:
     def test_window_minimum_oracle(self):
         # temps [5,4,3,6,7], horizon 2: label(t0)=min(4,3)=3, label(t1)=min(3,6)=3,
@@ -287,9 +310,10 @@ class TestPairJoin:
         src = StationAttributes(GeoPoint(146.0, -33.0), 100.0, 0.1)
         tgt = StationAttributes(GeoPoint(147.0, -34.0), 200.0, 0.2)
         climate = (4.0, 2.0, 80.0, -1.0, 0.5)
-        obs = ObservationArrays(np.array([7], dtype=np.int64), np.array([climate]))
-        x, y, ts = join_pair_arrays(src, tgt, obs, np.array([7], dtype=np.int64),
-                                    np.array([1.5]))
+        minute = np.array([7], dtype=np.int64)
+        source = StationFrame("a", src, minute, np.array([climate]), minute[:0], np.empty(0))
+        target = StationFrame("b", tgt, minute[:0], np.empty((0, 5)), minute, np.array([1.5]))
+        x, y, ts = join_pair_arrays(source, target)
         assert x.shape == (1, 13)
         assert tuple(x[0, :4]) == (146.0, -33.0, 100.0, 0.1)
         assert tuple(x[0, 4:8]) == (147.0, -34.0, 200.0, 0.2)
@@ -297,8 +321,8 @@ class TestPairJoin:
         assert y.tolist() == [1.5] and ts.tolist() == [7]
 
     def test_baseline_arrays_alignment(self):
-        s = series_from_temps([5.0, 4.0, 3.0, 2.0, 1.0])
-        x, y, ts = baseline_feature_arrays(s, horizon=2)
+        frame = station_frame(series_from_temps([5.0, 4.0, 3.0, 2.0, 1.0]), horizon=2)
+        x, y = frame.onsite_climate(), frame.labels
         assert x.shape == (3, 5)
         np.testing.assert_allclose(y, [3.0, 2.0, 1.0])
         np.testing.assert_allclose(x[:, 0], [5.0, 4.0, 3.0])
@@ -307,7 +331,8 @@ class TestPairJoin:
         # Temperature equals the minute, so each row's column 0 names the
         # observation it was taken from; the hole withholds labels mid-series.
         ts = np.r_[0:100, 200:300]
-        x, y, lab_ts = baseline_feature_arrays(series_at(ts, ts.astype(np.float64)), horizon=10)
+        frame = station_frame(series_at(ts, ts.astype(np.float64)), horizon=10)
+        x, y, lab_ts = frame.onsite_climate(), frame.labels, frame.label_timestamps
         assert lab_ts.tolist() == list(range(0, 90)) + list(range(200, 290))
         assert x[:, 0].tolist() == lab_ts.tolist()
         assert y.tolist() == (lab_ts + 1).tolist()
