@@ -19,10 +19,8 @@ from .ensemble import (
     FOLD_COEFFICIENT_PRESETS,
     calibrate_coefficients,
     load_bank,
-    load_baseline_fraction,
-    load_baselines,
+    read_bank,
     save_bank,
-    save_coefficients,
     train_bank,
 )
 from .errors import DataError, FormatError, FrostcastError, NumericalError
@@ -196,7 +194,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    bank = load_bank(args.bank)
+    bank, baselines, fraction = read_bank(args.bank)
     if args.preset:
         if not args.preset.startswith("paper-fold-"):
             raise UsageError(f"unknown preset {args.preset!r}; expected paper-fold-K")
@@ -213,14 +211,15 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         dataset = load_dataset(args.data)
         train_series = [s for s in dataset.stations if s.id in bank.models]
         coeff = calibrate_coefficients(bank, train_series, stride=args.stride)
-    save_coefficients(args.bank, coeff)
+    bank.coefficients = coeff
+    save_bank(bank, args.bank, baselines, fraction)
     print(f"coefficients: geo={coeff.geo!r} dem={coeff.dem!r} ndvi={coeff.ndvi!r}")
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
-    bank = load_bank(args.bank)
+    bank, stored, fraction = read_bank(args.bank)
     methods = parse_methods(args.methods)
     counts = parse_counts(args.counts) if args.counts else None
     train_ids = set(bank.models)
@@ -230,9 +229,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     folds = FoldAssignment((frozenset(test_ids), frozenset(train_ids)))
     baselines = None
     if "baseline" in methods:  # run_fold_experiment checks the models and their stations
-        fraction = load_baseline_fraction(args.bank)
         baselines = {sid: BaselineModel(net, scaler, fraction)
-                     for sid, (net, scaler) in load_baselines(args.bank).items()}
+                     for sid, (net, scaler) in stored.items()}
     report = run_fold_experiment(
         dataset.stations,
         folds,

@@ -1,4 +1,4 @@
-"""Shared domain types: stations, their columnar series, folds; the atomic text writer."""
+"""Shared domain types: stations, their columnar series, folds; the atomic file writer."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
@@ -193,15 +193,17 @@ def index_series(stations: Iterable[StationSeries]) -> dict[StationId, StationSe
     return out
 
 
-def write_atomically(path: str | os.PathLike, write: Callable[[TextIO], object]) -> None:
+def write_atomically(path: str | os.PathLike, write: Callable[[IO], object], *,
+                     binary: bool = False) -> None:
     """Replace ``path`` with what ``write`` writes to a temporary file beside it.
 
-    On any error the temporary file is removed and ``path`` keeps its old bytes.
+    ``write`` gets a UTF-8 text handle, or a binary one when ``binary``. On
+    any error the temporary file is removed and ``path`` keeps its old bytes.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:

@@ -48,6 +48,7 @@ from .core import write_atomically
 from .errors import DataError, DomainError, FormatError, UnsupportedVersionError
 from .features import (
     DEFAULT_HORIZON,
+    MAX_HORIZON,
     ScalerStats,
     StationFrame,
     apply_scaler,
@@ -59,13 +60,13 @@ from .features import (
     station_frame,
 )
 from .neuralnet import Network, SUBMODEL_SPEC, TrainConfig, forward_batch, init_network
-from .neuralnet import load_network, save_network, train
+from .neuralnet import network_from_dict, network_to_dict, train
 
 #: Lower clamp for the weight denominator; a station matching the target in
 #: every attribute would otherwise divide by zero.
 WEIGHT_EPSILON = 1e-6
 
-BANK_SCHEMA_VERSION = 2
+BANK_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,8 @@ class WeightCoefficients:
     ndvi: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.geo, self.dem, self.ndvi))):
+            raise DomainError(f"coefficients must be finite: {self!r}")
         if self.geo < 0 or self.dem < 0 or self.ndvi < 0:
             raise DomainError("coefficients must be non-negative")
         if self.geo + self.dem + self.ndvi <= 0:
@@ -542,135 +545,117 @@ def save_bank(
     baselines: Mapping[StationId, tuple[Network, ScalerStats]] | None = None,
     baseline_train_fraction: float = 0.8,
 ) -> None:
-    """Persist a bank as one JSON model file per station plus a manifest.
+    """Persist a bank as one JSON document, ``<directory>/manifest.json``.
 
-    On-site reference models for held-out stations can ride along; they are
-    stored under ``baseline_<id>.json`` and listed in the manifest together
-    with the chronological split fraction they were trained on. The
-    manifest is written last and replaced atomically.
+    Each ``stations`` entry carries a submodel's site attributes, network
+    and scaler. On-site reference models for held-out stations can ride
+    along in ``baselines``, beside the chronological split fraction they
+    were trained on. The document replaces the old one atomically, so a
+    failed save leaves the previous bank whole.
     """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
-    for sid in bank.station_ids:
-        save_network(bank.models[sid], path / f"submodel_{sid}.json", bank.scalers[sid])
-    if baselines:
-        for sid, (net, scaler) in baselines.items():
-            save_network(net, path / f"baseline_{sid}.json", scaler)
-    _write_manifest(path, {
+    doc = {
         "version": BANK_SCHEMA_VERSION,
         "fold": bank.fold,
         "horizon": bank.horizon,
         "coefficients": asdict(bank.coefficients),
-        "normalization": {
-            "geo": list(bank.normalization.geo),
-            "dem": list(bank.normalization.dem),
-            "ndvi": list(bank.normalization.ndvi),
-        },
+        "normalization": asdict(bank.normalization),
         "stations": [
-            {
-                "id": sid,
-                "lon": a.location.lon,
-                "lat": a.location.lat,
-                "dem": a.dem,
-                "ndvi": a.ndvi,
-            }
+            {"id": sid, "lon": a.location.lon, "lat": a.location.lat, "dem": a.dem, "ndvi": a.ndvi,
+             "model": network_to_dict(bank.models[sid]), "scaler": asdict(bank.scalers[sid])}
             for sid, a in sorted(bank.station_attrs.items())
         ],
-        "baseline_ids": sorted(baselines) if baselines else [],
+        "baselines": {sid: {"model": network_to_dict(net), "scaler": asdict(scaler)}
+                      for sid, (net, scaler) in (baselines or {}).items()},
         "baseline_train_fraction": baseline_train_fraction,
-    })
+    }
+    # json.dumps, unlike json.dump, runs the C encoder: about half the time.
+    write_atomically(path / "manifest.json", lambda fh: fh.write(json.dumps(doc, sort_keys=True)))
 
 
-def save_coefficients(directory: str | os.PathLike, coefficients: WeightCoefficients) -> None:
-    """Store new weight coefficients in a saved bank, rewriting only its manifest."""
-    path = Path(directory)
-    manifest = _read_manifest(path)
-    manifest["coefficients"] = asdict(coefficients)
-    _write_manifest(path, manifest)
+def _numbers(value: object, n: int, what: str) -> tuple[float, ...]:
+    """A list of ``n`` finite JSON numbers as floats; FormatError naming ``what`` otherwise."""
+    try:
+        if (isinstance(value, list) and len(value) == n
+                and all(type(v) in (int, float) for v in value)):
+            out = tuple(map(float, value))
+            if all(map(math.isfinite, out)):
+                return out
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise FormatError(f"{what} must be {n} finite numbers, got {value!r}")
 
 
-def _write_manifest(path: Path, manifest: dict) -> None:
-    write_atomically(path / "manifest.json",
-                     lambda fh: json.dump(manifest, fh, sort_keys=True, indent=2))
+def _model_from_dict(entry: dict, what: str) -> tuple[Network, ScalerStats]:
+    """The network and scaler of a ``stations`` or ``baselines`` entry."""
+    net = network_from_dict(entry["model"])
+    scaler, n = entry["scaler"], net.spec.input_dim
+    return net, ScalerStats(_numbers(scaler["mean"], n, f"{what} scaler mean"),
+                            _numbers(scaler["sd"], n, f"{what} scaler sd"),
+                            *_numbers([scaler["label_mean"], scaler["label_sd"]], 2,
+                                      f"{what} label scaler"))
+
+
+def read_bank(
+    directory: str | os.PathLike,
+) -> tuple[SubmodelBank, dict[StationId, tuple[Network, ScalerStats]], float]:
+    """A saved bank, its on-site baselines and their train fraction, from one read of its manifest.
+
+    Raises FormatError when the manifest is missing, unreadable or
+    malformed, and UnsupportedVersionError when another schema wrote it.
+    """
+    try:
+        with open(Path(directory) / "manifest.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"cannot read manifest: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"manifest is not a JSON object: {type(doc).__name__}")
+    if doc.get("version") != BANK_SCHEMA_VERSION:
+        raise UnsupportedVersionError(f"unsupported bank version: {doc.get('version')!r}")
+    # Every check below raises a ValueError (FormatError, DomainError, DataError) or
+    # a KeyError/TypeError on a missing key or wrong container; all become FormatError.
+    try:
+        fold, horizon = doc["fold"], doc["horizon"]
+        for name, value in (("fold", fold), ("horizon", horizon)):
+            if type(value) is not int:
+                raise FormatError(f"{name} must be an integer, got {value!r}")
+        if not 1 <= horizon <= MAX_HORIZON:
+            raise FormatError(f"horizon must be 1 to {MAX_HORIZON} minutes, got {horizon}")
+        coeff = doc["coefficients"]
+        coeff = WeightCoefficients(*_numbers([coeff[k] for k in ("geo", "dem", "ndvi")], 3,
+                                             "coefficients"))
+        norm = DistanceNormalization(*(_numbers(doc["normalization"][k], 2, f"normalization {k}")
+                                       for k in ("geo", "dem", "ndvi")))
+        attrs: dict[StationId, StationAttributes] = {}
+        models: dict[StationId, Network] = {}
+        scalers: dict[StationId, ScalerStats] = {}
+        for row in doc["stations"]:
+            sid = row["id"]
+            if type(sid) is not str or not sid or sid in attrs:
+                raise FormatError(f"station id must be a distinct non-empty string, got {sid!r}")
+            lon, lat, dem, ndvi = _numbers([row[k] for k in ("lon", "lat", "dem", "ndvi")], 4,
+                                           f"station {sid} attributes")
+            attrs[sid] = StationAttributes(GeoPoint(lon, lat), dem, ndvi)
+            models[sid], scalers[sid] = _model_from_dict(row, f"station {sid}")
+        if not isinstance(doc["baselines"], dict):
+            raise FormatError(f"baselines must be an object, got {doc['baselines']!r}")
+        baselines = {sid: _model_from_dict(entry, f"baseline {sid}")
+                     for sid, entry in doc["baselines"].items()}
+        fraction = doc["baseline_train_fraction"]
+        if type(fraction) not in (int, float) or not 0.0 < fraction < 1.0:
+            raise FormatError(f"baseline_train_fraction must be in (0, 1), got {fraction!r}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed manifest: {exc}") from exc
+    bank = SubmodelBank(fold=fold, horizon=horizon, models=models, scalers=scalers,
+                        station_attrs=attrs, coefficients=coeff, normalization=norm)
+    return bank, baselines, float(fraction)
 
 
 def load_bank(directory: str | os.PathLike) -> SubmodelBank:
-    path = Path(directory)
-    manifest = _read_manifest(path)
-    if manifest.get("version") != BANK_SCHEMA_VERSION:
-        raise UnsupportedVersionError(f"unsupported bank version: {manifest.get('version')!r}")
-    try:
-        coeff = WeightCoefficients(**manifest["coefficients"])
-        norm = DistanceNormalization(
-            tuple(manifest["normalization"]["geo"]),
-            tuple(manifest["normalization"]["dem"]),
-            tuple(manifest["normalization"]["ndvi"]),
-        )
-        attrs = {
-            row["id"]: StationAttributes(GeoPoint(row["lon"], row["lat"]), row["dem"], row["ndvi"])
-            for row in manifest["stations"]
-        }
-        fold, horizon = manifest["fold"], manifest["horizon"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed manifest: {exc}") from exc
-    for name, value in (("fold", fold), ("horizon", horizon)):
-        if type(value) is not int:
-            raise FormatError(f"malformed manifest: {name} must be an integer, got {value!r}")
-    if horizon < 1:
-        raise FormatError(f"malformed manifest: horizon must be >= 1 minute, got {horizon}")
-    models: dict[StationId, Network] = {}
-    scalers: dict[StationId, ScalerStats] = {}
-    for sid in attrs:
-        net, scaler = load_network(path / f"submodel_{sid}.json")
-        if scaler is None:
-            raise FormatError(f"submodel {sid} is missing its scaler")
-        models[sid] = net
-        scalers[sid] = scaler
-    return SubmodelBank(
-        fold=fold,
-        horizon=horizon,
-        models=models,
-        scalers=scalers,
-        station_attrs=attrs,
-        coefficients=coeff,
-        normalization=norm,
-    )
-
-
-def _read_manifest(path: Path) -> dict:
-    """A bank's ``manifest.json``; FormatError when missing, unreadable or not an object."""
-    try:
-        with open(path / "manifest.json", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise FormatError(f"manifest is not a JSON object: {type(manifest).__name__}")
-    return manifest
-
-
-def load_baselines(directory: str | os.PathLike) -> dict[StationId, tuple[Network, ScalerStats]]:
-    """The on-site reference models stored beside a bank, possibly none."""
-    path = Path(directory)
-    manifest = _read_manifest(path)
-    ids = manifest.get("baseline_ids", [])
-    if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
-        raise FormatError(f"malformed baseline_ids: {ids!r}")
-    out: dict[StationId, tuple[Network, ScalerStats]] = {}
-    for sid in ids:
-        net, scaler = load_network(path / f"baseline_{sid}.json")
-        if scaler is None:
-            raise FormatError(f"baseline {sid} is missing its scaler")
-        out[sid] = (net, scaler)
-    return out
-
-
-def load_baseline_fraction(directory: str | os.PathLike) -> float:
-    """The chronological split fraction the stored baselines were trained on."""
-    fraction = _read_manifest(Path(directory)).get("baseline_train_fraction")
-    if not isinstance(fraction, (int, float)) or not 0.0 < fraction < 1.0:
-        raise FormatError(f"malformed baseline_train_fraction: {fraction!r}")
-    return float(fraction)
+    """The bank that :func:`save_bank` wrote to ``directory``; see :func:`read_bank`."""
+    return read_bank(directory)[0]
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

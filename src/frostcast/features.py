@@ -28,6 +28,10 @@ from .errors import DataError, DomainError
 
 DEFAULT_HORIZON = 60
 
+#: Longest label window in minutes, one leap year: longer is no frost
+#: forecast, and it keeps ``timestamp + horizon`` well inside int64.
+MAX_HORIZON = 366 * 24 * 60
+
 
 def _wind_component_arrays(met_deg: np.ndarray, speed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """East/north velocities of (direction-from, speed) columns."""
@@ -64,8 +68,8 @@ def label_arrays(series: StationSeries, horizon: int = DEFAULT_HORIZON) -> tuple
     is wider than the series' median step, and that last observation is
     strictly later than t + horizon - the median step.
     """
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1: {horizon!r}")
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise DomainError(f"horizon must be 1 to {MAX_HORIZON} minutes: {horizon!r}")
     ts = series.timestamps
     if ts.size < 2:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)

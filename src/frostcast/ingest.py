@@ -27,6 +27,7 @@ from .core import (
     index_series,
     validate_series,
     violation_mask,
+    write_atomically,
 )
 from .errors import DataError, DomainError, FormatError, OutOfExtentError, UnsupportedVersionError
 
@@ -425,7 +426,8 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
     """Write a dataset bundle: a zip of npy arrays plus a JSON manifest.
 
     Zip entries carry a fixed timestamp so identical datasets produce
-    byte-identical files.
+    byte-identical files. The zip is written to a temporary file and renamed
+    over ``path``, so a failed save leaves the old bundle in place.
     """
     manifest: dict = {
         "version": BUNDLE_SCHEMA_VERSION,
@@ -442,18 +444,22 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
         ],
         "grids": {},
     }
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
-        for name, grid in (("dem", dataset.dem), ("ndvi", dataset.ndvi)):
-            if grid is None:
-                continue
-            manifest["grids"][name] = _grid_meta(grid)
-            _write_npy(zf, f"grid_{name}_values.npy", grid.values)
-            _write_npy(zf, f"grid_{name}_mask.npy", grid.mask)
-        for s in sorted(dataset.stations, key=lambda s: s.id):
-            _write_npy(zf, f"station_{s.id}_ts.npy", s.timestamps)
-            _write_npy(zf, f"station_{s.id}_obs.npy", s.raw)
-        info = zipfile.ZipInfo("manifest.json", date_time=_BUNDLE_EPOCH)
-        zf.writestr(info, json.dumps(manifest, sort_keys=True, indent=2))
+
+    def write(fh) -> None:
+        with zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_DEFLATED) as zf:
+            for name, grid in (("dem", dataset.dem), ("ndvi", dataset.ndvi)):
+                if grid is None:
+                    continue
+                manifest["grids"][name] = _grid_meta(grid)
+                _write_npy(zf, f"grid_{name}_values.npy", grid.values)
+                _write_npy(zf, f"grid_{name}_mask.npy", grid.mask)
+            for s in sorted(dataset.stations, key=lambda s: s.id):
+                _write_npy(zf, f"station_{s.id}_ts.npy", s.timestamps)
+                _write_npy(zf, f"station_{s.id}_obs.npy", s.raw)
+            info = zipfile.ZipInfo("manifest.json", date_time=_BUNDLE_EPOCH)
+            zf.writestr(info, json.dumps(manifest, sort_keys=True, indent=2))
+
+    write_atomically(path, write, binary=True)
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:

@@ -20,18 +20,12 @@ in place, with the values (NaN and inf included) of ``np.where``'s new array.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import write_atomically
-from .errors import DataError, DivergenceError, DomainError, FormatError, UnsupportedVersionError
-from .features import ScalerStats
-
-MODEL_SCHEMA_VERSION = 1
+from .errors import DataError, DivergenceError, DomainError, FormatError
 
 
 @dataclass(frozen=True)
@@ -304,47 +298,32 @@ def train(
     return Network(net.spec, [w.copy() for w in weights], [b.copy() for b in biases]), history
 
 
-def _scaler_to_dict(scaler: ScalerStats) -> dict:
-    return {
-        "mean": list(scaler.mean),
-        "sd": list(scaler.sd),
-        "label_mean": scaler.label_mean,
-        "label_sd": scaler.label_sd,
-    }
+def network_to_dict(net: Network) -> dict:
+    """The network's weights and biases as JSON-ready nested lists."""
+    return {"weights": [w.tolist() for w in net.weights],
+            "biases": [b.tolist() for b in net.biases]}
 
 
-def _scaler_from_dict(d: dict) -> ScalerStats:
-    return ScalerStats(tuple(d["mean"]), tuple(d["sd"]), float(d["label_mean"]), float(d["label_sd"]))
+def _finite_array(value: object, ndim: int) -> np.ndarray:
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or arr.ndim != ndim:
+        raise FormatError(f"expected a {ndim}-D array of numbers, got {arr.dtype} {arr.shape}")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise FormatError("parameters must be finite")
+    return arr
 
 
-def save_network(net: Network, path: str | os.PathLike, scaler: ScalerStats | None = None) -> None:
-    """Write a model (and its scaler, if any) as round-trippable JSON."""
-    doc = {
-        "version": MODEL_SCHEMA_VERSION,
-        "spec": {"input_dim": net.spec.input_dim, "layer_sizes": list(net.spec.layer_sizes)},
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-        "scaler": None if scaler is None else _scaler_to_dict(scaler),
-    }
-    write_atomically(path, lambda fh: json.dump(doc, fh, sort_keys=True))
+def network_from_dict(doc: dict) -> Network:
+    """Invert :func:`network_to_dict` bit for bit; the layer widths come from the weight shapes.
 
-
-def load_network(path: str | os.PathLike) -> tuple[Network, ScalerStats | None]:
+    Raises FormatError unless ``doc`` holds finite weight matrices and bias
+    vectors that chain into a network ending in one output.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"not a model file: {exc}") from exc
-    if not isinstance(doc, dict) or "version" not in doc:
-        raise FormatError("model file missing version")
-    if doc["version"] != MODEL_SCHEMA_VERSION:
-        raise UnsupportedVersionError(f"unsupported model version: {doc['version']!r}")
-    try:
-        spec = NetworkSpec(int(doc["spec"]["input_dim"]), tuple(doc["spec"]["layer_sizes"]))
-        weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
-        biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
-        net = Network(spec, weights, biases)
-        scaler = None if doc.get("scaler") is None else _scaler_from_dict(doc["scaler"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed model file: {exc}") from exc
-    return net, scaler
+        weights = [_finite_array(w, 2) for w in doc["weights"]]
+        biases = [_finite_array(b, 1) for b in doc["biases"]]
+        spec = NetworkSpec(weights[0].shape[0], tuple(w.shape[1] for w in weights))
+        return Network(spec, weights, biases)
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed model: {exc}") from exc

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GeoPoint, StationAttributes, StationSeries
+from .core import GeoPoint, StationAttributes, StationSeries, write_atomically
 from .errors import DomainError, FormatError
 from .ingest import AttributeGrid, BoundaryPolygon, boundary_to_json, write_ascii_grid
 
@@ -267,24 +267,32 @@ def spec_from_json(text: str) -> WorldSpec:
 
 
 def write_world(world: SynthWorld, directory: str | os.PathLike) -> None:
-    """Emit the world in exactly the formats the ingest pipeline consumes."""
+    """Emit the world in exactly the formats the ingest pipeline consumes.
+
+    Each file is written to a temporary file and renamed over its final name.
+    """
     base = Path(directory)
     (base / "stations").mkdir(parents=True, exist_ok=True)
-    (base / "dem.asc").write_text(write_ascii_grid(world.dem))
-    (base / "ndvi.asc").write_text(write_ascii_grid(world.ndvi))
-    (base / "boundary.json").write_text(boundary_to_json(world.boundary))
     listing = {
         "stations": [
             {"id": s.id, "lon": s.attributes.location.lon, "lat": s.attributes.location.lat}
             for s in world.stations
         ]
     }
-    (base / "stations" / "stations.json").write_text(json.dumps(listing, sort_keys=True, indent=2))
     spec_doc = asdict(world.spec)
     spec_doc["harmonic_amplitudes"] = list(world.spec.harmonic_amplitudes)
-    (base / "world.json").write_text(json.dumps(spec_doc, sort_keys=True, indent=2))
+    texts = {
+        "dem.asc": write_ascii_grid(world.dem),
+        "ndvi.asc": write_ascii_grid(world.ndvi),
+        "boundary.json": boundary_to_json(world.boundary),
+        "stations/stations.json": json.dumps(listing, sort_keys=True, indent=2),
+        "world.json": json.dumps(spec_doc, sort_keys=True, indent=2),
+    }
+    for name, text in texts.items():
+        write_atomically(base / name, lambda fh: fh.write(text))
     for s in world.stations:
         lines = [",".join(("timestamp", "temperature", "dew_point", "rh", "wind_speed", "wind_dir"))]
         for t, (temp, dew, rh, speed, direction) in zip(s.timestamps.tolist(), s.raw.tolist()):
             lines.append(f"{t},{temp!r},{dew!r},{rh!r},{speed!r},{direction!r}")
-        (base / "stations" / f"{s.id}.csv").write_text("\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+        write_atomically(base / "stations" / f"{s.id}.csv", lambda fh: fh.write(text))

@@ -1,6 +1,10 @@
 """Command-line interface: argument parsing, the full pipeline, exit codes."""
 
+import builtins
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import shutil
@@ -10,16 +14,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frostcast import cli, ensemble, evaluate, features, load_bank, load_dataset, save_bank
+from frostcast import (
+    FrostcastError,
+    cli,
+    ensemble,
+    evaluate,
+    features,
+    load_bank,
+    load_dataset,
+    save_bank,
+)
 from frostcast.cli import UsageError, main, parse_counts, parse_methods
 from frostcast.core import index_series
 from frostcast.ensemble import (
     FOLD_COEFFICIENT_PRESETS,
     SubmodelBank,
     calibrate_coefficients,
-    load_baseline_fraction,
-    load_baselines,
+    read_bank,
 )
 from frostcast.features import climate_matrix, station_frame
 
@@ -144,9 +158,8 @@ class TestPipeline:
 
     def test_eval_baseline_uses_stored_split(self, pipeline, tmp_path):
         bank_dir = tmp_path / "bank"
-        stored = load_baselines(pipeline["bank"])
-        save_bank(load_bank(pipeline["bank"]), bank_dir, baselines=stored,
-                  baseline_train_fraction=0.6)
+        bank, stored, _ = read_bank(pipeline["bank"])
+        save_bank(bank, bank_dir, baselines=stored, baseline_train_fraction=0.6)
         out = tmp_path / "r.json"
         assert main([
             "eval", "--data", str(pipeline["data"]), "--bank", str(bank_dir),
@@ -193,7 +206,7 @@ class TestPipeline:
         assert calls and max(calls.values()) == 1, dict(calls)
 
     def test_eval_baseline_station_missing_from_data(self, pipeline, tmp_path, capsys):
-        dropped = sorted(load_baselines(pipeline["bank"]))[-1]
+        dropped = sorted(read_bank(pipeline["bank"])[1])[-1]
         stations = tmp_path / "stations"
         shutil.copytree(pipeline["world"] / "stations", stations)
         listing = json.loads((stations / "stations.json").read_text())
@@ -234,21 +247,16 @@ class TestPipeline:
         assert len(by_id[str(first)]) == 24 * 60 // 5
 
     def test_calibrate_keeps_baseline_split(self, pipeline, tmp_path):
-        save_bank(load_bank(pipeline["bank"]), tmp_path,
-                  baselines=load_baselines(pipeline["bank"]), baseline_train_fraction=0.6)
+        bank, stored, _ = read_bank(pipeline["bank"])
+        save_bank(bank, tmp_path, baselines=stored, baseline_train_fraction=0.6)
         assert main(["calibrate", "--bank", str(tmp_path), "--preset", "paper-fold-1"]) == 0
-        assert load_baseline_fraction(tmp_path) == 0.6
+        assert read_bank(tmp_path)[2] == 0.6
 
     @pytest.mark.parametrize("source", ["preset", "data"])
     def test_calibrate_rewrites_only_the_manifest(self, pipeline, tmp_path, source):
-        bank_dir, expected = tmp_path / "bank", tmp_path / "expected"
-        save_bank(load_bank(pipeline["bank"]), bank_dir,
-                  baselines=load_baselines(pipeline["bank"]), baseline_train_fraction=0.6)
-        shutil.copytree(bank_dir, expected)
-        # Backdate every file, so that a rewrite shows in its mtime.
-        for f in bank_dir.iterdir():
-            os.utime(f, ns=(10**18, 10**18))
-        before = {f.name: (f.stat().st_ino, f.stat().st_mtime_ns) for f in bank_dir.iterdir()}
+        bank_dir = tmp_path / "bank"
+        bank, stored, _ = read_bank(pipeline["bank"])
+        save_bank(bank, bank_dir, baselines=stored, baseline_train_fraction=0.6)
         old_manifest = (bank_dir / "manifest.json").read_bytes()
         if source == "preset":
             extra = ["--preset", "paper-fold-1"]
@@ -256,25 +264,22 @@ class TestPipeline:
             extra = ["--data", str(pipeline["data"])]
         assert main(["calibrate", "--bank", str(bank_dir), *extra]) == 0
 
-        # The whole bank rewritten through save_bank, as calibrate used to do.
-        bank = load_bank(expected)
+        # The loaded bank with only its coefficients changed, saved afresh.
         if source == "preset":
-            bank.coefficients = FOLD_COEFFICIENT_PRESETS[1]
+            coefficients = FOLD_COEFFICIENT_PRESETS[1]
         else:
             stations = [s for s in load_dataset(pipeline["data"]).stations if s.id in bank.models]
-            bank.coefficients = calibrate_coefficients(bank, stations, stride=30)
-        save_bank(bank, expected, baselines=load_baselines(expected),
-                  baseline_train_fraction=load_baseline_fraction(expected))
-        names = sorted(f.name for f in expected.iterdir())
-        assert sorted(f.name for f in bank_dir.iterdir()) == names
-        assert any(n.startswith("baseline_") for n in names)
-        for name in names:
-            assert (bank_dir / name).read_bytes() == (expected / name).read_bytes(), name
-        assert (bank_dir / "manifest.json").read_bytes() != old_manifest
-        for name, (inode, mtime) in before.items():
-            if name != "manifest.json":
-                st = (bank_dir / name).stat()
-                assert (st.st_ino, st.st_mtime_ns) == (inode, mtime), name
+            coefficients = calibrate_coefficients(bank, stations, stride=30)
+        bank.coefficients = coefficients
+        save_bank(bank, tmp_path / "expected", baselines=stored, baseline_train_fraction=0.6)
+        assert [f.name for f in bank_dir.iterdir()] == ["manifest.json"]
+        new_manifest = (bank_dir / "manifest.json").read_bytes()
+        assert new_manifest == (tmp_path / "expected" / "manifest.json").read_bytes()
+        assert new_manifest != old_manifest
+        # Models, scalers and baselines are carried over bit for bit.
+        old, new = json.loads(old_manifest), json.loads(new_manifest)
+        assert old.pop("coefficients") != new.pop("coefficients")
+        assert old == new and old["baselines"]
 
     def test_raster_and_compare(self, pipeline, tmp_path):
         bank = load_bank(pipeline["bank"])
@@ -363,18 +368,33 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: manifest is not a JSON object: list\n"
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("ids", [5, "abc", [1, 2], None, {"a": 1}])
-    def test_bank_baseline_ids_not_a_list_of_strings(self, pipeline, tmp_path, capsys, ids):
+    @pytest.mark.parametrize("baselines", [5, "abc", [1, 2], None])
+    def test_bank_baselines_not_a_map_of_models(self, pipeline, tmp_path, capsys, baselines):
         bank = tmp_path / "bank"
         shutil.copytree(pipeline["bank"], bank)
         manifest = json.loads((bank / "manifest.json").read_text())
-        manifest["baseline_ids"] = ids
+        manifest["baselines"] = baselines
         (bank / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         rc = main(["eval", "--data", str(pipeline["data"]), "--bank", str(bank),
                    "--methods", "baseline", "--counts", "2", "--out", str(tmp_path / "r.json")])
         assert rc == 3
-        assert capsys.readouterr().err == f"error: malformed baseline_ids: {ids!r}\n"
+        assert capsys.readouterr().err == (
+            f"error: malformed manifest: baselines must be an object, got {baselines!r}\n")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_bank_baseline_not_a_model(self, pipeline, tmp_path, capsys):
+        bank = tmp_path / "bank"
+        shutil.copytree(pipeline["bank"], bank)
+        manifest = json.loads((bank / "manifest.json").read_text())
+        sid = sorted(manifest["baselines"])[0]
+        manifest["baselines"][sid] = 1
+        (bank / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(pipeline["data"]), "--bank", str(bank),
+                   "--methods", "baseline", "--counts", "2", "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: malformed manifest: ")
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -572,6 +592,15 @@ class TestBadInputsExit3:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "world").exists()
 
+    def test_huge_train_horizon(self, pipeline, tmp_path, capsys):
+        rc = main([
+            "train", "--data", str(pipeline["data"]), "--folds", str(pipeline["folds"]),
+            "--fold", "0", "--horizon", str(10**30), "--out", str(tmp_path / "bank"),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: horizon must be 1 to ")
+        assert not (tmp_path / "bank").exists()
+
     def test_negative_max_entries(self, pipeline, tmp_path, capsys):
         rc = main([
             "train", "--data", str(pipeline["data"]), "--folds", str(pipeline["folds"]),
@@ -580,3 +609,154 @@ class TestBadInputsExit3:
         assert rc == 3
         assert capsys.readouterr().err == "error: max_entries must be >= 1: -1\n"
         assert not (tmp_path / "bank").exists()
+
+
+def _bank_commands(pipeline, bank, out):
+    """argv per command that reads a bank, writing ``out`` where it writes a file."""
+    data = str(pipeline["data"])
+    return {
+        "eval": ["eval", "--data", data, "--bank", str(bank), "--methods", "avg,wavg,baseline",
+                 "--counts", "2", "--deterministic", "--out", str(out)],
+        "raster": ["raster", "--data", data, "--bank", str(bank), "--method", "wavg",
+                   "--timestamp", "60", "--out", str(out)],
+        "calibrate": ["calibrate", "--bank", str(bank), "--data", data],
+    }
+
+
+def _set(path, value):
+    def mutate(manifest):
+        node = manifest
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+# Each of these once gave a traceback (or, for the NaN coefficient, a misleading
+# "no valid predictions") in eval, raster and calibrate.
+LOADER_HOLES = {
+    "normalization-one-bound": (_set(("normalization", "geo"), [0.0]), "normalization geo"),
+    "normalization-strings": (_set(("normalization", "dem"), ["a", "b"]), "normalization dem"),
+    "integer-station-id": (_set(("stations", 0, "id"), 7), "station id"),
+    "huge-horizon": (_set(("horizon",), 10**30), "horizon must be"),
+    "nan-coefficient": (_set(("coefficients", "geo"), math.nan), "coefficients must be"),
+}
+
+
+class TestBankManifest:
+    @pytest.mark.parametrize("command", ["eval", "raster", "calibrate"])
+    @pytest.mark.parametrize("hole", sorted(LOADER_HOLES))
+    def test_loader_hole_exits_3(self, pipeline, tmp_path, capsys, hole, command):
+        mutate, message = LOADER_HOLES[hole]
+        bank = tmp_path / "bank"
+        shutil.copytree(pipeline["bank"], bank)
+        manifest = json.loads((bank / "manifest.json").read_text())
+        mutate(manifest)
+        (bank / "manifest.json").write_text(json.dumps(manifest))
+        before = (bank / "manifest.json").read_bytes()
+        capsys.readouterr()
+        assert main(_bank_commands(pipeline, bank, tmp_path / "out")[command]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed manifest: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        assert (bank / "manifest.json").read_bytes() == before
+
+    def test_schema_2_bank_refused(self, pipeline, tmp_path, capsys):
+        # Schema 2 kept one JSON file per model beside a manifest without models.
+        bank = tmp_path / "bank"
+        bank.mkdir()
+        manifest = json.loads((pipeline["bank"] / "manifest.json").read_text())
+        for row in manifest["stations"]:
+            (bank / f"submodel_{row['id']}.json").write_text(
+                json.dumps({"version": 1, **row.pop("model"), "scaler": row.pop("scaler")}))
+        del manifest["baselines"]
+        manifest.update(version=2, baseline_ids=[])
+        (bank / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        capsys.readouterr()
+        for argv in _bank_commands(pipeline, bank, tmp_path / "out").values():
+            assert main(argv) == 3
+            assert capsys.readouterr().err == "error: unsupported bank version: 2\n"
+
+    @pytest.mark.parametrize("command", ["eval", "raster", "calibrate"])
+    def test_each_command_reads_the_manifest_once(self, pipeline, tmp_path, monkeypatch,
+                                                   command):
+        bank = tmp_path / "bank"
+        shutil.copytree(pipeline["bank"], bank)
+        reads = []
+
+        def counted_open(file, *args, **kwargs):
+            if Path(file).name == "manifest.json":
+                reads.append(file)
+            return builtins.open(file, *args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "open", counted_open, raising=False)
+        assert main(_bank_commands(pipeline, bank, tmp_path / "out")[command]) == 0
+        assert len(reads) == 1
+
+
+_DELETE = object()
+REPLACEMENTS = [_DELETE, None, True, False, "x", "", [], {}, 0, -1, 1, 0.5, [0.0], ["a", "b"],
+                math.nan, math.inf, -math.inf, 10**30, -10**30, 10**400]
+
+
+def _replace_at(node, path, value):
+    """Replace (or delete) the value that ``path`` picks, one child index per level.
+
+    The walk stops at the end of ``path`` or at a scalar or empty child.
+    """
+    for depth, step in enumerate(path):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = keys[step % len(keys)]
+        child = node[key]
+        if depth == len(path) - 1 or not isinstance(child, (dict, list)) or not child:
+            if value is _DELETE:
+                del node[key]
+            else:
+                node[key] = value
+            return
+        node = child
+
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True)),
+    st.tuples(st.just("replace"), st.lists(st.integers(0, 10**6), min_size=1, max_size=9),
+              st.sampled_from(REPLACEMENTS)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestBankManifestFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(mutation=MUTATIONS)
+    def test_mutated_manifest_fails_only_with_frostcast_errors(self, pipeline, fuzz_dir,
+                                                                mutation):
+        text = (pipeline["bank"] / "manifest.json").read_text()
+        if mutation[0] == "truncate":
+            text = text[:int(mutation[1] * len(text))]
+        else:
+            doc = json.loads(text)
+            _replace_at(doc, *mutation[1:])
+            text = json.dumps(doc)
+        bank, out = fuzz_dir / "bank", fuzz_dir / "r.json"
+        bank.mkdir(exist_ok=True)
+        (bank / "manifest.json").write_text(text)
+        out.unlink(missing_ok=True)
+        try:
+            read_bank(bank)
+            load_bank(bank)
+            rejected = False
+        except FrostcastError:
+            rejected = True
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(_bank_commands(pipeline, bank, out)["eval"])
+        if rejected:
+            assert rc == 3 and not out.exists()
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            assert rc in (0, 3), err.getvalue()
+

@@ -62,7 +62,7 @@ from frostcast.features import (
     pair_feature_arrays,
     scale_label,
 )
-from frostcast.neuralnet import TrainConfig, init_network, train
+from frostcast.neuralnet import ONSITE_SPEC, TrainConfig, init_network, train
 
 FOLD0 = WeightCoefficients(0.1629, 0.0132, 0.0290)
 
@@ -117,6 +117,9 @@ class TestWeightOracle:
             WeightCoefficients(-0.1, 0.2, 0.3)
         with pytest.raises(DomainError):
             WeightCoefficients(0.0, 0.0, 0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="coefficients must be finite"):
+                WeightCoefficients(0.1, bad, 0.3)
 
 
 class TestStationWeights:
@@ -324,10 +327,14 @@ class TestBank:
 
     def test_save_load_round_trip(self, small_bank, small_world, tmp_path):
         save_bank(small_bank, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
         loaded = load_bank(tmp_path)
         assert loaded.station_ids == small_bank.station_ids
         assert loaded.fold == small_bank.fold
         assert loaded.coefficients == small_bank.coefficients
+        assert loaded.normalization == small_bank.normalization
+        assert loaded.station_attrs == small_bank.station_attrs
+        assert loaded.scalers == small_bank.scalers
         target = small_world.stations[0].attributes
         climate = np.array([[2.0, 0.5, 80.0, -1.0, 0.3]])
         for sid in small_bank.station_ids:
@@ -343,25 +350,47 @@ class TestBank:
             (tmp_path / "manifest.json").unlink()
         else:
             (tmp_path / "manifest.json").write_text(text)
-        for load in (load_bank, ensemble.load_baselines, ensemble.load_baseline_fraction):
+        for load in (load_bank, ensemble.read_bank):
             with pytest.raises(FormatError):
                 load(tmp_path)
 
     def test_manifest_serialiser_failing_partway_keeps_the_old_manifest(self, small_bank,
-                                                                        tmp_path):
-        save_bank(small_bank, tmp_path)
+                                                                        tmp_path, monkeypatch):
+        onsite = init_network(ONSITE_SPEC, seed=2)
+        baselines = {"b1": (onsite, fit_scaler_arrays(np.eye(5), np.arange(5.0)))}
+        save_bank(small_bank, tmp_path, baselines=baselines, baseline_train_fraction=0.7)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        with pytest.raises(TypeError):  # json.dump has written part of the object by then
-            ensemble._write_manifest(tmp_path, {"a": 1, "b": object()})
+        models = {sid: init_network(SUBMODEL_SPEC, seed=9) for sid in small_bank.models}
+        changed = replace(small_bank, coefficients=FOLD_COEFFICIENT_PRESETS[2], models=models)
+        last = changed.station_ids[-1]
+        to_dict = ensemble.network_to_dict
+        # The encoder meets an unserialisable value in the last station's model, after
+        # the new coefficients and every other model: the save fails partway.
+        monkeypatch.setattr(ensemble, "network_to_dict", lambda net: (
+            {"weights": object()} if net is changed.models[last] else to_dict(net)))
+        with pytest.raises(TypeError):
+            save_bank(changed, tmp_path)
+        monkeypatch.undo()
+        # The whole new document is written, and only the rename over the old one fails.
+        def failing_replace(src, dst):
+            raise OSError("disk detached")
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            save_bank(changed, tmp_path)
+        monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        bank, stored, fraction = ensemble.read_bank(tmp_path)
+        assert bank.coefficients == small_bank.coefficients and fraction == 0.7
+        assert list(stored) == ["b1"]
 
     def test_manifest_version_gate(self, small_bank, tmp_path):
         save_bank(small_bank, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        manifest["version"] = 99
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(UnsupportedVersionError):
-            load_bank(tmp_path)
+        for version in (99, 2):  # 2: one file per model beside the manifest
+            manifest["version"] = version
+            (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+            with pytest.raises(UnsupportedVersionError):
+                load_bank(tmp_path)
 
 
 def reference_calibrate(bank, stations, stride):
@@ -527,11 +556,11 @@ class TestTrainBankColumns:
                               self.MAX_ENTRIES)
         save_bank(bank, tmp_path / "new")
         save_bank(ref, tmp_path / "ref")
-        names = sorted(p.name for p in (tmp_path / "ref").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "new").iterdir())
-        assert len(names) == len(folds.train_stations(0)) + 1
-        for name in names:
-            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+        for directory in ("new", "ref"):
+            assert [p.name for p in (tmp_path / directory).iterdir()] == ["manifest.json"]
+        new = (tmp_path / "new" / "manifest.json").read_bytes()
+        assert new == (tmp_path / "ref" / "manifest.json").read_bytes()
+        assert len(json.loads(new)["stations"]) == len(folds.train_stations(0))
 
     def test_columns_extracted_once_per_station(self, gapped, monkeypatch):
         stations, folds, _ = gapped
@@ -620,7 +649,8 @@ class TestTrainBankPool:
             workers(n)
             bank = train_bank(stations, folds, 0, self.CFG, entry_stride=7, max_entries=400)
             files.append(_bank_files(bank, tmp_path / str(n)))
-        assert len(files[0]) == len(folds.train_stations(0)) + 1
+        assert list(files[0]) == ["manifest.json"]
+        assert len(json.loads(files[0]["manifest.json"])["stations"]) == len(folds.train_stations(0))
         assert files[0] == files[1]
 
     def test_progress_lines_in_station_order(self, world, workers, capsys):

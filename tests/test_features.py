@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from frostcast import DataError, DomainError, GeoPoint, StationAttributes, StationSeries
 from frostcast.features import (
+    MAX_HORIZON,
     ScalerStats,
     StationFrame,
     _wind_component_arrays,
@@ -222,8 +223,11 @@ class TestLabels:
         assert ts.size == max(0, len(temps) - horizon)
 
     def test_horizon_domain(self):
-        with pytest.raises(DomainError):
-            label_arrays(series_from_temps([1.0, 2.0, 3.0]), horizon=0)
+        series = series_from_temps([1.0, 2.0, 3.0])
+        for horizon in (0, MAX_HORIZON + 1, 10**30):
+            with pytest.raises(DomainError):
+                label_arrays(series, horizon=horizon)
+        assert label_arrays(series, horizon=MAX_HORIZON)[0].size == 0
 
     def test_two_hour_hole_in_one_minute_series(self, rng):
         # Minutes 0..299, then nothing until 420..719. A window that reaches

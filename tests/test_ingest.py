@@ -29,6 +29,7 @@ from frostcast import (
     StationAttributes,
     StationSeries,
     UnsupportedVersionError,
+    ingest,
     load_dataset,
     validate_series,
 )
@@ -643,6 +644,27 @@ class TestDatasetBundle:
         save_dataset(ds, p1)
         save_dataset(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_failing_partway_keeps_the_old_bundle(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.zip"
+        save_dataset(tiny_dataset(), path)
+        before = path.read_bytes()
+        written = []
+        write_npy = ingest._write_npy
+
+        def fail_on_third(zf, name, arr):
+            if len(written) == 2:
+                raise OSError("disk full")
+            write_npy(zf, name, arr)
+            written.append(name)
+
+        monkeypatch.setattr(ingest, "_write_npy", fail_on_third)
+        ds = tiny_dataset()
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(Dataset(ds.stations[:1], ds.dem, ds.ndvi), path)
+        assert len(written) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["data.zip"]
+        assert path.read_bytes() == before
 
     def test_version_gate(self, tmp_path):
         path = tmp_path / "bad.zip"

@@ -17,7 +17,6 @@ from frostcast import (
     DomainError,
     FormatError,
     TrainConfig,
-    UnsupportedVersionError,
 )
 from frostcast.neuralnet import (
     Network,
@@ -28,12 +27,11 @@ from frostcast.neuralnet import (
     forward_batch,
     gradients,
     init_network,
-    load_network,
     mse_loss,
-    save_network,
+    network_from_dict,
+    network_to_dict,
     train,
 )
-from frostcast.features import ScalerStats
 
 
 def finite_difference_gradients(net, x, y, eps=1e-5):
@@ -200,34 +198,33 @@ class TestTraining:
 
 
 class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        net = init_network(SUBMODEL_SPEC, seed=12)
-        scaler = ScalerStats((0.0,) * 13, (1.0,) * 13, 2.5, 3.5)
-        path = tmp_path / "model.json"
-        save_network(net, path, scaler)
-        loaded, loaded_scaler = load_network(path)
-        for w0, w1 in zip(net.weights, loaded.weights):
-            np.testing.assert_array_equal(w0, w1)
-        assert loaded_scaler == scaler
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(4, 13))
-        np.testing.assert_array_equal(forward_batch(net, x), forward_batch(loaded, x))
+    def test_round_trip(self):
+        for spec in (SUBMODEL_SPEC, ONSITE_SPEC):
+            net = init_network(spec, seed=12)
+            net.biases[0][:] = np.random.default_rng(1).normal(size=net.biases[0].shape)
+            loaded = network_from_dict(json.loads(json.dumps(network_to_dict(net))))
+            assert loaded.spec == net.spec
+            for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            x = np.random.default_rng(0).normal(size=(4, spec.input_dim))
+            np.testing.assert_array_equal(forward_batch(net, x), forward_batch(loaded, x))
 
-    def test_version_gate(self, tmp_path):
-        net = init_network(ONSITE_SPEC, seed=1)
-        path = tmp_path / "model.json"
-        save_network(net, path)
-        doc = json.loads(path.read_text())
-        doc["version"] = 999
-        path.write_text(json.dumps(doc))
-        with pytest.raises(UnsupportedVersionError):
-            load_network(path)
-
-    def test_malformed_file(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text("{not json")
-        with pytest.raises(FormatError):
-            load_network(path)
+    def test_malformed_file(self):
+        good = network_to_dict(init_network(ONSITE_SPEC, seed=1))
+        unchained = {"weights": good["weights"][::-1], "biases": good["biases"]}
+        bad = [
+            "{not json", [], {}, {"weights": good["weights"]}, {"weights": [], "biases": []},
+            unchained, {"weights": good["weights"], "biases": good["biases"][:1]},
+            {"weights": [[[[0.0]]]], "biases": [[0.0]]},  # a 3-D weight
+            {"weights": [[[1.0, 2.0], [3.0]]], "biases": [[0.0, 0.0]]},  # ragged rows
+            {"weights": [[[float("nan")]]], "biases": [[0.0]]},
+            {"weights": [[[10**400]]], "biases": [[0.0]]},
+            {"weights": [[["1.5"]]], "biases": [[0.0]]},
+            {"weights": [[[None]]], "biases": [[0.0]]},
+        ]
+        for doc in bad:
+            with pytest.raises(FormatError):
+                network_from_dict(doc)
 
 
 def reference_train(net, x, y, cfg):
