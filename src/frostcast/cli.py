@@ -19,17 +19,11 @@ from .ensemble import (
     FOLD_COEFFICIENT_PRESETS,
     calibrate_coefficients,
     load_bank,
-    read_bank,
     save_bank,
     train_bank,
 )
 from .errors import DataError, FormatError, FrostcastError, NumericalError
-from .evaluate import (
-    BaselineModel,
-    make_folds,
-    run_fold_experiment,
-    train_baselines,
-)
+from .evaluate import make_folds, run_fold_experiment, train_baselines
 from .features import DEFAULT_HORIZON, station_frame
 from .ingest import (
     ingest_directory,
@@ -183,18 +177,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
         progress=True,
     )
     test_ids = sorted(folds.test_stations(args.fold))
-    baselines = train_baselines(dataset.stations, test_ids, cfg, horizon=args.horizon)
-    save_bank(
-        bank,
-        args.out,
-        baselines={sid: (m.network, m.scaler) for sid, m in baselines.items()},
-    )
-    print(f"trained {len(bank)} submodels and {len(baselines)} baselines -> {args.out}")
+    bank.baselines = train_baselines(dataset.stations, test_ids, cfg, horizon=args.horizon)
+    save_bank(bank, args.out)
+    print(f"trained {len(bank)} submodels and {len(bank.baselines)} baselines -> {args.out}")
     return 0
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    bank, baselines, fraction = read_bank(args.bank)
+    bank = load_bank(args.bank)
     if args.preset:
         if not args.preset.startswith("paper-fold-"):
             raise UsageError(f"unknown preset {args.preset!r}; expected paper-fold-K")
@@ -212,14 +202,14 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         train_series = [s for s in dataset.stations if s.id in bank.models]
         coeff = calibrate_coefficients(bank, train_series, stride=args.stride)
     bank.coefficients = coeff
-    save_bank(bank, args.bank, baselines, fraction)
+    save_bank(bank, args.bank)
     print(f"coefficients: geo={coeff.geo!r} dem={coeff.dem!r} ndvi={coeff.ndvi!r}")
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
-    bank, stored, fraction = read_bank(args.bank)
+    bank = load_bank(args.bank)
     methods = parse_methods(args.methods)
     counts = parse_counts(args.counts) if args.counts else None
     train_ids = set(bank.models)
@@ -227,10 +217,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if not test_ids:
         raise DataError("dataset has no held-out stations for this bank")
     folds = FoldAssignment((frozenset(test_ids), frozenset(train_ids)))
-    baselines = None
-    if "baseline" in methods:  # run_fold_experiment checks the models and their stations
-        baselines = {sid: BaselineModel(net, scaler, fraction)
-                     for sid, (net, scaler) in stored.items()}
     report = run_fold_experiment(
         dataset.stations,
         folds,
@@ -240,12 +226,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         counts=counts,
         seed=args.seed,
         trigger=args.trigger,
-        baselines=baselines,
         ok_refit=args.ok_refit,
     )
-    doc = report.to_dict()
-    doc["fold"] = bank.fold
-    _write_json(args.out, doc, args.deterministic)
+    _write_json(args.out, report.to_dict(), args.deterministic)
     print(f"wrote {len(report.results)} result rows -> {args.out}")
     return 0
 

@@ -1,4 +1,5 @@
-"""Shared domain types: stations, their columnar series, folds; the atomic file writer."""
+"""Shared domain types: stations, their columnar series, folds; the atomic file writer and
+the finite-number check of both manifest loaders."""
 
 from __future__ import annotations
 
@@ -181,6 +182,22 @@ class FoldAssignment:
 
     def train_stations(self, fold: int) -> frozenset[StationId]:
         return self.all_stations() - self.folds[fold]
+
+
+def finite_numbers(value: object, n: int, what: str) -> tuple[float, ...]:
+    """A list of ``n`` finite JSON numbers as floats; DomainError naming ``what`` otherwise.
+
+    Booleans, strings, NaN, infinities and integers beyond float range are refused.
+    """
+    try:
+        if (isinstance(value, list) and len(value) == n
+                and all(type(v) in (int, float) for v in value)):
+            out = tuple(map(float, value))
+            if all(map(math.isfinite, out)):
+                return out
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise DomainError(f"{what} must be {n} finite numbers, got {value!r}")
 
 
 def index_series(stations: Iterable[StationSeries]) -> dict[StationId, StationSeries]:

@@ -2,8 +2,11 @@
 
 One submodel is trained per source station, each mapping that station's
 current conditions (plus both stations' static attributes) to the target
-site's next-window minimum temperature. ``SubmodelBank.predict_batch`` is
-the one inference path, for one target site or per-row target attributes.
+site's next-window minimum temperature. A :class:`SubmodelBank` is its
+one-file manifest in memory, the held-out stations' on-site baselines
+included. One helper fits every network (scale, initialise, train) and one
+runs it (scale, forward, un-scale); ``SubmodelBank.predict_batch`` is the
+submodels' inference path, for one target site or per-row target attributes.
 
 Weights follow w_i = 1 / (a*g_i + b*d_i + c*n_i) where g, d, n are
 min-max-normalized geographic, elevation, and vegetation-index distances
@@ -37,14 +40,14 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import FoldAssignment, GeoPoint, StationAttributes, StationId, StationSeries, index_series
-from .core import write_atomically
+from .core import finite_numbers, write_atomically
 from .errors import DataError, DomainError, FormatError, UnsupportedVersionError
 from .features import (
     DEFAULT_HORIZON,
@@ -59,14 +62,18 @@ from .features import (
     scale_label,
     station_frame,
 )
-from .neuralnet import Network, SUBMODEL_SPEC, TrainConfig, forward_batch, init_network
-from .neuralnet import network_from_dict, network_to_dict, train
+from .neuralnet import Network, NetworkSpec, SUBMODEL_SPEC, TrainConfig, forward_batch
+from .neuralnet import init_network, network_from_dict, network_to_dict, train
 
 #: Lower clamp for the weight denominator; a station matching the target in
 #: every attribute would otherwise divide by zero.
 WEIGHT_EPSILON = 1e-6
 
 BANK_SCHEMA_VERSION = 3
+
+#: Share of each held-out station's labels, earliest first, that its on-site
+#: baseline trains on; the rest is scored.
+BASELINE_TRAIN_FRACTION = 0.8
 
 
 @dataclass(frozen=True)
@@ -156,9 +163,30 @@ def attribute_weights(normalized: np.ndarray, coefficients: WeightCoefficients) 
     return 1.0 / np.maximum(denom, WEIGHT_EPSILON)
 
 
+def _fit(spec: NetworkSpec, seed: int, x: np.ndarray, y: np.ndarray,
+         cfg: TrainConfig) -> tuple[Network, ScalerStats]:
+    """A network of ``spec`` trained on scaled (x, y), and the scaler fitted to them."""
+    scaler = fit_scaler_arrays(x, y)
+    net, _ = train(init_network(spec, seed=seed), apply_scaler(scaler, x),
+                   np.asarray(scale_label(scaler, y)), cfg, _skip_train_loss=True)
+    return net, scaler
+
+
+def _predict(net: Network, scaler: ScalerStats, x: np.ndarray) -> np.ndarray:
+    """Predictions in label units from a network fitted by :func:`_fit` on raw rows ``x``."""
+    scaled = forward_batch(net, apply_scaler(scaler, x))
+    return np.asarray(invert_label(scaler, scaled), dtype=np.float64)
+
+
 @dataclass
 class SubmodelBank:
-    """Everything needed to predict at arbitrary sites for one fold."""
+    """Everything needed to predict at arbitrary sites for one fold: its manifest, in memory.
+
+    ``models`` and ``scalers`` hold one submodel per training station.
+    ``baselines`` maps held-out stations to on-site ``(network, scaler)``
+    pairs, each trained on the first ``baseline_train_fraction`` of its
+    station's labels; the ``baseline`` evaluation method scores them.
+    """
 
     fold: int
     horizon: int
@@ -167,6 +195,8 @@ class SubmodelBank:
     station_attrs: dict[StationId, StationAttributes]
     coefficients: WeightCoefficients
     normalization: DistanceNormalization
+    baselines: dict[StationId, tuple[Network, ScalerStats]] = field(default_factory=dict)
+    baseline_train_fraction: float = BASELINE_TRAIN_FRACTION
 
     @property
     def station_ids(self) -> list[StationId]:
@@ -200,9 +230,7 @@ class SubmodelBank:
         x[:, 0:4] = self.station_attrs[source_id].as_tuple()
         x[:, 4:8] = target_attrs
         x[:, 8:13] = climate
-        scaler = self.scalers[source_id]
-        scaled = forward_batch(self.models[source_id], apply_scaler(scaler, x))
-        return np.asarray(invert_label(scaler, scaled), dtype=np.float64)
+        return _predict(self.models[source_id], self.scalers[source_id], x)
 
     def weights_for_target(
         self, target_attrs: StationAttributes, available: Iterable[StationId] | None = None
@@ -409,8 +437,8 @@ def _predictions_at_targets(bank: SubmodelBank, frames: Mapping[StationId, Stati
 
 
 def _train_submodel(frames: Mapping[StationId, StationFrame], train_ids, test_ids, cfg: TrainConfig,
-                    max_entries: int | None, idx: int) -> tuple[ScalerStats, int, Network]:
-    """Build source ``train_ids[idx]``'s corpus and train it: (scaler, entries, network)."""
+                    max_entries: int | None, idx: int) -> tuple[Network, ScalerStats, int]:
+    """Build source ``train_ids[idx]``'s corpus and train it: (network, scaler, entries)."""
     source_id = train_ids[idx]
     assert source_id not in test_ids
     blocks_x, blocks_y = [], []
@@ -430,11 +458,7 @@ def _train_submodel(frames: Mapping[StationId, StationFrame], train_ids, test_id
         keep = _child_seed(cfg.seed, idx).choice(x.shape[0], size=max_entries, replace=False)
         keep.sort()
         x, y = x[keep], y[keep]
-    scaler = fit_scaler_arrays(x, y)
-    net, _ = train(init_network(SUBMODEL_SPEC, seed=int(cfg.seed * 100003 + idx)),
-                   apply_scaler(scaler, x), np.asarray(scale_label(scaler, y)), cfg,
-                   _skip_train_loss=True)
-    return scaler, x.shape[0], net
+    return *_fit(SUBMODEL_SPEC, int(cfg.seed * 100003 + idx), x, y, cfg), x.shape[0]
 
 
 def train_bank(
@@ -477,7 +501,7 @@ def train_bank(
     task = functools.partial(_train_submodel, frames, train_ids, test_ids, cfg, max_entries)
     models: dict[StationId, Network] = {}
     scalers: dict[StationId, ScalerStats] = {}
-    for idx, (scaler, n_entries, net) in enumerate(map_in_workers(task, len(train_ids))):
+    for idx, (net, scaler, n_entries) in enumerate(map_in_workers(task, len(train_ids))):
         source_id = train_ids[idx]
         models[source_id] = net
         scalers[source_id] = scaler
@@ -539,19 +563,13 @@ def calibrate_coefficients(
     return WeightCoefficients(geo, dem, ndvi)
 
 
-def save_bank(
-    bank: SubmodelBank,
-    directory: str | os.PathLike,
-    baselines: Mapping[StationId, tuple[Network, ScalerStats]] | None = None,
-    baseline_train_fraction: float = 0.8,
-) -> None:
+def save_bank(bank: SubmodelBank, directory: str | os.PathLike) -> None:
     """Persist a bank as one JSON document, ``<directory>/manifest.json``.
 
     Each ``stations`` entry carries a submodel's site attributes, network
-    and scaler. On-site reference models for held-out stations can ride
-    along in ``baselines``, beside the chronological split fraction they
-    were trained on. The document replaces the old one atomically, so a
-    failed save leaves the previous bank whole.
+    and scaler; a ``baselines`` map holds the on-site models beside
+    ``baseline_train_fraction``. The document replaces the old one
+    atomically, so a failed save leaves the previous bank whole.
     """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
@@ -567,40 +585,25 @@ def save_bank(
             for sid, a in sorted(bank.station_attrs.items())
         ],
         "baselines": {sid: {"model": network_to_dict(net), "scaler": asdict(scaler)}
-                      for sid, (net, scaler) in (baselines or {}).items()},
-        "baseline_train_fraction": baseline_train_fraction,
+                      for sid, (net, scaler) in bank.baselines.items()},
+        "baseline_train_fraction": bank.baseline_train_fraction,
     }
     # json.dumps, unlike json.dump, runs the C encoder: about half the time.
     write_atomically(path / "manifest.json", lambda fh: fh.write(json.dumps(doc, sort_keys=True)))
-
-
-def _numbers(value: object, n: int, what: str) -> tuple[float, ...]:
-    """A list of ``n`` finite JSON numbers as floats; FormatError naming ``what`` otherwise."""
-    try:
-        if (isinstance(value, list) and len(value) == n
-                and all(type(v) in (int, float) for v in value)):
-            out = tuple(map(float, value))
-            if all(map(math.isfinite, out)):
-                return out
-    except OverflowError:  # an integer beyond float range
-        pass
-    raise FormatError(f"{what} must be {n} finite numbers, got {value!r}")
 
 
 def _model_from_dict(entry: dict, what: str) -> tuple[Network, ScalerStats]:
     """The network and scaler of a ``stations`` or ``baselines`` entry."""
     net = network_from_dict(entry["model"])
     scaler, n = entry["scaler"], net.spec.input_dim
-    return net, ScalerStats(_numbers(scaler["mean"], n, f"{what} scaler mean"),
-                            _numbers(scaler["sd"], n, f"{what} scaler sd"),
-                            *_numbers([scaler["label_mean"], scaler["label_sd"]], 2,
-                                      f"{what} label scaler"))
+    return net, ScalerStats(finite_numbers(scaler["mean"], n, f"{what} scaler mean"),
+                            finite_numbers(scaler["sd"], n, f"{what} scaler sd"),
+                            *finite_numbers([scaler["label_mean"], scaler["label_sd"]], 2,
+                                            f"{what} label scaler"))
 
 
-def read_bank(
-    directory: str | os.PathLike,
-) -> tuple[SubmodelBank, dict[StationId, tuple[Network, ScalerStats]], float]:
-    """A saved bank, its on-site baselines and their train fraction, from one read of its manifest.
+def load_bank(directory: str | os.PathLike) -> SubmodelBank:
+    """The bank that :func:`save_bank` wrote to ``directory``, from one read of its manifest.
 
     Raises FormatError when the manifest is missing, unreadable or
     malformed, and UnsupportedVersionError when another schema wrote it.
@@ -624,9 +627,10 @@ def read_bank(
         if not 1 <= horizon <= MAX_HORIZON:
             raise FormatError(f"horizon must be 1 to {MAX_HORIZON} minutes, got {horizon}")
         coeff = doc["coefficients"]
-        coeff = WeightCoefficients(*_numbers([coeff[k] for k in ("geo", "dem", "ndvi")], 3,
-                                             "coefficients"))
-        norm = DistanceNormalization(*(_numbers(doc["normalization"][k], 2, f"normalization {k}")
+        coeff = WeightCoefficients(*finite_numbers([coeff[k] for k in ("geo", "dem", "ndvi")], 3,
+                                                   "coefficients"))
+        norm = DistanceNormalization(*(finite_numbers(doc["normalization"][k], 2,
+                                                      f"normalization {k}")
                                        for k in ("geo", "dem", "ndvi")))
         attrs: dict[StationId, StationAttributes] = {}
         models: dict[StationId, Network] = {}
@@ -635,8 +639,8 @@ def read_bank(
             sid = row["id"]
             if type(sid) is not str or not sid or sid in attrs:
                 raise FormatError(f"station id must be a distinct non-empty string, got {sid!r}")
-            lon, lat, dem, ndvi = _numbers([row[k] for k in ("lon", "lat", "dem", "ndvi")], 4,
-                                           f"station {sid} attributes")
+            lon, lat, dem, ndvi = finite_numbers([row[k] for k in ("lon", "lat", "dem", "ndvi")],
+                                                 4, f"station {sid} attributes")
             attrs[sid] = StationAttributes(GeoPoint(lon, lat), dem, ndvi)
             models[sid], scalers[sid] = _model_from_dict(row, f"station {sid}")
         if not isinstance(doc["baselines"], dict):
@@ -648,14 +652,9 @@ def read_bank(
             raise FormatError(f"baseline_train_fraction must be in (0, 1), got {fraction!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed manifest: {exc}") from exc
-    bank = SubmodelBank(fold=fold, horizon=horizon, models=models, scalers=scalers,
-                        station_attrs=attrs, coefficients=coeff, normalization=norm)
-    return bank, baselines, float(fraction)
-
-
-def load_bank(directory: str | os.PathLike) -> SubmodelBank:
-    """The bank that :func:`save_bank` wrote to ``directory``; see :func:`read_bank`."""
-    return read_bank(directory)[0]
+    return SubmodelBank(fold=fold, horizon=horizon, models=models, scalers=scalers,
+                        station_attrs=attrs, coefficients=coeff, normalization=norm,
+                        baselines=baselines, baseline_train_fraction=float(fraction))
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

@@ -17,18 +17,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import FoldAssignment, GeoPoint, StationId, StationSeries, index_series
-from .ensemble import AGGREGATORS, SubmodelBank, _predictions_at_targets, map_in_workers
-from .errors import DataError, DomainError
-from .features import (
-    DEFAULT_HORIZON,
-    ScalerStats,
-    StationFrame,
-    apply_scaler,
-    fit_scaler_arrays,
-    invert_label,
-    scale_label,
-    station_frame,
+from .ensemble import (
+    AGGREGATORS,
+    BASELINE_TRAIN_FRACTION,
+    SubmodelBank,
+    _fit,
+    _predict,
+    _predictions_at_targets,
+    map_in_workers,
 )
+from .errors import DataError, DomainError
+from .features import DEFAULT_HORIZON, ScalerStats, StationFrame, station_frame
 from .geostats import (
     VariogramModel,
     idw_weights,
@@ -36,7 +35,7 @@ from .geostats import (
     ordinary_kriging,
     snapshot_variogram,
 )
-from .neuralnet import Network, ONSITE_SPEC, TrainConfig, forward_batch, init_network, train
+from .neuralnet import Network, ONSITE_SPEC, TrainConfig
 
 DEFAULT_TRIGGER = 0.0
 
@@ -216,27 +215,14 @@ def _frames(by_id, ids: Sequence[StationId], horizon: int) -> dict[StationId, St
 # --- baseline (on-site) models ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class BaselineModel:
-    """On-site model, trained on the first ``train_fraction`` of its station's labels."""
-
-    network: Network
-    scaler: ScalerStats
-    train_fraction: float
-
-
 def _train_baseline(frames: Mapping[StationId, StationFrame], ids, cfg: TrainConfig,
-                    train_fraction: float, idx: int) -> BaselineModel:
+                    train_fraction: float, idx: int) -> tuple[Network, ScalerStats]:
     frame = frames[ids[idx]]
     x, y = frame.onsite_climate(), frame.labels
     if x.shape[0] < 10:
         raise DataError(f"station {frame.id} has too few labeled rows for a baseline")
     split = int(x.shape[0] * train_fraction)
-    scaler = fit_scaler_arrays(x[:split], y[:split])
-    net = init_network(ONSITE_SPEC, seed=int(cfg.seed * 99991 + idx))
-    net, _ = train(net, apply_scaler(scaler, x[:split]), np.asarray(scale_label(scaler, y[:split])),
-                   cfg, _skip_train_loss=True)
-    return BaselineModel(net, scaler, train_fraction)
+    return _fit(ONSITE_SPEC, int(cfg.seed * 99991 + idx), x[:split], y[:split], cfg)
 
 
 def train_baselines(
@@ -244,13 +230,15 @@ def train_baselines(
     ids: Sequence[StationId],
     cfg: TrainConfig | None = None,
     horizon: int = DEFAULT_HORIZON,
-    train_fraction: float = 0.8,
-) -> dict[StationId, BaselineModel]:
-    """Train one on-site reference model per listed station.
+    train_fraction: float = BASELINE_TRAIN_FRACTION,
+) -> dict[StationId, tuple[Network, ScalerStats]]:
+    """Train one on-site ``(network, scaler)`` reference model per listed station.
 
     The earliest ``train_fraction`` of each station's labeled rows is used
     for fitting; everything after the split index is reserved for scoring.
     The models train on ``map_in_workers``'s workers, one station per task.
+    A bank carries them as its ``baselines``, beside ``train_fraction`` as
+    its ``baseline_train_fraction``.
     """
     if not 0.0 < train_fraction < 1.0:
         raise DomainError(f"train_fraction must be in (0, 1): {train_fraction!r}")
@@ -261,20 +249,18 @@ def train_baselines(
 
 
 def evaluate_baselines(
-    baselines: Mapping[StationId, BaselineModel],
-    frames: Mapping[StationId, StationFrame],
+    bank: SubmodelBank, frames: Mapping[StationId, StationFrame]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled (predictions, labels) over every baseline's held-out slice of its station's frame."""
+    """Pooled (predictions, labels) over the held-out slice of each bank baseline's frame."""
     preds: list[np.ndarray] = []
     labels: list[np.ndarray] = []
-    for sid, model in sorted(baselines.items()):
+    for sid, (net, scaler) in sorted(bank.baselines.items()):
         frame = frames[sid]
-        split = int(frame.labels.size * model.train_fraction)
+        split = int(frame.labels.size * bank.baseline_train_fraction)
         xs = frame.onsite_climate()[split:]
         if xs.shape[0] == 0:
             continue
-        scaled = forward_batch(model.network, apply_scaler(model.scaler, xs))
-        preds.append(np.asarray(invert_label(model.scaler, scaled), dtype=np.float64))
+        preds.append(_predict(net, scaler, xs))
         labels.append(frame.labels[split:])
     if not preds:
         raise DataError("baselines have no held-out rows to score")
@@ -389,19 +375,21 @@ def run_station_ablation(
     methods: Sequence[str] = ("average", "weighted_average", "weighted_vote"),
     seed: int = 0,
     trigger: float = DEFAULT_TRIGGER,
-    baselines: Mapping[StationId, BaselineModel] | None = None,
     ok_refit: bool = False,
     matrices: list[PredictionMatrix] | None = None,
 ) -> list[AblationResult]:
-    """Score each method at each source-station count on one fold.
+    """Score each method at each source-station count at ``folds``' fold ``fold`` stations.
 
-    At a given count the same seeded subset of stations feeds every method,
-    so comparisons are paired. The count equal to the full bank reproduces
+    The targets are that fold's stations, none of which may be one of the
+    bank's training stations; every row reports the bank's own fold. At a
+    given count the same seeded subset of stations feeds every method, so
+    comparisons are paired. The count equal to the full bank reproduces
     the plain fold experiment. Kriging uses one variogram fitted on the
     first prediction snapshot where every source is available, or with
     ``ok_refit`` (or without such a snapshot) a fresh fit per timestep.
     Kriging needs two stations, so its row at a count of 1 has no
     predictions and null metrics; any other empty result is a DataError.
+    ``baseline`` scores the bank's on-site baselines.
     """
     for m in methods:
         if m not in METHODS:
@@ -412,19 +400,22 @@ def run_station_ablation(
         raise DomainError("no station counts given")
     if counts[0] < 1 or counts[-1] > n_src:
         raise DomainError(f"counts must lie in [1, {n_src}]: {counts}")
-    if "baseline" in methods and not baselines:
-        raise DataError("baseline method requested but no baseline models supplied")
+    if "baseline" in methods and not bank.baselines:
+        raise DataError("baseline method requested but the bank holds no baseline models")
     target_ids = sorted(folds.test_stations(fold))
+    leaked = sorted(set(target_ids) & set(bank.models))
+    if leaked:
+        raise DataError(f"held-out stations {leaked} are training stations of the bank")
     by_id = index_series(data)
     # Each station is derived once, for the matrices and the baselines alike. The
     # frames go before the ablation, whose peak memory they would otherwise raise.
     wanted = [*bank.station_ids, *target_ids] if matrices is None else []
     if "baseline" in methods:
-        wanted += list(baselines)
+        wanted += list(bank.baselines)
     frames = _frames(by_id, wanted, bank.horizon)
     if matrices is None:
         matrices = _prediction_matrices(frames, bank, target_ids)
-    scored = evaluate_baselines(baselines, frames) if "baseline" in methods else None
+    scored = evaluate_baselines(bank, frames) if "baseline" in methods else None
     del frames
 
     # Per-target unnormalized attribute weights; frozen bounds make the
@@ -469,9 +460,9 @@ def run_station_ablation(
             labels_all = np.concatenate(pooled_labels)
             if pred_all.size == 0 and not (method == "ok" and k < 2):
                 raise DataError(f"method {method} produced no valid predictions")
-            results.append(_result(method, k, fold, seed, trigger, pred_all, labels_all))
+            results.append(_result(method, k, bank.fold, seed, trigger, pred_all, labels_all))
     if scored is not None:
-        results.append(_result("baseline", 0, fold, seed, trigger, *scored))
+        results.append(_result("baseline", 0, bank.fold, seed, trigger, *scored))
     return results
 
 
@@ -511,10 +502,9 @@ def run_fold_experiment(
     counts: Sequence[int] | None = None,
     seed: int = 0,
     trigger: float = DEFAULT_TRIGGER,
-    baselines: Mapping[StationId, BaselineModel] | None = None,
     **ablation_kwargs,
 ) -> EvaluationReport:
-    """Evaluate aggregation methods at one fold's held-out stations.
+    """Evaluate aggregation methods at one fold's held-out stations, reported as the bank's fold.
 
     Without ``counts`` every method uses the full bank; with counts the
     station-count sweep runs instead (the full-bank case is the count equal
@@ -523,10 +513,10 @@ def run_fold_experiment(
     counts = [len(bank)] if counts is None else list(counts)
     results = run_station_ablation(
         data, folds, fold, bank, counts, methods=methods, seed=seed,
-        trigger=trigger, baselines=baselines, **ablation_kwargs,
+        trigger=trigger, **ablation_kwargs,
     )
     return EvaluationReport(
-        fold=fold,
+        fold=bank.fold,
         seed=seed,
         horizon=bank.horizon,
         trigger=trigger,

@@ -24,6 +24,7 @@ from .core import (
     StationAttributes,
     StationId,
     StationSeries,
+    finite_numbers,
     index_series,
     validate_series,
     violation_mask,
@@ -488,15 +489,18 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
         try:  # a manifest value that is missing or of the wrong type is a FormatError
             grids: dict[str, AttributeGrid | None] = {"dem": None, "ndvi": None}
             for name, meta in manifest.get("grids", {}).items():
-                grids[name] = AttributeGrid(
-                    GeoPoint(meta["origin_lon"], meta["origin_lat"]),
-                    meta["cell_size"],
-                    read_npy(f"grid_{name}_values.npy"),
-                    read_npy(f"grid_{name}_mask.npy"),
-                )
+                lon, lat, cell_size = finite_numbers(
+                    [meta[k] for k in ("origin_lon", "origin_lat", "cell_size")], 3,
+                    f"grid {name} geometry")
+                grids[name] = AttributeGrid(GeoPoint(lon, lat), cell_size,
+                                            read_npy(f"grid_{name}_values.npy"),
+                                            read_npy(f"grid_{name}_mask.npy"))
             stations = []
             for row in manifest["stations"]:
-                attrs = StationAttributes(GeoPoint(row["lon"], row["lat"]), row["dem"], row["ndvi"])
+                lon, lat, dem, ndvi = finite_numbers(
+                    [row[k] for k in ("lon", "lat", "dem", "ndvi")], 4,
+                    f"station {row['id']} attributes")
+                attrs = StationAttributes(GeoPoint(lon, lat), dem, ndvi)
                 try:
                     series = StationSeries(row["id"], attrs, read_npy(f"station_{row['id']}_ts.npy"),
                                            read_npy(f"station_{row['id']}_obs.npy"))

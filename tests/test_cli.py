@@ -33,7 +33,6 @@ from frostcast.ensemble import (
     FOLD_COEFFICIENT_PRESETS,
     SubmodelBank,
     calibrate_coefficients,
-    read_bank,
 )
 from frostcast.features import climate_matrix, station_frame
 
@@ -158,8 +157,9 @@ class TestPipeline:
 
     def test_eval_baseline_uses_stored_split(self, pipeline, tmp_path):
         bank_dir = tmp_path / "bank"
-        bank, stored, _ = read_bank(pipeline["bank"])
-        save_bank(bank, bank_dir, baselines=stored, baseline_train_fraction=0.6)
+        bank = load_bank(pipeline["bank"])
+        bank.baseline_train_fraction = 0.6
+        save_bank(bank, bank_dir)
         out = tmp_path / "r.json"
         assert main([
             "eval", "--data", str(pipeline["data"]), "--bank", str(bank_dir),
@@ -167,11 +167,27 @@ class TestPipeline:
         ]) == 0
         [row] = json.loads(out.read_text())["results"]
         by_id = {s.id: s for s in load_dataset(pipeline["data"]).stations}
-        rows = {sid: station_frame(by_id[sid]).labels.size for sid in stored}
+        rows = {sid: station_frame(by_id[sid]).labels.size for sid in bank.baselines}
         held_out = sum(n - int(n * 0.6) for n in rows.values())
         assert held_out != sum(n - int(n * 0.8) for n in rows.values())
         assert row["method"] == "baseline"
         assert row["n_predictions"] == held_out
+
+    def test_fold_2_bank_reports_fold_2_on_every_row(self, pipeline, tmp_path):
+        bank, out = tmp_path / "bank", tmp_path / "r.json"
+        assert main([
+            "train", "--data", str(pipeline["data"]), "--folds", str(pipeline["folds"]),
+            "--fold", "2", "--seed", "2", "--epochs", "1", "--entry-stride", "10",
+            "--max-entries", "2000", "--out", str(bank),
+        ]) == 0
+        assert main([
+            "eval", "--data", str(pipeline["data"]), "--bank", str(bank),
+            "--methods", "avg,wavg,idw,baseline", "--counts", "1,2", "--deterministic",
+            "--out", str(out),
+        ]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["fold"] == 2
+        assert len(doc["results"]) == 7 and {r["fold"] for r in doc["results"]} == {2}
 
     @pytest.mark.parametrize("command", ["train", "calibrate", "eval", "raster"])
     def test_each_station_derived_once_per_command(self, pipeline, tmp_path, monkeypatch,
@@ -206,7 +222,7 @@ class TestPipeline:
         assert calls and max(calls.values()) == 1, dict(calls)
 
     def test_eval_baseline_station_missing_from_data(self, pipeline, tmp_path, capsys):
-        dropped = sorted(read_bank(pipeline["bank"])[1])[-1]
+        dropped = sorted(load_bank(pipeline["bank"]).baselines)[-1]
         stations = tmp_path / "stations"
         shutil.copytree(pipeline["world"] / "stations", stations)
         listing = json.loads((stations / "stations.json").read_text())
@@ -247,16 +263,18 @@ class TestPipeline:
         assert len(by_id[str(first)]) == 24 * 60 // 5
 
     def test_calibrate_keeps_baseline_split(self, pipeline, tmp_path):
-        bank, stored, _ = read_bank(pipeline["bank"])
-        save_bank(bank, tmp_path, baselines=stored, baseline_train_fraction=0.6)
+        bank = load_bank(pipeline["bank"])
+        bank.baseline_train_fraction = 0.6
+        save_bank(bank, tmp_path)
         assert main(["calibrate", "--bank", str(tmp_path), "--preset", "paper-fold-1"]) == 0
-        assert read_bank(tmp_path)[2] == 0.6
+        assert load_bank(tmp_path).baseline_train_fraction == 0.6
 
     @pytest.mark.parametrize("source", ["preset", "data"])
     def test_calibrate_rewrites_only_the_manifest(self, pipeline, tmp_path, source):
         bank_dir = tmp_path / "bank"
-        bank, stored, _ = read_bank(pipeline["bank"])
-        save_bank(bank, bank_dir, baselines=stored, baseline_train_fraction=0.6)
+        bank = load_bank(pipeline["bank"])
+        bank.baseline_train_fraction = 0.6
+        save_bank(bank, bank_dir)
         old_manifest = (bank_dir / "manifest.json").read_bytes()
         if source == "preset":
             extra = ["--preset", "paper-fold-1"]
@@ -271,7 +289,7 @@ class TestPipeline:
             stations = [s for s in load_dataset(pipeline["data"]).stations if s.id in bank.models]
             coefficients = calibrate_coefficients(bank, stations, stride=30)
         bank.coefficients = coefficients
-        save_bank(bank, tmp_path / "expected", baselines=stored, baseline_train_fraction=0.6)
+        save_bank(bank, tmp_path / "expected")
         assert [f.name for f in bank_dir.iterdir()] == ["manifest.json"]
         new_manifest = (bank_dir / "manifest.json").read_bytes()
         assert new_manifest == (tmp_path / "expected" / "manifest.json").read_bytes()
@@ -308,6 +326,19 @@ class TestPipeline:
         assert len(lines) == 4
 
 
+def _edited_bundle(pipeline, path, mutate):
+    """A copy of the pipeline's bundle at ``path``, its manifest edited in place by ``mutate``."""
+    with zipfile.ZipFile(pipeline["data"]) as src, zipfile.ZipFile(path, "w") as dst:
+        for name in src.namelist():
+            data = src.read(name)
+            if name == "manifest.json":
+                manifest = json.loads(data)
+                mutate(manifest)
+                data = json.dumps(manifest)
+            dst.writestr(name, data)
+    return path
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
@@ -333,19 +364,30 @@ class TestExitCodes:
         assert "error: training diverged at epoch " in capsys.readouterr().err
 
     def test_manifest_missing_station_key(self, pipeline, tmp_path, capsys):
-        bad = tmp_path / "data.zip"
-        with zipfile.ZipFile(pipeline["data"]) as src, zipfile.ZipFile(bad, "w") as dst:
-            for name in src.namelist():
-                data = src.read(name)
-                if name == "manifest.json":
-                    manifest = json.loads(data)
-                    del manifest["stations"][0]["lon"]
-                    data = json.dumps(manifest)
-                dst.writestr(name, data)
+        bad = _edited_bundle(pipeline, tmp_path / "data.zip",
+                             lambda m: m["stations"][0].pop("lon"))
         capsys.readouterr()
         rc = main(["folds", "--data", str(bad), "--seed", "0", "--out", str(tmp_path / "f.json")])
         assert rc == 3
         assert capsys.readouterr().err == "error: malformed manifest: 'lon'\n"
+
+    @pytest.mark.parametrize("command", ["folds", "raster"])
+    @pytest.mark.parametrize("mutate", [
+        lambda m: m["stations"][0].update(lon=10**400),
+        lambda m: m["grids"]["dem"].update(cell_size=math.nan),
+    ], ids=["huge-lon", "nan-cell-size"])
+    def test_bundle_manifest_numbers_checked(self, pipeline, tmp_path, capsys, mutate, command):
+        bad, out = _edited_bundle(pipeline, tmp_path / "data.zip", mutate), tmp_path / "out"
+        argv = {
+            "folds": ["folds", "--data", str(bad), "--seed", "0", "--out", str(out)],
+            "raster": ["raster", "--data", str(bad), "--bank", str(pipeline["bank"]),
+                       "--method", "wavg", "--timestamp", "60", "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed manifest: ") and err.count("\n") == 1
+        assert "finite numbers" in err and not out.exists()
 
     def test_bundle_manifest_not_an_object(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "data.zip"
@@ -746,7 +788,6 @@ class TestBankManifestFuzz:
         (bank / "manifest.json").write_text(text)
         out.unlink(missing_ok=True)
         try:
-            read_bank(bank)
             load_bank(bank)
             rejected = False
         except FrostcastError:

@@ -335,6 +335,7 @@ class TestBank:
         assert loaded.normalization == small_bank.normalization
         assert loaded.station_attrs == small_bank.station_attrs
         assert loaded.scalers == small_bank.scalers
+        assert loaded.baselines == {} and loaded.baseline_train_fraction == 0.8
         target = small_world.stations[0].attributes
         climate = np.array([[2.0, 0.5, 80.0, -1.0, 0.3]])
         for sid in small_bank.station_ids:
@@ -343,6 +344,26 @@ class TestBank:
                 loaded.predict_batch(sid, climate, target),
             )
 
+    def test_baselines_round_trip_bit_for_bit(self, small_bank, tmp_path):
+        rng = np.random.default_rng(5)
+        baselines = {}
+        for i, sid in enumerate(("b1", "b2")):
+            x, y = rng.normal(2.0, 3.0, (40, 5)), rng.normal(1.0, 2.0, 40)
+            baselines[sid] = ensemble._fit(ONSITE_SPEC, i, x, y, TrainConfig(seed=i, epochs=2))
+        save_bank(replace(small_bank, baselines=baselines, baseline_train_fraction=0.65), tmp_path)
+        loaded = load_bank(tmp_path)
+        assert loaded.baseline_train_fraction == 0.65
+        assert sorted(loaded.baselines) == ["b1", "b2"]
+        for sid, (net, scaler) in baselines.items():
+            got_net, got_scaler = loaded.baselines[sid]
+            assert got_net.spec == net.spec == ONSITE_SPEC
+            for want, got in zip(net.weights + net.biases, got_net.weights + got_net.biases):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            for field in ("mean", "sd", "label_mean", "label_sd"):
+                want, got = getattr(scaler, field), getattr(got_scaler, field)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("text", [None, "[]", "3", "null", "{"])
     def test_manifest_missing_or_not_an_object(self, small_bank, tmp_path, text):
         save_bank(small_bank, tmp_path)
@@ -350,15 +371,14 @@ class TestBank:
             (tmp_path / "manifest.json").unlink()
         else:
             (tmp_path / "manifest.json").write_text(text)
-        for load in (load_bank, ensemble.read_bank):
-            with pytest.raises(FormatError):
-                load(tmp_path)
+        with pytest.raises(FormatError):
+            load_bank(tmp_path)
 
     def test_manifest_serialiser_failing_partway_keeps_the_old_manifest(self, small_bank,
                                                                         tmp_path, monkeypatch):
         onsite = init_network(ONSITE_SPEC, seed=2)
         baselines = {"b1": (onsite, fit_scaler_arrays(np.eye(5), np.arange(5.0)))}
-        save_bank(small_bank, tmp_path, baselines=baselines, baseline_train_fraction=0.7)
+        save_bank(replace(small_bank, baselines=baselines, baseline_train_fraction=0.7), tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         models = {sid: init_network(SUBMODEL_SPEC, seed=9) for sid in small_bank.models}
         changed = replace(small_bank, coefficients=FOLD_COEFFICIENT_PRESETS[2], models=models)
@@ -379,9 +399,9 @@ class TestBank:
             save_bank(changed, tmp_path)
         monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-        bank, stored, fraction = ensemble.read_bank(tmp_path)
-        assert bank.coefficients == small_bank.coefficients and fraction == 0.7
-        assert list(stored) == ["b1"]
+        bank = load_bank(tmp_path)
+        assert bank.coefficients == small_bank.coefficients and bank.baseline_train_fraction == 0.7
+        assert list(bank.baselines) == ["b1"]
 
     def test_manifest_version_gate(self, small_bank, tmp_path):
         save_bank(small_bank, tmp_path)

@@ -513,6 +513,22 @@ class TestAblation:
                 counts=[1], methods=("baseline",), matrices=matrices,
             )
 
+    def test_targets_among_training_stations_rejected(self, small_world, small_folds,
+                                                       small_bank):
+        # Fold 1's stations trained the fold-0 bank: scoring them there is leakage.
+        assert small_folds.test_stations(1) <= set(small_bank.models)
+        with pytest.raises(DataError, match="training stations of the bank"):
+            run_station_ablation(small_world.stations, small_folds, 1, small_bank, counts=[1])
+
+    def test_rows_report_the_banks_fold(self, small_world, small_folds, small_bank, matrices):
+        # The targets come from the given fold; every row and the report carry the bank's.
+        bank = replace(small_bank, fold=3)
+        report = run_fold_experiment(small_world.stations, small_folds, 0, bank,
+                                     methods=("average", "idw"), counts=[1, 2],
+                                     matrices=matrices)
+        assert report.fold == 3
+        assert [r.fold for r in report.results] == [3] * 4
+
 
 class TestBaselines:
     def test_train_and_evaluate(self, small_world, small_test_ids, small_bank):
@@ -520,7 +536,7 @@ class TestBaselines:
         models = train_baselines(small_world.stations, small_test_ids, cfg)
         assert set(models) == set(small_test_ids)
         frames = {s.id: station_frame(s, small_bank.horizon) for s in small_world.stations}
-        pred, labels = evaluate_baselines(models, frames)
+        pred, labels = evaluate_baselines(replace(small_bank, baselines=models), frames)
         assert pred.shape == labels.shape and pred.size > 0
         assert np.isfinite(pred).all()
 
@@ -541,9 +557,8 @@ class TestBaselines:
             workers(n)
             models = train_baselines(small_world.stations, small_test_ids, cfg)
             trained.append({
-                sid: (b"".join(p.tobytes() for p in m.network.weights + m.network.biases),
-                      m.scaler, m.train_fraction)
-                for sid, m in models.items()
+                sid: (b"".join(p.tobytes() for p in net.weights + net.biases), scaler)
+                for sid, (net, scaler) in models.items()
             })
         assert len(trained[0]) == len(small_test_ids) >= 2
         assert trained[0] == trained[1]

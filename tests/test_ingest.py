@@ -601,8 +601,11 @@ class TestDatasetBundle:
         lambda m: m["grids"]["dem"].pop("cell_size"),
         lambda m: m["grids"]["dem"].update(origin_lat=[1.0]),
         lambda m: m.update(grids=[]),
+        lambda m: m["stations"][0].update(lon=10**400),
+        lambda m: m["grids"]["dem"].update(cell_size=math.nan),
+        lambda m: m["stations"][0].update(dem=math.inf),
     ], ids=["no-id", "no-lon", "no-lat", "no-dem", "no-ndvi", "str-lon", "no-cell-size",
-            "list-origin", "grids-list"])
+            "list-origin", "grids-list", "huge-lon", "nan-cell-size", "inf-dem"])
     def test_malformed_manifest_rejected(self, tmp_path, mutate):
         good, bad = tmp_path / "good.zip", tmp_path / "bad.zip"
         save_dataset(tiny_dataset(), good)
