@@ -24,7 +24,7 @@ from .ensemble import (
 )
 from .errors import DataError, FormatError, FrostcastError, NumericalError
 from .evaluate import make_folds, run_fold_experiment, train_baselines
-from .features import DEFAULT_HORIZON, station_frame
+from .features import DEFAULT_HORIZON, climate_matrix
 from .ingest import (
     ingest_directory,
     load_dataset,
@@ -257,7 +257,7 @@ def _cmd_raster(args: argparse.Namespace) -> int:
         i = int(series.timestamps.searchsorted(args.timestamp))
         if i < len(series) and series.timestamps[i] == args.timestamp:
             # Climate columns: temperature, dew point, rh, north wind, east wind.
-            snapshot[series.id] = tuple(station_frame(series, bank.horizon).climate[i].tolist())
+            snapshot[series.id] = tuple(climate_matrix(series).climate[i].tolist())
     if not snapshot:
         raise DataError(f"no bank station has an observation at minute {args.timestamp}")
     grid = generate_raster(bank, snapshot, dataset.dem, dataset.ndvi, method, source_id)
@@ -379,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
-    except (FrostcastError, OSError) as exc:
+    except (FrostcastError, OSError, UnicodeDecodeError) as exc:  # the last: a non-UTF-8 text file
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

@@ -536,8 +536,10 @@ def calibrate_coefficients(
     by_id = index_series(stations)
     if not any(sid in by_id for sid in bank.station_ids):
         raise DataError("none of the bank's source stations have series to calibrate on")
-    frames = {sid: station_frame(series, bank.horizon) for sid, series in by_id.items()}
-    targets = [frame.thinned(stride) for frame in frames.values()]
+    # Every station is a source and a target; one thinned frame serves both roles.
+    frames = {sid: station_frame(series, bank.horizon).thinned(stride)
+              for sid, series in by_id.items()}
+    targets = list(frames.values())
     source_ids, blocks = _predictions_at_targets(bank, frames, targets)
     dist_rows: list[np.ndarray] = []
     err_blocks: list[np.ndarray] = []
@@ -569,8 +571,13 @@ def save_bank(bank: SubmodelBank, directory: str | os.PathLike) -> None:
     Each ``stations`` entry carries a submodel's site attributes, network
     and scaler; a ``baselines`` map holds the on-site models beside
     ``baseline_train_fraction``. The document replaces the old one
-    atomically, so a failed save leaves the previous bank whole.
+    atomically, so a failed save leaves the previous bank whole. A
+    ``baseline_train_fraction`` outside (0, 1), which :func:`load_bank`
+    would refuse, is a DomainError before anything is written.
     """
+    fraction = bank.baseline_train_fraction
+    if not 0.0 < fraction < 1.0:
+        raise DomainError(f"baseline_train_fraction must be in (0, 1): {fraction!r}")
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
     doc = {

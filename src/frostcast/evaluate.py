@@ -27,7 +27,7 @@ from .ensemble import (
     map_in_workers,
 )
 from .errors import DataError, DomainError
-from .features import DEFAULT_HORIZON, ScalerStats, StationFrame, station_frame
+from .features import DEFAULT_HORIZON, ScalerStats, StationFrame, station_frames
 from .geostats import (
     VariogramModel,
     idw_weights,
@@ -204,14 +204,6 @@ def paired_t_test(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]
     return t, min(max(p, 0.0), 1.0)
 
 
-def _frames(by_id, ids: Sequence[StationId], horizon: int) -> dict[StationId, StationFrame]:
-    """One :func:`~frostcast.features.station_frame` per listed station, each derived once."""
-    missing = sorted(set(ids) - set(by_id))
-    if missing:
-        raise DataError(f"no series for stations: {missing}")
-    return {sid: station_frame(by_id[sid], horizon) for sid in dict.fromkeys(ids)}
-
-
 # --- baseline (on-site) models ----------------------------------------------
 
 
@@ -243,7 +235,7 @@ def train_baselines(
     if not 0.0 < train_fraction < 1.0:
         raise DomainError(f"train_fraction must be in (0, 1): {train_fraction!r}")
     ids = sorted(ids)
-    frames = _frames(index_series(stations), ids, horizon)
+    frames = station_frames(index_series(stations), horizon, ids, ids)
     task = functools.partial(_train_baseline, frames, ids, cfg or TrainConfig(), train_fraction)
     return dict(zip(ids, list(map_in_workers(task, len(ids)))))
 
@@ -307,12 +299,13 @@ def build_prediction_matrices(
 ) -> list[PredictionMatrix]:
     """Run every submodel against every target once; methods share the result.
 
-    Labels use the bank's own horizon. Each target's block of predictions is
+    Labels use the bank's own horizon. Only the sources' climate blocks and
+    the targets' labels are derived. Each target's block of predictions is
     one ``map_in_workers`` task (``ensemble._predictions_at_targets``, which
     ``calibrate_coefficients`` shares).
     """
     target_ids = sorted(target_ids)
-    frames = _frames(index_series(data), [*bank.station_ids, *target_ids], bank.horizon)
+    frames = station_frames(index_series(data), bank.horizon, bank.station_ids, target_ids)
     return _prediction_matrices(frames, bank, target_ids)
 
 
@@ -407,12 +400,15 @@ def run_station_ablation(
     if leaked:
         raise DataError(f"held-out stations {leaked} are training stations of the bank")
     by_id = index_series(data)
-    # Each station is derived once, for the matrices and the baselines alike. The
+    # Each station is derived once, for the matrices and the baselines alike: the
+    # bank's sources, the held-out targets, and a baseline's station as both. The
     # frames go before the ablation, whose peak memory they would otherwise raise.
-    wanted = [*bank.station_ids, *target_ids] if matrices is None else []
+    sources = list(bank.station_ids) if matrices is None else []
+    targets = list(target_ids) if matrices is None else []
     if "baseline" in methods:
-        wanted += list(bank.baselines)
-    frames = _frames(by_id, wanted, bank.horizon)
+        sources += list(bank.baselines)
+        targets += list(bank.baselines)
+    frames = station_frames(by_id, bank.horizon, sources, targets)
     if matrices is None:
         matrices = _prediction_matrices(frames, bank, target_ids)
     scored = evaluate_baselines(bank, frames) if "baseline" in methods else None

@@ -10,16 +10,20 @@ observed in (t, t + horizon], with the horizon in minutes whatever the
 sample interval, and a window that a gap leaves uncovered gets no label
 (:func:`label_arrays`).
 
-A station's :class:`StationFrame` holds its attributes, observation timestamps,
-5-column climate block, label timestamps and labels. :func:`station_frame` is
-the one place that derives them; each public entry point builds one frame per
-station it uses, and every step inside it reads that frame.
+A station's :class:`StationFrame` holds its attributes and what its roles
+read. A *source*, whose submodel predicts elsewhere, reads its observation
+timestamps and 5-column climate block; a *target*, where predictions are
+scored, reads its label timestamps and labels; an on-site baseline reads both,
+as does every station of a training or calibration run. :func:`station_frame`
+is the one place that derives them, each part only for a role the station
+plays; each public entry point builds one frame per station it uses, and every
+step inside it reads that frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -84,18 +88,22 @@ def label_arrays(series: StationSeries, horizon: int = DEFAULT_HORIZON) -> tuple
     # minimum. The appended slot makes a stop at the series end a valid index.
     temps = np.append(series.raw[:, 0], np.inf)
     bounds = np.column_stack([rows + 1, last[rows] + 1]).ravel()
-    return ts[rows], np.minimum.reduceat(temps, bounds)[::2]
+    # A copy, so the labels do not pin the reduceat buffer of twice their size.
+    return ts[rows], np.minimum.reduceat(temps, bounds)[::2].copy()
 
 
 class StationFrame(NamedTuple):
-    """One station's derived arrays: the climate block and the labels it is scored on."""
+    """One station's derived arrays: a source's climate block, a target's labels.
+
+    The parts of a role the station does not play are None.
+    """
 
     id: StationId
     attributes: StationAttributes
-    timestamps: np.ndarray
-    climate: np.ndarray
-    label_timestamps: np.ndarray
-    labels: np.ndarray
+    timestamps: np.ndarray | None
+    climate: np.ndarray | None
+    label_timestamps: np.ndarray | None
+    labels: np.ndarray | None
 
     def thinned(self, stride: int) -> StationFrame:
         """The frame keeping every ``stride``-th label, as copies, so the full arrays can go."""
@@ -107,11 +115,32 @@ class StationFrame(NamedTuple):
         return self.climate[np.searchsorted(self.timestamps, self.label_timestamps)]
 
 
-def station_frame(series: StationSeries, horizon: int = DEFAULT_HORIZON) -> StationFrame:
-    """Derive a series' frame: its climate block and its ``horizon``-minute labels."""
-    obs = climate_matrix(series)
-    return StationFrame(series.id, series.attributes, obs.timestamps, obs.climate,
-                        *label_arrays(series, horizon))
+def station_frame(series: StationSeries, horizon: int = DEFAULT_HORIZON, *,
+                  source: bool = True, target: bool = True) -> StationFrame:
+    """Derive a series' frame: as a source its climate block, as a target its labels."""
+    obs = climate_matrix(series) if source else (None, None)
+    labels = label_arrays(series, horizon) if target else (None, None)
+    return StationFrame(series.id, series.attributes, *obs, *labels)
+
+
+def station_frames(
+    by_id: Mapping[StationId, StationSeries],
+    horizon: int,
+    sources: Iterable[StationId],
+    targets: Iterable[StationId],
+) -> dict[StationId, StationFrame]:
+    """One :func:`station_frame` per listed station, sources first, each derived once.
+
+    A station listed in both gets both parts. Raises DataError when a listed
+    station has no series.
+    """
+    sources, targets = dict.fromkeys(sources), dict.fromkeys(targets)
+    ids = {**sources, **targets}
+    missing = sorted(set(ids) - set(by_id))
+    if missing:
+        raise DataError(f"no series for stations: {missing}")
+    return {sid: station_frame(by_id[sid], horizon, source=sid in sources, target=sid in targets)
+            for sid in ids}
 
 
 def pair_feature_arrays(
@@ -129,8 +158,8 @@ def pair_feature_arrays(
     """
     if stride < 1:
         raise DomainError(f"stride must be >= 1: {stride!r}")
-    return join_pair_arrays(station_frame(source, horizon),
-                            station_frame(target, horizon).thinned(stride))
+    return join_pair_arrays(station_frame(source, horizon, target=False),
+                            station_frame(target, horizon, source=False).thinned(stride))
 
 
 def join_timestamps(

@@ -10,12 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import zipfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -121,6 +122,11 @@ def parse_ascii_grid(text: str) -> AttributeGrid:
     missing = [k for k in required if k not in header]
     if missing:
         raise FormatError(f"grid header missing keywords: {missing}")
+    infinite = [k for k in required if not math.isfinite(header[k])]
+    if infinite:
+        raise FormatError(f"grid header values must be finite: {infinite}")
+    if not (header["ncols"].is_integer() and header["nrows"].is_integer()):
+        raise FormatError(f"grid dimensions must be integers: {header['ncols']} x {header['nrows']}")
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
     if ncols < 1 or nrows < 1:
         raise FormatError(f"grid dimensions must be positive: {ncols} x {nrows}")
@@ -336,6 +342,15 @@ def _parse_timestamp(token: str, iso_mode: bool | None) -> tuple[int | None, boo
     return int(minutes), True
 
 
+def _csv_rows(text: str) -> Iterator[list[str]]:
+    """The rows of ``text``; FormatError at a line the csv module cannot split."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FormatError(f"malformed station file line {reader.line_num}: {exc}") from exc
+
+
 def parse_station_csv(
     text: str, station_id: StationId, attributes: StationAttributes
 ) -> tuple[StationSeries, int]:
@@ -345,7 +360,7 @@ def parse_station_csv(
     non-increasing timestamps are dropped and counted, never imputed, so
     the returned series always validates cleanly.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(text)
     try:
         header = next(reader)
     except StopIteration:
@@ -464,27 +479,33 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
+    """The dataset :func:`save_dataset` wrote; FormatError for any bundle it could not have."""
+    # On corrupted bytes zipfile, json and numpy's header parser raise errors of
+    # many types (BadZipFile, OSError, NotImplementedError, TokenError, ...).
     try:
         zf = zipfile.ZipFile(path)
-    except (zipfile.BadZipFile, OSError) as exc:
+    except Exception as exc:
         raise FormatError(f"not a dataset bundle: {exc}") from exc
     with zf:
-        try:
-            manifest = json.loads(zf.read("manifest.json"))
-        except (KeyError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"bundle missing manifest: {exc}") from exc
+
+        def read(name: str, parse: Callable[[bytes], object]):
+            try:
+                return parse(zf.read(name))
+            except KeyError as exc:
+                raise FormatError(f"bundle missing entry {name}") from exc
+            except Exception as exc:
+                raise FormatError(f"bundle entry {name} is unreadable: {exc}") from exc
+
+        def read_npy(name: str) -> np.ndarray:
+            return read(name, lambda data: np.lib.format.read_array(io.BytesIO(data)))
+
+        manifest = read("manifest.json", json.loads)
         if not isinstance(manifest, dict):
             raise FormatError(f"bundle manifest is not a JSON object: {type(manifest).__name__}")
         if manifest.get("version") != BUNDLE_SCHEMA_VERSION:
             raise UnsupportedVersionError(
                 f"unsupported bundle version: {manifest.get('version')!r}"
             )
-
-        def read_npy(name: str) -> np.ndarray:
-            try:
-                return np.lib.format.read_array(io.BytesIO(zf.read(name)))
-            except KeyError as exc:
-                raise FormatError(f"bundle missing entry {name}") from exc
 
         try:  # a manifest value that is missing or of the wrong type is a FormatError
             grids: dict[str, AttributeGrid | None] = {"dem": None, "ndvi": None}

@@ -5,6 +5,8 @@ generation and training once. Tests that need different shapes build their
 own tiny inputs inline.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,32 @@ SMALL_SPEC = WorldSpec(
     days=1,
     noise_sd=0.3,
 )
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """A Counter of (``climate_matrix`` or ``label_arrays``, station id) calls.
+
+    Every module's name for either function counts, and work runs in-process:
+    pool workers' calls would be invisible to this process.
+    """
+    from frostcast import cli, ensemble, evaluate, features
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(series, *args, **kwargs):
+            calls[name, series.id] += 1
+            return fn(series, *args, **kwargs)
+        return wrapper
+
+    for name in ("climate_matrix", "label_arrays"):
+        wrapper = counted(name, getattr(features, name))
+        for module in (features, ensemble, evaluate, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(ensemble, "_worker_count", lambda: 1)
+    return calls
 
 
 @pytest.fixture(scope="session")

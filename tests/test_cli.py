@@ -221,6 +221,22 @@ class TestPipeline:
         assert main(argv) == 0
         assert calls and max(calls.values()) == 1, dict(calls)
 
+    @pytest.mark.parametrize("methods", ["avg", "avg,baseline"])
+    def test_eval_derives_only_what_each_role_reads(self, pipeline, tmp_path, derivations,
+                                                    methods):
+        # Sources are read for their climate, held-out targets for their labels, and
+        # a baseline's station for both.
+        bank = load_bank(pipeline["bank"])
+        sources = set(bank.models)
+        targets = set(load_dataset(pipeline["data"]).station_ids()) - sources
+        both = set(bank.baselines) if "baseline" in methods else set()
+        assert both <= targets
+        assert main(["eval", "--data", str(pipeline["data"]), "--bank", str(pipeline["bank"]),
+                     "--methods", methods, "--deterministic",
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert dict(derivations) == ({("climate_matrix", sid): 1 for sid in sources | both}
+                                     | {("label_arrays", sid): 1 for sid in targets})
+
     def test_eval_baseline_station_missing_from_data(self, pipeline, tmp_path, capsys):
         dropped = sorted(load_bank(pipeline["bank"]).baselines)[-1]
         stations = tmp_path / "stations"
@@ -642,6 +658,23 @@ class TestBadInputsExit3:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: horizon must be 1 to ")
         assert not (tmp_path / "bank").exists()
+
+    # Each replaces one header line; {n} stands for the line's own value.
+    @pytest.mark.parametrize("header", [b"ncols nan", b"ncols inf", b"nrows {n}.5",
+                                        b"ncols {n}\xff"])
+    def test_bad_grid_header(self, pipeline, tmp_path, capsys, header):
+        world = pipeline["world"]
+        lines = (world / "dem.asc").read_bytes().splitlines(keepends=True)
+        key = header.split()[0]
+        dem = tmp_path / "dem.asc"
+        dem.write_bytes(b"".join(header.replace(b"{n}", line.split()[1]) + b"\n"
+                                 if line.split()[0] == key else line for line in lines))
+        rc = main(["ingest", "--stations", str(world / "stations"), "--dem", str(dem),
+                   "--ndvi", str(world / "ndvi.asc"), "--out", str(tmp_path / "data.zip")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "data.zip").exists()
 
     def test_negative_max_entries(self, pipeline, tmp_path, capsys):
         rc = main([

@@ -9,6 +9,7 @@ the unnormalized weight is 1 / (0.1629 + 0.0132 + 0.0290) = 1 / 0.2051
 import ctypes
 import glob
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -403,6 +404,15 @@ class TestBank:
         assert bank.coefficients == small_bank.coefficients and bank.baseline_train_fraction == 0.7
         assert list(bank.baselines) == ["b1"]
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_save_refuses_a_fraction_load_would_refuse(self, small_bank, tmp_path, fraction):
+        save_bank(small_bank, tmp_path)
+        before = (tmp_path / "manifest.json").read_bytes()
+        with pytest.raises(DomainError, match="baseline_train_fraction must be in"):
+            save_bank(replace(small_bank, baseline_train_fraction=fraction), tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+        assert (tmp_path / "manifest.json").read_bytes() == before
+
     def test_manifest_version_gate(self, small_bank, tmp_path):
         save_bank(small_bank, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -582,27 +592,14 @@ class TestTrainBankColumns:
         assert new == (tmp_path / "ref" / "manifest.json").read_bytes()
         assert len(json.loads(new)["stations"]) == len(folds.train_stations(0))
 
-    def test_columns_extracted_once_per_station(self, gapped, monkeypatch):
+    def test_columns_extracted_once_per_station(self, gapped, derivations):
         stations, folds, _ = gapped
-        calls = Counter()
-
-        def counted(name, fn):
-            def wrapper(series, *args, **kwargs):
-                calls[name, series.id] += 1
-                return fn(series, *args, **kwargs)
-            return wrapper
-
-        for name in ("climate_matrix", "label_arrays"):
-            monkeypatch.setattr(features, name, counted(name, getattr(features, name)))
-        # Corpora are built by pool workers, whose calls the parent cannot
-        # count; one worker builds them in-process.
-        monkeypatch.setattr(ensemble, "_worker_count", lambda: 1)
         train_bank(stations, folds, 0, TrainConfig(seed=4, epochs=1, batch_size=128),
                    horizon=self.HORIZON, entry_stride=self.STRIDE)
         train_ids = folds.train_stations(0)
         expected = {(name, sid): 1 for name in ("climate_matrix", "label_arrays")
                     for sid in train_ids}
-        assert dict(calls) == expected
+        assert dict(derivations) == expected
 
     def test_bad_stride_rejected(self, gapped):
         stations, folds, _ = gapped

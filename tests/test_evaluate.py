@@ -188,6 +188,13 @@ class TestPredictionMatrices:
             # prediction cell is missing.
             assert np.isfinite(m.values).all()
 
+    def test_derives_only_what_each_role_reads(self, small_world, small_bank, small_test_ids,
+                                               derivations):
+        build_prediction_matrices(small_world.stations, small_bank, small_test_ids)
+        assert dict(derivations) == (
+            {("climate_matrix", sid): 1 for sid in small_bank.station_ids}
+            | {("label_arrays", sid): 1 for sid in small_test_ids})
+
     def test_rows_match_direct_predictions(self, small_world, small_bank, small_test_ids):
         matrices = build_prediction_matrices(small_world.stations, small_bank, small_test_ids)
         pm = matrices[0]

@@ -31,6 +31,7 @@ from frostcast.features import (
     pair_feature_arrays,
     scale_label,
     station_frame,
+    station_frames,
 )
 
 
@@ -178,6 +179,23 @@ class TestStationFrame:
         assert frame.label_timestamps.tobytes() == lab_ts.tobytes()
         assert frame.labels.tobytes() == labels.tobytes()
 
+    def test_derives_only_its_roles(self):
+        series = series_from_temps(np.arange(20.0))
+        full = station_frame(series, horizon=2)
+        source = station_frame(series, horizon=2, target=False)
+        target = station_frame(series, horizon=2, source=False)
+        assert source.label_timestamps is None and source.labels is None
+        assert target.timestamps is None and target.climate is None
+        assert source.climate.tobytes() == full.climate.tobytes()
+        assert target.labels.tobytes() == full.labels.tobytes()
+
+    def test_frames_by_role(self):
+        by_id = {sid: series_from_temps(np.arange(20.0), station_id=sid) for sid in "abcd"}
+        frames = station_frames(by_id, 2, sources=["b", "c", "b"], targets=["c", "a"])
+        assert list(frames) == ["b", "c", "a"]
+        assert frames["b"].labels is None and frames["a"].climate is None
+        assert frames["c"].climate is not None and frames["c"].labels is not None
+
     @pytest.mark.parametrize("stride", [1, 3])
     def test_thinned_copies_every_stride_th_label(self, stride):
         frame = station_frame(series_from_temps(np.arange(20.0)), horizon=2)
@@ -189,6 +207,13 @@ class TestStationFrame:
 
 
 class TestLabels:
+    def test_arrays_own_their_data(self):
+        # A view would pin the buffer it was sliced from: labels are read from
+        # every other slot of one twice their size.
+        ts, labels = label_arrays(series_from_temps(np.arange(20.0)), horizon=2)
+        assert ts.base is None and labels.base is None
+        assert labels.flags.c_contiguous
+
     def test_window_minimum_oracle(self):
         # temps [5,4,3,6,7], horizon 2: label(t0)=min(4,3)=3, label(t1)=min(3,6)=3,
         # label(t2)=min(6,7)=6; only 3 labels fit.

@@ -734,3 +734,105 @@ class TestIngestDirectory:
         ndvi = square_grid([[0.1]])
         with pytest.raises(DataError):
             ingest_directory(tmp_path, dem, ndvi)
+
+
+# --- corrupted-byte fuzz of the text parsers and the bundle loader -------------
+
+CSV_BYTES = (CSV_OK + "".join(f"{t},{9.5 - t},4.0,60.0,1.5,{45.0 * t}\n" for t in range(6))
+             + "2024-01-01T00:07:00Z,2.0,1.0,70.0,0.5,10.0\n").encode()
+GRID_BYTES = GRID_TEXT.encode()
+BOUNDARY_BYTES = b'{"rings": [[[100.0, -35.0], [102.0, -35.0], [101.0, -33.0]]]}'
+# Tokens that reach parsers' edge cases more often than random bytes do.
+TOKENS = st.sampled_from([b"nan", b"inf", b"-", b".5", b"e400", b"\xff", b",", b"\n", b" ",
+                          b"[", b"]", b"{", b'"', b"0", b"9" * 30])
+EDITS = st.lists(st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("set"), st.floats(0.0, 1.0), st.integers(0, 255)),
+    st.tuples(st.just("insert"), st.floats(0.0, 1.0), TOKENS | st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("delete"), st.floats(0.0, 1.0), st.integers(1, 8)),
+), min_size=1, max_size=4)
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def corrupt(data: bytes, edits) -> bytes:
+    """``data`` after each (edit, relative position, argument) in turn."""
+    buf = bytearray(data)
+    for edit, where, *arg in edits:
+        i = min(int(where * len(buf)), len(buf))
+        if edit == "truncate":
+            del buf[i:]
+        elif edit == "set":
+            buf[i:i + 1] = bytes(arg)
+        elif edit == "insert":
+            buf[i:i] = arg[0]
+        else:
+            del buf[i:i + arg[0]]
+    return bytes(buf)
+
+
+@pytest.fixture(scope="module")
+def bundle_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bundle") / "data.zip"
+    save_dataset(tiny_dataset(), path)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "data.zip"
+
+
+class TestCorruptedInputFuzz:
+    """Whatever a corruption breaks, only a FrostcastError leaves the parser.
+
+    Text reaches a parser decoded as Latin-1, which maps every byte to one
+    character, so each corrupted byte arrives as it is.
+    """
+
+    @FUZZ
+    @given(edits=EDITS)
+    def test_station_csv(self, edits):
+        try:
+            parse_station_csv(corrupt(CSV_BYTES, edits).decode("latin-1"), "s1", ATTRS)
+        except frostcast.FrostcastError:
+            pass
+
+    @FUZZ
+    @given(edits=EDITS)
+    def test_ascii_grid(self, edits):
+        try:
+            parse_ascii_grid(corrupt(GRID_BYTES, edits).decode("latin-1"))
+        except frostcast.FrostcastError:
+            pass
+
+    @FUZZ
+    @given(edits=EDITS)
+    def test_boundary_json(self, edits):
+        try:
+            parse_boundary_json(corrupt(BOUNDARY_BYTES, edits).decode("latin-1"))
+        except frostcast.FrostcastError:
+            pass
+
+    @FUZZ
+    @given(edits=EDITS)
+    def test_bundle(self, bundle_bytes, fuzz_path, edits):
+        fuzz_path.write_bytes(corrupt(bundle_bytes, edits))
+        try:
+            load_dataset(fuzz_path)
+        except frostcast.FrostcastError:
+            pass
+
+    @FUZZ
+    @given(entry=st.sampled_from(["manifest.json", "grid_dem_values.npy", "grid_ndvi_mask.npy",
+                                  "station_a1_ts.npy", "station_b2_obs.npy"]),
+           edits=EDITS)
+    def test_bundle_entry(self, bundle_bytes, fuzz_path, entry, edits):
+        # Each entry's own bytes, past the zip's CRC check.
+        with zipfile.ZipFile(io.BytesIO(bundle_bytes)) as src, zipfile.ZipFile(fuzz_path, "w") as dst:
+            for name in src.namelist():
+                data = src.read(name)
+                dst.writestr(name, corrupt(data, edits) if name == entry else data)
+        try:
+            load_dataset(fuzz_path)
+        except frostcast.FrostcastError:
+            pass
