@@ -22,7 +22,7 @@ from .ensemble import (
     save_bank,
     train_bank,
 )
-from .errors import DataError, FormatError, FrostcastError, NumericalError
+from .errors import DataError, DomainError, FormatError, FrostcastError, NumericalError
 from .evaluate import make_folds, run_fold_experiment, train_baselines
 from .features import DEFAULT_HORIZON, climate_matrix
 from .ingest import (
@@ -55,8 +55,13 @@ class UsageError(FrostcastError):
     pass
 
 
-def parse_counts(text: str) -> list[int]:
-    """Expand a count expression like ``1..10,10..60:10`` into sorted ints."""
+def parse_counts(text: str, upper: int) -> list[int]:
+    """Expand a count expression like ``1..10,10..60:10`` into sorted ints in [1, ``upper``].
+
+    Malformed or non-positive tokens are UsageErrors. A count above
+    ``upper`` (the bank size) is a DomainError, raised before its token is
+    expanded, so a huge range costs no memory.
+    """
     out: set[int] = set()
     for token in text.split(","):
         token = token.strip()
@@ -71,22 +76,20 @@ def parse_counts(text: str) -> list[int]:
                 raise UsageError(f"bad step in count token {token!r}:{step_text!r}") from None
             if step < 1:
                 raise UsageError(f"count step must be >= 1: {step}")
-        if ".." in token:
-            lo_text, hi_text = token.split("..", 1)
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError:
-                raise UsageError(f"bad count range: {token!r}") from None
-            if lo > hi:
-                raise UsageError(f"count range must be ascending: {token!r}")
-            out.update(range(lo, hi + 1, step))
-        else:
-            try:
-                out.add(int(token))
-            except ValueError:
-                raise UsageError(f"bad count: {token!r}") from None
-    if not out or min(out) < 1:
-        raise UsageError(f"counts must be positive: {text!r}")
+        lo_text, dots, hi_text = token.partition("..")
+        try:
+            lo = int(lo_text)
+            hi = int(hi_text) if dots else lo
+        except ValueError:
+            raise UsageError(f"bad count: {token!r}") from None
+        if lo > hi:
+            raise UsageError(f"count range must be ascending: {token!r}")
+        if lo < 1:
+            raise UsageError(f"counts must be positive: {text!r}")
+        last = lo + (hi - lo) // step * step
+        if last > upper:
+            raise DomainError(f"counts must lie in [1, {upper}]: {token!r}")
+        out.update(range(lo, last + 1, step))
     return sorted(out)
 
 
@@ -211,7 +214,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     bank = load_bank(args.bank)
     methods = parse_methods(args.methods)
-    counts = parse_counts(args.counts) if args.counts else None
+    counts = parse_counts(args.counts, len(bank)) if args.counts else None
     train_ids = set(bank.models)
     test_ids = frozenset(dataset.station_ids()) - train_ids
     if not test_ids:

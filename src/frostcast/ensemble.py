@@ -19,14 +19,14 @@ attribute-weighted averaging, weighted frost voting, and the weighted mean
 of inverse-distance weights) to one function over a block of predictions;
 evaluation and rasters both use it.
 
-Training and inference use one process per available CPU
-(:func:`map_in_workers`): forked workers build each submodel's corpus and
-train its network, and ``evaluate.build_prediction_matrices`` and
-:func:`calibrate_coefficients` run every submodel at one target per task
-(:func:`_predictions_at_targets`). The parent process pins OpenBLAS to one
-thread before it forks the workers and restores its own count when the pool
-shuts down, so each worker inherits a one-thread library. Results are
-identical whatever the number of CPUs.
+Training and inference use one process per available CPU through
+:func:`map_in_workers`, the package's one pool: forked workers build each
+submodel's corpus and train its network, and
+``evaluate.build_prediction_matrices`` and :func:`calibrate_coefficients` run
+every submodel at one target per task (:func:`_predictions_at_targets`). The
+parent process holds OpenBLAS at one thread while the pool runs, so each
+worker inherits a one-thread library. Results are identical whatever the
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -339,7 +339,7 @@ def _one_blas_thread():
 _worker_task: Callable | None = None  # in a pool worker, the task its pool runs
 
 
-def _start_worker(task: Callable | None) -> None:
+def _start_worker(task: Callable) -> None:
     global _worker_task
     _worker_task = task
 
@@ -355,58 +355,32 @@ def _worker_count() -> int:
         return 1
 
 
-class _OneBlasThreadPool(ProcessPoolExecutor):
-    """Forked workers that inherit a one-thread OpenBLAS from the parent.
-
-    BLAS threads on top of one worker per CPU oversubscribe, and calling
-    ``set_num_threads`` in a forked worker starts an OpenBLAS server thread
-    that spins through its first tasks. So the parent holds OpenBLAS at one
-    thread from construction until shutdown, which restores its own count.
-    """
-
-    def __init__(self, jobs: int, task: Callable | None) -> None:
-        # Forked workers start with numpy and frostcast already imported;
-        # spawned ones would import them again on every call, about 0.5 s
-        # each. Fork also hands ``task`` and the data it holds to each worker
-        # without pickling. The workers fork at the first submit, after the pin.
-        super().__init__(jobs, mp_context=multiprocessing.get_context("fork"),
-                         initializer=_start_worker, initargs=(task,))
-        self._blas_pin = contextlib.ExitStack()
-        self._blas_pin.enter_context(_one_blas_thread())
-
-    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
-        try:
-            super().shutdown(wait, cancel_futures=cancel_futures)
-        finally:
-            self._blas_pin.close()
-
-
-def _submodel_pool(jobs: int, task: Callable | None = None) -> ProcessPoolExecutor | None:
-    """A pool of ``jobs`` forked workers that run ``task``, or None to run in-process.
-
-    Work stays in-process for one job, inside a daemonic process (which may
-    not have children), and when OpenBLAS's thread count cannot be read and
-    set.
-    """
-    if jobs < 2 or multiprocessing.current_process().daemon or _blas_thread_controls() is None:
-        return None
-    return _OneBlasThreadPool(jobs, task)
-
-
 def map_in_workers(task: Callable[[int], object], n: int) -> Iterator:
     """Yield ``task(0)``, ..., ``task(n - 1)``, run on one forked worker per CPU.
 
     Every index is queued at once. Results, and the first error, come back
-    in index order, as the in-process loop that replaces the pool gives them.
+    in index order, as the in-process loop gives them. Work stays in-process
+    for one CPU or task, inside a daemonic process (which may not have
+    children), and when OpenBLAS's thread count cannot be read and set.
+
+    BLAS threads on top of one worker per CPU oversubscribe, and calling
+    ``set_num_threads`` in a forked worker starts an OpenBLAS server thread
+    that spins through its first tasks. So the parent holds OpenBLAS at one
+    thread until the pool has shut down; the workers fork at the first
+    submit and inherit it. Fork, unlike spawn, skips re-importing numpy in
+    every worker (about 0.5 s a call) and hands over ``task`` unpickled.
     """
-    pool = _submodel_pool(min(_worker_count(), n), task)
-    if pool is None:
+    jobs = min(_worker_count(), n)
+    if jobs < 2 or multiprocessing.current_process().daemon or _blas_thread_controls() is None:
         yield from map(task, range(n))
         return
-    try:
-        yield from pool.map(_run_worker_task, range(n))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with _one_blas_thread():
+        pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_start_worker, initargs=(task,))
+        try:
+            yield from pool.map(_run_worker_task, range(n))
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def _prediction_block(bank: SubmodelBank, sources: list[StationFrame],

@@ -32,7 +32,6 @@ from .geostats import (
     VariogramModel,
     idw_weights,
     kriging_weights,
-    ordinary_kriging,
     snapshot_variogram,
 )
 from .neuralnet import Network, ONSITE_SPEC, TrainConfig
@@ -353,8 +352,8 @@ def _ok_series(
         else:
             for col in cols:
                 snapshot = vals[rows, col]
-                pred[col] = ordinary_kriging(xy, snapshot, target,
-                                             snapshot_variogram(xy, snapshot))[0]
+                weights = kriging_weights(xy, target, snapshot_variogram(xy, snapshot))
+                pred[col] = weights @ snapshot
         valid[cols] = True
     return pred, valid
 

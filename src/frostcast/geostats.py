@@ -209,6 +209,7 @@ def _solve_kriging(
 
     Returns the solution (n weights, then the Lagrange multiplier) and the
     right-hand side (the model at each sample's distance to ``query``, then 1).
+    A singular system or a non-finite solution raises NumericalError.
     """
     n = coords.shape[0]
     dx = coords[:, 0][:, None] - coords[:, 0][None, :]
@@ -223,9 +224,12 @@ def _solve_kriging(
     b[:n] = model(np.hypot(coords[:, 0] - query.lon, coords[:, 1] - query.lat))
     b[n] = 1.0
     try:
-        return np.linalg.solve(a, b), b
+        sol = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular kriging system: {exc}") from exc
+    if not np.all(np.isfinite(sol)):
+        raise NumericalError("kriging solve produced non-finite weights")
+    return sol, b
 
 
 def ordinary_kriging(coords, values, query: GeoPoint, model: VariogramModel) -> tuple[float, float]:
@@ -243,8 +247,6 @@ def ordinary_kriging(coords, values, query: GeoPoint, model: VariogramModel) -> 
     if n < 2:
         raise DataError("ordinary kriging needs two distinct sample locations")
     sol, b = _solve_kriging(coords, query, model)
-    if not np.all(np.isfinite(sol)):
-        raise NumericalError("kriging solve produced non-finite weights")
     w, mu = sol[:n], sol[n]
     estimate = float(w @ values)
     variance = float(w @ b[:n] + mu)
@@ -256,7 +258,7 @@ def kriging_weights(coords, query: GeoPoint, model: VariogramModel) -> np.ndarra
 
     Coincident samples are not merged. The weights depend on the locations
     alone, so ``eval`` solves them once for every timestep that has the
-    same sources available.
+    same sources available, unless it refits the variogram per timestep.
     """
     coords = np.asarray(coords, dtype=np.float64)
     return _solve_kriging(coords, query, model)[0][: coords.shape[0]]

@@ -441,8 +441,8 @@ def _grid_meta(grid: AttributeGrid) -> dict:
 def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
     """Write a dataset bundle: a zip of npy arrays plus a JSON manifest.
 
-    Zip entries carry a fixed timestamp so identical datasets produce
-    byte-identical files. The zip is written to a temporary file and renamed
+    Zip entries are stored uncompressed and carry a fixed timestamp, so
+    identical datasets produce byte-identical files. The zip is written to a temporary file and renamed
     over ``path``, so a failed save leaves the old bundle in place.
     """
     manifest: dict = {
@@ -462,7 +462,7 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
     }
 
     def write(fh) -> None:
-        with zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_DEFLATED) as zf:
+        with zipfile.ZipFile(fh, "w") as zf:
             for name, grid in (("dem", dataset.dem), ("ndvi", dataset.ndvi)):
                 if grid is None:
                     continue
@@ -542,6 +542,14 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     return Dataset(tuple(stations), grids["dem"], grids["ndvi"])
 
 
+def _read_utf8(path: Path) -> str:
+    """The text of ``path``; a file that is not UTF-8 is a FormatError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def ingest_directory(
     stations_dir: str | os.PathLike,
     dem: AttributeGrid,
@@ -554,14 +562,15 @@ def ingest_directory(
     ``stations_dir`` must contain ``stations.json`` (id -> lon/lat) and one
     ``<id>.csv`` per station. Grids are optionally resampled, masked to the
     boundary, and used to look up each station's DEM and NDVI attributes.
-    Returns the dataset plus per-station dropped-row counts.
+    Returns the dataset plus per-station dropped-row counts. A missing,
+    malformed or non-UTF-8 file raises FormatError.
     """
     base = Path(stations_dir)
     locations_path = base / "stations.json"
     if not locations_path.exists():
         raise FormatError(f"missing stations.json in {base}")
     try:
-        listing = json.loads(locations_path.read_text())
+        listing = json.loads(_read_utf8(locations_path))
         entries = [(str(e["id"]), GeoPoint(float(e["lon"]), float(e["lat"])))
                    for e in listing["stations"]]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
@@ -585,7 +594,7 @@ def ingest_directory(
             lookup_attribute(dem, location),
             lookup_attribute(ndvi, location),
         )
-        series, dropped = parse_station_csv(csv_path.read_text(), sid, attrs)
+        series, dropped = parse_station_csv(_read_utf8(csv_path), sid, attrs)
         stations.append(series)
         drops[sid] = dropped
     return Dataset(tuple(stations), dem, ndvi), drops

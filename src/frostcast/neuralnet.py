@@ -6,10 +6,10 @@ hidden 7). Hidden layers are rectifiers, the output is linear, and the loss
 is mean squared error. Everything is plain numpy so gradients stay exact
 and runs stay reproducible.
 
-Training runs on one flat float64 parameter vector: the working network's
-weight matrices and bias vectors are views into it, backprop writes into
-views of a matching gradient vector, and each optimizer step is one
-in-place update of the whole vector.
+Training is mini-batch Adam on one flat float64 parameter vector: the
+working network's weight matrices and bias vectors are views into it,
+backprop writes into views of a matching gradient vector, and each Adam step
+is a fixed sequence of in-place passes over the whole vector.
 
 Backprop keeps the textbook pass's bits in fewer numpy calls. A bias gradient
 of two or more columns is ``np.einsum("ij->j", delta)``, which adds the rows in
@@ -153,7 +153,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 256
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     validation_fraction: float = 0.1
     patience: int = 10
 
@@ -164,8 +163,6 @@ class TrainConfig:
             raise DomainError(f"batch_size must be >= 1: {self.batch_size!r}")
         if self.learning_rate <= 0:
             raise DomainError(f"learning_rate must be > 0: {self.learning_rate!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise DomainError(f"unknown optimizer: {self.optimizer!r}")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise DomainError(f"validation_fraction must be in [0, 1): {self.validation_fraction!r}")
         if self.patience < 0:
@@ -188,7 +185,7 @@ def _unflatten(spec: NetworkSpec, flat: np.ndarray) -> tuple[list[np.ndarray], l
 def train(
     net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *, _skip_train_loss: bool = False
 ) -> tuple[Network, list[tuple[float, float]]]:
-    """Mini-batch training with early stopping on a held-out slice.
+    """Mini-batch Adam training with early stopping on a held-out slice.
 
     Returns the parameters from the best validation epoch and a history of
     (train_loss, val_loss) per completed epoch. With epochs=0 the input
@@ -196,8 +193,8 @@ def train(
     naming the epoch.
 
     All parameters live in one flat vector that the working network's
-    arrays view, so Adam (beta1=0.9, beta2=0.999, eps=1e-8) or SGD updates
-    them with one in-place pass per step.
+    arrays view, so Adam (beta1=0.9, beta2=0.999, eps=1e-8) updates them
+    all at once in each step.
 
     ``_skip_train_loss``, for callers that discard the history, skips the
     train loss (NaN in the history) whenever a bound proves it finite, so the
@@ -227,7 +224,6 @@ def train(
     grad = np.empty_like(theta)
     grads_w, grads_b = _unflatten(net.spec, grad)
     lr = cfg.learning_rate
-    adam = cfg.optimizer == "adam"
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     # m and v are the rows of one array (scratch likewise), so one call scales
     # or adds both. Rates are full width: a (2, 1) column broadcast is slower.
@@ -255,23 +251,20 @@ def train(
             for start in range(0, n_train, cfg.batch_size):
                 stop = start + cfg.batch_size
                 _forward_backward(net, x_epoch[start:stop], y_epoch[start:stop], grads_w, grads_b)
-                if adam:
-                    # Element for element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-                    # theta -= lr*(m/b1c) / (sqrt(v/b2c) + eps). Results depend
-                    # on this operation order down to the last bit.
-                    t += 1
-                    moments *= betas
-                    np.multiply(grad, one_minus, out=pair)
-                    scratch2 *= grad
-                    moments += pair
-                    np.divide(m, 1.0 - beta1**t, out=scratch)
-                    scratch *= lr
-                    np.divide(v, 1.0 - beta2**t, out=scratch2)
-                    np.sqrt(scratch2, out=scratch2)
-                    scratch2 += eps
-                    scratch /= scratch2
-                else:
-                    np.multiply(grad, lr, out=scratch)
+                # Element for element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+                # theta -= lr*(m/b1c) / (sqrt(v/b2c) + eps). Results depend
+                # on this operation order down to the last bit.
+                t += 1
+                moments *= betas
+                np.multiply(grad, one_minus, out=pair)
+                scratch2 *= grad
+                moments += pair
+                np.divide(m, 1.0 - beta1**t, out=scratch)
+                scratch *= lr
+                np.divide(v, 1.0 - beta2**t, out=scratch2)
+                np.sqrt(scratch2, out=scratch2)
+                scratch2 += eps
+                scratch /= scratch2
                 theta -= scratch
             skip = False
             if _skip_train_loss:

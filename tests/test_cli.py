@@ -34,6 +34,7 @@ from frostcast.ensemble import (
     SubmodelBank,
     calibrate_coefficients,
 )
+from frostcast.errors import DomainError
 from frostcast.features import climate_matrix, station_frame
 
 SPEC = {
@@ -52,20 +53,26 @@ SPEC = {
 
 class TestParseCounts:
     def test_ranges_and_steps(self):
-        assert parse_counts("1..10,10..60:10") == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
-                                                   20, 30, 40, 50, 60]
-        assert parse_counts("2..6:2") == [2, 4, 6]
+        assert parse_counts("1..10,10..60:10", 60) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                                       20, 30, 40, 50, 60]
+        assert parse_counts("2..6:2", 60) == [2, 4, 6]
 
     def test_duplicates_collapse_and_sort(self):
-        assert parse_counts("3,1,2,2") == [1, 2, 3]
+        assert parse_counts("3,1,2,2", 3) == [1, 2, 3]
 
     def test_single_value(self):
-        assert parse_counts("5") == [5]
+        assert parse_counts("5", 5) == [5]
 
     @pytest.mark.parametrize("bad", ["", "0", "a", "5..1", "1..4:0", "1..4:x", "1,,2"])
     def test_bad_tokens(self, bad):
         with pytest.raises(UsageError):
-            parse_counts(bad)
+            parse_counts(bad, 60)
+
+    def test_upper_bound_checks_the_last_count_a_range_reaches(self):
+        assert parse_counts("1..20:5", 16) == [1, 6, 11, 16]
+        for text in ("17", "1..17", "2..18:4", "1..1000000000"):
+            with pytest.raises(DomainError, match=r"^counts must lie in \[1, 16\]"):
+                parse_counts(text, 16)
 
 
 class TestParseMethods:
@@ -675,6 +682,16 @@ class TestBadInputsExit3:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "data.zip").exists()
+
+    def test_huge_count_range(self, pipeline, tmp_path, capsys):
+        # Expanding this range would take gigabytes; the bank size bounds it first.
+        n_src = len(load_bank(pipeline["bank"]))
+        rc = main(["eval", "--data", str(pipeline["data"]), "--bank", str(pipeline["bank"]),
+                   "--counts", "1..1000000000", "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == f"error: counts must lie in [1, {n_src}]: '1..1000000000'\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_negative_max_entries(self, pipeline, tmp_path, capsys):
         rc = main([

@@ -7,6 +7,7 @@ the unnormalized weight is 1 / (0.1629 + 0.0132 + 0.0290) = 1 / 0.2051
 """
 
 import ctypes
+import functools
 import glob
 import json
 import math
@@ -633,8 +634,15 @@ def _blas_threads():
 
 
 def _pool_and_bank(stations, folds, cfg):
-    """Run in a daemonic worker: whether a pool would start, and the bank."""
-    return ensemble._submodel_pool(2) is None, train_bank(stations, folds, 0, cfg, entry_stride=7)
+    """Run in a daemonic worker: whether map_in_workers stays in-process, and the bank."""
+    pids = list(ensemble.map_in_workers(lambda _: os.getpid(), 2))
+    return pids == [os.getpid()] * 2, train_bank(stations, folds, 0, cfg, entry_stride=7)
+
+
+def _fail_from(first_bad, index):
+    if index >= first_bad:
+        raise DataError(f"task {index} failed")
+    return index
 
 
 def _bank_files(bank, directory):
@@ -681,12 +689,40 @@ class TestTrainBankPool:
     def test_worker_runs_one_blas_thread(self, workers):
         if _blas_thread_getter() is None:
             pytest.skip("no OpenBLAS thread getter resolves")
+        workers(2)
+        parent = os.getpid()
         before = _blas_threads()
-        pool = ensemble._submodel_pool(2)
-        assert pool is not None
-        with pool:
-            assert pool.submit(_blas_threads).result(timeout=60) == 1
+        results = ensemble.map_in_workers(lambda _: (os.getpid() != parent, _blas_threads()), 2)
+        assert next(results) == (True, 1)
+        assert _blas_threads() == 1  # the parent holds the pin until the pool shuts down
+        assert list(results) == [(True, 1)]
         assert _blas_threads() == before
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_first_error_in_index_order(self, workers, n):
+        # Every task from index 3 on raises; index 3's error comes first, after
+        # the results before it, whichever task a worker finishes first.
+        workers(n)
+        before = _blas_threads() if _blas_thread_getter() is not None else None
+        got = []
+        with pytest.raises(DataError, match="^task 3 failed$"):
+            for result in ensemble.map_in_workers(functools.partial(_fail_from, 3), 8):
+                got.append(result)
+        assert got == [0, 1, 2]
+        assert multiprocessing.active_children() == []
+        if before is not None:
+            assert _blas_threads() == before
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closed_early_stops_the_pool(self, workers, n):
+        workers(n)
+        before = _blas_threads() if _blas_thread_getter() is not None else None
+        results = ensemble.map_in_workers(functools.partial(_fail_from, 8), 8)
+        assert next(results) == 0
+        results.close()
+        assert multiprocessing.active_children() == []
+        if before is not None:
+            assert _blas_threads() == before
 
     def test_pooled_worker_starts_no_blas_thread(self, workers):
         if not os.path.isdir("/proc/self/task"):

@@ -551,6 +551,14 @@ class TestDatasetBundle:
         npt.assert_array_equal(back.ndvi.mask, ds.ndvi.mask)
         assert back.dem.cell_size == ds.dem.cell_size
 
+    def test_every_entry_is_stored_uncompressed(self, tmp_path):
+        path = tmp_path / "ds.zip"
+        save_dataset(tiny_dataset(), path)
+        with zipfile.ZipFile(path) as zf:
+            infos = zf.infolist()
+        assert len(infos) == 9  # two grids' values and masks, two stations' arrays, the manifest
+        assert {info.compress_type for info in infos} == {zipfile.ZIP_STORED}
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         rows = [
             (28_000_000, -3.25, -7.125, 91.5, 0.0, 247.5),
@@ -733,6 +741,16 @@ class TestIngestDirectory:
         dem = square_grid([[100.0, 200.0], [300.0, 400.0]])
         ndvi = square_grid([[0.1]])
         with pytest.raises(DataError):
+            ingest_directory(tmp_path, dem, ndvi)
+
+    @pytest.mark.parametrize("name", ["stations.json", "s2.csv"])
+    def test_file_that_is_not_utf8(self, tmp_path, name):
+        self.write_inputs(tmp_path)
+        with open(tmp_path / name, "ab") as fh:
+            fh.write(b"\xff")
+        dem = square_grid([[100.0, 200.0], [300.0, 400.0]])
+        ndvi = square_grid([[0.1, 0.2], [0.3, 0.4]])
+        with pytest.raises(FormatError, match="is not UTF-8"):
             ingest_directory(tmp_path, dem, ndvi)
 
 
