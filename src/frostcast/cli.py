@@ -1,9 +1,10 @@
 """Command-line pipeline: synth -> ingest -> folds -> train -> eval -> raster.
 
-Exit codes: 0 success, 2 usage error, 3 data or format error, 4 numerical
-failure. Every failure prints a single ``error: ...`` line to stderr. JSON
-outputs are key-sorted; pass --deterministic to omit wall-clock fields so
-reruns with the same seeds are byte-identical.
+Exit codes: 0 success, 2 usage error, 3 data or format error (or an input
+too large for memory), 4 numerical failure. Every failure prints a single
+``error: ...`` line to stderr. JSON outputs are key-sorted; pass
+--deterministic to omit wall-clock fields so reruns with the same seeds are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -384,6 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         return NUMERICAL_EXIT
     except (FrostcastError, OSError, UnicodeDecodeError) as exc:  # the last: a non-UTF-8 text file
         print(f"error: {exc}", file=sys.stderr)
+        return DATA_EXIT
+    except MemoryError as exc:  # an input asking for more memory than the machine has
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return DATA_EXIT
 
 

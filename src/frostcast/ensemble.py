@@ -168,7 +168,7 @@ def _fit(spec: NetworkSpec, seed: int, x: np.ndarray, y: np.ndarray,
     """A network of ``spec`` trained on scaled (x, y), and the scaler fitted to them."""
     scaler = fit_scaler_arrays(x, y)
     net, _ = train(init_network(spec, seed=seed), apply_scaler(scaler, x),
-                   np.asarray(scale_label(scaler, y)), cfg, _skip_train_loss=True)
+                   np.asarray(scale_label(scaler, y)), cfg)
     return net, scaler
 
 

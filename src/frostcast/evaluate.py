@@ -48,6 +48,8 @@ def make_folds(station_ids: Sequence[StationId], seed: int, n_folds: int = 5) ->
         raise DataError("station ids must be unique")
     if n_folds < 2:
         raise DomainError(f"n_folds must be >= 2: {n_folds!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0: {seed!r}")
     if len(ids) < n_folds:
         raise DataError(f"need at least {n_folds} stations, got {len(ids)}")
     order = np.random.default_rng(seed).permutation(len(ids))
@@ -381,11 +383,16 @@ def run_station_ablation(
     ``ok_refit`` (or without such a snapshot) a fresh fit per timestep.
     Kriging needs two stations, so its row at a count of 1 has no
     predictions and null metrics; any other empty result is a DataError.
-    ``baseline`` scores the bank's on-site baselines.
+    ``baseline`` scores the bank's on-site baselines. A non-finite
+    ``trigger`` or a negative ``seed`` is a DomainError.
     """
     for m in methods:
         if m not in METHODS:
             raise DomainError(f"unknown method: {m!r}")
+    if not math.isfinite(trigger):
+        raise DomainError(f"trigger must be a finite temperature: {trigger!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0: {seed!r}")
     n_src = len(bank)
     counts = sorted(set(int(c) for c in counts))
     if not counts:

@@ -1,20 +1,19 @@
-"""Classical spatial interpolation: IDW and ordinary kriging.
+"""Classical spatial interpolation: inverse-square IDW and ordinary kriging.
 
 Every routine takes sample locations as a ``(k, 2)`` array of (lon, lat)
 rows and, where it needs them, sample values as a ``(k,)`` array; the
 query is a ``GeoPoint``. Distances are plain Euclidean in degree space; at
 the regional scale used here the anisotropy that introduces is small
-against station spacing, and it keeps every routine
-translation-equivariant. Variograms are fit by weighted least squares with
-pair counts as weights, using a coarse grid search followed by shrinking
-local refinement so fits are deterministic.
+against station spacing, and it keeps every routine translation-equivariant.
+The one variogram model, spherical, is fit to DEFAULT_BINS lag bins by
+pair-count-weighted least squares: a coarse grid search, then shrinking
+local refinement, so fits are deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,16 +41,14 @@ def _samples(coords, values) -> tuple[np.ndarray, np.ndarray]:
     return coords, values
 
 
-def idw_weights(coords, query: GeoPoint, power: float = 2.0) -> np.ndarray:
-    """Unnormalised inverse-distance weights of ``(k, 2)`` sample ``coords``.
+def idw_weights(coords, query: GeoPoint) -> np.ndarray:
+    """Unnormalised inverse-squared-distance weights of ``(k, 2)`` sample ``coords``.
 
     A query within EXACT_DISTANCE of a sample gives every such sample
     weight 1 and the rest 0, so the weighted mean is exact there.
     Distances use ``math.hypot`` per sample, whose bits ``np.hypot`` does
     not always match.
     """
-    if power <= 0:
-        raise DomainError(f"idw power must be > 0: {power!r}")
     if len(coords) == 0:
         raise DataError("idw needs at least one sample")
     d = np.array([math.hypot(lon - query.lon, lat - query.lat)
@@ -59,58 +56,42 @@ def idw_weights(coords, query: GeoPoint, power: float = 2.0) -> np.ndarray:
     exact = d < EXACT_DISTANCE
     if exact.any():
         return exact.astype(np.float64)
-    return d ** -power
+    return d ** -2.0
 
 
-@dataclass(frozen=True)
-class VariogramBin:
-    lag: float
-    semivariance: float
-    count: int
-
-
-def empirical_semivariogram(coords, values, n_bins: int = DEFAULT_BINS) -> list[VariogramBin]:
+def empirical_semivariogram(coords, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Binned Matheron estimator: gamma(h) = mean of half squared differences.
 
-    Pairs are grouped into ``n_bins`` equal-width distance bins spanning
-    (0, max pair distance]; empty bins are omitted. The reported lag is the
-    mean pair distance inside the bin.
+    Pairs are grouped into DEFAULT_BINS equal-width distance bins spanning
+    (0, max pair distance]. Returns ``(lags, semivariances, counts)`` over
+    the non-empty bins, where a bin's lag is the mean pair distance in it.
     """
     coords, values = _samples(coords, values)
     if values.size < 2:
         raise DataError("semivariogram needs at least two samples")
-    if n_bins < 1:
-        raise DomainError(f"n_bins must be >= 1: {n_bins!r}")
     i, j = np.triu_indices(values.size, k=1)
     d = np.hypot(coords[i, 0] - coords[j, 0], coords[i, 1] - coords[j, 1])
     gamma = 0.5 * (values[i] - values[j]) ** 2
     d_max = float(d.max())
     if d_max == 0.0:
-        return [VariogramBin(0.0, float(gamma.mean()), int(gamma.size))]
-    width = d_max / n_bins
-    idx = np.minimum((d / width).astype(np.int64), n_bins - 1)
-    out: list[VariogramBin] = []
-    for b in range(n_bins):
-        mask = idx == b
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        out.append(VariogramBin(float(d[mask].mean()), float(gamma[mask].mean()), count))
-    return out
+        return np.zeros(1), np.array([gamma.mean()]), np.array([gamma.size])
+    width = d_max / DEFAULT_BINS
+    idx = np.minimum((d / width).astype(np.int64), DEFAULT_BINS - 1)
+    masks = idx == np.arange(DEFAULT_BINS)[:, None]
+    masks = masks[masks.any(axis=1)]
+    return (np.array([d[m].mean() for m in masks]), np.array([gamma[m].mean() for m in masks]),
+            masks.sum(axis=1))
 
 
 @dataclass(frozen=True)
 class VariogramModel:
-    """Isotropic variogram; ``sill`` is the total (nugget included) plateau."""
+    """Isotropic spherical variogram; ``sill`` is the total (nugget included) plateau."""
 
-    kind: str
     nugget: float
     sill: float
     range_: float
 
     def __post_init__(self) -> None:
-        if self.kind not in ("spherical", "exponential"):
-            raise DomainError(f"unknown variogram kind: {self.kind!r}")
         if not all(map(math.isfinite, (self.nugget, self.sill, self.range_))):
             raise DomainError(f"variogram parameters must be finite, got "
                               f"{self.nugget!r}, {self.sill!r}, {self.range_!r}")
@@ -121,53 +102,40 @@ class VariogramModel:
 
     def __call__(self, h: np.ndarray | float) -> np.ndarray:
         h = np.asarray(h, dtype=np.float64)
-        psill = self.sill - self.nugget
-        if self.kind == "spherical":
-            hr = np.minimum(h / self.range_, 1.0)
-            g = self.nugget + psill * (1.5 * hr - 0.5 * hr**3)
-        else:
-            # Practical-range convention: ~95% of the sill at h = range.
-            g = self.nugget + psill * (1.0 - np.exp(-3.0 * h / self.range_))
+        hr = np.minimum(h / self.range_, 1.0)
+        g = self.nugget + (self.sill - self.nugget) * (1.5 * hr - 0.5 * hr**3)
         return np.where(h == 0.0, 0.0, g)
 
 
-def fit_variogram(bins: Sequence[VariogramBin], kind: str = "spherical") -> VariogramModel:
-    """Weighted-least-squares fit of (nugget, sill, range) to binned estimates.
+def fit_variogram(lags, semivariances, counts) -> VariogramModel:
+    """Spherical (nugget, sill, range) fit to :func:`empirical_semivariogram`'s arrays.
 
-    Weights are pair counts. The search is a coarse grid over the three
-    parameters refined by repeatedly shrinking the grid around the incumbent,
-    which is deterministic for identical inputs.
+    Bins without pairs are dropped, and the rest weighted by pair count. The
+    search is a coarse grid over the three parameters refined by repeatedly
+    shrinking the grid around the incumbent, deterministic for identical inputs.
     """
-    if kind not in ("spherical", "exponential"):
-        raise DomainError(f"unknown variogram kind: {kind!r}")
-    bins = [b for b in bins if b.count > 0]
-    if len(bins) < 3:
-        raise DataError(f"variogram fit needs >= 3 non-empty bins, got {len(bins)}")
-    lags = np.array([b.lag for b in bins])
-    gammas = np.array([b.semivariance for b in bins])
-    counts = np.array([b.count for b in bins], dtype=np.float64)
+    lags, gammas, counts = (np.asarray(a, dtype=np.float64) for a in (lags, semivariances, counts))
+    if lags.ndim != 1 or not lags.shape == gammas.shape == counts.shape:
+        raise DataError(f"need equal-length 1-D bins: {lags.shape}, {gammas.shape}, {counts.shape}")
+    full = counts > 0
+    if int(full.sum()) < 3:
+        raise DataError(f"variogram fit needs >= 3 non-empty bins, got {int(full.sum())}")
+    lags, gammas, counts = lags[full], gammas[full], counts[full]
     if not (np.isfinite(lags).all() and np.isfinite(gammas).all()):
         raise DataError("variogram bins must have finite lags and semivariances")
-    g_max = float(gammas.max())
-    l_max = float(lags.max())
+    g_max, l_max = float(gammas.max()), float(lags.max())
     if l_max <= 0:
         raise DataError("variogram fit needs positive lags")
     if g_max == 0.0:
         # Constant field: degenerate but legal model.
-        return VariogramModel(kind, 0.0, 0.0, l_max)
-
-    if kind == "spherical":
-        def predict(nugget: np.ndarray, psill: np.ndarray, rng: np.ndarray) -> np.ndarray:
-            hr = np.minimum(lags / rng, 1.0)
-            return nugget + psill * (1.5 * hr - 0.5 * hr * hr * hr)
-    else:
-        def predict(nugget: np.ndarray, psill: np.ndarray, rng: np.ndarray) -> np.ndarray:
-            return nugget + psill * (1.0 - np.exp(-3.0 * lags / rng))
+        return VariogramModel(0.0, 0.0, l_max)
 
     def costs(nuggets, psills, rngs) -> tuple[list[np.ndarray], np.ndarray]:
         # One row per point; each contiguous row sums its lags as a 1-D sum does.
-        grid = [g.reshape(-1, 1) for g in np.meshgrid(nuggets, psills, rngs, indexing="ij")]
-        resid = predict(*grid) - gammas
+        nugget, psill, rng = grid = [
+            g.reshape(-1, 1) for g in np.meshgrid(nuggets, psills, rngs, indexing="ij")]
+        hr = np.minimum(lags / rng, 1.0)
+        resid = nugget + psill * (1.5 * hr - 0.5 * hr * hr * hr) - gammas
         return grid, np.sum(counts * resid * resid, axis=1)
 
     best = (0.0, g_max, l_max)
@@ -189,7 +157,7 @@ def fit_variogram(bins: Sequence[VariogramBin], kind: str = "spherical") -> Vari
         if cost[k] < best_cost:
             best, best_cost = tuple(float(g[k, 0]) for g in grid), cost[k]
     nugget, psill, rng = best
-    return VariogramModel(kind, nugget, nugget + psill, rng)
+    return VariogramModel(nugget, nugget + psill, rng)
 
 
 def _dedup(coords: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,10 +240,10 @@ def snapshot_variogram(coords, values) -> VariogramModel:
     """
     bins = empirical_semivariogram(coords, values)
     try:
-        return fit_variogram(bins)
+        return fit_variogram(*bins)
     except DataError:
         pass
     coords, values = _samples(coords, values)
     i, j = np.triu_indices(values.size, k=1)
     d_max = float(np.hypot(coords[i, 0] - coords[j, 0], coords[i, 1] - coords[j, 1]).max())
-    return VariogramModel("spherical", 0.0, float(values.var()), d_max if d_max > 0 else 1.0)
+    return VariogramModel(0.0, float(values.var()), d_max if d_max > 0 else 1.0)

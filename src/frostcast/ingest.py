@@ -191,7 +191,7 @@ def resample_grid(grid: AttributeGrid, target_cell: float) -> AttributeGrid:
     it; an empty target cell copies the nearest unmasked source value but
     stays masked out. Upsampling is not supported.
     """
-    if target_cell < grid.cell_size:
+    if not target_cell >= grid.cell_size:  # NaN included
         raise DomainError(
             f"cannot upsample from {grid.cell_size} to {target_cell}"
         )

@@ -157,12 +157,14 @@ class TrainConfig:
     patience: int = 10
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0: {self.seed!r}")
         if self.epochs < 0:
             raise DomainError(f"epochs must be >= 0: {self.epochs!r}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1: {self.batch_size!r}")
-        if self.learning_rate <= 0:
-            raise DomainError(f"learning_rate must be > 0: {self.learning_rate!r}")
+        if not 0 < self.learning_rate < math.inf:
+            raise DomainError(f"learning_rate must be finite and > 0: {self.learning_rate!r}")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise DomainError(f"validation_fraction must be in [0, 1): {self.validation_fraction!r}")
         if self.patience < 0:
@@ -183,22 +185,20 @@ def _unflatten(spec: NetworkSpec, flat: np.ndarray) -> tuple[list[np.ndarray], l
 
 
 def train(
-    net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *, _skip_train_loss: bool = False
-) -> tuple[Network, list[tuple[float, float]]]:
+    net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig
+) -> tuple[Network, list[float]]:
     """Mini-batch Adam training with early stopping on a held-out slice.
 
-    Returns the parameters from the best validation epoch and a history of
-    (train_loss, val_loss) per completed epoch. With epochs=0 the input
-    network is returned untouched. Non-finite loss raises DivergenceError
-    naming the epoch.
+    Returns the parameters from the best validation epoch and the validation
+    loss of each completed epoch. With epochs=0 the input network is
+    returned untouched. A non-finite training or validation loss raises
+    DivergenceError naming the epoch.
 
     All parameters live in one flat vector that the working network's
     arrays view, so Adam (beta1=0.9, beta2=0.999, eps=1e-8) updates them
-    all at once in each step.
-
-    ``_skip_train_loss``, for callers that discard the history, skips the
-    train loss (NaN in the history) whenever a bound proves it finite, so the
-    DivergenceError epoch and the result stay exactly as without it.
+    all at once in each step. The training-set loss serves only to detect
+    divergence, so it is computed only in an epoch where a bound on the
+    network's outputs does not prove it finite.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -236,11 +236,10 @@ def train(
     best_val = math.inf
     best = theta.copy()
     bad_epochs = 0
-    history: list[tuple[float, float]] = []
+    history: list[float] = []
     n_train = x_train.shape[0]
     x_epoch, y_epoch = np.empty_like(x_train), np.empty_like(y_train)
-    if _skip_train_loss:
-        x_bound, y_bound = float(np.abs(x_train).max()), float(np.abs(y_train).max())
+    x_bound, y_bound = float(np.abs(x_train).max()), float(np.abs(y_train).max())
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_train)
         np.take(x_train, order, axis=0, out=x_epoch)
@@ -266,19 +265,16 @@ def train(
                 scratch2 += eps
                 scratch /= scratch2
                 theta -= scratch
-            skip = False
-            if _skip_train_loss:
-                # |output| <= bound on every training row; outputs and labels
-                # below 1e100 keep each squared error, and the loss, finite.
-                bound = x_bound
-                for w, b in zip(net.weights, net.biases):
-                    bound = bound * float(np.abs(w).sum(axis=0).max()) + float(np.abs(b).max())
-                skip = bound + y_bound < 1e100
-            train_loss = math.nan if skip else mse_loss(net, x_train, y_train)
+            # |output| <= bound on every training row; outputs and labels
+            # below 1e100 keep each squared error, and the loss, finite.
+            bound = x_bound
+            for w, b in zip(net.weights, net.biases):
+                bound = bound * float(np.abs(w).sum(axis=0).max()) + float(np.abs(b).max())
+            train_finite = bound + y_bound < 1e100 or math.isfinite(mse_loss(net, x_train, y_train))
             val_loss = mse_loss(net, x_val, y_val)
-        if not ((skip or math.isfinite(train_loss)) and math.isfinite(val_loss)):
+        if not (train_finite and math.isfinite(val_loss)):
             raise DivergenceError(epoch)
-        history.append((train_loss, val_loss))
+        history.append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
             best[...] = theta

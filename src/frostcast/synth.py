@@ -48,16 +48,25 @@ class WorldSpec:
     start_minute: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0: {self.seed!r}")
         if self.n_stations < 5:
             raise DomainError(f"need at least 5 stations: {self.n_stations!r}")
         if self.days < 1:
             raise DomainError(f"days must be >= 1: {self.days!r}")
-        if self.sample_interval < 1:
-            raise DomainError(f"sample_interval must be >= 1: {self.sample_interval!r}")
+        if not 1 <= self.sample_interval <= self.days * MINUTES_PER_DAY:
+            raise DomainError(f"sample_interval must be 1 to days * {MINUTES_PER_DAY}: "
+                              f"{self.sample_interval!r}")
+        if not -2**63 <= self.start_minute <= 2**63 - 1 - self.days * MINUTES_PER_DAY:
+            raise DomainError(f"the world's minutes must fit in int64: start {self.start_minute!r}, "
+                              f"{self.days!r} days")
         if self.noise_sd < 0:
             raise DomainError(f"noise_sd must be >= 0: {self.noise_sd!r}")
         if not (self.lon_min < self.lon_max and self.lat_min < self.lat_max):
             raise DomainError("region extents must be non-empty")
+        if not (-180 <= self.lon_min and self.lon_max <= 180 and -90 <= self.lat_min
+                and self.lat_max <= 90):
+            raise DomainError("region must lie within longitudes ±180 and latitudes ±90")
         if self.cell_size <= 0:
             raise DomainError(f"cell_size must be > 0: {self.cell_size!r}")
         if self.dem_relief < 0:

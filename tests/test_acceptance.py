@@ -141,7 +141,7 @@ def test_criterion_02_attribute_weight_oracle():
 
 THREE_XY = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
 THREE_VALUES = np.array([2.0, 4.0, 8.0])
-SATURATING = VariogramModel("spherical", nugget=0.0, sill=1.0, range_=1.0)
+SATURATING = VariogramModel(nugget=0.0, sill=1.0, range_=1.0)
 
 
 def test_criterion_03_interpolator_exactness():
@@ -149,8 +149,8 @@ def test_criterion_03_interpolator_exactness():
     xy = np.column_stack([rng.uniform(0, 10, 8), rng.uniform(0, 10, 8)])
     values = rng.normal(0, 3, 8)
     sites = [GeoPoint(float(lon), float(lat)) for lon, lat in xy]
-    model = fit_variogram(empirical_semivariogram(xy, values))
-    nugget_free = VariogramModel(model.kind, 0.0, max(model.sill, 1e-6), model.range_)
+    model = fit_variogram(*empirical_semivariogram(xy, values))
+    nugget_free = VariogramModel(0.0, max(model.sill, 1e-6), model.range_)
 
     # IDW as eval runs it: idw_weights through the AGGREGATORS table.
     block = values[:, None]
@@ -194,7 +194,7 @@ def test_criterion_04_variogram_recovery():
     t0 = time.monotonic()
     true_sill, true_range = 1.0, 2.0
     xy, values = _spherical_field(200, 0.0, true_sill, true_range, seed=9)
-    fit = fit_variogram(empirical_semivariogram(xy, values), "spherical")
+    fit = fit_variogram(*empirical_semivariogram(xy, values))
     elapsed = time.monotonic() - t0
     sill_err = abs(fit.sill - true_sill) / true_sill
     range_err = abs(fit.range_ - true_range) / true_range

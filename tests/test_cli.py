@@ -644,6 +644,12 @@ BAD_SPECS = [
     '{"harmonic_amplitudes": 5}',
     '{"harmonic_amplitudes": ["a"]}',
     '{"noise_sd": NaN}',
+    # Each of these once ended in a traceback and exit 1.
+    '{"seed": -1}',
+    '{"start_minute": 9223372036854775807}',
+    '{"sample_interval": 9223372036854775808}',
+    '{"days": 9223372036854775808}',
+    '{"lon_min": -1e308, "lon_max": 1e308}',
 ]
 
 
@@ -701,6 +707,58 @@ class TestBadInputsExit3:
         assert rc == 3
         assert capsys.readouterr().err == "error: max_entries must be >= 1: -1\n"
         assert not (tmp_path / "bank").exists()
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_learning_rate(self, pipeline, tmp_path, capsys, rate):
+        # It once trained and exited 4 with "training diverged at epoch 0".
+        rc = main([
+            "train", "--data", str(pipeline["data"]), "--folds", str(pipeline["folds"]),
+            "--fold", "0", f"--learning-rate={rate}", "--out", str(tmp_path / "bank"),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: learning_rate must be finite and > 0: {rate}\n"
+        assert not (tmp_path / "bank").exists()
+
+    @pytest.mark.parametrize("trigger", ["nan", "inf", "-inf"])
+    def test_non_finite_trigger(self, pipeline, tmp_path, capsys, trigger):
+        # NaN and -inf once scored no frost at all, +inf every minute as frost.
+        rc = main(["eval", "--data", str(pipeline["data"]), "--bank", str(pipeline["bank"]),
+                   f"--trigger={trigger}", "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: trigger must be a finite temperature: {trigger}\n")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_synth_spec_too_large_for_memory(self, tmp_path, capsys):
+        # numpy refuses the 36.4 TiB grid index without allocating it.
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"seed": 1, "cell_size": 1e-12}')
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "world")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not (tmp_path / "world").exists()
+
+    @pytest.mark.parametrize("command", ["folds", "train", "eval"])
+    def test_negative_seed(self, pipeline, tmp_path, capsys, command):
+        data, out = str(pipeline["data"]), str(tmp_path / "out")
+        argv = {
+            "folds": ["folds", "--data", data, "--out", out],
+            "train": ["train", "--data", data, "--folds", str(pipeline["folds"]), "--fold", "0",
+                      "--out", out],
+            "eval": ["eval", "--data", data, "--bank", str(pipeline["bank"]), "--out", out],
+        }[command]
+        assert main([*argv, "--seed=-1"]) == 3
+        assert capsys.readouterr().err == "error: seed must be >= 0: -1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_ingest_cell(self, pipeline, tmp_path, capsys):
+        world = pipeline["world"]
+        rc = main(["ingest", "--stations", str(world / "stations"), "--dem", str(world / "dem.asc"),
+                   "--ndvi", str(world / "ndvi.asc"), "--cell=nan",
+                   "--out", str(tmp_path / "data.zip")])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: cannot upsample from 0.25 to nan\n"
+        assert not (tmp_path / "data.zip").exists()
 
 
 def _bank_commands(pipeline, bank, out):
@@ -851,3 +909,110 @@ class TestBankManifestFuzz:
         else:
             assert rc in (0, 3), err.getvalue()
 
+
+
+# --- argv fuzz: every subcommand through main ----------------------------------
+
+INT64_EDGES = [0, 1, -1, 2, 2**31, -2**31, 2**63 - 1, 2**63, -2**63, -2**63 - 1, 2**64, 10**30]
+NON_FINITE = ["nan", "-nan", "inf", "-inf", "1e400", "-1e400"]
+FLOATS = st.sampled_from([*NON_FINITE, "0", "-0.0", "-1", "0.5", "1e-308", "1e308", "x", ""])
+INTS = st.sampled_from([*map(str, INT64_EDGES), "x", "", "1.5"])
+TOKEN_LIST = ["", " ", ",", ":", "..", "x", "-", "avg", "wavg", "vote", "idw", "ok", "baseline",
+              "single:", "paper-fold-", "paper-fold-0", "paper-fold-9"]
+TOKENS = st.sampled_from(TOKEN_LIST)
+#: The one training value that scales the work with its size: each training run is one epoch.
+FUZZ_EPOCHS = "1"
+
+
+def _count_token(draw):
+    lo, hi, step = (draw(st.sampled_from(INT64_EDGES)) for _ in range(3))
+    return draw(st.sampled_from([f"{lo}", f"{lo}..{hi}", f"{lo}..{hi}:{step}", f"1..{hi}",
+                                 f"1..{hi}:{step}", draw(TOKENS)]))
+
+
+def _options(draw, spec):
+    """``--name=value`` for a random subset of ``spec``'s (name, strategy) pairs."""
+    return [f"--{name}={draw(values)}" for name, values in spec if draw(st.booleans())]
+
+
+@st.composite
+def fuzz_argv(draw, command, inputs):
+    """An argv for ``command``: each path a good input (4 in 5) or a bad one, each option
+    an edge value or a token."""
+    def path(kind):
+        return str(draw(st.sampled_from([inputs[kind]] * 16 + inputs["bad"])))
+
+    out = str(inputs["out"])
+    if command == "synth":
+        spec = draw(st.sampled_from([inputs["spec"], inputs["huge_spec"], *inputs["bad"]]))
+        return ["synth", "--spec", str(spec), "--out", out]
+    if command == "ingest":
+        world = inputs["world"]
+        return ["ingest", "--stations", path("stations"), "--dem", path("dem"),
+                "--ndvi", path("ndvi"), *_options(draw, [("boundary", st.sampled_from(
+                    [world / "boundary.json", *inputs["bad"]])), ("cell", FLOATS)]),
+                "--out", out]
+    if command == "folds":
+        return ["folds", "--data", path("data"),
+                *_options(draw, [("seed", INTS), ("n-folds", INTS)]), "--out", out]
+    if command == "train":
+        return ["train", "--data", path("data"), "--folds", path("folds"),
+                f"--fold={draw(INTS)}", f"--epochs={FUZZ_EPOCHS}", "--entry-stride=10",
+                *_options(draw, [("seed", INTS), ("batch-size", INTS), ("learning-rate", FLOATS),
+                                 ("validation-fraction", FLOATS), ("patience", INTS),
+                                 ("horizon", INTS), ("max-entries", INTS)]),
+                "--out", out]
+    if command == "calibrate":
+        return ["calibrate", "--bank", path("bank"),
+                *_options(draw, [("data", st.just(inputs["data"])), ("stride", INTS),
+                                 ("preset", TOKENS)])]
+    if command == "eval":
+        counts = ",".join(_count_token(draw) for _ in range(draw(st.integers(1, 3))))
+        methods = ",".join(draw(st.lists(TOKENS, min_size=1, max_size=3)))
+        return ["eval", "--data", path("data"), "--bank", path("bank"),
+                *_options(draw, [("methods", st.just(methods)), ("counts", st.just(counts)),
+                                 ("seed", INTS), ("trigger", FLOATS)]),
+                "--deterministic", "--out", out]
+    if command == "raster":
+        method = draw(st.sampled_from(["avg", "wavg", "single:10001", "single:zz", *TOKEN_LIST]))
+        return ["raster", "--data", path("data"), "--bank", path("bank"), f"--method={method}",
+                f"--timestamp={draw(st.sampled_from(['300', *map(str, INT64_EDGES)]))}",
+                "--out", out]
+    rasters = draw(st.lists(st.sampled_from([inputs["dem"], inputs["ndvi"]] * 4 + inputs["bad"]),
+                            max_size=3))
+    return ["compare", "--rasters", *map(str, rasters), "--out", out]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(pipeline, tmp_path_factory):
+    """The pipeline's inputs, a copy of its bank per run, and bad paths of each kind."""
+    base = tmp_path_factory.mktemp("argv-fuzz")
+    bad = [base / "missing", base / "a-directory", base / "empty", base / "not-utf8"]
+    bad[1].mkdir()
+    bad[2].write_bytes(b"")
+    bad[3].write_bytes(b"\xff\xfe\x00junk\n")
+    (base / "huge.json").write_text('{"seed": 1, "cell_size": 1e-12}')
+    world = pipeline["world"]
+    return {"world": world, "stations": world / "stations", "dem": world / "dem.asc",
+            "ndvi": world / "ndvi.asc", "data": pipeline["data"], "folds": pipeline["folds"],
+            "spec": pipeline["spec"], "huge_spec": base / "huge.json", "bank": base / "bank",
+            "out": base / "out", "bad": bad}
+
+
+class TestArgvFuzz:
+    COMMANDS = ["synth", "ingest", "folds", "train", "calibrate", "eval", "raster", "compare"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_exits_cleanly(self, pipeline, fuzz_inputs, command, data):
+        argv = data.draw(fuzz_argv(command, fuzz_inputs), label="argv")
+        shutil.rmtree(fuzz_inputs["bank"], ignore_errors=True)
+        shutil.copytree(pipeline["bank"], fuzz_inputs["bank"])
+        out = fuzz_inputs["out"]
+        shutil.rmtree(out, ignore_errors=True) if out.is_dir() else out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+        assert rc in (0, 2, 3, 4), err.getvalue()
+        assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1, err.getvalue()

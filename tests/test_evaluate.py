@@ -7,6 +7,7 @@ d = [-1, 0, 1, 2, 3]: mean 1, sd sqrt(2.5), t = 1/sqrt(0.5) = sqrt(2),
 two-sided p = 0.230200 (reference CDF).
 """
 
+import math
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -413,7 +414,7 @@ class TestAblation:
                     coords = [xy[pm.source_ids[i]] for i in rows]
                     values = pm.values[rows, t]
                     try:
-                        model = reference_fit_variogram(empirical_semivariogram(coords, values))
+                        model = reference_fit_variogram(*empirical_semivariogram(coords, values))
                         fits += 1
                     except DataError:
                         # Zero nugget, the sample variance as sill, the
@@ -421,7 +422,7 @@ class TestAblation:
                         c = np.array(coords)
                         i, j = np.triu_indices(len(rows), k=1)
                         d_max = float(np.hypot(c[i, 0] - c[j, 0], c[i, 1] - c[j, 1]).max())
-                        model = VariogramModel("spherical", 0.0, float(values.var()),
+                        model = VariogramModel(0.0, float(values.var()),
                                                d_max if d_max > 0 else 1.0)
                         fallbacks += 1
                     preds.append(ordinary_kriging(coords, values, target, model)[0])
@@ -471,7 +472,7 @@ class TestAblation:
                        for a in map(small_bank.station_attrs.get, short[0].source_ids)])
         snapshot = next(pm.values[:, t] for pm in short for t in range(pm.labels.size)
                         if not np.isnan(pm.values[:, t]).any())
-        model = reference_fit_variogram(empirical_semivariogram(xy, snapshot))
+        model = reference_fit_variogram(*empirical_semivariogram(xy, snapshot))
         for row, k in zip(results, counts):
             draw = np.random.default_rng(np.random.SeedSequence((0, k)))
             subset = np.sort(draw.choice(len(small_bank), size=k, replace=False))
@@ -531,6 +532,16 @@ class TestAblation:
             run_station_ablation(
                 small_world.stations, small_folds, 0, small_bank,
                 counts=[1], methods=("bogus",),
+            )
+
+    @pytest.mark.parametrize("trigger", [math.nan, math.inf, -math.inf])
+    def test_non_finite_trigger_rejected(self, small_world, small_folds, small_bank, matrices,
+                                         trigger):
+        # A NaN trigger once scored no events at all and +inf every minute as frost.
+        with pytest.raises(DomainError, match="trigger must be a finite temperature"):
+            run_station_ablation(
+                small_world.stations, small_folds, 0, small_bank,
+                counts=[1], methods=("average",), trigger=trigger, matrices=matrices,
             )
 
     def test_baseline_needs_models(self, small_world, small_folds, small_bank, matrices):

@@ -33,6 +33,7 @@ from frostcast import (
     load_dataset,
     validate_series,
 )
+from frostcast import cli
 from frostcast.core import DEW_POINT_TOLERANCE, Violation, index_series
 from frostcast.ingest import (
     CSV_HEADER,
@@ -51,6 +52,7 @@ from frostcast.ingest import (
     save_dataset,
     write_ascii_grid,
 )
+from frostcast.synth import spec_from_json
 
 GRID_TEXT = """\
 ncols 3
@@ -760,6 +762,10 @@ CSV_BYTES = (CSV_OK + "".join(f"{t},{9.5 - t},4.0,60.0,1.5,{45.0 * t}\n" for t i
              + "2024-01-01T00:07:00Z,2.0,1.0,70.0,0.5,10.0\n").encode()
 GRID_BYTES = GRID_TEXT.encode()
 BOUNDARY_BYTES = b'{"rings": [[[100.0, -35.0], [102.0, -35.0], [101.0, -33.0]]]}'
+# As `frostcast folds` and the README's world spec write them.
+FOLDS_BYTES = (json.dumps({"folds": [["a1", "c3"], ["b2"]], "seed": 0, "version": 1},
+                          sort_keys=True, indent=2) + "\n").encode()
+SPEC_BYTES = b'{"seed": 7, "n_stations": 20, "days": 2, "cell_size": 0.1, "noise_sd": 0.4}\n'
 # Tokens that reach parsers' edge cases more often than random bytes do.
 TOKENS = st.sampled_from([b"nan", b"inf", b"-", b".5", b"e400", b"\xff", b",", b"\n", b" ",
                           b"[", b"]", b"{", b'"', b"0", b"9" * 30])
@@ -828,6 +834,24 @@ class TestCorruptedInputFuzz:
     def test_boundary_json(self, edits):
         try:
             parse_boundary_json(corrupt(BOUNDARY_BYTES, edits).decode("latin-1"))
+        except frostcast.FrostcastError:
+            pass
+
+    @FUZZ
+    @given(edits=EDITS)
+    def test_folds_json(self, fuzz_path, edits):
+        path = fuzz_path.with_name("folds.json")
+        path.write_bytes(corrupt(FOLDS_BYTES, edits))
+        try:
+            cli._load_folds(path)
+        except frostcast.FrostcastError:
+            pass
+
+    @FUZZ
+    @given(edits=EDITS)
+    def test_spec_json(self, edits):
+        try:
+            spec_from_json(corrupt(SPEC_BYTES, edits).decode("latin-1"))
         except frostcast.FrostcastError:
             pass
 
