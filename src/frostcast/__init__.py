@@ -36,7 +36,8 @@ from .errors import (
     OutOfExtentError,
     UnsupportedVersionError,
 )
-from .evaluate import build_prediction_matrices, make_folds, run_fold_experiment
+from .evaluate import build_prediction_matrices, make_folds
+from .evaluate import run_station_ablation as run_fold_experiment
 from .ingest import load_dataset
 from .neuralnet import TrainConfig
 from .synth import WorldSpec, generate_world

@@ -24,7 +24,7 @@ from .ensemble import (
     train_bank,
 )
 from .errors import DataError, DomainError, FormatError, FrostcastError, NumericalError
-from .evaluate import make_folds, run_fold_experiment, train_baselines
+from .evaluate import make_folds, run_station_ablation, train_baselines
 from .features import DEFAULT_HORIZON, climate_matrix
 from .ingest import (
     ingest_directory,
@@ -118,10 +118,14 @@ def _write_json(path: str, doc: dict, deterministic: bool) -> None:
 
 
 def _load_folds(path: str) -> FoldAssignment:
+    """Read ``folds.json``: a list of folds, each a list of station ids."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return FoldAssignment(tuple(frozenset(f) for f in doc["folds"]))
+            folds = json.load(fh)["folds"]
+        if not (isinstance(folds, list) and all(
+                isinstance(f, list) and all(isinstance(i, str) and i for i in f) for f in folds)):
+            raise TypeError(f"folds must be lists of station ids: {folds!r:.80}")
+        return FoldAssignment(tuple(frozenset(f) for f in folds))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"cannot read folds file {path}: {exc}") from exc
 
@@ -162,6 +166,9 @@ def _cmd_folds(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     folds = _load_folds(args.folds)
+    missing = sorted(folds.all_stations() - set(dataset.station_ids()))
+    if missing:
+        raise DataError(f"folds file {args.folds} names stations the bundle lacks: {missing}")
     cfg = TrainConfig(
         seed=args.seed,
         epochs=args.epochs,
@@ -221,16 +228,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if not test_ids:
         raise DataError("dataset has no held-out stations for this bank")
     folds = FoldAssignment((frozenset(test_ids), frozenset(train_ids)))
-    report = run_fold_experiment(
-        dataset.stations,
-        folds,
-        0,
-        bank,
-        methods=methods,
-        counts=counts,
-        seed=args.seed,
-        trigger=args.trigger,
-        ok_refit=args.ok_refit,
+    report = run_station_ablation(
+        dataset.stations, folds, 0, bank, counts, methods,
+        seed=args.seed, trigger=args.trigger, ok_refit=args.ok_refit,
     )
     _write_json(args.out, report.to_dict(), args.deterministic)
     print(f"wrote {len(report.results)} result rows -> {args.out}")

@@ -42,7 +42,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -232,21 +232,15 @@ class SubmodelBank:
         x[:, 8:13] = climate
         return _predict(self.models[source_id], self.scalers[source_id], x)
 
-    def weights_for_target(
-        self, target_attrs: StationAttributes, available: Iterable[StationId] | None = None
-    ) -> dict[StationId, float]:
-        """Per-station weights at a target site, summing to one.
+    def weights_for_target(self, target_attrs: StationAttributes) -> dict[StationId, float]:
+        """Every bank station's weight at a target site, summing to one.
 
-        Restricting ``available`` and renormalizing is exactly equivalent to
-        computing on the subset directly because the min-max bounds are
-        frozen per fold.
+        The min-max bounds are frozen per fold, so a bank restricted to a
+        subset of these stations gives the subset's weights renormalized.
         """
-        ids = self.station_ids if available is None else sorted(available)
+        ids = self.station_ids
         if not ids:
             raise DataError("no stations available for weighting")
-        unknown = [i for i in ids if i not in self.models]
-        if unknown:
-            raise DataError(f"stations not in bank: {unknown}")
         raw = np.array([station_distances(self.station_attrs[i], target_attrs) for i in ids])
         w = attribute_weights(self.normalization.normalize(raw), self.coefficients)
         w /= w.sum()

@@ -2,16 +2,19 @@
 
 Stations are split into folds, a submodel bank is trained on each fold's
 training side, and aggregated predictions at held-out stations are scored
-by RMSE plus frost-event true-positive and false-discovery rates. The
-station-count ablation reuses one full prediction matrix and re-aggregates
-over seeded subsets, so every method sees identical draws at a given size.
+by RMSE plus frost-event true-positive and false-discovery rates.
+:func:`run_station_ablation` is the one evaluation entry point: it returns
+the :class:`EvaluationReport` that ``frostcast eval`` writes, scoring the
+full bank by default or a sweep of station counts. The sweep reuses one
+full prediction matrix and re-aggregates over seeded subsets, so every
+method sees identical draws at a given size.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -77,10 +80,6 @@ class ConfusionCounts:
     fp: int
     fn: int
     tn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
 
     @property
     def tpr(self) -> float | None:
@@ -260,7 +259,7 @@ def evaluate_baselines(
     return np.concatenate(preds), np.concatenate(labels)
 
 
-# --- fold experiment and station-count ablation ------------------------------
+# --- station-count ablation: the one evaluation entry point -----------------
 
 
 @dataclass(frozen=True)
@@ -360,29 +359,48 @@ def _ok_series(
     return pred, valid
 
 
+@dataclass
+class EvaluationReport:
+    """Everything one experiment produced, ready for JSON serialization."""
+
+    fold: int
+    seed: int
+    horizon: int
+    trigger: float
+    methods: list[str]
+    counts: list[int]
+    results: list[AblationResult]
+
+    def to_dict(self) -> dict:
+        return {"version": 1, **asdict(self)}
+
+
 def run_station_ablation(
     data: Sequence[StationSeries],
     folds: FoldAssignment,
     fold: int,
     bank: SubmodelBank,
-    counts: Sequence[int],
+    counts: Sequence[int] | None = None,
     methods: Sequence[str] = ("average", "weighted_average", "weighted_vote"),
     seed: int = 0,
     trigger: float = DEFAULT_TRIGGER,
     ok_refit: bool = False,
     matrices: list[PredictionMatrix] | None = None,
-) -> list[AblationResult]:
+) -> EvaluationReport:
     """Score each method at each source-station count at ``folds``' fold ``fold`` stations.
 
-    The targets are that fold's stations, none of which may be one of the
-    bank's training stations; every row reports the bank's own fold. At a
-    given count the same seeded subset of stations feeds every method, so
-    comparisons are paired. The count equal to the full bank reproduces
-    the plain fold experiment. Kriging uses one variogram fitted on the
-    first prediction snapshot where every source is available, or with
-    ``ok_refit`` (or without such a snapshot) a fresh fit per timestep.
-    Kriging needs two stations, so its row at a count of 1 has no
-    predictions and null metrics; any other empty result is a DataError.
+    This is the package's one evaluation entry point (exported as
+    ``frostcast.run_fold_experiment``). The targets are that fold's
+    stations, none of which may be one of the bank's training stations;
+    the report and every row carry the bank's own fold and horizon.
+    ``counts`` are sorted and deduplicated; without them every method uses
+    the full bank. At a given count the same seeded subset of stations
+    feeds every method, so comparisons are paired. Kriging uses one
+    variogram fitted on the first prediction snapshot where every source
+    is available, or with ``ok_refit`` (or without such a snapshot) a
+    fresh fit per timestep. Kriging needs two stations, so its row at a
+    count of 1 has no predictions and null metrics; any other empty
+    result is a DataError.
     ``baseline`` scores the bank's on-site baselines. A non-finite
     ``trigger`` or a negative ``seed`` is a DomainError.
     """
@@ -394,7 +412,7 @@ def run_station_ablation(
     if seed < 0:
         raise DomainError(f"seed must be >= 0: {seed!r}")
     n_src = len(bank)
-    counts = sorted(set(int(c) for c in counts))
+    counts = sorted(set(int(c) for c in ([n_src] if counts is None else counts)))
     if not counts:
         raise DomainError("no station counts given")
     if counts[0] < 1 or counts[-1] > n_src:
@@ -465,7 +483,7 @@ def run_station_ablation(
             results.append(_result(method, k, bank.fold, seed, trigger, pred_all, labels_all))
     if scored is not None:
         results.append(_result("baseline", 0, bank.fold, seed, trigger, *scored))
-    return results
+    return EvaluationReport(bank.fold, seed, bank.horizon, trigger, list(methods), counts, results)
 
 
 def _result(method: str, count: int, fold: int, seed: int, trigger: float,
@@ -476,53 +494,4 @@ def _result(method: str, count: int, fold: int, seed: int, trigger: float,
         method=method, station_count=count, fold=fold, seed=seed,
         rmse=None if pred.dtype == np.bool_ or pred.size == 0 else rmse(pred, labels),
         tpr=conf.tpr, fdr=conf.fdr, n_predictions=int(pred.size), n_events=conf.tp + conf.fn,
-    )
-
-
-@dataclass
-class EvaluationReport:
-    """Everything one experiment produced, ready for JSON serialization."""
-
-    fold: int
-    seed: int
-    horizon: int
-    trigger: float
-    methods: list[str]
-    counts: list[int]
-    results: list[AblationResult] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"version": 1, **asdict(self)}
-
-
-def run_fold_experiment(
-    data: Sequence[StationSeries],
-    folds: FoldAssignment,
-    fold: int,
-    bank: SubmodelBank,
-    methods: Sequence[str] = ("average", "weighted_average", "weighted_vote"),
-    counts: Sequence[int] | None = None,
-    seed: int = 0,
-    trigger: float = DEFAULT_TRIGGER,
-    **ablation_kwargs,
-) -> EvaluationReport:
-    """Evaluate aggregation methods at one fold's held-out stations, reported as the bank's fold.
-
-    Without ``counts`` every method uses the full bank; with counts the
-    station-count sweep runs instead (the full-bank case is the count equal
-    to the bank size).
-    """
-    counts = [len(bank)] if counts is None else list(counts)
-    results = run_station_ablation(
-        data, folds, fold, bank, counts, methods=methods, seed=seed,
-        trigger=trigger, **ablation_kwargs,
-    )
-    return EvaluationReport(
-        fold=bank.fold,
-        seed=seed,
-        horizon=bank.horizon,
-        trigger=trigger,
-        methods=list(methods),
-        counts=sorted(set(int(c) for c in counts)),
-        results=results,
     )

@@ -24,6 +24,11 @@ from .errors import DomainError, FormatError
 from .ingest import AttributeGrid, BoundaryPolygon, boundary_to_json, write_ascii_grid
 
 MINUTES_PER_DAY = 1440
+#: Upper bounds on a world's size, far above any world the tests or benchmarks
+#: build (75 stations, 100 x 100 cells), so a spec that could never be built is
+#: refused before anything is allocated.
+MAX_STATIONS = 10_000
+MAX_GRID_CELLS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -50,8 +55,8 @@ class WorldSpec:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0: {self.seed!r}")
-        if self.n_stations < 5:
-            raise DomainError(f"need at least 5 stations: {self.n_stations!r}")
+        if not 5 <= self.n_stations <= MAX_STATIONS:
+            raise DomainError(f"n_stations must be 5 to {MAX_STATIONS}: {self.n_stations!r}")
         if self.days < 1:
             raise DomainError(f"days must be >= 1: {self.days!r}")
         if not 1 <= self.sample_interval <= self.days * MINUTES_PER_DAY:
@@ -69,6 +74,11 @@ class WorldSpec:
             raise DomainError("region must lie within longitudes ±180 and latitudes ±90")
         if self.cell_size <= 0:
             raise DomainError(f"cell_size must be > 0: {self.cell_size!r}")
+        cells = ((self.lon_max - self.lon_min) / self.cell_size
+                 * ((self.lat_max - self.lat_min) / self.cell_size))
+        if not cells <= MAX_GRID_CELLS:
+            raise DomainError(f"cell_size {self.cell_size!r} makes a grid of {cells:.3g} cells; "
+                              f"at most {MAX_GRID_CELLS} fit")
         if self.dem_relief < 0:
             raise DomainError(f"dem_relief must be >= 0: {self.dem_relief!r}")
         if isinstance(self.harmonic_amplitudes, list):
@@ -179,8 +189,19 @@ def generate_world(spec: WorldSpec) -> SynthWorld:
 
     Identical specs produce identical worlds, bit for bit. With
     ``noise_sd=0`` every station temperature equals the truth field at the
-    station's location exactly.
+    station's location exactly. A spec whose finite numbers overflow a grid
+    cell or a station value is a DomainError.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        world = _build_world(spec)
+    for name, values in [("dem grid", world.dem.values), ("ndvi grid", world.ndvi.values),
+                         *((f"station {s.id}", s.raw) for s in world.stations)]:
+        if not np.isfinite(values).all():
+            raise DomainError(f"the spec's numbers overflow: {name} has non-finite values")
+    return world
+
+
+def _build_world(spec: WorldSpec) -> SynthWorld:
     truth = TruthField(spec)
     dem_grid, ndvi_grid = _station_grid(spec, truth)
 

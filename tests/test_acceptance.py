@@ -255,7 +255,7 @@ def _trend_rows(seed):
     matrices = build_prediction_matrices(world.stations, bank, targets)
     results = run_station_ablation(world.stations, folds, 0, bank,
                                    counts=list(TREND_COUNTS), methods=TREND_METHODS,
-                                   seed=seed, matrices=matrices)
+                                   seed=seed, matrices=matrices).results
     return {(r.method, r.station_count): (r.rmse, r.tpr, r.fdr) for r in results}
 
 
@@ -309,7 +309,7 @@ def test_criterion_08_aggregation_identities(small_world, small_folds, small_ban
     matrices = build_prediction_matrices(small_world.stations, small_bank, small_test_ids)
     rows = run_station_ablation(small_world.stations, small_folds, 0, small_bank,
                                 counts=[1], methods=("average", "weighted_average"),
-                                matrices=matrices)
+                                matrices=matrices).results
     by_method = {r.method: r for r in rows}
     k1_identical = (
         by_method["average"].rmse == by_method["weighted_average"].rmse

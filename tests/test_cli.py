@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from frostcast import (
@@ -26,6 +26,7 @@ from frostcast import (
     load_bank,
     load_dataset,
     save_bank,
+    synth,
 )
 from frostcast.cli import UsageError, main, parse_counts, parse_methods
 from frostcast.core import index_series
@@ -36,6 +37,7 @@ from frostcast.ensemble import (
 )
 from frostcast.errors import DomainError
 from frostcast.features import climate_matrix, station_frame
+from frostcast.synth import MAX_GRID_CELLS, MAX_STATIONS
 
 SPEC = {
     "seed": 77,
@@ -650,6 +652,9 @@ BAD_SPECS = [
     '{"sample_interval": 9223372036854775808}',
     '{"days": 9223372036854775808}',
     '{"lon_min": -1e308, "lon_max": 1e308}',
+    '{"n_stations": 9223372036854775808}',
+    # This one once wrote a world of -inf temperatures and NaN humidities, and exited 0.
+    '{"n_stations": 5, "days": 1, "lapse_rate": 1e308}',
 ]
 
 
@@ -730,13 +735,36 @@ class TestBadInputsExit3:
         assert not (tmp_path / "r.json").exists()
 
     def test_synth_spec_too_large_for_memory(self, tmp_path, capsys):
-        # numpy refuses the 36.4 TiB grid index without allocating it.
+        # The spec check refuses the 2.5e25-cell grid before anything is allocated.
         spec = tmp_path / "spec.json"
         spec.write_text('{"seed": 1, "cell_size": 1e-12}')
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "world")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert err == ("error: bad world spec: cell_size 1e-12 makes a grid of 2.5e+25 cells; "
+                       f"at most {MAX_GRID_CELLS} fit\n")
         assert not (tmp_path / "world").exists()
+
+    # Each once became folds of single characters, or named a station the bundle
+    # lacks, and either way trained every submodel before it failed.
+    @pytest.mark.parametrize("folds", [
+        '{"folds": ["10001", ["10002", "10003"]]}',
+        '{"folds": "10001"}',
+        '{"folds": [["10001", "99999"], ["10002", "10003"]]}',
+        '{"folds": [["10001", ""], ["10002"]]}',
+    ])
+    def test_bad_folds_file_refused_before_training(self, pipeline, tmp_path, capsys,
+                                                    monkeypatch, folds):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_bank ran")
+        monkeypatch.setattr(cli, "train_bank", no_training)
+        path = tmp_path / "folds.json"
+        path.write_text(folds)
+        rc = main(["train", "--data", str(pipeline["data"]), "--folds", str(path), "--fold", "0",
+                   "--out", str(tmp_path / "bank")])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "bank").exists()
 
     @pytest.mark.parametrize("command", ["folds", "train", "eval"])
     def test_negative_seed(self, pipeline, tmp_path, capsys, command):
@@ -1016,3 +1044,66 @@ class TestArgvFuzz:
             rc = main(argv)
         assert rc in (0, 2, 3, 4), err.getvalue()
         assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1, err.getvalue()
+
+
+#: The world sizes the spec fuzz may build. Every other value it draws for these
+#: fields is one that the spec check refuses.
+FUZZ_STATIONS = [5, 6]
+FUZZ_DAYS = [1, 2]
+#: A grid larger than this means the fuzz drew a region and cell size that build
+#: a large world; with SPEC's region no drawn extent or cell size comes near it.
+FUZZ_MAX_CELLS = 100_000
+SPEC_NUMBERS = [*map(str, INT64_EDGES), "NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                "1e308", "-1e308", "0", "-0.0", "-1", "0.5", "1e-308"]
+
+
+def _spec_number(draw, name):
+    """JSON text for one spec field: an int64 edge, a non-finite value, 1e308 or another edge."""
+    if name == "n_stations":
+        return str(draw(st.sampled_from(
+            [e for e in INT64_EDGES if not 5 <= e <= MAX_STATIONS] + FUZZ_STATIONS)))
+    if name == "days":
+        # Below 1, or so many minutes that they overflow int64.
+        return str(draw(st.sampled_from([e for e in INT64_EDGES if not 1 <= e <= 2**31]
+                                        + FUZZ_DAYS)))
+    if name == "harmonic_amplitudes":
+        return "[" + ", ".join(draw(st.lists(st.sampled_from(SPEC_NUMBERS), max_size=3))) + "]"
+    return draw(st.sampled_from(SPEC_NUMBERS))
+
+
+class TestSpecNumberFuzz:
+    """Every number in the ``synth`` spec, through ``cli.main``: exit 0 or 3, never a traceback."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_exits_cleanly(self, tmp_path_factory, data):
+        names = data.draw(st.lists(st.sampled_from(sorted(synth.WorldSpec.__dataclass_fields__)),
+                                   min_size=1, max_size=4, unique=True), label="fields")
+        fields = {k: json.dumps(v) for k, v in SPEC.items()}
+        fields.update((name, _spec_number(data.draw, name)) for name in names)
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        note(text)
+        try:
+            spec = synth.spec_from_json(text)
+        except FrostcastError:
+            spec = None
+        if spec is not None:
+            cells = ((spec.lon_max - spec.lon_min) * (spec.lat_max - spec.lat_min)
+                     / spec.cell_size ** 2)
+            assert spec.n_stations in FUZZ_STATIONS and spec.days in FUZZ_DAYS
+            assert cells <= FUZZ_MAX_CELLS
+        base = tmp_path_factory.mktemp("spec-fuzz")
+        (base / "spec.json").write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["synth", "--spec", str(base / "spec.json"), "--out", str(base / "world")])
+        assert rc in (0, 3), err.getvalue()
+        assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1, err.getvalue()
+        if rc == 0:
+            # A world that ingest would drop whole is refused, never written.
+            texts = [f.read_text() for f in (base / "world").rglob("*")
+                     if f.suffix in (".asc", ".csv")]
+            assert not any(re.search("nan|inf", t, re.IGNORECASE) for t in texts)
+        else:
+            assert not (base / "world").exists()
+        shutil.rmtree(base)

@@ -213,10 +213,6 @@ class TestAggregation:
     def test_single_prediction_is_identity(self):
         assert aggregate("weighted_average", [4.2], [0.37])[0] == pytest.approx(4.2)
 
-    def test_missing_weight_rejected(self):
-        with pytest.raises(DataError):
-            triple_bank([(0.5, 0.5, 0.5)], FOLD0).weights_for_target(ORIGIN, available=["b"])
-
     def test_empty_rejected(self):
         for method in AGGREGATORS:
             _, valid = AGGREGATORS[method](np.empty((0, 3)), np.empty((0, 3), dtype=bool),
@@ -294,11 +290,13 @@ class TestBank:
 
     def test_weights_subset_equivalence(self, small_bank, small_world):
         # Frozen bounds make subsetting then renormalizing identical to
-        # weighting the subset directly.
+        # weighting a bank of the subset directly.
         target = small_world.stations[0].attributes
         full = small_bank.weights_for_target(target)
         subset_ids = small_bank.station_ids[:3]
-        direct = small_bank.weights_for_target(target, available=subset_ids)
+        subset_bank = replace(small_bank, models={k: small_bank.models[k] for k in subset_ids})
+        direct = subset_bank.weights_for_target(target)
+        assert sorted(direct) == subset_ids
         partial = {k: full[k] for k in subset_ids}
         total = sum(partial.values())
         for k in subset_ids:

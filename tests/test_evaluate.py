@@ -119,7 +119,7 @@ class TestConfusion:
 
     def test_event_is_strictly_below_trigger(self):
         c = event_confusion([0.0], [0.0], trigger=0.0)
-        assert c.tn == 1 and c.total == 1
+        assert (c.tp, c.fp, c.fn, c.tn) == (0, 0, 0, 1)
 
     def test_trigger_shifts_events(self):
         c = event_confusion([1.0], [1.0], trigger=2.0)
@@ -296,7 +296,7 @@ class TestAblation:
         results = run_station_ablation(
             small_world.stations, small_folds, 0, small_bank,
             counts=[1], methods=("average", "weighted_average"), matrices=matrices,
-        )
+        ).results
         by_method = {r.method: r for r in results}
         assert by_method["average"].rmse == pytest.approx(
             by_method["weighted_average"].rmse, abs=1e-12
@@ -307,7 +307,7 @@ class TestAblation:
         results = run_station_ablation(
             small_world.stations, small_folds, 0, small_bank,
             counts=[2, 4], methods=("average", "idw"), matrices=matrices,
-        )
+        ).results
         counts = sorted(set(r.station_count for r in results))
         assert counts == [2, 4]
         for r in results:
@@ -319,7 +319,7 @@ class TestAblation:
         results = run_station_ablation(
             small_world.stations, small_folds, 0, small_bank,
             counts=[len(small_bank)], methods=("average",), matrices=matrices,
-        )
+        ).results
         pooled_pred = np.concatenate([m.values.mean(axis=0) for m in matrices])
         pooled_labels = np.concatenate([m.labels for m in matrices])
         manual = float(np.sqrt(np.mean((pooled_pred - pooled_labels) ** 2)))
@@ -334,7 +334,7 @@ class TestAblation:
         results = run_station_ablation(
             small_world.stations, small_folds, 0, bank, counts=[len(bank)],
             methods=("weighted_average", "weighted_vote", "idw"), matrices=matrices,
-        )
+        ).results
         by_id = index_series(small_world.stations)
         xy = {sid: np.array([a.location.lon, a.location.lat])
               for sid, a in bank.station_attrs.items()}
@@ -366,7 +366,7 @@ class TestAblation:
         results = run_station_ablation(
             small_world.stations, small_folds, 0, small_bank,
             counts=[3], methods=("weighted_vote",), matrices=matrices,
-        )
+        ).results
         assert results[0].rmse is None
         assert results[0].tpr is None or 0.0 <= results[0].tpr <= 1.0
 
@@ -374,7 +374,7 @@ class TestAblation:
         results = run_station_ablation(
             small_world.stations, small_folds, 0, small_bank,
             counts=[len(small_bank)], methods=("idw", "ok"), matrices=matrices,
-        )
+        ).results
         for r in results:
             assert np.isfinite(r.rmse)
 
@@ -395,7 +395,7 @@ class TestAblation:
         results = run_station_ablation(
             small_world.stations, small_folds, 0, small_bank, counts=counts,
             methods=("ok",), ok_refit=True, matrices=short,
-        )
+        ).results
         by_id = index_series(small_world.stations)
         xy = {sid: (a.location.lon, a.location.lat) for sid, a in small_bank.station_attrs.items()}
         fits = fallbacks = 0
@@ -466,7 +466,7 @@ class TestAblation:
         results = run_station_ablation(
             small_world.stations, small_folds, 0, small_bank, counts=counts,
             methods=("ok",), matrices=short,
-        )
+        ).results
         by_id = index_series(small_world.stations)
         xy = np.array([(a.location.lon, a.location.lat)
                        for a in map(small_bank.station_attrs.get, short[0].source_ids)])
@@ -497,7 +497,7 @@ class TestAblation:
         results = run_station_ablation(
             small_world.stations, small_folds, 0, small_bank,
             counts=[1, 2], methods=("ok", "idw"), matrices=matrices,
-        )
+        ).results
         rows = {(r.method, r.station_count): r for r in results}
         empty = asdict(rows["ok", 1])
         assert {key: empty[key] for key in ("rmse", "tpr", "fdr", "n_predictions", "n_events")} == {
@@ -561,9 +561,8 @@ class TestAblation:
     def test_rows_report_the_banks_fold(self, small_world, small_folds, small_bank, matrices):
         # The targets come from the given fold; every row and the report carry the bank's.
         bank = replace(small_bank, fold=3)
-        report = run_fold_experiment(small_world.stations, small_folds, 0, bank,
-                                     methods=("average", "idw"), counts=[1, 2],
-                                     matrices=matrices)
+        report = run_station_ablation(small_world.stations, small_folds, 0, bank, [1, 2],
+                                      ("average", "idw"), matrices=matrices)
         assert report.fold == 3
         assert [r.fold for r in report.results] == [3] * 4
 
@@ -624,3 +623,14 @@ class TestFoldExperiment:
         assert {r["method"] for r in doc["results"]} == {"average", "weighted_vote"}
         for r in doc["results"]:
             assert set(r) >= {"method", "station_count", "rmse", "tpr", "fdr"}
+
+    def test_without_counts_scores_the_full_bank(self, small_world, small_folds, small_bank,
+                                                 matrices):
+        # Counts are sorted and deduplicated once, into the report and its rows.
+        args = (small_world.stations, small_folds, 0, small_bank)
+        full = run_station_ablation(*args, methods=("average", "idw"), matrices=matrices)
+        swept = run_station_ablation(*args, [len(small_bank), 1, len(small_bank)],
+                                     ("average", "idw"), matrices=matrices)
+        assert full.counts == [len(small_bank)] and swept.counts == [1, len(small_bank)]
+        assert full.results == [r for r in swept.results if r.station_count == len(small_bank)]
+        assert (full.fold, full.horizon) == (small_bank.fold, small_bank.horizon)

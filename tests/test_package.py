@@ -54,3 +54,11 @@ def test_every_name_the_readme_example_imports_is_listed():
     }
     assert imported
     assert imported - set(frostcast.__all__) == set()
+
+
+def test_run_fold_experiment_is_the_evaluation_entry_point():
+    # An alias, not a wrapper: anything that rebinds the evaluate function
+    # (a tracer, a profiler) sees every evaluation through either name.
+    import frostcast.evaluate
+
+    assert frostcast.run_fold_experiment is frostcast.evaluate.run_station_ablation
