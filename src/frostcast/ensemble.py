@@ -39,6 +39,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -55,6 +56,7 @@ from .features import (
     ScalerStats,
     StationFrame,
     apply_scaler,
+    feature_rows,
     fit_scaler_arrays,
     invert_label,
     join_pair_arrays,
@@ -226,10 +228,7 @@ class SubmodelBank:
         elif np.shape(target_attrs) != (climate.shape[0], 4):
             raise DataError(f"expected ({climate.shape[0]}, 4) target attributes, "
                             f"got {np.shape(target_attrs)}")
-        x = np.empty((climate.shape[0], 13), dtype=np.float64)
-        x[:, 0:4] = self.station_attrs[source_id].as_tuple()
-        x[:, 4:8] = target_attrs
-        x[:, 8:13] = climate
+        x = feature_rows(self.station_attrs[source_id], target_attrs, climate)
         return _predict(self.models[source_id], self.scalers[source_id], x)
 
     def weights_for_target(self, target_attrs: StationAttributes) -> dict[StationId, float]:
@@ -302,19 +301,21 @@ def _child_seed(base: int, index: int) -> np.random.Generator:
 def _blas_thread_controls():
     """numpy's OpenBLAS ``(get_num_threads, set_num_threads)``, or None when not found."""
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "*openblas*.so*"))
+                                  "lib*openblas*.so*"))
     for path in libs:
+        # The symbols carry the library's name and, in a 64-bit-integer build, its
+        # suffix: lib<prefix>openblas64_-*.so exports <prefix>openblas_get_num_threads64_.
+        prefix, suffix = re.match(r"lib(.*?openblas)(64_)?", os.path.basename(path)).groups("")
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if getter is not None and setter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return getter, setter
+        getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if getter is not None and setter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return getter, setter
     return None
 
 
@@ -536,8 +537,9 @@ def calibrate_coefficients(
 def save_bank(bank: SubmodelBank, directory: str | os.PathLike) -> None:
     """Persist a bank as one JSON document, ``<directory>/manifest.json``.
 
-    Each ``stations`` entry carries a submodel's site attributes, network
-    and scaler; a ``baselines`` map holds the on-site models beside
+    Each ``stations`` entry carries one submodel's site attributes, network
+    and scaler, so a bank narrowed to some of its ``models`` saves only
+    those; a ``baselines`` map holds the on-site models beside
     ``baseline_train_fraction``. The document replaces the old one
     atomically, so a failed save leaves the previous bank whole. A
     ``baseline_train_fraction`` outside (0, 1), which :func:`load_bank`
@@ -557,7 +559,7 @@ def save_bank(bank: SubmodelBank, directory: str | os.PathLike) -> None:
         "stations": [
             {"id": sid, "lon": a.location.lon, "lat": a.location.lat, "dem": a.dem, "ndvi": a.ndvi,
              "model": network_to_dict(bank.models[sid]), "scaler": asdict(bank.scalers[sid])}
-            for sid, a in sorted(bank.station_attrs.items())
+            for sid in bank.station_ids for a in [bank.station_attrs[sid]]
         ],
         "baselines": {sid: {"model": network_to_dict(net), "scaler": asdict(scaler)}
                       for sid, (net, scaler) in bank.baselines.items()},

@@ -193,11 +193,21 @@ def join_pair_arrays(
     timestamps, as :func:`pair_feature_arrays` does from the two series.
     """
     common, src_idx, lab_idx = join_timestamps(source.timestamps, target.label_timestamps)
-    x = np.empty((common.size, 13), dtype=np.float64)
-    x[:, 0:4] = source.attributes.as_tuple()
-    x[:, 4:8] = target.attributes.as_tuple()
-    x[:, 8:13] = source.climate[src_idx]
+    x = feature_rows(source.attributes, target.attributes.as_tuple(), source.climate[src_idx])
     return x, target.labels[lab_idx], common
+
+
+def feature_rows(source: StationAttributes, target: tuple[float, ...] | np.ndarray,
+                 climate: np.ndarray) -> np.ndarray:
+    """The (n, 13) submodel inputs, each row ``[source attrs | target attrs | climate]``.
+
+    ``target`` is one site's (lon, lat, dem, ndvi) or an (n, 4) array of per-row ones.
+    """
+    x = np.empty((climate.shape[0], 13), dtype=np.float64)
+    x[:, 0:4] = source.as_tuple()
+    x[:, 4:8] = target
+    x[:, 8:13] = climate
+    return x
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Grids are stored south-up internally (row 0 is the southernmost row) with
 cell-center origins, regardless of the north-first order ESRI ASCII files
-use on disk. NODATA cells carry NaN values and a False mask bit.
+use on disk. NODATA cells carry a False mask bit, and :class:`AttributeGrid`
+stores NaN as their value, however the grid was built.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class AttributeGrid:
 
     ``origin`` is the center of the south-west cell; ``values`` and ``mask``
     have shape (nrows, ncols) with row 0 southernmost. Masked-out cells
-    (mask False) are NODATA.
+    (mask False) are NODATA, and their values are NaN whatever was passed in.
     """
 
     origin: GeoPoint
@@ -54,11 +55,12 @@ class AttributeGrid:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
-        mask = np.asarray(self.mask, dtype=bool)
+        mask = np.array(self.mask, dtype=bool)  # a copy: the caller's array stays writable
         if self.cell_size <= 0:
             raise DomainError(f"cell_size must be > 0: {self.cell_size!r}")
         if values.ndim != 2 or values.shape != mask.shape or values.size == 0:
             raise DataError(f"values/mask must be matching non-empty 2-D arrays, got {values.shape}")
+        values = np.where(mask, values, np.nan)
         values.setflags(write=False)
         mask.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -150,7 +152,6 @@ def parse_ascii_grid(text: str) -> AttributeGrid:
         mask = np.isfinite(values)
     else:
         mask = np.isfinite(values) & (values != nodata)
-    values = np.where(mask, values, np.nan)
     origin = GeoPoint(header["xllcorner"] + cell / 2.0, header["yllcorner"] + cell / 2.0)
     return AttributeGrid(origin, cell, values, mask)
 
@@ -173,23 +174,11 @@ def write_ascii_grid(grid: AttributeGrid, nodata: float = NODATA_DEFAULT) -> str
     return "\n".join(lines) + "\n"
 
 
-def _nearest_index(points: np.ndarray, queries: np.ndarray | Sequence[float]) -> np.ndarray:
-    """Index into ``points`` of the nearest point to each query (k-d tree).
-
-    scipy is imported here, not at module top, so that only the
-    nearest-cell fallbacks pay for loading it.
-    """
-    from scipy.spatial import cKDTree
-
-    return cKDTree(points).query(queries)[1]
-
-
 def resample_grid(grid: AttributeGrid, target_cell: float) -> AttributeGrid:
     """Block-mean downsample to a coarser cell size.
 
     Each target cell averages the unmasked source cell centers falling in
-    it; an empty target cell copies the nearest unmasked source value but
-    stays masked out. Upsampling is not supported.
+    it; a target cell with none is masked out. Upsampling is not supported.
     """
     if not target_cell >= grid.cell_size:  # NaN included
         raise DomainError(
@@ -213,16 +202,8 @@ def resample_grid(grid: AttributeGrid, target_cell: float) -> AttributeGrid:
     m = grid.mask
     sums = np.bincount(flat_idx[m], weights=grid.values[m], minlength=nrows * ncols)
     counts = np.bincount(flat_idx[m], minlength=nrows * ncols)
-    values = np.full(nrows * ncols, np.nan)
     mask = counts > 0
-    values[mask] = sums[mask] / counts[mask]
-
-    if (~mask).any() and m.any():
-        src_pts = np.column_stack([lon_grid[m], lat_grid[m]])
-        t_lon = ll_lon + target_cell / 2.0 + (np.nonzero(~mask)[0] % ncols) * target_cell
-        t_lat = ll_lat + target_cell / 2.0 + (np.nonzero(~mask)[0] // ncols) * target_cell
-        nearest = _nearest_index(src_pts, np.column_stack([t_lon, t_lat]))
-        values[~mask] = grid.values[m][nearest]
+    values = sums / np.maximum(counts, 1)  # the empty cells are masked, so NaN
     origin = GeoPoint(ll_lon + target_cell / 2.0, ll_lat + target_cell / 2.0)
     return AttributeGrid(origin, target_cell, values.reshape(nrows, ncols), mask.reshape(nrows, ncols))
 
@@ -289,15 +270,15 @@ def apply_boundary_mask(grid: AttributeGrid, poly: BoundaryPolygon) -> Attribute
     inside = np.zeros(lon.shape, dtype=bool)
     for ring in poly.rings:
         inside ^= _crossings_inside(lon, lat, ring)
-    mask = grid.mask & inside
-    values = np.where(mask, grid.values, np.nan)
-    return AttributeGrid(grid.origin, grid.cell_size, values, mask)
+    return AttributeGrid(grid.origin, grid.cell_size, grid.values, grid.mask & inside)
 
 
 def lookup_attribute(grid: AttributeGrid, point: GeoPoint) -> float:
     """Value of the cell containing ``point``; nearest unmasked cell if masked.
 
-    Points outside the grid extent raise OutOfExtentError rather than
+    The nearest cell is the unmasked cell center closest to ``point``; of
+    equally close centers the first in row-major order (south row first)
+    wins. Points outside the grid extent raise OutOfExtentError rather than
     silently extrapolating.
     """
     row, col = grid.index_of(point)
@@ -307,7 +288,7 @@ def lookup_attribute(grid: AttributeGrid, point: GeoPoint) -> float:
         raise DataError("grid has no unmasked cells to fall back on")
     lon, lat = grid.cell_centers()
     m = grid.mask
-    nearest = _nearest_index(np.column_stack([lon[m], lat[m]]), [point.lon, point.lat])
+    nearest = np.argmin((lon[m] - point.lon) ** 2 + (lat[m] - point.lat) ** 2)
     return float(grid.values[m][nearest])
 
 

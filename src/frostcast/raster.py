@@ -142,7 +142,7 @@ def write_png(grid: AttributeGrid, path: str | os.PathLike, sidecar: str | os.Pa
         import matplotlib.pyplot as plt
     except ImportError as exc:  # pragma: no cover - depends on extras
         raise DataError("png output requires matplotlib (install the png extra)") from exc
-    data = np.where(grid.mask, grid.values, np.nan)
+    data = grid.values  # NaN at masked cells
     lo = float(np.nanmin(data))
     hi = float(np.nanmax(data))
     fig, ax = plt.subplots(figsize=(6, 6 * grid.nrows / max(grid.ncols, 1)))

@@ -25,10 +25,12 @@ from .ingest import AttributeGrid, BoundaryPolygon, boundary_to_json, write_asci
 
 MINUTES_PER_DAY = 1440
 #: Upper bounds on a world's size, far above any world the tests or benchmarks
-#: build (75 stations, 100 x 100 cells), so a spec that could never be built is
-#: refused before anything is allocated.
+#: build (75 stations, 100 x 100 cells, 756,000 station samples), so a spec that
+#: could never be built is refused before anything is allocated. A sample is one
+#: station's reading at one time: 48 bytes, so MAX_SAMPLES is 2.4 GB of series.
 MAX_STATIONS = 10_000
 MAX_GRID_CELLS = 10_000_000
+MAX_SAMPLES = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,9 @@ class WorldSpec:
         if not 1 <= self.sample_interval <= self.days * MINUTES_PER_DAY:
             raise DomainError(f"sample_interval must be 1 to days * {MINUTES_PER_DAY}: "
                               f"{self.sample_interval!r}")
+        samples = self.n_stations * (self.days * MINUTES_PER_DAY // self.sample_interval)
+        if samples > MAX_SAMPLES:
+            raise DomainError(f"the spec makes {samples} station samples; at most {MAX_SAMPLES} fit")
         if not -2**63 <= self.start_minute <= 2**63 - 1 - self.days * MINUTES_PER_DAY:
             raise DomainError(f"the world's minutes must fit in int64: start {self.start_minute!r}, "
                               f"{self.days!r} days")

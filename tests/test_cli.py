@@ -655,6 +655,8 @@ BAD_SPECS = [
     '{"n_stations": 9223372036854775808}',
     # This one once wrote a world of -inf temperatures and NaN humidities, and exited 0.
     '{"n_stations": 5, "days": 1, "lapse_rate": 1e308}',
+    # 75 stations x 144,000,000 samples: about 430 GB, once accepted.
+    '{"days": 100000}',
 ]
 
 

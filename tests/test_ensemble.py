@@ -344,6 +344,23 @@ class TestBank:
                 loaded.predict_batch(sid, climate, target),
             )
 
+    def test_narrowed_bank_round_trip(self, small_bank, small_world, tmp_path):
+        # Narrowed as test_weights_subset_equivalence narrows it: station_attrs
+        # and scalers still hold every station, but only the models are saved.
+        subset_ids = small_bank.station_ids[:3]
+        subset_bank = replace(small_bank, models={k: small_bank.models[k] for k in subset_ids})
+        save_bank(subset_bank, tmp_path)
+        loaded = load_bank(tmp_path)
+        assert loaded.station_ids == subset_ids
+        assert loaded.station_attrs == {k: small_bank.station_attrs[k] for k in subset_ids}
+        assert loaded.scalers == {k: small_bank.scalers[k] for k in subset_ids}
+        target = small_world.stations[0].attributes
+        assert loaded.weights_for_target(target) == subset_bank.weights_for_target(target)
+        climate = np.array([[2.0, 0.5, 80.0, -1.0, 0.3]])
+        for sid in subset_ids:
+            np.testing.assert_array_equal(subset_bank.predict_batch(sid, climate, target),
+                                          loaded.predict_batch(sid, climate, target))
+
     def test_baselines_round_trip_bit_for_bit(self, small_bank, tmp_path):
         rng = np.random.default_rng(5)
         baselines = {}

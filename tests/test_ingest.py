@@ -186,15 +186,15 @@ class TestResample:
         with pytest.raises(DomainError):
             resample_grid(grid, 0.5)
 
-    def test_empty_target_cell_filled_but_stays_masked(self):
+    def test_empty_target_cell_masked_and_nan(self):
         values = np.arange(16.0).reshape(4, 4)
         mask = np.ones((4, 4), bool)
         mask[:2, :2] = False  # SW block entirely masked
         coarse = resample_grid(square_grid(values, mask=mask), 2.0)
         assert not coarse.mask[0, 0]
         assert coarse.mask.sum() == 3
-        # Nearest-fill keeps the value usable for fallback lookups.
-        assert coarse.values[0, 0] in values[mask]
+        assert np.isnan(coarse.values[0, 0])
+        npt.assert_array_equal(coarse.values[coarse.mask], [4.5, 10.5, 12.5])
 
 
 class TestBoundary:
@@ -254,6 +254,17 @@ class TestLookupAttribute:
         assert lookup_attribute(grid, GeoPoint(100.9, -35.0)) == 1.0
         assert lookup_attribute(grid, GeoPoint(101.2, -35.0)) == 3.0
 
+    def test_equally_near_cells_go_to_the_first_in_row_major_order(self):
+        # The masked centre cell (101, -34) is 1.0 from four unmasked cells; the
+        # south one, row 0, comes first.
+        values = np.arange(9.0).reshape(3, 3)
+        mask = np.array([[False, True, False], [True, False, True], [False, True, False]])
+        grid = square_grid(values, mask=mask)
+        assert lookup_attribute(grid, GeoPoint(101.0, -34.0)) == 1.0
+        # Without the south cell, the west one in row 1 beats the east one and row 2.
+        assert lookup_attribute(square_grid(values, mask=mask & (values != 1.0)),
+                                GeoPoint(101.0, -34.0)) == 3.0
+
     def test_outside_extent_raises(self):
         grid = square_grid([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(OutOfExtentError):
@@ -265,12 +276,11 @@ class TestLookupAttribute:
             lookup_attribute(grid, GeoPoint(100.0, -35.0))
 
 
-FRESH_INTERPRETER_PROBE = """
+SCIPY_BLOCKED_PROBE = """
 import json, sys
-import frostcast, frostcast.cli
-at_import = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
 import numpy as np
-from frostcast import GeoPoint
+from frostcast import GeoPoint, cli
 from frostcast.ingest import AttributeGrid, lookup_attribute, resample_grid
 row = AttributeGrid(GeoPoint(100.0, -35.0), 1.0, np.array([[1.0, 2.0, 3.0]]),
                     np.array([[True, False, True]]))
@@ -278,36 +288,63 @@ values = np.arange(16.0).reshape(4, 4)
 mask = np.ones((4, 4), bool)
 mask[:2, :2] = False
 coarse = resample_grid(AttributeGrid(GeoPoint(100.0, -35.0), 1.0, values, mask), 2.0)
+with open("spec.json", "w") as fh:
+    json.dump(SPEC, fh)
+codes = [cli.main(["synth", "--spec", "spec.json", "--out", "world"])]
+with open("world/stations/stations.json") as fh:
+    station = json.load(fh)["stations"][0]
+with open("world/boundary.json") as fh:
+    outer = json.load(fh)["rings"][0]
+# A hole ring around the station: its coarse cell's center is inside, so masked.
+lon, lat, r = station["lon"], station["lat"], CELL * 0.75
+hole = [[lon - r, lat - r], [lon + r, lat - r], [lon + r, lat + r], [lon - r, lat + r]]
+with open("boundary.json", "w") as fh:
+    json.dump({"rings": [outer, hole]}, fh)
+codes.append(cli.main(["ingest", "--stations", "world/stations", "--dem", "world/dem.asc",
+                       "--ndvi", "world/ndvi.asc", "--cell", str(CELL),
+                       "--boundary", "boundary.json", "--out", "data.zip"]))
 print(json.dumps({
-    "at_import": at_import,
     "lookups": [lookup_attribute(row, GeoPoint(100.9, -35.0)),
                 lookup_attribute(row, GeoPoint(101.2, -35.0))],
     "coarse_values": coarse.values.tolist(),
     "coarse_mask": coarse.mask.tolist(),
-    "scipy_after_fallback": "scipy.spatial" in sys.modules,
+    "codes": codes,
+    "station": station["id"],
+    "scipy_modules": sorted(m for m in sys.modules if m.startswith("scipy")),
 }))
 """
 
 
 class TestScipyOffImportPath:
-    def test_fresh_import_loads_no_scipy_and_fallbacks_still_work(self):
+    SPEC = {"seed": 3, "n_stations": 5, "days": 1, "sample_interval": 60, "cell_size": 0.1}
+    CELL = 0.2
+
+    def test_fallbacks_and_cli_ingest_run_with_scipy_blocked(self, tmp_path):
+        from scipy.spatial import cKDTree  # an independent nearest-cell oracle
+
         src = str(Path(frostcast.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", FRESH_INTERPRETER_PROBE], env=env,
+        probe = f"SPEC = {self.SPEC!r}\nCELL = {self.CELL!r}\n" + SCIPY_BLOCKED_PROBE
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
                               capture_output=True, text=True, timeout=120, check=True)
-        out = json.loads(proc.stdout)
-        assert out["at_import"] == []
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["scipy_modules"] == ["scipy"]  # only the blocking None entry
+        assert out["codes"] == [0, 0]
         assert out["lookups"] == [1.0, 3.0]
-        values = np.arange(16.0).reshape(4, 4)
-        mask = np.ones((4, 4), bool)
-        mask[:2, :2] = False
-        coarse = resample_grid(square_grid(values, mask=mask), 2.0)
-        assert out["coarse_mask"] == coarse.mask.tolist()
-        assert out["coarse_mask"][0][0] is False
-        assert out["coarse_values"] == coarse.values.tolist()
-        assert out["coarse_values"][0][0] in values[mask]
-        assert out["scipy_after_fallback"] is True
+        assert out["coarse_mask"] == [[False, True], [True, True]]
+        assert np.isnan(out["coarse_values"][0][0])
+
+        data = load_dataset(tmp_path / "data.zip")
+        station = index_series(data.stations)[out["station"]].attributes
+        for grid, value in ((data.dem, station.dem), (data.ndvi, station.ndvi)):
+            assert grid.cell_size == self.CELL
+            assert not grid.mask[grid.index_of(station.location)]
+            assert np.isnan(grid.values[~grid.mask]).all()
+            lon, lat = grid.cell_centers()
+            _, nearest = cKDTree(np.column_stack([lon[grid.mask], lat[grid.mask]])).query(
+                [station.location.lon, station.location.lat])
+            assert value == grid.values[grid.mask][nearest]
 
 
 ATTRS = StationAttributes(GeoPoint(100.0, -35.0), 200.0, 0.4)
@@ -552,6 +589,21 @@ class TestDatasetBundle:
         npt.assert_array_equal(back.dem.values, ds.dem.values)
         npt.assert_array_equal(back.ndvi.mask, ds.ndvi.mask)
         assert back.dem.cell_size == ds.dem.cell_size
+
+    def test_masked_cells_read_nan_when_built_and_after_a_round_trip(self, tmp_path):
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        mask = np.array([[True, False], [False, True]])
+        grid = square_grid(values, mask=mask)
+        npt.assert_array_equal(grid.values, [[1.0, np.nan], [np.nan, 4.0]])
+        assert values[0, 1] == 2.0  # the caller's arrays are left alone and writable
+        values[0, 0], mask[0, 0] = 5.0, False
+        assert grid.values[0, 0] == 1.0 and grid.mask[0, 0]
+        mask[0, 0] = True
+        save_dataset(Dataset(tiny_dataset().stations, grid, grid), tmp_path / "ds.zip")
+        back = load_dataset(tmp_path / "ds.zip")
+        for loaded in (back.dem, back.ndvi):
+            npt.assert_array_equal(loaded.mask, mask)
+            npt.assert_array_equal(loaded.values, grid.values)
 
     def test_every_entry_is_stored_uncompressed(self, tmp_path):
         path = tmp_path / "ds.zip"

@@ -15,7 +15,7 @@ from frostcast.ingest import (
     parse_ascii_grid,
     parse_boundary_json,
 )
-from frostcast.synth import spec_from_json, write_world
+from frostcast.synth import MAX_SAMPLES, spec_from_json, write_world
 
 TINY = WorldSpec(
     seed=21,
@@ -48,6 +48,14 @@ class TestWorldSpec:
             replace(TINY, lon_min=147.0, lon_max=146.0)
         with pytest.raises(DomainError):
             replace(TINY, cell_size=0.0)
+
+    def test_world_size_bounded(self):
+        # Specs allocate nothing, so a spec near the bound is cheap to build.
+        assert WorldSpec(n_stations=5_000, days=5).n_stations == 5_000  # 36,000,000 samples
+        with pytest.raises(DomainError, match=f"57600000 station samples; at most {MAX_SAMPLES} fit"):
+            WorldSpec(n_stations=10_000, days=4)
+        with pytest.raises(DomainError, match="samples"):
+            WorldSpec(days=100_000)
 
     def test_spec_json_round_trip(self):
         doc = asdict(TINY)
