@@ -1,5 +1,5 @@
-"""Shared domain types: stations, their columnar series, folds; the atomic file writer and
-the finite-number check of both manifest loaders."""
+"""Shared domain types: stations, their columnar series, folds; station distances, the atomic
+file writer and the finite-number check of both manifest loaders."""
 
 from __future__ import annotations
 
@@ -32,6 +32,13 @@ class GeoPoint:
             raise DomainError(f"longitude out of range: {self.lon!r}")
         if not (math.isfinite(self.lat) and -90.0 <= self.lat <= 90.0):
             raise DomainError(f"latitude out of range: {self.lat!r}")
+
+
+def geo_distances(coords, query: GeoPoint) -> np.ndarray:
+    """``(k,)`` distances of ``(k, 2)`` (lon, lat) rows to ``query``: the one station-distance
+    rule, ``math.hypot`` of row minus query, whose bits ``np.hypot`` does not always match."""
+    return np.array([math.hypot(lon - query.lon, lat - query.lat)
+                     for lon, lat in np.asarray(coords, dtype=np.float64).tolist()])
 
 
 @dataclass(frozen=True)

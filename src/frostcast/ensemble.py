@@ -10,9 +10,12 @@ submodels' inference path, for one target site or per-row target attributes.
 
 Weights follow w_i = 1 / (a*g_i + b*d_i + c*n_i) where g, d, n are
 min-max-normalized geographic, elevation, and vegetation-index distances
-(:func:`attribute_weights`). The normalization bounds are frozen on the full
-training-station set of a fold, so removing stations from the available set
-never changes the remaining stations' unnormalized weights.
+(:func:`attribute_weights`), measured for an array of sources at once by
+:func:`attribute_distances` (its geographic column is ``core.geo_distances``).
+The normalization bounds are frozen on the full training-station set of a
+fold, so removing stations from the available set never changes the remaining
+stations' unnormalized weights. ``SubmodelBank.weights_for_target`` returns
+them in ``station_ids`` order, the row order of every prediction matrix.
 
 :data:`AGGREGATORS` maps each aggregation method (plain averaging,
 attribute-weighted averaging, weighted frost voting, and the weighted mean
@@ -43,12 +46,12 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .core import FoldAssignment, GeoPoint, StationAttributes, StationId, StationSeries, index_series
-from .core import finite_numbers, write_atomically
+from .core import finite_numbers, geo_distances, write_atomically
 from .errors import DataError, DomainError, FormatError, UnsupportedVersionError
 from .features import (
     DEFAULT_HORIZON,
@@ -108,17 +111,16 @@ FOLD_COEFFICIENT_PRESETS: dict[int, WeightCoefficients] = {
 }
 
 
-class DistanceTriple(NamedTuple):
-    geo: float
-    dem: float
-    ndvi: float
+def attribute_distances(sources: np.ndarray, target: StationAttributes) -> np.ndarray:
+    """Raw ``(k, 3)`` (geographic, elevation, NDVI) separations of ``(k, 4)`` source rows.
 
-
-def station_distances(source: StationAttributes, target: StationAttributes) -> DistanceTriple:
-    """Raw (geographic, elevation, NDVI) separations between two sites."""
-    geo = math.hypot(source.location.lon - target.location.lon,
-                     source.location.lat - target.location.lat)
-    return DistanceTriple(geo, abs(source.dem - target.dem), abs(source.ndvi - target.ndvi))
+    ``sources`` holds (lon, lat, dem, ndvi) rows, as ``StationAttributes.as_tuple``
+    gives them; every difference is source minus target.
+    """
+    sources = np.asarray(sources, dtype=np.float64)
+    return np.column_stack([geo_distances(sources[:, :2], target.location),
+                            np.abs(sources[:, 2] - target.dem),
+                            np.abs(sources[:, 3] - target.ndvi)])
 
 
 @dataclass(frozen=True)
@@ -148,13 +150,10 @@ def fit_normalization(attrs: Sequence[StationAttributes]) -> DistanceNormalizati
     """Bounds over all distinct ordered pairs of the given stations."""
     if len(attrs) < 2:
         raise DataError("normalization needs at least two stations")
-    triples = np.array(
-        [station_distances(a, b) for i, a in enumerate(attrs) for j, b in enumerate(attrs) if i != j]
-    )
-    lo, hi = triples.min(axis=0), triples.max(axis=0)
-    return DistanceNormalization((float(lo[0]), float(hi[0])),
-                                 (float(lo[1]), float(hi[1])),
-                                 (float(lo[2]), float(hi[2])))
+    rows = np.array([a.as_tuple() for a in attrs])
+    triples = np.concatenate([np.delete(attribute_distances(rows, target), j, axis=0)
+                              for j, target in enumerate(attrs)])
+    return DistanceNormalization(*zip(triples.min(axis=0).tolist(), triples.max(axis=0).tolist()))
 
 
 def attribute_weights(normalized: np.ndarray, coefficients: WeightCoefficients) -> np.ndarray:
@@ -231,19 +230,23 @@ class SubmodelBank:
         x = feature_rows(self.station_attrs[source_id], target_attrs, climate)
         return _predict(self.models[source_id], self.scalers[source_id], x)
 
-    def weights_for_target(self, target_attrs: StationAttributes) -> dict[StationId, float]:
+    def attribute_rows(self, ids: Sequence[StationId]) -> np.ndarray:
+        """``(len(ids), 4)`` (lon, lat, dem, ndvi) rows of the given bank stations, in order."""
+        return np.array([self.station_attrs[i].as_tuple() for i in ids], dtype=np.float64)
+
+    def weights_for_target(self, target_attrs: StationAttributes) -> np.ndarray:
         """Every bank station's weight at a target site, summing to one.
 
-        The min-max bounds are frozen per fold, so a bank restricted to a
-        subset of these stations gives the subset's weights renormalized.
+        They are a ``(k,)`` array in ``station_ids`` order. The min-max
+        bounds are frozen per fold, so a bank restricted to a subset of
+        these stations gives the subset's weights renormalized.
         """
         ids = self.station_ids
         if not ids:
             raise DataError("no stations available for weighting")
-        raw = np.array([station_distances(self.station_attrs[i], target_attrs) for i in ids])
+        raw = attribute_distances(self.attribute_rows(ids), target_attrs)
         w = attribute_weights(self.normalization.normalize(raw), self.coefficients)
-        w /= w.sum()
-        return dict(zip(ids, w))
+        return w / w.sum()
 
 
 def _masked_weighted_mean(
@@ -510,17 +513,17 @@ def calibrate_coefficients(
               for sid, series in by_id.items()}
     targets = list(frames.values())
     source_ids, blocks = _predictions_at_targets(bank, frames, targets)
+    sources = bank.attribute_rows(source_ids)
     dist_rows: list[np.ndarray] = []
     err_blocks: list[np.ndarray] = []
     for target, block in zip(targets, blocks):
-        for source_id, preds in zip(source_ids, block):
+        norm = bank.normalization.normalize(attribute_distances(sources, target.attributes))
+        for dist, preds in zip(norm, block):
             observed = ~np.isnan(preds)  # a source's row at its own site is all NaN
             if not observed.any():
                 continue
             errors = np.abs(preds[observed] - target.labels[observed])
-            raw = np.asarray(station_distances(bank.station_attrs[source_id], target.attributes))
-            norm = bank.normalization.normalize(raw[None, :])[0]
-            dist_rows.append(np.broadcast_to(norm, (errors.size, 3)))
+            dist_rows.append(np.broadcast_to(dist, (errors.size, 3)))
             err_blocks.append(errors)
     if not err_blocks:
         raise DataError("no overlapping observations to calibrate on")

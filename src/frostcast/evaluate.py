@@ -207,13 +207,18 @@ def paired_t_test(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]
 # --- baseline (on-site) models ----------------------------------------------
 
 
+def _baseline_split(frame: StationFrame, train_fraction: float) -> int:
+    """Rows before this index of ``frame``'s labels train its baseline; the rest are scored."""
+    return int(frame.labels.size * train_fraction)
+
+
 def _train_baseline(frames: Mapping[StationId, StationFrame], ids, cfg: TrainConfig,
-                    train_fraction: float, idx: int) -> tuple[Network, ScalerStats]:
+                    idx: int) -> tuple[Network, ScalerStats]:
     frame = frames[ids[idx]]
     x, y = frame.onsite_climate(), frame.labels
     if x.shape[0] < 10:
         raise DataError(f"station {frame.id} has too few labeled rows for a baseline")
-    split = int(x.shape[0] * train_fraction)
+    split = _baseline_split(frame, BASELINE_TRAIN_FRACTION)
     return _fit(ONSITE_SPEC, int(cfg.seed * 99991 + idx), x[:split], y[:split], cfg)
 
 
@@ -222,21 +227,18 @@ def train_baselines(
     ids: Sequence[StationId],
     cfg: TrainConfig | None = None,
     horizon: int = DEFAULT_HORIZON,
-    train_fraction: float = BASELINE_TRAIN_FRACTION,
 ) -> dict[StationId, tuple[Network, ScalerStats]]:
     """Train one on-site ``(network, scaler)`` reference model per listed station.
 
-    The earliest ``train_fraction`` of each station's labeled rows is used
-    for fitting; everything after the split index is reserved for scoring.
-    The models train on ``map_in_workers``'s workers, one station per task.
-    A bank carries them as its ``baselines``, beside ``train_fraction`` as
-    its ``baseline_train_fraction``.
+    The earliest ``BASELINE_TRAIN_FRACTION`` of each station's labeled rows
+    is used for fitting; everything after the split index is reserved for
+    scoring. The models train on ``map_in_workers``'s workers, one station
+    per task. A bank carries them as its ``baselines``, beside that
+    fraction, the default of its ``baseline_train_fraction``.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise DomainError(f"train_fraction must be in (0, 1): {train_fraction!r}")
     ids = sorted(ids)
     frames = station_frames(index_series(stations), horizon, ids, ids)
-    task = functools.partial(_train_baseline, frames, ids, cfg or TrainConfig(), train_fraction)
+    task = functools.partial(_train_baseline, frames, ids, cfg or TrainConfig())
     return dict(zip(ids, list(map_in_workers(task, len(ids)))))
 
 
@@ -248,7 +250,7 @@ def evaluate_baselines(
     labels: list[np.ndarray] = []
     for sid, (net, scaler) in sorted(bank.baselines.items()):
         frame = frames[sid]
-        split = int(frame.labels.size * bank.baseline_train_fraction)
+        split = _baseline_split(frame, bank.baseline_train_fraction)
         xs = frame.onsite_climate()[split:]
         if xs.shape[0] == 0:
             continue
@@ -438,16 +440,11 @@ def run_station_ablation(
     scored = evaluate_baselines(bank, frames) if "baseline" in methods else None
     del frames
 
-    # Per-target unnormalized attribute weights; frozen bounds make the
-    # subset restriction equivalent to recomputing from scratch.
-    weight_vec: dict[StationId, np.ndarray] = {}
-    for pm in matrices:
-        w = bank.weights_for_target(by_id[pm.target_id].attributes)
-        weight_vec[pm.target_id] = np.array([w[sid] for sid in pm.source_ids])
-
-    # Rows of every matrix follow bank.station_ids, as do these coordinates.
-    locations = [bank.station_attrs[sid].location for sid in bank.station_ids]
-    src_xy = np.array([(loc.lon, loc.lat) for loc in locations])
+    # Rows of every matrix follow bank.station_ids, as do these coordinates and
+    # each target's attribute weights; frozen bounds make the subset
+    # restriction equivalent to recomputing from scratch.
+    src_xy = bank.attribute_rows(bank.station_ids)[:, :2]
+    weight_vec = [bank.weights_for_target(by_id[pm.target_id].attributes) for pm in matrices]
     frozen_model = None
     if "ok" in methods and not ok_refit:
         for pm in matrices:
@@ -465,14 +462,14 @@ def run_station_ablation(
                 continue
             pooled_pred: list[np.ndarray] = []
             pooled_labels: list[np.ndarray] = []
-            for pm in matrices:
+            for pm, target_weights in zip(matrices, weight_vec):
                 target = by_id[pm.target_id].attributes.location
                 vals = pm.values[subset]
                 if method == "ok":
                     pred, valid = _ok_series(vals, src_xy[subset], target, frozen_model)
                 else:
                     weights = (idw_weights(src_xy[subset], target) if method == "idw"
-                               else weight_vec[pm.target_id][subset])
+                               else target_weights[subset])
                     pred, valid = AGGREGATORS[method](vals, ~np.isnan(vals), weights, trigger)
                 pooled_pred.append(np.asarray(pred)[valid])
                 pooled_labels.append(pm.labels[valid])

@@ -5,6 +5,8 @@ rows and, where it needs them, sample values as a ``(k,)`` array; the
 query is a ``GeoPoint``. Distances are plain Euclidean in degree space; at
 the regional scale used here the anisotropy that introduces is small
 against station spacing, and it keeps every routine translation-equivariant.
+IDW measures with ``core.geo_distances``, the stations' one distance routine;
+kriging and the variogram bins take ``np.hypot`` over whole pair arrays.
 The one variogram model, spherical, is fit to DEFAULT_BINS lag bins by
 pair-count-weighted least squares: a coarse grid search, then shrinking
 local refinement, so fits are deterministic.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeoPoint
+from .core import GeoPoint, geo_distances
 from .errors import DataError, DomainError, NumericalError
 
 #: Queries closer than this to a sample collapse to that sample's value.
@@ -46,13 +48,11 @@ def idw_weights(coords, query: GeoPoint) -> np.ndarray:
 
     A query within EXACT_DISTANCE of a sample gives every such sample
     weight 1 and the rest 0, so the weighted mean is exact there.
-    Distances use ``math.hypot`` per sample, whose bits ``np.hypot`` does
-    not always match.
+    Distances come from ``core.geo_distances``, as the attribute weights' do.
     """
     if len(coords) == 0:
         raise DataError("idw needs at least one sample")
-    d = np.array([math.hypot(lon - query.lon, lat - query.lat)
-                  for lon, lat in np.asarray(coords, dtype=np.float64).tolist()])
+    d = geo_distances(coords, query)
     exact = d < EXACT_DISTANCE
     if exact.any():
         return exact.astype(np.float64)

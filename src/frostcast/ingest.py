@@ -156,8 +156,9 @@ def parse_ascii_grid(text: str) -> AttributeGrid:
     return AttributeGrid(origin, cell, values, mask)
 
 
-def write_ascii_grid(grid: AttributeGrid, nodata: float = NODATA_DEFAULT) -> str:
-    """Serialize a grid back to ESRI ASCII; inverse of parse for finite cells."""
+def write_ascii_grid(grid: AttributeGrid) -> str:
+    """ESRI ASCII of a grid, masked cells as NODATA_DEFAULT; inverse of parse for finite cells."""
+    nodata = repr(NODATA_DEFAULT)
     half = grid.cell_size / 2.0
     lines = [
         f"ncols {grid.ncols}",
@@ -165,12 +166,12 @@ def write_ascii_grid(grid: AttributeGrid, nodata: float = NODATA_DEFAULT) -> str
         f"xllcorner {grid.origin.lon - half!r}",
         f"yllcorner {grid.origin.lat - half!r}",
         f"cellsize {grid.cell_size!r}",
-        f"NODATA_value {nodata!r}",
+        f"NODATA_value {nodata}",
     ]
     north_up_values = grid.values[::-1]
     north_up_mask = grid.mask[::-1]
     for row, mrow in zip(north_up_values, north_up_mask):
-        lines.append(" ".join(repr(float(v)) if ok else repr(nodata) for v, ok in zip(row, mrow)))
+        lines.append(" ".join(repr(float(v)) if ok else nodata for v, ok in zip(row, mrow)))
     return "\n".join(lines) + "\n"
 
 

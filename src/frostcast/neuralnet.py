@@ -127,20 +127,6 @@ def _forward_backward(
             np.putmask(delta, dead[i - 1], 0.0)
 
 
-def gradients(net: Network, x: np.ndarray, y: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exact MSE gradients for every weight matrix and bias vector."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise DataError(f"incompatible batch shapes {x.shape} / {y.shape}")
-    if x.shape[0] == 0:
-        raise DataError("empty batch")
-    gw = [np.empty_like(w) for w in net.weights]
-    gb = [np.empty_like(b) for b in net.biases]
-    _forward_backward(net, x, y, gw, gb)
-    return gw, gb
-
-
 def mse_loss(net: Network, x: np.ndarray, y: np.ndarray) -> float:
     pred = forward_batch(net, x)
     err = pred - np.asarray(y, dtype=np.float64)

@@ -40,6 +40,9 @@ def generate_raster(
     reading at the chosen timestamp; stations absent from the mapping sit
     out. Cell weights reuse the bank's frozen normalization bounds, with
     normalized distances clamped into [0, 1] for cells beyond them.
+    Cell distances are one ``np.hypot`` over all (source, cell) pairs: it
+    disagrees with ``core.geo_distances``'s ``math.hypot`` in the last bit on
+    a few pairs, so sharing that routine would change some cells.
     """
     if method not in RASTER_METHODS:
         raise DomainError(f"unknown raster method: {method!r}")
@@ -82,7 +85,7 @@ def generate_raster(
     else:
         weights = None
         if method == "weighted_average":
-            src = np.array([bank.station_attrs[sid].as_tuple() for sid in ids])[:, :, None]
+            src = bank.attribute_rows(ids)[:, :, None]
             raw = np.stack([np.hypot(src[:, 0] - lon, src[:, 1] - lat),
                             np.abs(src[:, 2] - cell_dem),
                             np.abs(src[:, 3] - cell_ndvi)], axis=-1)

@@ -44,7 +44,7 @@ from frostcast.neuralnet import (
     ONSITE_SPEC,
     SUBMODEL_SPEC,
     TrainConfig,
-    gradients,
+    _forward_backward,
     init_network,
     mse_loss,
 )
@@ -57,6 +57,14 @@ def report(n, label, ok, detail=""):
 
 
 # --- 01: analytic gradients vs central finite differences ---------------------
+
+
+def _analytic_gradients(net, x, y):
+    """Training's backprop pass, written into fresh buffers."""
+    gw = [np.empty_like(w) for w in net.weights]
+    gb = [np.empty_like(b) for b in net.biases]
+    _forward_backward(net, x, y, gw, gb)
+    return gw, gb
 
 
 def _fd_gradients(net, x, y, eps=1e-5):
@@ -97,7 +105,7 @@ def test_criterion_01_gradient_oracle():
             net = init_network(spec, seed=seed)
             x = rng.normal(0.0, 1.0, (n_rows, spec.input_dim))
             y = rng.normal(0.0, 1.0, n_rows)
-            gw, gb = gradients(net, x, y)
+            gw, gb = _analytic_gradients(net, x, y)
             fw, fb = _fd_gradients(net, x, y)
             worst = max(worst, _max_rel_err(gw, fw), _max_rel_err(gb, fb))
             checks += 1
@@ -121,6 +129,7 @@ def test_criterion_02_attribute_weight_oracle():
     unit = (0.0, 1.0)
     rng = np.random.default_rng(12)
     worst_dev = 0.0
+    shape_ok = True
     for _ in range(50):
         n = int(rng.integers(2, 25))
         triples = rng.uniform(0.0, 1.0, (n, 3))
@@ -130,9 +139,10 @@ def test_criterion_02_attribute_weight_oracle():
         bank = SubmodelBank(fold=0, horizon=60, models=dict.fromkeys(station_attrs), scalers={},
                             station_attrs=station_attrs, coefficients=c,
                             normalization=DistanceNormalization(unit, unit, unit))
-        weights = bank.weights_for_target(origin)
-        worst_dev = max(worst_dev, abs(sum(weights.values()) - 1.0))
-    ok = worked_ok and worst_dev <= 1e-9
+        weights = bank.weights_for_target(origin)  # (n,) in station_ids order
+        shape_ok = shape_ok and weights.shape == (n,)
+        worst_dev = max(worst_dev, abs(float(weights.sum()) - 1.0))
+    ok = worked_ok and shape_ok and worst_dev <= 1e-9
     report(2, "attribute weights: worked value and unit sums", ok,
            f" (W={w:.4f}, worst sum dev {worst_dev:.1e})")
 

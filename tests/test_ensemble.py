@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frostcast import (
@@ -46,14 +46,13 @@ from frostcast.ensemble import (
     FOLD_COEFFICIENT_PRESETS,
     SUBMODEL_SPEC,
     DistanceNormalization,
-    DistanceTriple,
     SubmodelBank,
     WeightCoefficients,
     _child_seed,
+    attribute_distances,
     calibrate_coefficients,
     fit_normalization,
     pearson,
-    station_distances,
 )
 from frostcast.features import (
     apply_scaler,
@@ -76,19 +75,116 @@ def attrs(lon, lat, dem, ndvi):
 ORIGIN = attrs(0.0, 0.0, 0.0, 0.0)
 
 
+def station_bank(stations, coefficients, normalization):
+    """A model-less bank of the given sites; ``station_ids`` keeps their order."""
+    ids = [f"s{i:03d}" for i in range(len(stations))]
+    return SubmodelBank(fold=0, horizon=60, models=dict.fromkeys(ids), scalers={},
+                        station_attrs=dict(zip(ids, stations)), coefficients=coefficients,
+                        normalization=normalization)
+
+
 def triple_bank(triples, coefficients):
     """A model-less bank whose stations sit at the given normalized distances from ORIGIN.
 
     Station i is at (lon g, lat 0, dem d, ndvi n) and every bound is (0, 1),
     so its normalized distance triple to ORIGIN is exactly (g, d, n).
     """
-    ids = [f"s{i:02d}" for i in range(len(triples))]
     unit = (0.0, 1.0)
-    return SubmodelBank(
-        fold=0, horizon=60, models=dict.fromkeys(ids), scalers={},
-        station_attrs={sid: attrs(g, 0.0, d, n) for sid, (g, d, n) in zip(ids, triples)},
-        coefficients=coefficients, normalization=DistanceNormalization(unit, unit, unit),
-    )
+    return station_bank([attrs(g, 0.0, d, n) for g, d, n in triples], coefficients,
+                        DistanceNormalization(unit, unit, unit))
+
+
+def reference_distances(source, target):
+    """The scalar (geographic, elevation, NDVI) rule, one station pair at a time.
+
+    ``attribute_distances`` must keep its bits: ``math.hypot`` of source
+    minus target, and the absolute differences in the same operand order.
+    """
+    return (math.hypot(source.location.lon - target.location.lon,
+                       source.location.lat - target.location.lat),
+            abs(source.dem - target.dem), abs(source.ndvi - target.ndvi))
+
+
+def reference_normalization(stations):
+    """Min-max bounds over every ordered pair (i, j), i != j, of the scalar rule."""
+    triples = np.array([reference_distances(a, b) for i, a in enumerate(stations)
+                        for j, b in enumerate(stations) if i != j])
+    lo, hi = triples.min(axis=0), triples.max(axis=0)
+    return DistanceNormalization(*((float(lo[k]), float(hi[k])) for k in range(3)))
+
+
+def reference_weights(bank, target):
+    """Normalised weights from one scalar distance triple per station, in station_ids order."""
+    raw = np.array([reference_distances(bank.station_attrs[i], target) for i in bank.station_ids])
+    w = attribute_weights(bank.normalization.normalize(raw), bank.coefficients)
+    w /= w.sum()
+    return w
+
+
+def rows(stations):
+    """The ``(k, 4)`` (lon, lat, dem, ndvi) rows ``attribute_distances`` takes."""
+    return np.array([a.as_tuple() for a in stations]).reshape(-1, 4)
+
+
+SITE = st.builds(attrs, st.floats(-180.0, 180.0), st.floats(-90.0, 90.0),
+                 st.floats(-500.0, 9000.0), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def stations_and_target(draw, min_size=1):
+    """Sites, some repeated (coincident stations), and a target that may sit on one."""
+    sites = draw(st.lists(SITE, min_size=min_size, max_size=10))
+    sites += [sites[i] for i in draw(st.lists(st.integers(0, len(sites) - 1), max_size=3))]
+    return sites, draw(st.one_of(SITE, st.sampled_from(sites)))
+
+
+NEGATIVE_LONGITUDES = ([attrs(-120.5, 35.25, 100.0, 0.3), attrs(-0.1, -33.0, -5.0, -0.2),
+                        attrs(-179.9, 89.0, 8000.0, 1.0)], attrs(-60.0, 0.0, 0.0, 0.0))
+COINCIDENT = ([attrs(146.2, -33.7, 120.0, 0.4)] * 2 + [attrs(146.9, -33.1, 80.0, 0.1)],
+              attrs(146.2, -33.7, 120.0, 0.4))
+ONE_STATION = ([attrs(146.0, -33.0, 10.0, 0.1)], attrs(147.5, -34.5, 300.0, -0.3))
+SWEEP = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestArrayDistancesMatchScalarRule:
+    """attribute_distances, the normalisation bounds and the weights, bit for bit."""
+
+    @given(stations_and_target())
+    @example(NEGATIVE_LONGITUDES)
+    @example(COINCIDENT)
+    @example(ONE_STATION)
+    @SWEEP
+    def test_attribute_distances(self, case):
+        stations, target = case
+        got = attribute_distances(rows(stations), target)
+        want = np.array([reference_distances(a, target) for a in stations])
+        assert got.shape == (len(stations), 3) and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @given(stations_and_target(min_size=2))
+    @example(NEGATIVE_LONGITUDES)
+    @example(COINCIDENT)
+    @SWEEP
+    def test_normalization_bounds(self, case):
+        stations, _ = case
+        got, want = fit_normalization(stations), reference_normalization(stations)
+        assert np.array([got.geo, got.dem, got.ndvi]).tobytes() == (
+            np.array([want.geo, want.dem, want.ndvi]).tobytes())
+
+    @given(stations_and_target(), st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+                                            st.floats(0.001, 2.0)))
+    @example(NEGATIVE_LONGITUDES, (0.1629, 0.0132, 0.0290))
+    @example(COINCIDENT, (0.1629, 0.0132, 0.0290))
+    @example(ONE_STATION, (1.0, 0.0, 0.0))
+    @SWEEP
+    def test_weights_for_target(self, case, coeff):
+        stations, target = case
+        # Bounds over the stations and the target, so a one-station bank has two sites.
+        bank = station_bank(stations, WeightCoefficients(*coeff),
+                            reference_normalization(stations + [target]))
+        got = bank.weights_for_target(target)
+        assert got.shape == (len(stations),)
+        assert got.tobytes() == reference_weights(bank, target).tobytes()
 
 
 class TestWeightOracle:
@@ -127,11 +223,12 @@ class TestWeightOracle:
 class TestStationWeights:
     def test_equal_distances_give_equal_weights(self):
         w = triple_bank([(1.0, 1.0, 1.0)] * 3, FOLD0).weights_for_target(ORIGIN)
-        np.testing.assert_allclose(list(w.values()), [1 / 3] * 3, atol=1e-12)
+        np.testing.assert_allclose(w, [1 / 3] * 3, atol=1e-12)
 
     def test_nearer_station_weighs_more(self):
+        # Entry i is station_ids[i]: s000, then s001.
         w = triple_bank([(0.1, 0.1, 0.1), (1.0, 1.0, 1.0)], FOLD0).weights_for_target(ORIGIN)
-        assert w["s00"] > w["s01"]
+        assert w[0] > w[1]
 
     @given(
         st.lists(
@@ -144,22 +241,23 @@ class TestStationWeights:
     @settings(max_examples=200, deadline=None)
     def test_weights_sum_to_one(self, triples, coeff):
         w = triple_bank(triples, WeightCoefficients(*coeff)).weights_for_target(ORIGIN)
-        assert sum(w.values()) == pytest.approx(1.0, abs=1e-9)
-        assert all(v > 0 for v in w.values())
+        assert w.shape == (len(triples),)
+        assert w.sum() == pytest.approx(1.0, abs=1e-9)
+        assert (w > 0).all()
 
 
 class TestDistances:
     def test_raw_distance_components(self):
         a = attrs(146.0, -33.0, 100.0, 0.2)
         b = attrs(147.0, -34.0, 250.0, -0.1)
-        t = station_distances(a, b)
-        assert t.geo == pytest.approx(np.sqrt(2.0))
-        assert t.dem == pytest.approx(150.0)
-        assert t.ndvi == pytest.approx(0.3, abs=1e-12)
+        geo, dem, ndvi = attribute_distances(rows([a]), b)[0]
+        assert geo == pytest.approx(np.sqrt(2.0))
+        assert dem == pytest.approx(150.0)
+        assert ndvi == pytest.approx(0.3, abs=1e-12)
 
     def test_batch_normalization_spans_unit_interval(self):
         # Bounds taken over the batch itself map its extremes to 0 and 1.
-        triples = np.array([DistanceTriple(1.0, 10.0, 0.1), DistanceTriple(3.0, 30.0, 0.5)])
+        triples = np.array([(1.0, 10.0, 0.1), (3.0, 30.0, 0.5)])
         norm = DistanceNormalization(*zip(triples.min(axis=0), triples.max(axis=0)))
         normed = norm.normalize(triples)
         np.testing.assert_allclose(normed[0], (0.0, 0.0, 0.0), atol=1e-12)
@@ -296,11 +394,8 @@ class TestBank:
         subset_ids = small_bank.station_ids[:3]
         subset_bank = replace(small_bank, models={k: small_bank.models[k] for k in subset_ids})
         direct = subset_bank.weights_for_target(target)
-        assert sorted(direct) == subset_ids
-        partial = {k: full[k] for k in subset_ids}
-        total = sum(partial.values())
-        for k in subset_ids:
-            assert direct[k] == pytest.approx(partial[k] / total, abs=1e-12)
+        assert subset_bank.station_ids == subset_ids and direct.shape == (3,)
+        np.testing.assert_allclose(direct, full[:3] / full[:3].sum(), rtol=0, atol=1e-12)
 
     def test_predict_batch_matches_single(self, small_bank, small_world):
         target = small_world.stations[0].attributes
@@ -355,7 +450,8 @@ class TestBank:
         assert loaded.station_attrs == {k: small_bank.station_attrs[k] for k in subset_ids}
         assert loaded.scalers == {k: small_bank.scalers[k] for k in subset_ids}
         target = small_world.stations[0].attributes
-        assert loaded.weights_for_target(target) == subset_bank.weights_for_target(target)
+        assert (loaded.weights_for_target(target).tobytes()
+                == subset_bank.weights_for_target(target).tobytes())
         climate = np.array([[2.0, 0.5, 80.0, -1.0, 0.3]])
         for sid in subset_ids:
             np.testing.assert_array_equal(subset_bank.predict_batch(sid, climate, target),
@@ -455,7 +551,7 @@ def reference_calibrate(bank, stations, stride):
                 continue
             preds = bank.predict_batch(source_id, obs.climate[src_idx], target.attributes)
             errors = np.abs(preds - labels[lab_idx])
-            raw = np.asarray(station_distances(bank.station_attrs[source_id], target.attributes))
+            raw = np.asarray(reference_distances(bank.station_attrs[source_id], target.attributes))
             norm = bank.normalization.normalize(raw[None, :])[0]
             dist_rows.append(np.broadcast_to(norm, (errors.size, 3)))
             err_blocks.append(errors)

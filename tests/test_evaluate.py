@@ -26,7 +26,7 @@ from frostcast import (
     make_folds,
     run_fold_experiment,
 )
-from frostcast import ensemble
+from frostcast import ensemble, evaluate
 from frostcast.core import GeoPoint, index_series
 from frostcast.ensemble import FOLD_COEFFICIENT_PRESETS
 from frostcast.evaluate import (
@@ -329,30 +329,33 @@ class TestAblation:
         self, small_world, small_folds, small_bank, matrices
     ):
         # Each timestep aggregated on its own: the attribute-weighted mean and
-        # vote from weights_for_target, and IDW with inverse squared distances.
+        # vote from weights_for_target (one weight per matrix row, in
+        # station_ids order), and IDW with inverse squared distances.
         bank = replace(small_bank, coefficients=FOLD_COEFFICIENT_PRESETS[0])
         results = run_station_ablation(
             small_world.stations, small_folds, 0, bank, counts=[len(bank)],
             methods=("weighted_average", "weighted_vote", "idw"), matrices=matrices,
         ).results
         by_id = index_series(small_world.stations)
-        xy = {sid: np.array([a.location.lon, a.location.lat])
-              for sid, a in bank.station_attrs.items()}
+        xy = np.array([(bank.station_attrs[sid].location.lon, bank.station_attrs[sid].location.lat)
+                       for sid in bank.station_ids])
         wavg, vote, idw, labels = [], [], [], []
         for pm in matrices:
+            assert pm.source_ids == bank.station_ids
             target = by_id[pm.target_id].attributes
             weights = bank.weights_for_target(target)
+            assert weights.shape == (len(bank),)
             for t in range(pm.labels.size):
-                snap = {sid: pm.values[i, t] for i, sid in enumerate(pm.source_ids)
+                snap = {i: pm.values[i, t] for i in range(len(pm.source_ids))
                         if not np.isnan(pm.values[i, t])}
                 if not snap:
                     continue
-                total = sum(weights[sid] for sid in snap)
-                wavg.append(sum(weights[sid] * v for sid, v in snap.items()) / total)
-                vote.append(sum(weights[sid] * (1.0 if v < 0.0 else -1.0)
-                                for sid, v in snap.items()) >= 0.0)
+                total = sum(weights[i] for i in snap)
+                wavg.append(sum(weights[i] * v for i, v in snap.items()) / total)
+                vote.append(sum(weights[i] * (1.0 if v < 0.0 else -1.0)
+                                for i, v in snap.items()) >= 0.0)
                 q = np.array([target.location.lon, target.location.lat])
-                w = np.array([np.hypot(*(xy[sid] - q)) ** -2.0 for sid in snap])
+                w = np.array([np.hypot(*(xy[i] - q)) ** -2.0 for i in snap])
                 idw.append(float(w @ list(snap.values()) / w.sum()))
                 labels.append(pm.labels[t])
         by_method = {r.method: r for r in results}
@@ -599,6 +602,42 @@ class TestBaselines:
             })
         assert len(trained[0]) == len(small_test_ids) >= 2
         assert trained[0] == trained[1]
+
+    def test_trained_and_scored_rows_partition_the_labels(self, small_world, small_test_ids,
+                                                          small_bank, workers, monkeypatch):
+        # Record the rows _fit trains each baseline on and the rows evaluate_baselines scores.
+        workers(1)
+        trained, scored = [], []
+        fit, predict = evaluate._fit, evaluate._predict
+
+        def recording_fit(spec, seed, x, y, cfg):
+            trained.append((x, y))
+            return fit(spec, seed, x, y, cfg)
+
+        def recording_predict(net, scaler, x):
+            scored.append(x)
+            return predict(net, scaler, x)
+
+        monkeypatch.setattr(evaluate, "_fit", recording_fit)
+        monkeypatch.setattr(evaluate, "_predict", recording_predict)
+        ids = sorted(small_test_ids)
+        models = train_baselines(small_world.stations, ids, TrainConfig(seed=1, epochs=1),
+                                 horizon=small_bank.horizon)
+        by_id = index_series(small_world.stations)
+        frames = {sid: station_frame(by_id[sid], small_bank.horizon) for sid in ids}
+        _, labels = evaluate_baselines(replace(small_bank, baselines=models), frames)
+        assert len(trained) == len(scored) == len(ids) >= 2
+        offset = 0
+        for sid, (x_fit, y_fit), x_scored in zip(ids, trained, scored):
+            frame = frames[sid]
+            split, n = y_fit.size, frame.labels.size
+            assert 0 < split < n and split + x_scored.shape[0] == n
+            np.testing.assert_array_equal(y_fit, frame.labels[:split])
+            np.testing.assert_array_equal(labels[offset:offset + n - split], frame.labels[split:])
+            np.testing.assert_array_equal(x_fit, frame.onsite_climate()[:split])
+            np.testing.assert_array_equal(x_scored, frame.onsite_climate()[split:])
+            offset += n - split
+        assert offset == labels.size
 
     def test_divergence_same_pooled_and_serial(self, small_world, small_test_ids, workers):
         cfg = TrainConfig(seed=1, epochs=4, learning_rate=1e100)
