@@ -230,7 +230,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     folds = FoldAssignment((frozenset(test_ids), frozenset(train_ids)))
     report = run_station_ablation(
         dataset.stations, folds, 0, bank, counts, methods,
-        seed=args.seed, trigger=args.trigger, ok_refit=args.ok_refit,
+        seed=args.seed, trigger=args.trigger,
     )
     _write_json(args.out, report.to_dict(), args.deterministic)
     print(f"wrote {len(report.results)} result rows -> {args.out}")
@@ -345,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", default=None, help="e.g. 1..10,10..60:10")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trigger", type=float, default=0.0)
-    p.add_argument("--ok-refit", action="store_true",
-                   help="refit the variogram every timestep instead of freezing one")
     p.add_argument("--deterministic", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eval)
@@ -357,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="wavg", help="avg, wavg, or single:<station id>")
     p.add_argument("--timestamp", type=int, required=True, help="minutes since epoch")
     p.add_argument("--png", default=None, help="also write a heatmap PNG here")
-    p.add_argument("--deterministic", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_raster)
 

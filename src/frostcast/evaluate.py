@@ -31,12 +31,7 @@ from .ensemble import (
 )
 from .errors import DataError, DomainError
 from .features import DEFAULT_HORIZON, ScalerStats, StationFrame, station_frames
-from .geostats import (
-    VariogramModel,
-    idw_weights,
-    kriging_weights,
-    snapshot_variogram,
-)
+from .geostats import VariogramModel, idw_weights, kriging_weights, pooled_variogram
 from .neuralnet import Network, ONSITE_SPEC, TrainConfig
 
 DEFAULT_TRIGGER = 0.0
@@ -332,13 +327,10 @@ def _availability_groups(avail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ok_series(
-    vals: np.ndarray, coords: np.ndarray, target: GeoPoint, model: VariogramModel | None
+    vals: np.ndarray, coords: np.ndarray, target: GeoPoint, model: VariogramModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Kriging aggregate per column of a ``(k, n)`` block, grouping columns by availability.
-
-    With a ``model`` each group solves its weights once. Without one, every
-    column fits a variogram to its own snapshot first (slow).
-    """
+    """Kriging aggregate per column of a ``(k, n)`` block with one variogram ``model``;
+    each group of columns holding the same two or more sources solves its weights once."""
     avail = ~np.isnan(vals)
     n_t = vals.shape[1]
     pred = np.full(n_t, np.nan)
@@ -349,14 +341,7 @@ def _ok_series(
         rows = np.nonzero(pattern)[0]
         if rows.size < 2:
             continue
-        xy = coords[rows]
-        if model is not None:
-            pred[cols] = kriging_weights(xy, target, model) @ vals[np.ix_(rows, cols)]
-        else:
-            for col in cols:
-                snapshot = vals[rows, col]
-                weights = kriging_weights(xy, target, snapshot_variogram(xy, snapshot))
-                pred[col] = weights @ snapshot
+        pred[cols] = kriging_weights(coords[rows], target, model) @ vals[np.ix_(rows, cols)]
         valid[cols] = True
     return pred, valid
 
@@ -386,7 +371,6 @@ def run_station_ablation(
     methods: Sequence[str] = ("average", "weighted_average", "weighted_vote"),
     seed: int = 0,
     trigger: float = DEFAULT_TRIGGER,
-    ok_refit: bool = False,
     matrices: list[PredictionMatrix] | None = None,
 ) -> EvaluationReport:
     """Score each method at each source-station count at ``folds``' fold ``fold`` stations.
@@ -398,11 +382,10 @@ def run_station_ablation(
     ``counts`` are sorted and deduplicated; without them every method uses
     the full bank. At a given count the same seeded subset of stations
     feeds every method, so comparisons are paired. Kriging uses one
-    variogram fitted on the first prediction snapshot where every source
-    is available, or with ``ok_refit`` (or without such a snapshot) a
-    fresh fit per timestep. Kriging needs two stations, so its row at a
-    count of 1 has no predictions and null metrics; any other empty
-    result is a DataError.
+    variogram for the whole call: ``geostats.pooled_variogram`` over every
+    minute of every target at which two bank sources both predict.
+    Kriging needs two stations, so its row at a count of 1 has no
+    predictions and null metrics; any other empty result is a DataError.
     ``baseline`` scores the bank's on-site baselines. A non-finite
     ``trigger`` or a negative ``seed`` is a DomainError.
     """
@@ -445,13 +428,8 @@ def run_station_ablation(
     # restriction equivalent to recomputing from scratch.
     src_xy = bank.attribute_rows(bank.station_ids)[:, :2]
     weight_vec = [bank.weights_for_target(by_id[pm.target_id].attributes) for pm in matrices]
-    frozen_model = None
-    if "ok" in methods and not ok_refit:
-        for pm in matrices:
-            full = np.nonzero(~np.isnan(pm.values).any(axis=0))[0]
-            if full.size:
-                frozen_model = snapshot_variogram(src_xy, pm.values[:, full[0]])
-                break
+    ok_model = (pooled_variogram(src_xy, [pm.values for pm in matrices])
+                if "ok" in methods else None)
 
     results: list[AblationResult] = []
     for k in counts:
@@ -465,8 +443,10 @@ def run_station_ablation(
             for pm, target_weights in zip(matrices, weight_vec):
                 target = by_id[pm.target_id].attributes.location
                 vals = pm.values[subset]
-                if method == "ok":
-                    pred, valid = _ok_series(vals, src_xy[subset], target, frozen_model)
+                if method == "ok" and ok_model is None:  # no two sources share a minute
+                    pred, valid = vals[0], np.zeros(vals.shape[1], dtype=bool)
+                elif method == "ok":
+                    pred, valid = _ok_series(vals, src_xy[subset], target, ok_model)
                 else:
                     weights = (idw_weights(src_xy[subset], target) if method == "idw"
                                else target_weights[subset])

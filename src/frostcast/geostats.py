@@ -9,7 +9,8 @@ IDW measures with ``core.geo_distances``, the stations' one distance routine;
 kriging and the variogram bins take ``np.hypot`` over whole pair arrays.
 The one variogram model, spherical, is fit to DEFAULT_BINS lag bins by
 pair-count-weighted least squares: a coarse grid search, then shrinking
-local refinement, so fits are deterministic.
+local refinement, so fits are deterministic. ``eval`` fits it once, with
+:func:`pooled_variogram` over the co-observed pair-minutes of its predictions.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GeoPoint, geo_distances
+from .ensemble import _one_blas_thread
 from .errors import DataError, DomainError, NumericalError
 
 #: Queries closer than this to a sample collapse to that sample's value.
@@ -59,6 +61,21 @@ def idw_weights(coords, query: GeoPoint) -> np.ndarray:
     return d ** -2.0
 
 
+def _bins(coords: np.ndarray, i: np.ndarray, j: np.ndarray, counts: np.ndarray,
+          sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lags, semivariances, counts)`` of pairs ``(i, j)`` of ``coords`` rows over the non-empty
+    ones of DEFAULT_BINS equal-width bins spanning (0, max pair distance], the last one closed.
+    Pair p holds ``counts[p]`` half squared differences summing to ``sums[p]``, and weighs
+    ``counts[p]`` in its bin's mean lag."""
+    d = np.hypot(coords[i, 0] - coords[j, 0], coords[i, 1] - coords[j, 1])
+    idx = np.minimum((d / (d.max() / DEFAULT_BINS or 1.0)).astype(np.int64), DEFAULT_BINS - 1)
+    masks = idx == np.arange(DEFAULT_BINS)[:, None]
+    masks = masks[masks.any(axis=1)]
+    n = np.array([counts[m].sum() for m in masks])
+    return (np.array([(counts * d)[m].sum() for m in masks]) / n,
+            np.array([sums[m].sum() for m in masks]) / n, n)
+
+
 def empirical_semivariogram(coords, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Binned Matheron estimator: gamma(h) = mean of half squared differences.
 
@@ -70,17 +87,7 @@ def empirical_semivariogram(coords, values) -> tuple[np.ndarray, np.ndarray, np.
     if values.size < 2:
         raise DataError("semivariogram needs at least two samples")
     i, j = np.triu_indices(values.size, k=1)
-    d = np.hypot(coords[i, 0] - coords[j, 0], coords[i, 1] - coords[j, 1])
-    gamma = 0.5 * (values[i] - values[j]) ** 2
-    d_max = float(d.max())
-    if d_max == 0.0:
-        return np.zeros(1), np.array([gamma.mean()]), np.array([gamma.size])
-    width = d_max / DEFAULT_BINS
-    idx = np.minimum((d / width).astype(np.int64), DEFAULT_BINS - 1)
-    masks = idx == np.arange(DEFAULT_BINS)[:, None]
-    masks = masks[masks.any(axis=1)]
-    return (np.array([d[m].mean() for m in masks]), np.array([gamma[m].mean() for m in masks]),
-            masks.sum(axis=1))
+    return _bins(coords, i, j, np.ones(i.size, dtype=np.int64), 0.5 * (values[i] - values[j]) ** 2)
 
 
 @dataclass(frozen=True)
@@ -182,15 +189,12 @@ def _solve_kriging(
     n = coords.shape[0]
     dx = coords[:, 0][:, None] - coords[:, 0][None, :]
     dy = coords[:, 1][:, None] - coords[:, 1][None, :]
-    a = np.empty((n + 1, n + 1), dtype=np.float64)
+    a = np.ones((n + 1, n + 1), dtype=np.float64)
     a[:n, :n] = model(np.hypot(dx, dy))
     a[np.arange(n), np.arange(n)] += KRIGING_JITTER
-    a[n, :n] = 1.0
-    a[:n, n] = 1.0
     a[n, n] = 0.0
-    b = np.empty(n + 1, dtype=np.float64)
+    b = np.ones(n + 1, dtype=np.float64)
     b[:n] = model(np.hypot(coords[:, 0] - query.lon, coords[:, 1] - query.lat))
-    b[n] = 1.0
     try:
         sol = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
@@ -224,26 +228,44 @@ def ordinary_kriging(coords, values, query: GeoPoint, model: VariogramModel) -> 
 def kriging_weights(coords, query: GeoPoint, model: VariogramModel) -> np.ndarray:
     """The weight vector of :func:`ordinary_kriging` for ``(k, 2)`` sample ``coords``.
 
-    Coincident samples are not merged. The weights depend on the locations
-    alone, so ``eval`` solves them once for every timestep that has the
-    same sources available, unless it refits the variogram per timestep.
+    Coincident samples are not merged. The weights depend on the locations alone,
+    so ``eval`` solves them once per set of sources available at a timestep.
     """
     coords = np.asarray(coords, dtype=np.float64)
     return _solve_kriging(coords, query, model)[0][: coords.shape[0]]
 
 
-def snapshot_variogram(coords, values) -> VariogramModel:
-    """Spherical variogram fitted to one snapshot of ``(k, 2)`` coords and ``(k,)`` values.
+def pooled_variogram(coords, blocks) -> VariogramModel | None:
+    """Spherical variogram fitted once to every co-observed pair-minute of ``blocks``.
 
-    Snapshots too small to support a fit fall back to a zero-nugget model
-    with the sample variance as sill and the largest pair distance as range.
+    ``blocks`` are ``(k, n)`` arrays in the row order of ``(k, 2)`` ``coords``, NaN where
+    missing; each column in which two rows both hold a value is one pair in the bins of
+    :func:`empirical_semivariogram`. Under 3 non-empty bins give a zero nugget, the mean
+    semivariance as sill and the largest co-observed pair distance as range; with no
+    co-observed pair there is no model (None).
     """
-    bins = empirical_semivariogram(coords, values)
-    try:
+    coords = np.asarray(coords, dtype=np.float64)
+    sums, counts = np.zeros((len(coords),) * 2), np.zeros((len(coords),) * 2)
+    # Per pair, sum (v_i^2 + v_j^2) / 2 - v_i v_j where both are seen: products of 0/1 masks m
+    # and column-centred values v, 0 where missing, on one BLAS thread whatever the CPU count.
+    with _one_blas_thread():
+        for block in blocks:
+            bad = block[np.isinf(block)]
+            if bad.size:
+                raise DataError(f"sample value must be finite: {float(bad[0])!r}")
+            seen = ~np.isnan(block)
+            m = seen.astype(np.float64)
+            v = np.where(seen, block, 0.0)
+            v = np.where(seen, v - v.sum(axis=0) / np.maximum(m.sum(axis=0), 1.0), 0.0)
+            q = (v * v) @ m.T
+            sums += 0.5 * (q + q.T) - v @ v.T
+            counts += m @ m.T
+    i, j = np.nonzero(np.triu(counts, k=1))
+    if i.size == 0:
+        return None
+    n, s = counts[i, j].astype(np.int64), np.maximum(sums[i, j], 0.0)  # rounding may dip below 0
+    bins = _bins(coords, i, j, n, s)
+    if bins[0].size >= 3:
         return fit_variogram(*bins)
-    except DataError:
-        pass
-    coords, values = _samples(coords, values)
-    i, j = np.triu_indices(values.size, k=1)
-    d_max = float(np.hypot(coords[i, 0] - coords[j, 0], coords[i, 1] - coords[j, 1]).max())
-    return VariogramModel(0.0, float(values.var()), d_max if d_max > 0 else 1.0)
+    d_max = float(np.hypot(*(coords[i] - coords[j]).T).max())
+    return VariogramModel(0.0, float(s.sum() / n.sum()), d_max or 1.0)

@@ -376,8 +376,7 @@ def _run_pipeline(base):
     assert main(["eval", "--data", str(data), "--bank", str(bank),
                  "--deterministic", "--out", str(report_path)]) == 0
     assert main(["raster", "--data", str(data), "--bank", str(bank),
-                 "--method", "wavg", "--timestamp", "60", "--deterministic",
-                 "--out", str(raster_path)]) == 0
+                 "--method", "wavg", "--timestamp", "60", "--out", str(raster_path)]) == 0
     return report_path.read_bytes(), raster_path.read_bytes()
 
 

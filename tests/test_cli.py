@@ -18,18 +18,21 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from frostcast import (
+    FoldAssignment,
     FrostcastError,
+    build_prediction_matrices,
     cli,
     ensemble,
     evaluate,
     features,
+    geostats,
     load_bank,
     load_dataset,
     save_bank,
     synth,
 )
 from frostcast.cli import UsageError, main, parse_counts, parse_methods
-from frostcast.core import index_series
+from frostcast.core import StationSeries, index_series
 from frostcast.ensemble import (
     FOLD_COEFFICIENT_PRESETS,
     SubmodelBank,
@@ -482,12 +485,11 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: malformed manifest: {key} must be")
         assert not (tmp_path / "r.json").exists()
 
-    def test_eval_ok_refit(self, pipeline, tmp_path):
+    def test_eval_ok_and_idw_rows(self, pipeline, tmp_path):
         out = tmp_path / "r.json"
         assert main([
             "eval", "--data", str(pipeline["data"]), "--bank", str(pipeline["bank"]),
-            "--methods", "ok,idw", "--ok-refit", "--counts", "2..4", "--deterministic",
-            "--out", str(out),
+            "--methods", "ok,idw", "--counts", "2..4", "--deterministic", "--out", str(out),
         ]) == 0
         rows = json.loads(out.read_text())["results"]
         assert [(r["method"], r["station_count"]) for r in rows] == [
@@ -495,9 +497,9 @@ class TestExitCodes:
         ]
         assert all(r["n_predictions"] > 0 for r in rows)
 
-    def test_eval_ok_refit_rejects_inf_prediction(self, pipeline, tmp_path, capsys, monkeypatch):
-        # Every source's first prediction is inf, so the first snapshot the
-        # refit path kriges holds a non-finite value.
+    def test_eval_ok_rejects_inf_prediction(self, pipeline, tmp_path, capsys, monkeypatch):
+        # Every source's first prediction is inf, so the minutes the variogram
+        # pools hold a non-finite value.
         predict = SubmodelBank.predict_batch
 
         def first_inf(self, *args):
@@ -510,8 +512,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert main([
             "eval", "--data", str(pipeline["data"]), "--bank", str(pipeline["bank"]),
-            "--methods", "ok", "--ok-refit", "--counts", "2", "--deterministic",
-            "--out", str(out),
+            "--methods", "ok", "--counts", "2", "--deterministic", "--out", str(out),
         ]) == 3
         assert capsys.readouterr().err == "error: sample value must be finite: inf\n"
         assert not out.exists()
@@ -596,6 +597,35 @@ class TestReadmeEval:
             (m, k) for m in ("average", "weighted_average", "weighted_vote", "idw", "ok")
             for k in (*range(1, 11), 15)
         }
+
+    def test_gapped_world_fits_one_variogram(self, readme_run, monkeypatch):
+        # One bank source keeps only the first half of its rows and another only
+        # the second half, so no minute has every source. Kriging still fits
+        # one variogram, pooled over the minutes, and scores every row.
+        workdir, commands, codes = readme_run
+        upto = [argv[0] for argv in commands].index("calibrate") + 1
+        assert codes[:upto] == [0] * upto, commands[:upto]
+        data, bank = load_dataset(workdir / "data.zip"), load_bank(workdir / "bank")
+        assert len(bank) == 16
+        first, second = bank.station_ids[:2]
+        stations = []
+        for series in data.stations:
+            half = len(series) // 2
+            keep = {first: slice(None, half), second: slice(half, None)}.get(series.id, slice(None))
+            stations.append(StationSeries(series.id, series.attributes, series.timestamps[keep],
+                                          series.raw[keep]))
+        held_out = frozenset(data.station_ids()) - frozenset(bank.models)
+        folds = FoldAssignment((held_out, frozenset(bank.models)))
+        matrices = build_prediction_matrices(stations, bank, sorted(held_out))
+        assert not any((~np.isnan(pm.values)).all(axis=0).any() for pm in matrices)
+        fits = []
+        fit = geostats.fit_variogram
+        monkeypatch.setattr(geostats, "fit_variogram", lambda *bins: fits.append(bins) or fit(*bins))
+        [row] = evaluate.run_station_ablation(stations, folds, 0, bank, [16], ("ok",),
+                                              matrices=matrices).results
+        assert len(fits) == 1
+        assert row.n_predictions == sum(pm.labels.size for pm in matrices)
+        assert math.isfinite(row.rmse)
 
     def test_readme_raster_and_compare_lines_exit_0(self, readme_run):
         workdir, commands, codes = readme_run

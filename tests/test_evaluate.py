@@ -42,13 +42,8 @@ from frostcast.evaluate import (
     train_baselines,
 )
 from frostcast.features import climate_matrix, station_frame
-from frostcast.geostats import (
-    VariogramModel,
-    empirical_semivariogram,
-    ordinary_kriging,
-    snapshot_variogram,
-)
-from test_geostats import reference_fit_variogram
+from frostcast.geostats import VariogramModel, ordinary_kriging
+from test_geostats import reference_fit_variogram, reference_pooled_bins
 
 
 class TestMakeFolds:
@@ -381,83 +376,30 @@ class TestAblation:
         for r in results:
             assert np.isfinite(r.rmse)
 
-    def test_ok_refit_matches_per_timestep_reference(
-        self, small_world, small_folds, small_bank, matrices
-    ):
-        # Each timestep kriged on its own, with a variogram fitted point by
-        # point. The first 30 timesteps per target, with a fifth of the cells
-        # missing, keep the reference search affordable.
-        rng = np.random.default_rng(4)
-        short = []
-        for pm in matrices:
-            values = pm.values[:, :30].copy()
-            values[rng.random(values.shape) < 0.2] = np.nan
-            short.append(replace(pm, timestamps=pm.timestamps[:30], labels=pm.labels[:30],
-                                 values=values))
-        counts = [2, 3, len(small_bank)]
-        results = run_station_ablation(
-            small_world.stations, small_folds, 0, small_bank, counts=counts,
-            methods=("ok",), ok_refit=True, matrices=short,
-        ).results
-        by_id = index_series(small_world.stations)
-        xy = {sid: (a.location.lon, a.location.lat) for sid, a in small_bank.station_attrs.items()}
-        fits = fallbacks = 0
-        for row, k in zip(results, counts):
-            draw = np.random.default_rng(np.random.SeedSequence((0, k)))
-            subset = [short[0].source_ids[i]
-                      for i in np.sort(draw.choice(len(small_bank), size=k, replace=False))]
-            preds, labels = [], []
-            for pm in short:
-                target = by_id[pm.target_id].attributes.location
-                for t in range(pm.labels.size):
-                    rows = [i for i, sid in enumerate(pm.source_ids)
-                            if sid in subset and not np.isnan(pm.values[i, t])]
-                    if len(rows) < 2:
-                        continue
-                    coords = [xy[pm.source_ids[i]] for i in rows]
-                    values = pm.values[rows, t]
-                    try:
-                        model = reference_fit_variogram(*empirical_semivariogram(coords, values))
-                        fits += 1
-                    except DataError:
-                        # Zero nugget, the sample variance as sill, the
-                        # largest pair distance as range.
-                        c = np.array(coords)
-                        i, j = np.triu_indices(len(rows), k=1)
-                        d_max = float(np.hypot(c[i, 0] - c[j, 0], c[i, 1] - c[j, 1]).max())
-                        model = VariogramModel(0.0, float(values.var()),
-                                               d_max if d_max > 0 else 1.0)
-                        fallbacks += 1
-                    preds.append(ordinary_kriging(coords, values, target, model)[0])
-                    labels.append(pm.labels[t])
-            conf = event_confusion(np.array(preds), labels)
-            assert (row.method, row.station_count) == ("ok", k)
-            assert (row.rmse, row.tpr, row.fdr, row.n_predictions) == (
-                rmse(preds, labels), conf.tpr, conf.fdr, len(preds))
-        assert fits > 0 and fallbacks > 0
-
-    def test_ok_refit_keeps_coincident_sources_apart(self):
-        # Two sources share a site. The refit path solves all four samples, as
-        # the frozen path does, where ordinary_kriging averages the pair first;
-        # the jitter on the diagonal gives the pair equal weights, so the
-        # estimates agree to the solve's precision.
+    def test_ok_keeps_coincident_sources_apart(self):
+        # Two sources share a site. _ok_series solves all four samples, where
+        # ordinary_kriging averages the pair first; the jitter on the diagonal
+        # gives the pair equal weights, so the estimates agree to the solve's
+        # precision.
         xy = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         vals = np.array([[3.0, 2.0, 7.0], [5.0, 2.5, 7.5], [4.0, 1.0, 6.0], [4.5, 3.0, 9.0]])
-        target = GeoPoint(0.4, 0.3)
-        pred, valid = _ok_series(vals, xy, target, None)
+        target, model = GeoPoint(0.4, 0.3), VariogramModel(0.0, 1.5, 1.2)
+        pred, valid = _ok_series(vals, xy, target, model)
         assert valid.all()
         for col, snapshot in enumerate(vals.T):
-            want = ordinary_kriging(xy, snapshot, target, snapshot_variogram(xy, snapshot))[0]
+            want = ordinary_kriging(xy, snapshot, target, model)[0]
             assert pred[col] == pytest.approx(want, abs=1e-6)
 
     def test_ok_frozen_matches_per_timestep_reference(
         self, small_world, small_folds, small_bank, matrices
     ):
-        # One variogram fitted on the first fully available snapshot, then
-        # each timestep kriged on its own with it. A fifth of the cells are
-        # missing, so the subsets fall into several availability groups. The
-        # ablation applies one weight vector per group as a matrix product,
-        # which may differ from a per-column dot in the last bit.
+        # One variogram for the whole call, frozen across counts and targets:
+        # bins from a per-pair loop over every target's minutes, the
+        # point-by-point fit, then each timestep kriged on its own with it. A
+        # fifth of the cells are missing, so the subsets fall into several
+        # availability groups. The ablation applies one weight vector per group
+        # as a matrix product, which may differ from a per-column dot in the
+        # last bit.
         rng = np.random.default_rng(5)
         short = []
         for pm in matrices:
@@ -473,9 +415,7 @@ class TestAblation:
         by_id = index_series(small_world.stations)
         xy = np.array([(a.location.lon, a.location.lat)
                        for a in map(small_bank.station_attrs.get, short[0].source_ids)])
-        snapshot = next(pm.values[:, t] for pm in short for t in range(pm.labels.size)
-                        if not np.isnan(pm.values[:, t]).any())
-        model = reference_fit_variogram(*empirical_semivariogram(xy, snapshot))
+        model = reference_fit_variogram(*reference_pooled_bins(xy, [pm.values for pm in short]))
         for row, k in zip(results, counts):
             draw = np.random.default_rng(np.random.SeedSequence((0, k)))
             subset = np.sort(draw.choice(len(small_bank), size=k, replace=False))

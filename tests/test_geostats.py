@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frostcast import AGGREGATORS, DataError, DomainError, GeoPoint
+from frostcast import AGGREGATORS, DataError, DomainError, GeoPoint, ensemble, geostats
 from frostcast.geostats import (
     DEFAULT_BINS,
     VariogramModel,
@@ -26,6 +26,7 @@ from frostcast.geostats import (
     idw_weights,
     kriging_weights,
     ordinary_kriging,
+    pooled_variogram,
 )
 
 THREE_XY = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
@@ -396,3 +397,140 @@ class TestVariogramFitReference:
             bins[0 if field == "lag" else 1][int(rng.integers(bins[0].size))] = special
             assert fit_outcome(fit_variogram, bins) == fit_outcome(
                 reference_fit_variogram, bins), case
+
+
+def reference_pair_sums(blocks, k):
+    """Per-pair sums of half squared differences and their counts, one minute at a time."""
+    sums, counts = np.zeros((k, k)), np.zeros((k, k), dtype=np.int64)
+    for block in blocks:
+        for t in range(block.shape[1]):
+            for i in range(k):
+                for j in range(i + 1, k):
+                    a, b = block[i, t], block[j, t]
+                    if not (np.isnan(a) or np.isnan(b)):
+                        sums[i, j] += 0.5 * (a - b) ** 2
+                        counts[i, j] += 1
+    return sums, counts
+
+
+def reference_pooled_bins(coords, blocks):
+    """Pooled ``(lags, semivariances, counts)``: every co-observed pair-minute is one pair.
+
+    Equal-width bins over (0, largest co-observed pair distance], the last
+    one closed; a bin's lag and semivariance are means over its pair-minutes.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    sums, counts = reference_pair_sums(blocks, len(coords))
+    pairs = list(zip(*np.nonzero(counts)))
+    d = {p: float(np.hypot(*(coords[p[0]] - coords[p[1]]))) for p in pairs}
+    width = max(d.values()) / DEFAULT_BINS
+    lag, gamma, n = np.zeros(DEFAULT_BINS), np.zeros(DEFAULT_BINS), np.zeros(DEFAULT_BINS, int)
+    for p in pairs:
+        b = min(int(d[p] / width), DEFAULT_BINS - 1) if width else 0
+        lag[b] += counts[p] * d[p]
+        gamma[b] += sums[p]
+        n[b] += counts[p]
+    full = n > 0
+    return lag[full] / n[full], gamma[full] / n[full], n[full]
+
+
+def gappy_blocks(rng, coords, n_cols, n_blocks, p_missing):
+    """``(k, n_cols)`` blocks of a field rising to the east plus noise, ``p_missing`` NaN.
+
+    Source 0 holds values only in the first half of every block and source 1
+    only in the second, so that pair is never co-observed; column 3 is empty.
+    """
+    blocks = []
+    for _ in range(n_blocks):
+        block = 5.0 + 2.0 * coords[:, :1] + rng.normal(0.0, 1.0, (len(coords), n_cols))
+        block[rng.random(block.shape) < p_missing] = np.nan
+        block[0, n_cols // 2:] = np.nan
+        block[1, :n_cols // 2] = np.nan
+        block[:, 3] = np.nan
+        blocks.append(block)
+    return blocks
+
+
+def pooled_with_pairs(monkeypatch, coords, blocks):
+    """``pooled_variogram``'s model and the ``(i, j, counts, sums)`` of the pairs it bins."""
+    binned, bins = [], geostats._bins
+
+    def spy(coords, i, j, counts, sums):
+        binned.append((i, j, counts, sums))
+        return bins(coords, i, j, counts, sums)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geostats, "_bins", spy)
+        model = pooled_variogram(coords, blocks)
+    [pairs] = binned
+    return model, pairs
+
+
+class TestPooledVariogram:
+    """`pooled_variogram` against a per-pair loop over the minutes."""
+
+    def test_pair_sums_match_per_pair_loop(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        coords = rng.uniform(0.0, 3.0, (9, 2))
+        blocks = gappy_blocks(rng, coords, 120, 3, 0.7)
+        _, (i, j, counts, sums) = pooled_with_pairs(monkeypatch, coords, blocks)
+        want_sums, want_counts = reference_pair_sums(blocks, 9)
+        want_i, want_j = np.nonzero(want_counts)
+        assert (i.tolist(), j.tolist()) == (want_i.tolist(), want_j.tolist())
+        assert (0, 1) not in zip(i.tolist(), j.tolist()) and i.size == 9 * 8 // 2 - 1
+        assert counts.tolist() == want_counts[i, j].tolist()
+        np.testing.assert_allclose(sums, want_sums[i, j], rtol=1e-12, atol=0.0)
+
+    def test_model_is_the_reference_fit_of_the_pooled_bins(self):
+        rng = np.random.default_rng(42)
+        coords = rng.uniform(0.0, 3.0, (9, 2))
+        blocks = gappy_blocks(rng, coords, 120, 3, 0.7)
+        bins = reference_pooled_bins(coords, blocks)
+        assert bins[0].size >= 3
+        got, want = pooled_variogram(coords, blocks), reference_fit_variogram(*bins)
+        assert (got.nugget, got.sill, got.range_) == pytest.approx(
+            (want.nugget, want.sill, want.range_), rel=1e-9, abs=1e-12)
+
+    def test_under_three_bins_falls_back(self):
+        # Pair distances 1, 1 and 2 fill two bins: a zero nugget, the pooled
+        # mean semivariance as sill and the largest pair distance as range.
+        rng = np.random.default_rng(43)
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        blocks = [rng.normal(0.0, 1.0, (3, 40)) for _ in range(2)]
+        blocks[0][rng.random((3, 40)) < 0.5] = np.nan
+        sums, counts = reference_pair_sums(blocks, 3)
+        assert len(reference_pooled_bins(coords, blocks)[0]) == 2
+        model = pooled_variogram(coords, blocks)
+        assert (model.nugget, model.range_) == (0.0, 2.0)
+        assert model.sill == pytest.approx(sums.sum() / counts.sum(), rel=1e-12)
+
+    def test_no_co_observed_pair_gives_no_model(self):
+        block = np.full((3, 10), np.nan)
+        block[0, :5], block[1, 5:] = 1.0, 2.0
+        assert pooled_variogram(THREE_XY, [block, np.full((3, 4), np.nan)]) is None
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_value_rejected(self, bad):
+        block = np.array([[1.0, 2.0], [3.0, bad], [np.nan, 5.0]])
+        with pytest.raises(DataError, match=f"sample value must be finite: {bad!r}"):
+            pooled_variogram(THREE_XY, [block])
+
+    def test_same_bits_at_one_and_two_blas_threads(self, monkeypatch):
+        # Threaded matrix products sum in an order set by the thread count; a
+        # trend-sized block (60 sources by 1,380 minutes) shows it.
+        controls = ensemble._blas_thread_controls()
+        if controls is None:
+            pytest.skip("numpy's OpenBLAS thread controls were not found")
+        get_threads, set_threads = controls
+        rng = np.random.default_rng(44)
+        coords = rng.uniform(0.0, 3.0, (60, 2))
+        blocks = gappy_blocks(rng, coords, 1380, 3, 0.1)
+        before, runs = get_threads(), []
+        try:
+            for threads in (2, 1):
+                set_threads(threads)
+                model, (_, _, counts, sums) = pooled_with_pairs(monkeypatch, coords, blocks)
+                runs.append((sums.tobytes(), counts.tobytes(), model))
+        finally:
+            set_threads(before)
+        assert runs[0] == runs[1]
