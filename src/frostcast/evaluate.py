@@ -327,15 +327,17 @@ def _availability_groups(avail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ok_series(
-    vals: np.ndarray, coords: np.ndarray, target: GeoPoint, model: VariogramModel
+    vals: np.ndarray, coords: np.ndarray, target: GeoPoint, model: VariogramModel | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kriging aggregate per column of a ``(k, n)`` block with one variogram ``model``;
-    each group of columns holding the same two or more sources solves its weights once."""
-    avail = ~np.isnan(vals)
+    each group of columns holding the same two or more sources solves its weights once.
+    No model (no two sources ever share a minute) gives no valid column."""
     n_t = vals.shape[1]
     pred = np.full(n_t, np.nan)
     valid = np.zeros(n_t, dtype=bool)
-    patterns, inverse = _availability_groups(avail)
+    if model is None:
+        return pred, valid
+    patterns, inverse = _availability_groups(~np.isnan(vals))
     for p_idx, pattern in enumerate(patterns):
         cols = np.nonzero(inverse == p_idx)[0]
         rows = np.nonzero(pattern)[0]
@@ -443,9 +445,7 @@ def run_station_ablation(
             for pm, target_weights in zip(matrices, weight_vec):
                 target = by_id[pm.target_id].attributes.location
                 vals = pm.values[subset]
-                if method == "ok" and ok_model is None:  # no two sources share a minute
-                    pred, valid = vals[0], np.zeros(vals.shape[1], dtype=bool)
-                elif method == "ok":
+                if method == "ok":
                     pred, valid = _ok_series(vals, src_xy[subset], target, ok_model)
                 else:
                     weights = (idw_weights(src_xy[subset], target) if method == "idw"

@@ -2,7 +2,10 @@
 
 Every routine takes sample locations as a ``(k, 2)`` array of (lon, lat)
 rows and, where it needs them, sample values as a ``(k,)`` array; the
-query is a ``GeoPoint``. Distances are plain Euclidean in degree space; at
+query is a ``GeoPoint``. Both interpolators return weights, which ``eval``
+applies to whole blocks of values: :func:`idw_weights`, and
+:func:`kriging_weights`, the one kriging solve, which merges samples that
+share a site. Distances are plain Euclidean in degree space; at
 the regional scale used here the anisotropy that introduces is small
 against station spacing, and it keeps every routine translation-equivariant.
 IDW measures with ``core.geo_distances``, the stations' one distance routine;
@@ -31,18 +34,6 @@ EXACT_DISTANCE = 1e-9
 KRIGING_JITTER = 1e-10
 
 DEFAULT_BINS = 15
-
-
-def _samples(coords, values) -> tuple[np.ndarray, np.ndarray]:
-    """``(k, 2)`` coordinates and ``(k,)`` finite values as float64 arrays."""
-    coords = np.asarray(coords, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or coords.shape != (values.size, 2):
-        raise DataError(f"need (k, 2) coords and (k,) values, got {coords.shape} / {values.shape}")
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise DataError(f"sample value must be finite: {float(values[bad][0])!r}")
-    return coords, values
 
 
 def idw_weights(coords, query: GeoPoint) -> np.ndarray:
@@ -83,7 +74,13 @@ def empirical_semivariogram(coords, values) -> tuple[np.ndarray, np.ndarray, np.
     (0, max pair distance]. Returns ``(lags, semivariances, counts)`` over
     the non-empty bins, where a bin's lag is the mean pair distance in it.
     """
-    coords, values = _samples(coords, values)
+    coords = np.asarray(coords, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or coords.shape != (values.size, 2):
+        raise DataError(f"need (k, 2) coords and (k,) values, got {coords.shape} / {values.shape}")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise DataError(f"sample value must be finite: {float(values[bad][0])!r}")
     if values.size < 2:
         raise DataError("semivariogram needs at least two samples")
     i, j = np.triu_indices(values.size, k=1)
@@ -167,72 +164,39 @@ def fit_variogram(lags, semivariances, counts) -> VariogramModel:
     return VariogramModel(nugget, nugget + psill, rng)
 
 
-def _dedup(coords: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Average values at exactly coincident locations, in first-seen order."""
-    unique, first, inverse = np.unique(coords, axis=0, return_index=True, return_inverse=True)
-    if unique.shape[0] == coords.shape[0]:
-        return coords, values
-    inverse = inverse.ravel()
-    groups = np.argsort(first)
-    return unique[groups], np.array([values[inverse == g].mean() for g in groups])
+def kriging_weights(coords, query: GeoPoint, model: VariogramModel) -> np.ndarray:
+    """Ordinary-kriging weights at ``query`` of ``(k, 2)`` sample ``coords``, summing to 1.
 
-
-def _solve_kriging(
-    coords: np.ndarray, query: GeoPoint, model: VariogramModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the ordinary-kriging system for (n, 2) sample ``coords``.
-
-    Returns the solution (n weights, then the Lagrange multiplier) and the
-    right-hand side (the model at each sample's distance to ``query``, then 1).
-    A singular system or a non-finite solution raises NumericalError.
+    The package's one kriging solve: the bordered (sites + 1) system, a Lagrange
+    multiplier enforcing the unit sum, over the distinct sites in first-seen order.
+    Samples sharing a site split its weight equally, so their mean is kriged. The
+    weights depend on the locations alone, so ``eval`` solves them once per set of
+    sources available at a timestep. A singular system or a non-finite solution
+    raises NumericalError.
     """
-    n = coords.shape[0]
-    dx = coords[:, 0][:, None] - coords[:, 0][None, :]
-    dy = coords[:, 1][:, None] - coords[:, 1][None, :]
+    coords = np.asarray(coords, dtype=np.float64)
+    # Sites in first-seen order, so without coincident samples the system keeps its bits;
+    # sample i sits at site[inverse[i]] and shares it with counts[inverse[i]] samples.
+    _, first, inverse, counts = np.unique(
+        coords, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    site = np.argsort(order)
+    xy = coords[first[order]]
+    n = xy.shape[0]
     a = np.ones((n + 1, n + 1), dtype=np.float64)
-    a[:n, :n] = model(np.hypot(dx, dy))
+    a[:n, :n] = model(np.hypot(xy[:, 0][:, None] - xy[:, 0], xy[:, 1][:, None] - xy[:, 1]))
     a[np.arange(n), np.arange(n)] += KRIGING_JITTER
     a[n, n] = 0.0
     b = np.ones(n + 1, dtype=np.float64)
-    b[:n] = model(np.hypot(coords[:, 0] - query.lon, coords[:, 1] - query.lat))
+    b[:n] = model(np.hypot(xy[:, 0] - query.lon, xy[:, 1] - query.lat))
     try:
         sol = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular kriging system: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise NumericalError("kriging solve produced non-finite weights")
-    return sol, b
-
-
-def ordinary_kriging(coords, values, query: GeoPoint, model: VariogramModel) -> tuple[float, float]:
-    """Ordinary-kriging estimate and variance at ``query``.
-
-    Solves the standard (n+1) x (n+1) system with a Lagrange multiplier
-    enforcing unit weight sum. Duplicate sample locations are averaged
-    first; a singular system raises NumericalError.
-    """
-    coords, values = _samples(coords, values)
-    if values.size < 2:
-        raise DataError("ordinary kriging needs at least two samples")
-    coords, values = _dedup(coords, values)
-    n = coords.shape[0]
-    if n < 2:
-        raise DataError("ordinary kriging needs two distinct sample locations")
-    sol, b = _solve_kriging(coords, query, model)
-    w, mu = sol[:n], sol[n]
-    estimate = float(w @ values)
-    variance = float(w @ b[:n] + mu)
-    return estimate, max(variance, 0.0)
-
-
-def kriging_weights(coords, query: GeoPoint, model: VariogramModel) -> np.ndarray:
-    """The weight vector of :func:`ordinary_kriging` for ``(k, 2)`` sample ``coords``.
-
-    Coincident samples are not merged. The weights depend on the locations alone,
-    so ``eval`` solves them once per set of sources available at a timestep.
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    return _solve_kriging(coords, query, model)[0][: coords.shape[0]]
+    inverse = inverse.ravel()
+    return sol[site[inverse]] / counts[inverse]
 
 
 def pooled_variogram(coords, blocks) -> VariogramModel | None:

@@ -42,8 +42,8 @@ from frostcast.evaluate import (
     train_baselines,
 )
 from frostcast.features import climate_matrix, station_frame
-from frostcast.geostats import VariogramModel, ordinary_kriging
-from test_geostats import reference_fit_variogram, reference_pooled_bins
+from frostcast.geostats import VariogramModel
+from test_geostats import reference_fit_variogram, reference_ordinary_kriging, reference_pooled_bins
 
 
 class TestMakeFolds:
@@ -376,18 +376,17 @@ class TestAblation:
         for r in results:
             assert np.isfinite(r.rmse)
 
-    def test_ok_keeps_coincident_sources_apart(self):
-        # Two sources share a site. _ok_series solves all four samples, where
-        # ordinary_kriging averages the pair first; the jitter on the diagonal
-        # gives the pair equal weights, so the estimates agree to the solve's
-        # precision.
+    @pytest.mark.parametrize("nugget", [0.0, 0.2])
+    def test_ok_merges_coincident_sources(self, nugget):
+        # Two sources share a site. _ok_series splits the site's weight between
+        # them, as the reference kriges their mean, nugget or not.
         xy = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         vals = np.array([[3.0, 2.0, 7.0], [5.0, 2.5, 7.5], [4.0, 1.0, 6.0], [4.5, 3.0, 9.0]])
-        target, model = GeoPoint(0.4, 0.3), VariogramModel(0.0, 1.5, 1.2)
+        target, model = GeoPoint(0.4, 0.3), VariogramModel(nugget, 1.5, 1.2)
         pred, valid = _ok_series(vals, xy, target, model)
         assert valid.all()
         for col, snapshot in enumerate(vals.T):
-            want = ordinary_kriging(xy, snapshot, target, model)[0]
+            want = reference_ordinary_kriging(xy, snapshot, target, model)[0]
             assert pred[col] == pytest.approx(want, abs=1e-6)
 
     def test_ok_frozen_matches_per_timestep_reference(
@@ -426,7 +425,8 @@ class TestAblation:
                     rows = [i for i in subset if not np.isnan(pm.values[i, t])]
                     if len(rows) < 2:
                         continue
-                    preds.append(ordinary_kriging(xy[rows], pm.values[rows, t], target, model)[0])
+                    preds.append(reference_ordinary_kriging(
+                        xy[rows], pm.values[rows, t], target, model)[0])
                     labels.append(pm.labels[t])
             conf = event_confusion(np.array(preds), labels)
             assert (row.method, row.station_count) == ("ok", k)

@@ -16,16 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frostcast import AGGREGATORS, DataError, DomainError, GeoPoint, ensemble, geostats
+from frostcast import (
+    AGGREGATORS,
+    DataError,
+    DomainError,
+    GeoPoint,
+    NumericalError,
+    ensemble,
+    geostats,
+)
 from frostcast.geostats import (
     DEFAULT_BINS,
     VariogramModel,
-    _dedup,
     empirical_semivariogram,
     fit_variogram,
     idw_weights,
     kriging_weights,
-    ordinary_kriging,
     pooled_variogram,
 )
 
@@ -155,11 +161,49 @@ class TestEmpiricalSemivariogram:
             empirical_semivariogram(THREE_XY, [2.0, 4.0, 8.0, 1.0])
 
 
+def reference_ordinary_kriging(coords, values, query, model):
+    """Ordinary-kriging estimate and variance at ``query``, solved on its own.
+
+    Samples sharing a site are averaged first, in first-seen order. The
+    bordered system (the model between sites, a row and column of ones for
+    the unit-sum multiplier) goes to ``np.linalg.solve`` with no jitter.
+    """
+    sites = {}
+    for site, value in zip(map(tuple, np.asarray(coords, dtype=np.float64).tolist()),
+                           np.asarray(values, dtype=np.float64).tolist()):
+        sites.setdefault(site, []).append(value)
+    xy = np.array(list(sites))
+    z = np.array([np.mean(v) for v in sites.values()])
+    n = len(xy)
+    a = np.ones((n + 1, n + 1))
+    a[:n, :n] = model(np.hypot(xy[:, 0, None] - xy[None, :, 0], xy[:, 1, None] - xy[None, :, 1]))
+    a[n, n] = 0.0
+    b = np.append(model(np.hypot(xy[:, 0] - query.lon, xy[:, 1] - query.lat)), 1.0)
+    sol = np.linalg.solve(a, b)
+    return float(sol[:n] @ z), float(sol @ b)
+
+
+def estimation_variance(coords, query, model, w):
+    """Variance of the error of the unit-sum weights ``w``: 2 w.g0 - w'Gw."""
+    coords = np.asarray(coords, dtype=np.float64)
+    g0 = model(np.hypot(coords[:, 0] - query.lon, coords[:, 1] - query.lat))
+    g = model(np.hypot(coords[:, 0, None] - coords[None, :, 0],
+                       coords[:, 1, None] - coords[None, :, 1]))
+    return float(2.0 * w @ g0 - w @ g @ w)
+
+
 class TestOrdinaryKriging:
+    """`kriging_weights`, the one kriging solve, against hand values and the reference."""
+
     def test_hand_solved_system(self):
-        est, var = ordinary_kriging(THREE_XY, THREE_VALUES, GeoPoint(0.5, 0.0), UNIT_SPHERICAL)
+        q = GeoPoint(0.5, 0.0)
+        est, var = reference_ordinary_kriging(THREE_XY, THREE_VALUES, q, UNIT_SPHERICAL)
         assert est == pytest.approx(23.0 / 6.0, abs=1e-9)
         assert var == pytest.approx(407.0 / 384.0, abs=1e-9)
+        w = kriging_weights(THREE_XY, q, UNIT_SPHERICAL)
+        assert float(w @ THREE_VALUES) == pytest.approx(23.0 / 6.0, abs=1e-9)
+        assert estimation_variance(THREE_XY, q, UNIT_SPHERICAL, w) == pytest.approx(
+            407.0 / 384.0, abs=1e-9)
 
     def test_hand_solved_weights(self):
         w = kriging_weights(THREE_XY, GeoPoint(0.5, 0.0), UNIT_SPHERICAL)
@@ -167,10 +211,10 @@ class TestOrdinaryKriging:
 
     def test_exact_at_samples_nugget_free(self):
         model = VariogramModel(0.0, 2.0, 1.5)
-        for (lon, lat), value in zip(THREE_XY, THREE_VALUES):
-            est, var = ordinary_kriging(THREE_XY, THREE_VALUES, GeoPoint(lon, lat), model)
-            assert est == pytest.approx(value, abs=1e-6)
-            assert var == pytest.approx(0.0, abs=1e-6)
+        for s, (lon, lat) in enumerate(THREE_XY):
+            w = kriging_weights(THREE_XY, GeoPoint(lon, lat), model)
+            np.testing.assert_allclose(w, np.eye(3)[s], atol=1e-6)
+            assert float(w @ THREE_VALUES) == pytest.approx(THREE_VALUES[s], abs=1e-6)
 
     @given(st.floats(-1.0, 3.0), st.floats(-1.0, 3.0))
     @settings(max_examples=50, deadline=None)
@@ -180,15 +224,8 @@ class TestOrdinaryKriging:
 
     def test_duplicate_locations_averaged(self):
         xy = np.vstack([THREE_XY, [[0.0, 0.0]]])  # duplicates (0,0): mean 3
-        est, _ = ordinary_kriging(xy, np.append(THREE_VALUES, 4.0), GeoPoint(0.0, 0.0),
-                                  UNIT_SPHERICAL)
-        assert est == pytest.approx(3.0, abs=1e-6)
-
-    def test_dedup_keeps_first_seen_order(self):
-        xy = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
-        coords, values = _dedup(xy, np.array([1.0, 2.0, 5.0, 4.0, 7.0]))
-        np.testing.assert_array_equal(coords, [[1.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
-        np.testing.assert_array_equal(values, [3.0, 3.0, 7.0])
+        w = kriging_weights(xy, GeoPoint(0.0, 0.0), UNIT_SPHERICAL)
+        assert float(w @ np.append(THREE_VALUES, 4.0)) == pytest.approx(3.0, abs=1e-6)
 
     def test_variance_non_negative(self):
         rng = np.random.default_rng(8)
@@ -196,17 +233,51 @@ class TestOrdinaryKriging:
         model = VariogramModel(0.1, 1.0, 1.0)
         for _ in range(20):
             q = GeoPoint(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-            _, var = ordinary_kriging(pts[:, :2], pts[:, 2], q, model)
+            var = estimation_variance(pts[:, :2], q, model, kriging_weights(pts[:, :2], q, model))
             assert var >= 0.0
+            assert var == pytest.approx(
+                reference_ordinary_kriging(pts[:, :2], pts[:, 2], q, model)[1], abs=1e-9)
 
-    def test_too_few_samples(self):
-        with pytest.raises(DataError):
-            ordinary_kriging(THREE_XY[:1], THREE_VALUES[:1], GeoPoint(0, 0), UNIT_SPHERICAL)
+    @pytest.mark.parametrize("nugget", [0.0, 0.2])
+    def test_merged_weights_match_reference(self, nugget):
+        # Six samples, three of them at one site, in random order.
+        rng, model = np.random.default_rng(9), VariogramModel(nugget, 1.5, 1.2)
+        for case in range(100):
+            xy = rng.uniform(0.0, 2.0, (4, 2))[[0, 0, 0, 1, 2, 3]][rng.permutation(6)]
+            values, q = rng.normal(0.0, 2.0, 6), GeoPoint(*rng.uniform(0.0, 2.0, 2))
+            want = reference_ordinary_kriging(xy, values, q, model)[0]
+            assert float(kriging_weights(xy, q, model) @ values) == pytest.approx(
+                want, abs=1e-9), case
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_non_finite_values_rejected(self, bad):
-        with pytest.raises(DataError, match="sample value must be finite"):
-            ordinary_kriging(THREE_XY, [2.0, 4.0, bad], GeoPoint(0.5, 0.0), UNIT_SPHERICAL)
+    def test_dedup_keeps_first_seen_order(self):
+        # Sites (1,0), (0,0), (2,2) in first-seen order: the same system, bit for
+        # bit, as the three distinct rows alone, and the means 3, 3, 7 are kriged.
+        xy = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
+        q, model = GeoPoint(0.6, 0.9), VariogramModel(0.1, 1.0, 2.5)
+        sites = kriging_weights(xy[[0, 1, 4]], q, model)
+        w = kriging_weights(xy, q, model)
+        assert w.tobytes() == (sites[[0, 1, 0, 1, 2]] / [2, 2, 2, 2, 1]).tobytes()
+        np.testing.assert_allclose([w[[0, 2]].sum(), w[[1, 3]].sum()], sites[:2], rtol=1e-12)
+        assert float(w @ [1.0, 2.0, 5.0, 4.0, 7.0]) == pytest.approx(
+            float(sites @ [3.0, 3.0, 7.0]), abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_one_site_splits_evenly(self, k):
+        w = kriging_weights(np.tile([[146.2, -33.1]], (k, 1)), GeoPoint(146.0, -33.0),
+                            VariogramModel(0.1, 1.0, 0.5))
+        np.testing.assert_allclose(w, np.full(k, 1.0 / k), rtol=1e-12)
+
+    def test_singular_system_raises(self):
+        # Two sites past the range with the jitter as sill: two equal rows.
+        model = VariogramModel(0.0, geostats.KRIGING_JITTER, 1.0)
+        with pytest.raises(NumericalError, match="singular kriging system"):
+            kriging_weights([[0.0, 0.0], [5.0, 0.0]], GeoPoint(1.0, 1.0), model)
+
+    def test_non_finite_solution_raises(self):
+        # Semivariances near the largest double overflow in the elimination.
+        xy = np.array([[0.0, 0.0], [0.0, 2.0], [3.0, 3.0], [2.0, 3.0]])
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-finite weights"):
+            kriging_weights(xy, GeoPoint(3.0, 0.0), VariogramModel(0.0, 1e308, 4.0))
 
 
 def simulate_spherical_field(n, nugget, sill, range_, seed, extent=10.0):
