@@ -26,9 +26,10 @@ Training and inference use one process per available CPU through
 :func:`map_in_workers`, the package's one pool: forked workers build each
 submodel's corpus and train its network, and
 ``evaluate.build_prediction_matrices`` and :func:`calibrate_coefficients` run
-every submodel at one target per task (:func:`_predictions_at_targets`). The
-parent process holds OpenBLAS at one thread while the pool runs, so each
-worker inherits a one-thread library. Results are identical whatever the
+one source's submodel at every target per task (:func:`_predictions_at_targets`),
+each task writing its rows into target blocks that share one anonymous memory
+map. The parent process holds OpenBLAS at one thread while the pool runs, so
+each worker inherits a one-thread library. Results are identical whatever the
 number of CPUs.
 """
 
@@ -40,6 +41,7 @@ import functools
 import glob
 import json
 import math
+import mmap
 import multiprocessing
 import os
 import re
@@ -59,6 +61,7 @@ from .features import (
     ScalerStats,
     StationFrame,
     apply_scaler,
+    climate_matrix,
     feature_rows,
     fit_scaler_arrays,
     invert_label,
@@ -262,7 +265,8 @@ def _masked_weighted_mean(
     total = w.sum(axis=0)
     valid = total > 0
     safe_total = np.where(valid, total, 1.0)
-    mean = (w * np.where(available, values, 0.0)).sum(axis=0) / safe_total
+    # A masked cell keeps its zero weight, so w becomes the weighted values in place.
+    mean = np.multiply(w, values, out=w, where=available).sum(axis=0) / safe_total
     return mean, valid
 
 
@@ -381,31 +385,44 @@ def map_in_workers(task: Callable[[int], object], n: int) -> Iterator:
             pool.shutdown(cancel_futures=True)
 
 
-def _prediction_block(bank: SubmodelBank, sources: list[StationFrame],
-                      targets: list[StationFrame], idx: int) -> np.ndarray:
-    """Each source's predictions at ``targets[idx]``; NaN where unobserved or where source is target."""
-    target = targets[idx]
-    values = np.full((len(sources), target.labels.size), np.nan)
-    for i, source in enumerate(sources):
+def _predict_from_source(bank: SubmodelBank, sources: list[StationSeries],
+                         targets: list[StationFrame], blocks: list[np.ndarray], idx: int) -> None:
+    """Write ``sources[idx]``'s predictions into row ``idx`` of each target's block.
+
+    The row is NaN where the source is unobserved at a label minute, and
+    throughout where the source is the target.
+    """
+    source = sources[idx]
+    timestamps, climate = climate_matrix(source)
+    for target, block in zip(targets, blocks):
+        row = block[idx]
+        row.fill(np.nan)
         if source.id == target.id:
             continue
-        _, src_idx, lab_idx = join_timestamps(source.timestamps, target.label_timestamps)
+        _, src_idx, lab_idx = join_timestamps(timestamps, target.label_timestamps)
         if lab_idx.size:
-            values[i, lab_idx] = bank.predict_batch(source.id, source.climate[src_idx],
-                                                    target.attributes)
-    return values
+            row[lab_idx] = bank.predict_batch(source.id, climate[src_idx], target.attributes)
 
 
-def _predictions_at_targets(bank: SubmodelBank, frames: Mapping[StationId, StationFrame],
+def _predictions_at_targets(bank: SubmodelBank, series: Mapping[StationId, StationSeries],
                             targets: list[StationFrame]) -> tuple[list[StationId], list]:
-    """(source ids, one :func:`_prediction_block` per target frame).
+    """(source ids, one (sources, labels) block of predictions per target frame).
 
-    The sources are the bank's stations with a frame in ``frames``, in bank
-    order. Each target is one ``map_in_workers`` task.
+    The sources are the bank's stations with a series in ``series``, in bank
+    order, and each is one ``map_in_workers`` task: it derives its own
+    climate block and writes its row of every block. The blocks are views of
+    one shared anonymous memory map made before the workers fork, so the
+    tasks return nothing and no source's climate stays in this process.
     """
-    sources = [frames[sid] for sid in bank.station_ids if sid in frames]
-    task = functools.partial(_prediction_block, bank, sources, targets)
-    return [s.id for s in sources], list(map_in_workers(task, len(targets)))
+    sources = [series[sid] for sid in bank.station_ids if sid in series]
+    k, sizes = len(sources), [t.labels.size for t in targets]
+    flat = np.frombuffer(mmap.mmap(-1, 8 * max(1, k * sum(sizes))), np.float64)
+    starts = k * np.cumsum([0, *sizes])
+    blocks = [flat[start:start + k * n].reshape(k, n) for start, n in zip(starts, sizes)]
+    task = functools.partial(_predict_from_source, bank, sources, targets, blocks)
+    for _ in map_in_workers(task, len(sources)):
+        pass
+    return [s.id for s in sources], blocks
 
 
 def _train_submodel(frames: Mapping[StationId, StationFrame], train_ids, test_ids, cfg: TrainConfig,
@@ -508,11 +525,10 @@ def calibrate_coefficients(
     by_id = index_series(stations)
     if not any(sid in by_id for sid in bank.station_ids):
         raise DataError("none of the bank's source stations have series to calibrate on")
-    # Every station is a source and a target; one thinned frame serves both roles.
-    frames = {sid: station_frame(series, bank.horizon).thinned(stride)
-              for sid, series in by_id.items()}
-    targets = list(frames.values())
-    source_ids, blocks = _predictions_at_targets(bank, frames, targets)
+    # Every station is a target, and each bank station with a series a source.
+    targets = [station_frame(series, bank.horizon, source=False).thinned(stride)
+               for series in by_id.values()]
+    source_ids, blocks = _predictions_at_targets(bank, by_id, targets)
     sources = bank.attribute_rows(source_ids)
     dist_rows: list[np.ndarray] = []
     err_blocks: list[np.ndarray] = []

@@ -30,7 +30,7 @@ from .ensemble import (
     map_in_workers,
 )
 from .errors import DataError, DomainError
-from .features import DEFAULT_HORIZON, ScalerStats, StationFrame, station_frames
+from .features import DEFAULT_HORIZON, ScalerStats, StationFrame, require_series, station_frames
 from .geostats import VariogramModel, idw_weights, kriging_weights, pooled_variogram
 from .neuralnet import Network, ONSITE_SPEC, TrainConfig
 
@@ -297,19 +297,25 @@ def build_prediction_matrices(
     """Run every submodel against every target once; methods share the result.
 
     Labels use the bank's own horizon. Only the sources' climate blocks and
-    the targets' labels are derived. Each target's block of predictions is
-    one ``map_in_workers`` task (``ensemble._predictions_at_targets``, which
-    ``calibrate_coefficients`` shares).
+    the targets' labels are derived. Each source is one ``map_in_workers``
+    task that derives its climate block and writes its row of every
+    target's block in place, in memory shared with the workers
+    (``ensemble._predictions_at_targets``, which ``calibrate_coefficients``
+    shares). A station without a series is a DataError before any of this.
     """
     target_ids = sorted(target_ids)
-    frames = station_frames(index_series(data), bank.horizon, bank.station_ids, target_ids)
-    return _prediction_matrices(frames, bank, target_ids)
+    by_id = index_series(data)
+    require_series(by_id, [*bank.station_ids, *target_ids])
+    frames = station_frames(by_id, bank.horizon, (), target_ids)
+    return _prediction_matrices(by_id, frames, bank, target_ids)
 
 
-def _prediction_matrices(frames: Mapping[StationId, StationFrame], bank: SubmodelBank,
+def _prediction_matrices(by_id: Mapping[StationId, StationSeries],
+                         frames: Mapping[StationId, StationFrame], bank: SubmodelBank,
                          target_ids: Sequence[StationId]) -> list[PredictionMatrix]:
+    """The bank's predictions from the sources' series at the targets' label frames."""
     targets = [frames[tid] for tid in target_ids]
-    source_ids, blocks = _predictions_at_targets(bank, frames, targets)
+    source_ids, blocks = _predictions_at_targets(bank, by_id, targets)
     return [PredictionMatrix(t.id, list(source_ids), t.label_timestamps, t.labels, values)
             for t, values in zip(targets, blocks)]
 
@@ -412,16 +418,16 @@ def run_station_ablation(
         raise DataError(f"held-out stations {leaked} are training stations of the bank")
     by_id = index_series(data)
     # Each station is derived once, for the matrices and the baselines alike: the
-    # bank's sources, the held-out targets, and a baseline's station as both. The
+    # held-out targets' labels, and a baseline's station as source and target. The
+    # matrices' sources derive their own climate in the prediction tasks. The
     # frames go before the ablation, whose peak memory they would otherwise raise.
     sources = list(bank.station_ids) if matrices is None else []
-    targets = list(target_ids) if matrices is None else []
-    if "baseline" in methods:
-        sources += list(bank.baselines)
-        targets += list(bank.baselines)
-    frames = station_frames(by_id, bank.horizon, sources, targets)
+    baselines = list(bank.baselines) if "baseline" in methods else []
+    targets = (list(target_ids) if matrices is None else []) + baselines
+    require_series(by_id, sources + targets)
+    frames = station_frames(by_id, bank.horizon, baselines, targets)
     if matrices is None:
-        matrices = _prediction_matrices(frames, bank, target_ids)
+        matrices = _prediction_matrices(by_id, frames, bank, target_ids)
     scored = evaluate_baselines(bank, frames) if "baseline" in methods else None
     del frames
 

@@ -136,11 +136,16 @@ def station_frames(
     """
     sources, targets = dict.fromkeys(sources), dict.fromkeys(targets)
     ids = {**sources, **targets}
+    require_series(by_id, ids)
+    return {sid: station_frame(by_id[sid], horizon, source=sid in sources, target=sid in targets)
+            for sid in ids}
+
+
+def require_series(by_id: Mapping[StationId, StationSeries], ids: Iterable[StationId]) -> None:
+    """Raise one DataError listing every station of ``ids`` that has no series."""
     missing = sorted(set(ids) - set(by_id))
     if missing:
         raise DataError(f"no series for stations: {missing}")
-    return {sid: station_frame(by_id[sid], horizon, source=sid in sources, target=sid in targets)
-            for sid in ids}
 
 
 def pair_feature_arrays(

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from frostcast import (
     AGGREGATORS,
@@ -49,6 +50,8 @@ from frostcast.ensemble import (
     SubmodelBank,
     WeightCoefficients,
     _child_seed,
+    _masked_weighted_mean,
+    _predictions_at_targets,
     attribute_distances,
     calibrate_coefficients,
     fit_normalization,
@@ -62,6 +65,7 @@ from frostcast.features import (
     label_arrays,
     pair_feature_arrays,
     scale_label,
+    station_frame,
 )
 from frostcast.neuralnet import ONSITE_SPEC, TrainConfig, init_network, train
 
@@ -316,6 +320,53 @@ class TestAggregation:
             _, valid = AGGREGATORS[method](np.empty((0, 3)), np.empty((0, 3), dtype=bool),
                                            np.empty(0), 0.0)
             assert not valid.any()
+
+
+def reference_masked_weighted_mean(values, available, weights):
+    """``_masked_weighted_mean`` with its three (k, n) temporaries, as first written."""
+    weights = np.asarray(weights, dtype=np.float64)
+    w = (weights[:, None] if weights.ndim == 1 else weights) * available
+    total = w.sum(axis=0)
+    valid = total > 0
+    safe_total = np.where(valid, total, 1.0)
+    mean = (w * np.where(available, values, 0.0)).sum(axis=0) / safe_total
+    return mean, valid
+
+
+@st.composite
+def masked_blocks(draw):
+    """(values, available, weights): NaN cells, an all-masked column, zero weights."""
+    k, n = draw(st.integers(0, 6)), draw(st.integers(1, 8))
+    values = draw(hnp.arrays(np.float64, (k, n),
+                             elements=st.floats(-40.0, 40.0) | st.just(np.nan)))
+    available = draw(hnp.arrays(np.bool_, (k, n)))
+    available[:, draw(st.integers(0, n - 1))] = False
+    if draw(st.booleans()):
+        available &= ~np.isnan(values)  # as the ablation masks its blocks
+    shape = draw(st.sampled_from([(k,), (k, n)]))
+    weights = draw(hnp.arrays(np.float64, shape,
+                              elements=st.just(0.0) | st.floats(1e-6, 1e6)))
+    return values, available, weights
+
+
+class TestMaskedWeightedMean:
+    @given(masked_blocks())
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    def test_matches_three_temporary_formula_bit_for_bit(self, block):
+        values, available, weights = block
+        mean, valid = _masked_weighted_mean(values, available, weights)
+        want_mean, want_valid = reference_masked_weighted_mean(values, available, weights)
+        assert mean.tobytes() == want_mean.tobytes()
+        assert valid.tobytes() == want_valid.tobytes()
+
+    def test_leaves_its_inputs_alone(self):
+        values = np.array([[1.0, np.nan], [3.0, 4.0]])
+        available = ~np.isnan(values)
+        weights = np.array([[0.5, 0.0], [0.25, 2.0]])
+        before = (values.copy(), weights.copy())
+        _masked_weighted_mean(values, available, weights)
+        assert values.tobytes() == before[0].tobytes()
+        assert weights.tobytes() == before[1].tobytes()
 
 
 class TestVote:
@@ -628,6 +679,64 @@ class TestCalibration:
         ]
         with pytest.raises(DataError):
             calibrate_coefficients(small_bank, test_series, stride=60)
+
+
+def reference_prediction_block(bank, sources, target):
+    """One target's block as the per-target task built it, from one ``predict_batch``
+    call per (source, target) pair: NaN where the source is unobserved at a label
+    minute, and across the row where the source is the target."""
+    values = np.full((len(sources), target.labels.size), np.nan)
+    for i, source in enumerate(sources):
+        if source.id == target.id:
+            continue
+        obs = climate_matrix(source)
+        _, src_idx, lab_idx = join_timestamps(obs.timestamps, target.label_timestamps)
+        if lab_idx.size:
+            values[i, lab_idx] = bank.predict_batch(source.id, obs.climate[src_idx],
+                                                    target.attributes)
+    return values
+
+
+class TestPredictionsAtTargets:
+    # 1 runs in-process; 4 starts more workers than a two-core runner has cores,
+    # all writing rows of the same shared blocks.
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    def test_blocks_match_per_pair_loop_bit_for_bit(self, small_bank, small_world,
+                                                    small_test_ids, monkeypatch, n_workers):
+        by_id = index_series(small_world.stations)
+        first, cut = small_bank.station_ids[:2]
+        half = len(by_id[cut]) // 2
+        by_id[cut] = _drop_rows(by_id[cut], half, len(by_id[cut]))  # NaN cells
+        # Two held-out targets and one bank source, whose own row is NaN (calibrate's case).
+        targets = [station_frame(by_id[sid], small_bank.horizon, source=False).thinned(7)
+                   for sid in [*small_test_ids, first]]
+        monkeypatch.setattr(ensemble, "_worker_count", lambda: n_workers)
+        source_ids, blocks = _predictions_at_targets(small_bank, by_id, targets)
+        assert source_ids == small_bank.station_ids
+        sources = [by_id[sid] for sid in source_ids]
+        assert len(blocks) == len(targets)
+        for target, block in zip(targets, blocks):
+            want = reference_prediction_block(small_bank, sources, target)
+            assert (block.dtype, block.shape) == (want.dtype, want.shape)
+            assert block.tobytes() == want.tobytes()
+        cut_row = blocks[0][1]
+        assert np.isnan(cut_row).any() and np.isfinite(cut_row).any()
+        assert np.isnan(blocks[-1][0]).all()
+        assert np.isfinite(blocks[-1][2:]).all()
+
+    def test_bank_sources_without_series_are_left_out(self, small_bank, small_world,
+                                                      small_test_ids, monkeypatch):
+        by_id = index_series(small_world.stations)
+        dropped = small_bank.station_ids[2]
+        del by_id[dropped]
+        targets = [station_frame(by_id[sid], small_bank.horizon, source=False).thinned(30)
+                   for sid in small_test_ids]
+        monkeypatch.setattr(ensemble, "_worker_count", lambda: 1)
+        source_ids, blocks = _predictions_at_targets(small_bank, by_id, targets)
+        assert source_ids == [sid for sid in small_bank.station_ids if sid != dropped]
+        for target, block in zip(targets, blocks):
+            want = reference_prediction_block(small_bank, [by_id[s] for s in source_ids], target)
+            assert block.tobytes() == want.tobytes()
 
 
 def _reference_bank(stations, folds, fold, cfg, horizon, entry_stride, max_entries):

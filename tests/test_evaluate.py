@@ -8,6 +8,7 @@ two-sided p = 0.230200 (reference CDF).
 """
 
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -22,11 +23,14 @@ from frostcast import (
     DivergenceError,
     DomainError,
     TrainConfig,
+    WorldSpec,
     build_prediction_matrices,
+    generate_world,
     make_folds,
     run_fold_experiment,
+    train_bank,
 )
-from frostcast import ensemble, evaluate
+from frostcast import ensemble, evaluate, features
 from frostcast.core import GeoPoint, index_series
 from frostcast.ensemble import FOLD_COEFFICIENT_PRESETS
 from frostcast.evaluate import (
@@ -254,6 +258,59 @@ class TestPredictionMatrices:
             raised.append((type(exc_info.value), str(exc_info.value)))
         first = small_bank.station_ids[0]
         assert raised[0] == raised[1] == (DataError, f"no prediction from {first}")
+
+
+    def test_missing_source_and_target_named_before_any_work(
+            self, small_world, small_folds, small_bank, small_test_ids, monkeypatch):
+        source, target = small_bank.station_ids[0], small_test_ids[0]
+        stations = [s for s in small_world.stations if s.id not in (source, target)]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the missing stations were named")
+
+        for module, name in ((ensemble, "map_in_workers"), (ensemble, "climate_matrix"),
+                             (features, "climate_matrix"), (features, "label_arrays")):
+            monkeypatch.setattr(module, name, no_work)
+        monkeypatch.setattr(ensemble.SubmodelBank, "predict_batch", no_work)
+        message = f"no series for stations: {sorted([source, target])}"
+        with pytest.raises(DataError) as exc_info:
+            build_prediction_matrices(stations, small_bank, small_test_ids)
+        assert str(exc_info.value) == message
+        with pytest.raises(DataError) as exc_info:
+            run_station_ablation(stations, small_folds, 0, small_bank, counts=[1])
+        assert str(exc_info.value) == message
+
+    @pytest.fixture(scope="class")
+    def trend_sized(self):
+        """The benchmark's ``trend`` world (75 stations, one day at 1 minute), fold 0,
+        with a bank trained just far enough to predict."""
+        spec = WorldSpec(seed=0, n_stations=75, days=1, sample_interval=1, noise_sd=0.5,
+                         mean_temp=7.5, harmonic_amplitudes=(2.2, 1.5, 1.0))
+        world = generate_world(spec)
+        folds = make_folds(sorted(s.id for s in world.stations), seed=0, n_folds=5)
+        bank = train_bank(world.stations, folds, 0,
+                          TrainConfig(seed=0, epochs=1, batch_size=512, patience=1),
+                          entry_stride=16, max_entries=500)
+        return world.stations, bank, sorted(folds.test_stations(0))
+
+    @pytest.mark.parametrize("n_workers", [None, 1])
+    def test_parent_peak_stays_below_a_quarter_of_the_blocks(self, trend_sized, workers,
+                                                             n_workers):
+        # The workers write into blocks shared with this process, so it holds no
+        # pickled copy of a block and no source's climate (all CPUs); in-process it
+        # holds one source's climate at a time (one CPU).
+        stations, bank, targets = trend_sized
+        if n_workers is not None:
+            workers(n_workers)
+        tracemalloc.start()
+        try:
+            matrices = build_prediction_matrices(stations, bank, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blocks = sum(m.values.nbytes for m in matrices)
+        assert blocks > 9e6
+        assert peak < 0.25 * blocks
 
 
 @pytest.fixture(scope="module")
