@@ -209,9 +209,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     else:
         if not args.data:
             raise UsageError("calibrate needs --data unless --preset is given")
-        dataset = load_dataset(args.data)
-        train_series = [s for s in dataset.stations if s.id in bank.models]
-        coeff = calibrate_coefficients(bank, train_series, stride=args.stride)
+        coeff = calibrate_coefficients(bank, load_dataset(args.data).stations, stride=args.stride)
     bank.coefficients = coeff
     save_bank(bank, args.bank)
     print(f"coefficients: geo={coeff.geo!r} dem={coeff.dem!r} ndvi={coeff.ndvi!r}")
@@ -240,8 +238,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_raster(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     bank = load_bank(args.bank)
-    if dataset.dem is None or dataset.ndvi is None:
-        raise DataError("dataset bundle has no grids; raster needs dem and ndvi")
     token = args.method
     source_id = None
     if token.startswith("single:"):

@@ -77,11 +77,7 @@ from .neuralnet import init_network, network_from_dict, network_to_dict, train
 #: every attribute would otherwise divide by zero.
 WEIGHT_EPSILON = 1e-6
 
-BANK_SCHEMA_VERSION = 3
-
-#: Share of each held-out station's labels, earliest first, that its on-site
-#: baseline trains on; the rest is scored.
-BASELINE_TRAIN_FRACTION = 0.8
+BANK_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -188,8 +184,7 @@ class SubmodelBank:
 
     ``models`` and ``scalers`` hold one submodel per training station.
     ``baselines`` maps held-out stations to on-site ``(network, scaler)``
-    pairs, each trained on the first ``baseline_train_fraction`` of its
-    station's labels; the ``baseline`` evaluation method scores them.
+    pairs, which the ``baseline`` evaluation method scores.
     """
 
     fold: int
@@ -200,7 +195,6 @@ class SubmodelBank:
     coefficients: WeightCoefficients
     normalization: DistanceNormalization
     baselines: dict[StationId, tuple[Network, ScalerStats]] = field(default_factory=dict)
-    baseline_train_fraction: float = BASELINE_TRAIN_FRACTION
 
     @property
     def station_ids(self) -> list[StationId]:
@@ -519,13 +513,14 @@ def calibrate_coefficients(
     error is correlated against each normalized distance; the coefficient is
     the magnitude of the Pearson correlation. If all three vanish the
     fallback (1, 0, 0) applies. ``stride`` keeps every stride-th label.
+    Only the bank's own stations take part, each as a source and a target,
+    so series of held-out stations never shape the weights that score them.
     """
     if stride < 1:
         raise DomainError(f"stride must be >= 1: {stride!r}")
-    by_id = index_series(stations)
-    if not any(sid in by_id for sid in bank.station_ids):
+    by_id = {sid: s for sid, s in index_series(stations).items() if sid in bank.models}
+    if not by_id:
         raise DataError("none of the bank's source stations have series to calibrate on")
-    # Every station is a target, and each bank station with a series a source.
     targets = [station_frame(series, bank.horizon, source=False).thinned(stride)
                for series in by_id.values()]
     source_ids, blocks = _predictions_at_targets(bank, by_id, targets)
@@ -558,15 +553,10 @@ def save_bank(bank: SubmodelBank, directory: str | os.PathLike) -> None:
 
     Each ``stations`` entry carries one submodel's site attributes, network
     and scaler, so a bank narrowed to some of its ``models`` saves only
-    those; a ``baselines`` map holds the on-site models beside
-    ``baseline_train_fraction``. The document replaces the old one
-    atomically, so a failed save leaves the previous bank whole. A
-    ``baseline_train_fraction`` outside (0, 1), which :func:`load_bank`
-    would refuse, is a DomainError before anything is written.
+    those; a ``baselines`` map holds the on-site models. The document
+    replaces the old one atomically, so a failed save leaves the previous
+    bank whole.
     """
-    fraction = bank.baseline_train_fraction
-    if not 0.0 < fraction < 1.0:
-        raise DomainError(f"baseline_train_fraction must be in (0, 1): {fraction!r}")
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -582,7 +572,6 @@ def save_bank(bank: SubmodelBank, directory: str | os.PathLike) -> None:
         ],
         "baselines": {sid: {"model": network_to_dict(net), "scaler": asdict(scaler)}
                       for sid, (net, scaler) in bank.baselines.items()},
-        "baseline_train_fraction": bank.baseline_train_fraction,
     }
     # json.dumps, unlike json.dump, runs the C encoder: about half the time.
     write_atomically(path / "manifest.json", lambda fh: fh.write(json.dumps(doc, sort_keys=True)))
@@ -643,14 +632,11 @@ def load_bank(directory: str | os.PathLike) -> SubmodelBank:
             raise FormatError(f"baselines must be an object, got {doc['baselines']!r}")
         baselines = {sid: _model_from_dict(entry, f"baseline {sid}")
                      for sid, entry in doc["baselines"].items()}
-        fraction = doc["baseline_train_fraction"]
-        if type(fraction) not in (int, float) or not 0.0 < fraction < 1.0:
-            raise FormatError(f"baseline_train_fraction must be in (0, 1), got {fraction!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed manifest: {exc}") from exc
     return SubmodelBank(fold=fold, horizon=horizon, models=models, scalers=scalers,
                         station_attrs=attrs, coefficients=coeff, normalization=norm,
-                        baselines=baselines, baseline_train_fraction=float(fraction))
+                        baselines=baselines)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

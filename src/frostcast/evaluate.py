@@ -22,7 +22,6 @@ import numpy as np
 from .core import FoldAssignment, GeoPoint, StationId, StationSeries, index_series
 from .ensemble import (
     AGGREGATORS,
-    BASELINE_TRAIN_FRACTION,
     SubmodelBank,
     _fit,
     _predict,
@@ -202,9 +201,14 @@ def paired_t_test(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]
 # --- baseline (on-site) models ----------------------------------------------
 
 
-def _baseline_split(frame: StationFrame, train_fraction: float) -> int:
+#: Share of each held-out station's labels, earliest first, that its on-site
+#: baseline trains on; the rest is scored.
+BASELINE_TRAIN_FRACTION = 0.8
+
+
+def _baseline_split(frame: StationFrame) -> int:
     """Rows before this index of ``frame``'s labels train its baseline; the rest are scored."""
-    return int(frame.labels.size * train_fraction)
+    return int(frame.labels.size * BASELINE_TRAIN_FRACTION)
 
 
 def _train_baseline(frames: Mapping[StationId, StationFrame], ids, cfg: TrainConfig,
@@ -213,7 +217,7 @@ def _train_baseline(frames: Mapping[StationId, StationFrame], ids, cfg: TrainCon
     x, y = frame.onsite_climate(), frame.labels
     if x.shape[0] < 10:
         raise DataError(f"station {frame.id} has too few labeled rows for a baseline")
-    split = _baseline_split(frame, BASELINE_TRAIN_FRACTION)
+    split = _baseline_split(frame)
     return _fit(ONSITE_SPEC, int(cfg.seed * 99991 + idx), x[:split], y[:split], cfg)
 
 
@@ -228,8 +232,7 @@ def train_baselines(
     The earliest ``BASELINE_TRAIN_FRACTION`` of each station's labeled rows
     is used for fitting; everything after the split index is reserved for
     scoring. The models train on ``map_in_workers``'s workers, one station
-    per task. A bank carries them as its ``baselines``, beside that
-    fraction, the default of its ``baseline_train_fraction``.
+    per task. A bank carries them as its ``baselines``.
     """
     ids = sorted(ids)
     frames = station_frames(index_series(stations), horizon, ids, ids)
@@ -245,7 +248,7 @@ def evaluate_baselines(
     labels: list[np.ndarray] = []
     for sid, (net, scaler) in sorted(bank.baselines.items()):
         frame = frames[sid]
-        split = _baseline_split(frame, bank.baseline_train_fraction)
+        split = _baseline_split(frame)
         xs = frame.onsite_climate()[split:]
         if xs.shape[0] == 0:
             continue

@@ -231,9 +231,8 @@ def parse_boundary_json(text: str) -> BoundaryPolygon:
     if not isinstance(doc, dict) or "rings" not in doc:
         raise FormatError('boundary JSON must contain a "rings" key')
     try:
-        rings = tuple(
-            tuple(GeoPoint(float(lon), float(lat)) for lon, lat in ring) for ring in doc["rings"]
-        )
+        rings = tuple(tuple(GeoPoint(*finite_numbers(v, 2, "boundary vertex")) for v in ring)
+                      for ring in doc["rings"])
         return BoundaryPolygon(rings)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed boundary rings: {exc}") from exc
@@ -393,8 +392,8 @@ class Dataset:
     """Validated stations plus the attribute grids they were enriched from."""
 
     stations: tuple[StationSeries, ...]
-    dem: AttributeGrid | None = None
-    ndvi: AttributeGrid | None = None
+    dem: AttributeGrid
+    ndvi: AttributeGrid
 
     def __post_init__(self) -> None:
         if not isinstance(self.stations, tuple):
@@ -440,15 +439,12 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
             }
             for s in sorted(dataset.stations, key=lambda s: s.id)
         ],
-        "grids": {},
+        "grids": {"dem": _grid_meta(dataset.dem), "ndvi": _grid_meta(dataset.ndvi)},
     }
 
     def write(fh) -> None:
         with zipfile.ZipFile(fh, "w") as zf:
             for name, grid in (("dem", dataset.dem), ("ndvi", dataset.ndvi)):
-                if grid is None:
-                    continue
-                manifest["grids"][name] = _grid_meta(grid)
                 _write_npy(zf, f"grid_{name}_values.npy", grid.values)
                 _write_npy(zf, f"grid_{name}_mask.npy", grid.mask)
             for s in sorted(dataset.stations, key=lambda s: s.id):
@@ -490,8 +486,9 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             )
 
         try:  # a manifest value that is missing or of the wrong type is a FormatError
-            grids: dict[str, AttributeGrid | None] = {"dem": None, "ndvi": None}
-            for name, meta in manifest.get("grids", {}).items():
+            grids: dict[str, AttributeGrid] = {}
+            for name in ("dem", "ndvi"):
+                meta = manifest["grids"][name]
                 lon, lat, cell_size = finite_numbers(
                     [meta[k] for k in ("origin_lon", "origin_lat", "cell_size")], 3,
                     f"grid {name} geometry")
@@ -553,7 +550,8 @@ def ingest_directory(
         raise FormatError(f"missing stations.json in {base}")
     try:
         listing = json.loads(_read_utf8(locations_path))
-        entries = [(str(e["id"]), GeoPoint(float(e["lon"]), float(e["lat"])))
+        entries = [(str(e["id"]), GeoPoint(*finite_numbers([e["lon"], e["lat"]], 2,
+                                                           f"station {e['id']} location")))
                    for e in listing["stations"]]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"malformed stations.json: {exc}") from exc

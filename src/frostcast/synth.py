@@ -21,7 +21,8 @@ import numpy as np
 
 from .core import GeoPoint, StationAttributes, StationSeries, write_atomically
 from .errors import DomainError, FormatError
-from .ingest import AttributeGrid, BoundaryPolygon, boundary_to_json, write_ascii_grid
+from .ingest import CSV_HEADER, AttributeGrid, BoundaryPolygon, boundary_to_json
+from .ingest import write_ascii_grid
 
 MINUTES_PER_DAY = 1440
 #: Upper bounds on a world's size, far above any world the tests or benchmarks
@@ -326,7 +327,7 @@ def write_world(world: SynthWorld, directory: str | os.PathLike) -> None:
     for name, text in texts.items():
         write_atomically(base / name, lambda fh: fh.write(text))
     for s in world.stations:
-        lines = [",".join(("timestamp", "temperature", "dew_point", "rh", "wind_speed", "wind_dir"))]
+        lines = [",".join(CSV_HEADER)]
         for t, (temp, dew, rh, speed, direction) in zip(s.timestamps.tolist(), s.raw.tolist()):
             lines.append(f"{t},{temp!r},{dew!r},{rh!r},{speed!r},{direction!r}")
         text = "\n".join(lines) + "\n"

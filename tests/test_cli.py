@@ -168,22 +168,19 @@ class TestPipeline:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_eval_baseline_uses_stored_split(self, pipeline, tmp_path):
-        bank_dir = tmp_path / "bank"
+        # The row scores the last fifth of each station's labels, the rows after
+        # the 80% its baseline trained on.
         bank = load_bank(pipeline["bank"])
-        bank.baseline_train_fraction = 0.6
-        save_bank(bank, bank_dir)
         out = tmp_path / "r.json"
         assert main([
-            "eval", "--data", str(pipeline["data"]), "--bank", str(bank_dir),
+            "eval", "--data", str(pipeline["data"]), "--bank", str(pipeline["bank"]),
             "--methods", "baseline", "--deterministic", "--out", str(out),
         ]) == 0
         [row] = json.loads(out.read_text())["results"]
         by_id = {s.id: s for s in load_dataset(pipeline["data"]).stations}
-        rows = {sid: station_frame(by_id[sid]).labels.size for sid in bank.baselines}
-        held_out = sum(n - int(n * 0.6) for n in rows.values())
-        assert held_out != sum(n - int(n * 0.8) for n in rows.values())
-        assert row["method"] == "baseline"
-        assert row["n_predictions"] == held_out
+        rows = [station_frame(by_id[sid]).labels.size for sid in bank.baselines]
+        assert rows and row["method"] == "baseline"
+        assert row["n_predictions"] == sum(n - int(n * 0.8) for n in rows)
 
     def test_fold_2_bank_reports_fold_2_on_every_row(self, pipeline, tmp_path):
         bank, out = tmp_path / "bank", tmp_path / "r.json"
@@ -290,18 +287,10 @@ class TestPipeline:
         by_id = index_series(load_dataset(tmp_path / "data.zip").stations)
         assert len(by_id[str(first)]) == 24 * 60 // 5
 
-    def test_calibrate_keeps_baseline_split(self, pipeline, tmp_path):
-        bank = load_bank(pipeline["bank"])
-        bank.baseline_train_fraction = 0.6
-        save_bank(bank, tmp_path)
-        assert main(["calibrate", "--bank", str(tmp_path), "--preset", "paper-fold-1"]) == 0
-        assert load_bank(tmp_path).baseline_train_fraction == 0.6
-
     @pytest.mark.parametrize("source", ["preset", "data"])
     def test_calibrate_rewrites_only_the_manifest(self, pipeline, tmp_path, source):
         bank_dir = tmp_path / "bank"
         bank = load_bank(pipeline["bank"])
-        bank.baseline_train_fraction = 0.6
         save_bank(bank, bank_dir)
         old_manifest = (bank_dir / "manifest.json").read_bytes()
         if source == "preset":
@@ -314,8 +303,8 @@ class TestPipeline:
         if source == "preset":
             coefficients = FOLD_COEFFICIENT_PRESETS[1]
         else:
-            stations = [s for s in load_dataset(pipeline["data"]).stations if s.id in bank.models]
-            coefficients = calibrate_coefficients(bank, stations, stride=30)
+            coefficients = calibrate_coefficients(bank, load_dataset(pipeline["data"]).stations,
+                                                  stride=30)
         bank.coefficients = coefficients
         save_bank(bank, tmp_path / "expected")
         assert [f.name for f in bank_dir.iterdir()] == ["manifest.json"]
@@ -416,6 +405,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed manifest: ") and err.count("\n") == 1
         assert "finite numbers" in err and not out.exists()
+
+    @pytest.mark.parametrize("command", ["folds", "raster"])
+    @pytest.mark.parametrize("grid", ["dem", "ndvi"])
+    def test_bundle_without_a_grid_refused(self, pipeline, tmp_path, capsys, grid, command):
+        bad = _edited_bundle(pipeline, tmp_path / "data.zip", lambda m: m["grids"].pop(grid))
+        out = tmp_path / "out"
+        argv = {
+            "folds": ["folds", "--data", str(bad), "--seed", "0", "--out", str(out)],
+            "raster": ["raster", "--data", str(bad), "--bank", str(pipeline["bank"]),
+                       "--method", "wavg", "--timestamp", "60", "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: malformed manifest: '{grid}'\n"
+        assert not out.exists()
 
     def test_bundle_manifest_not_an_object(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "data.zip"
@@ -886,6 +890,18 @@ class TestBankManifest:
         for argv in _bank_commands(pipeline, bank, tmp_path / "out").values():
             assert main(argv) == 3
             assert capsys.readouterr().err == "error: unsupported bank version: 2\n"
+
+    def test_schema_3_bank_refused(self, pipeline, tmp_path, capsys):
+        # Schema 3 stored the share of labels each on-site baseline trained on.
+        bank = tmp_path / "bank"
+        bank.mkdir()
+        manifest = json.loads((pipeline["bank"] / "manifest.json").read_text())
+        manifest.update(version=3, baseline_train_fraction=0.8)
+        (bank / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for argv in _bank_commands(pipeline, bank, tmp_path / "out").values():
+            assert main(argv) == 3
+            assert capsys.readouterr().err == "error: unsupported bank version: 3\n"
 
     @pytest.mark.parametrize("command", ["eval", "raster", "calibrate"])
     def test_each_command_reads_the_manifest_once(self, pipeline, tmp_path, monkeypatch,

@@ -481,7 +481,7 @@ class TestBank:
         assert loaded.normalization == small_bank.normalization
         assert loaded.station_attrs == small_bank.station_attrs
         assert loaded.scalers == small_bank.scalers
-        assert loaded.baselines == {} and loaded.baseline_train_fraction == 0.8
+        assert loaded.baselines == {}
         target = small_world.stations[0].attributes
         climate = np.array([[2.0, 0.5, 80.0, -1.0, 0.3]])
         for sid in small_bank.station_ids:
@@ -514,9 +514,8 @@ class TestBank:
         for i, sid in enumerate(("b1", "b2")):
             x, y = rng.normal(2.0, 3.0, (40, 5)), rng.normal(1.0, 2.0, 40)
             baselines[sid] = ensemble._fit(ONSITE_SPEC, i, x, y, TrainConfig(seed=i, epochs=2))
-        save_bank(replace(small_bank, baselines=baselines, baseline_train_fraction=0.65), tmp_path)
+        save_bank(replace(small_bank, baselines=baselines), tmp_path)
         loaded = load_bank(tmp_path)
-        assert loaded.baseline_train_fraction == 0.65
         assert sorted(loaded.baselines) == ["b1", "b2"]
         for sid, (net, scaler) in baselines.items():
             got_net, got_scaler = loaded.baselines[sid]
@@ -542,7 +541,7 @@ class TestBank:
                                                                         tmp_path, monkeypatch):
         onsite = init_network(ONSITE_SPEC, seed=2)
         baselines = {"b1": (onsite, fit_scaler_arrays(np.eye(5), np.arange(5.0)))}
-        save_bank(replace(small_bank, baselines=baselines, baseline_train_fraction=0.7), tmp_path)
+        save_bank(replace(small_bank, baselines=baselines), tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         models = {sid: init_network(SUBMODEL_SPEC, seed=9) for sid in small_bank.models}
         changed = replace(small_bank, coefficients=FOLD_COEFFICIENT_PRESETS[2], models=models)
@@ -564,22 +563,14 @@ class TestBank:
         monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         bank = load_bank(tmp_path)
-        assert bank.coefficients == small_bank.coefficients and bank.baseline_train_fraction == 0.7
+        assert bank.coefficients == small_bank.coefficients
         assert list(bank.baselines) == ["b1"]
-
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5, math.nan])
-    def test_save_refuses_a_fraction_load_would_refuse(self, small_bank, tmp_path, fraction):
-        save_bank(small_bank, tmp_path)
-        before = (tmp_path / "manifest.json").read_bytes()
-        with pytest.raises(DomainError, match="baseline_train_fraction must be in"):
-            save_bank(replace(small_bank, baseline_train_fraction=fraction), tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
-        assert (tmp_path / "manifest.json").read_bytes() == before
 
     def test_manifest_version_gate(self, small_bank, tmp_path):
         save_bank(small_bank, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        for version in (99, 2):  # 2: one file per model beside the manifest
+        # 2: one file per model beside the manifest; 3: a stored baseline split.
+        for version in (99, 3, 2):
             manifest["version"] = version
             (tmp_path / "manifest.json").write_text(json.dumps(manifest))
             with pytest.raises(UnsupportedVersionError):
@@ -672,6 +663,13 @@ class TestCalibration:
         a = calibrate_coefficients(small_bank, train_series, stride=60)
         b = calibrate_coefficients(small_bank, train_series, stride=60)
         assert a == b
+
+    def test_held_out_series_are_ignored(self, small_bank, small_world, small_folds):
+        train_ids = small_folds.train_stations(0)
+        train_series = [s for s in small_world.stations if s.id in train_ids]
+        assert len(train_series) < len(small_world.stations)
+        assert (calibrate_coefficients(small_bank, small_world.stations, stride=30)
+                == calibrate_coefficients(small_bank, train_series, stride=30))
 
     def test_no_overlapping_stations_rejected(self, small_bank, small_world, small_folds):
         test_series = [

@@ -230,6 +230,12 @@ class TestBoundary:
         with pytest.raises(FormatError):
             parse_boundary_json('{"no_rings": []}')
 
+    @pytest.mark.parametrize("vertex", [["4", 0], [True, 0], [0, None], [0, 0, 0]])
+    def test_vertex_must_be_two_json_numbers(self, vertex):
+        ring = [[0, 0], [10, 0], vertex]
+        with pytest.raises(FormatError, match="boundary vertex must be 2 finite numbers"):
+            parse_boundary_json(json.dumps({"rings": [ring]}))
+
     def test_apply_mask_keeps_inside_cells(self):
         grid = square_grid(np.arange(9.0).reshape(3, 3), origin=(1.0, 1.0))
         ring = tuple(
@@ -666,8 +672,11 @@ class TestDatasetBundle:
         lambda m: m["stations"][0].update(lon=10**400),
         lambda m: m["grids"]["dem"].update(cell_size=math.nan),
         lambda m: m["stations"][0].update(dem=math.inf),
+        lambda m: m["grids"].pop("dem"),
+        lambda m: m["grids"].pop("ndvi"),
     ], ids=["no-id", "no-lon", "no-lat", "no-dem", "no-ndvi", "str-lon", "no-cell-size",
-            "list-origin", "grids-list", "huge-lon", "nan-cell-size", "inf-dem"])
+            "list-origin", "grids-list", "huge-lon", "nan-cell-size", "inf-dem", "no-dem-grid",
+            "no-ndvi-grid"])
     def test_malformed_manifest_rejected(self, tmp_path, mutate):
         good, bad = tmp_path / "good.zip", tmp_path / "bad.zip"
         save_dataset(tiny_dataset(), good)
@@ -745,9 +754,9 @@ class TestDatasetBundle:
             load_dataset(path)
 
     def test_duplicate_station_ids_rejected(self):
-        s = tiny_dataset().stations[0]
+        ds = tiny_dataset()
         with pytest.raises(DataError):
-            Dataset((s, s))
+            Dataset((ds.stations[0], ds.stations[0]), ds.dem, ds.ndvi)
 
 
 class TestIngestDirectory:
@@ -788,6 +797,15 @@ class TestIngestDirectory:
             json.dumps({"stations": [{"id": "ghost", "lon": 100.0, "lat": -35.0}]})
         )
         with pytest.raises(FormatError):
+            ingest_directory(tmp_path, square_grid([[1.0]]), square_grid([[0.5]]))
+
+    @pytest.mark.parametrize("edit", [{"lon": "100.2"}, {"lat": True}, {"lon": None}])
+    def test_location_must_be_json_numbers(self, tmp_path, edit):
+        self.write_inputs(tmp_path)
+        listing = json.loads((tmp_path / "stations.json").read_text())
+        listing["stations"][0].update(edit)
+        (tmp_path / "stations.json").write_text(json.dumps(listing))
+        with pytest.raises(FormatError, match="station s1 location must be 2 finite numbers"):
             ingest_directory(tmp_path, square_grid([[1.0]]), square_grid([[0.5]]))
 
     def test_grid_geometry_must_agree(self, tmp_path):
