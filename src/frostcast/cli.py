@@ -221,7 +221,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     bank = load_bank(args.bank)
     methods = parse_methods(args.methods)
     counts = parse_counts(args.counts, len(bank)) if args.counts else None
-    train_ids = set(bank.models)
+    train_ids = set(bank.submodels)
     test_ids = frozenset(dataset.station_ids()) - train_ids
     if not test_ids:
         raise DataError("dataset has no held-out stations for this bank")
@@ -252,7 +252,7 @@ def _cmd_raster(args: argparse.Namespace) -> int:
         raise UsageError(f"unknown raster method {args.method!r}; use avg, wavg, or single:<id>")
     snapshot = {}
     for series in dataset.stations:
-        if series.id not in bank.models:
+        if series.id not in bank.submodels:
             continue
         i = int(series.timestamps.searchsorted(args.timestamp))
         if i < len(series) and series.timestamps[i] == args.timestamp:

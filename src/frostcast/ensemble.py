@@ -3,10 +3,11 @@
 One submodel is trained per source station, each mapping that station's
 current conditions (plus both stations' static attributes) to the target
 site's next-window minimum temperature. A :class:`SubmodelBank` is its
-one-file manifest in memory, the held-out stations' on-site baselines
-included. One helper fits every network (scale, initialise, train) and one
-runs it (scale, forward, un-scale); ``SubmodelBank.predict_batch`` is the
-submodels' inference path, for one target site or per-row target attributes.
+one-file manifest in memory: ``bank.submodels`` maps each training station
+to ``(attributes, network, scaler)``, as ``bank.baselines`` maps held-out
+stations to on-site ``(network, scaler)``. One helper fits every network
+(scale, initialise, train) and one runs it (scale, forward, un-scale);
+``SubmodelBank.predict_batch`` is the submodels' inference path.
 
 Weights follow w_i = 1 / (a*g_i + b*d_i + c*n_i) where g, d, n are
 min-max-normalized geographic, elevation, and vegetation-index distances
@@ -178,30 +179,32 @@ def _predict(net: Network, scaler: ScalerStats, x: np.ndarray) -> np.ndarray:
     return np.asarray(invert_label(scaler, scaled), dtype=np.float64)
 
 
+#: One training station's submodel: its site attributes, network and scaler.
+Submodel = tuple[StationAttributes, Network, ScalerStats]
+
+
 @dataclass
 class SubmodelBank:
     """Everything needed to predict at arbitrary sites for one fold: its manifest, in memory.
 
-    ``models`` and ``scalers`` hold one submodel per training station.
-    ``baselines`` maps held-out stations to on-site ``(network, scaler)``
-    pairs, which the ``baseline`` evaluation method scores.
+    ``submodels`` maps each training station to ``(attributes, network,
+    scaler)``, as ``baselines`` maps held-out stations to the on-site
+    ``(network, scaler)`` pairs that the ``baseline`` evaluation method scores.
     """
 
     fold: int
     horizon: int
-    models: dict[StationId, Network]
-    scalers: dict[StationId, ScalerStats]
-    station_attrs: dict[StationId, StationAttributes]
+    submodels: dict[StationId, Submodel]
     coefficients: WeightCoefficients
     normalization: DistanceNormalization
     baselines: dict[StationId, tuple[Network, ScalerStats]] = field(default_factory=dict)
 
     @property
     def station_ids(self) -> list[StationId]:
-        return sorted(self.models)
+        return sorted(self.submodels)
 
     def __len__(self) -> int:
-        return len(self.models)
+        return len(self.submodels)
 
     def predict_batch(
         self,
@@ -214,7 +217,7 @@ class SubmodelBank:
         ``target_attrs`` is one site for every row, or an (n, 4) array of
         per-row (lon, lat, dem, ndvi) target attributes.
         """
-        if source_id not in self.models:
+        if source_id not in self.submodels:
             raise DataError(f"unknown source station: {source_id}")
         climate = np.asarray(climate, dtype=np.float64)
         if climate.ndim != 2 or climate.shape[1] != 5:
@@ -224,12 +227,12 @@ class SubmodelBank:
         elif np.shape(target_attrs) != (climate.shape[0], 4):
             raise DataError(f"expected ({climate.shape[0]}, 4) target attributes, "
                             f"got {np.shape(target_attrs)}")
-        x = feature_rows(self.station_attrs[source_id], target_attrs, climate)
-        return _predict(self.models[source_id], self.scalers[source_id], x)
+        attrs, net, scaler = self.submodels[source_id]
+        return _predict(net, scaler, feature_rows(attrs, target_attrs, climate))
 
     def attribute_rows(self, ids: Sequence[StationId]) -> np.ndarray:
         """``(len(ids), 4)`` (lon, lat, dem, ndvi) rows of the given bank stations, in order."""
-        return np.array([self.station_attrs[i].as_tuple() for i in ids], dtype=np.float64)
+        return np.array([self.submodels[i][0].as_tuple() for i in ids], dtype=np.float64)
 
     def weights_for_target(self, target_attrs: StationAttributes) -> np.ndarray:
         """Every bank station's weight at a target site, summing to one.
@@ -420,8 +423,8 @@ def _predictions_at_targets(bank: SubmodelBank, series: Mapping[StationId, Stati
 
 
 def _train_submodel(frames: Mapping[StationId, StationFrame], train_ids, test_ids, cfg: TrainConfig,
-                    max_entries: int | None, idx: int) -> tuple[Network, ScalerStats, int]:
-    """Build source ``train_ids[idx]``'s corpus and train it: (network, scaler, entries)."""
+                    max_entries: int | None, idx: int) -> tuple[Submodel, int]:
+    """Build source ``train_ids[idx]``'s corpus and train it: (submodel, entries)."""
     source_id = train_ids[idx]
     assert source_id not in test_ids
     blocks_x, blocks_y = [], []
@@ -441,7 +444,8 @@ def _train_submodel(frames: Mapping[StationId, StationFrame], train_ids, test_id
         keep = _child_seed(cfg.seed, idx).choice(x.shape[0], size=max_entries, replace=False)
         keep.sort()
         x, y = x[keep], y[keep]
-    return *_fit(SUBMODEL_SPEC, int(cfg.seed * 100003 + idx), x, y, cfg), x.shape[0]
+    net, scaler = _fit(SUBMODEL_SPEC, int(cfg.seed * 100003 + idx), x, y, cfg)
+    return (frames[source_id].attributes, net, scaler), x.shape[0]
 
 
 def train_bank(
@@ -462,7 +466,7 @@ def train_bank(
     assembled examples. ``entry_stride`` thins the label stream before the
     join and ``max_entries`` caps the per-submodel corpus by a seeded draw.
     Each submodel's corpus is built and its network trained by one of
-    ``map_in_workers``'s workers; models, progress lines and errors come
+    ``map_in_workers``'s workers; submodels, progress lines and errors come
     back in station order, as a serial run gives them.
     """
     if not 0 <= fold < folds.n_folds:
@@ -482,21 +486,15 @@ def train_bank(
     frames = {sid: station_frame(by_id[sid], horizon).thinned(entry_stride) for sid in train_ids}
     normalization = fit_normalization([by_id[i].attributes for i in train_ids])
     task = functools.partial(_train_submodel, frames, train_ids, test_ids, cfg, max_entries)
-    models: dict[StationId, Network] = {}
-    scalers: dict[StationId, ScalerStats] = {}
-    for idx, (net, scaler, n_entries) in enumerate(map_in_workers(task, len(train_ids))):
-        source_id = train_ids[idx]
-        models[source_id] = net
-        scalers[source_id] = scaler
+    submodels: dict[StationId, Submodel] = {}
+    for idx, (submodel, n_entries) in enumerate(map_in_workers(task, len(train_ids))):
+        submodels[train_ids[idx]] = submodel
         if progress:
-            print(f"trained {source_id} on {n_entries} entries")
-    attrs = {i: by_id[i].attributes for i in train_ids}
+            print(f"trained {train_ids[idx]} on {n_entries} entries")
     return SubmodelBank(
         fold=fold,
         horizon=horizon,
-        models=models,
-        scalers=scalers,
-        station_attrs=attrs,
+        submodels=submodels,
         coefficients=coefficients or FALLBACK_COEFFICIENTS,
         normalization=normalization,
     )
@@ -518,31 +516,23 @@ def calibrate_coefficients(
     """
     if stride < 1:
         raise DomainError(f"stride must be >= 1: {stride!r}")
-    by_id = {sid: s for sid, s in index_series(stations).items() if sid in bank.models}
+    by_id = {sid: s for sid, s in index_series(stations).items() if sid in bank.submodels}
     if not by_id:
         raise DataError("none of the bank's source stations have series to calibrate on")
     targets = [station_frame(series, bank.horizon, source=False).thinned(stride)
                for series in by_id.values()]
     source_ids, blocks = _predictions_at_targets(bank, by_id, targets)
     sources = bank.attribute_rows(source_ids)
-    dist_rows: list[np.ndarray] = []
-    err_blocks: list[np.ndarray] = []
-    for target, block in zip(targets, blocks):
+    dist_rows, err_blocks = [], []
+    for target, block in zip(targets, blocks):  # one row per observed cell, source by source
+        observed = ~np.isnan(block)  # a source's row at its own site is all NaN
+        err_blocks.append(np.abs(block - target.labels)[observed])
         norm = bank.normalization.normalize(attribute_distances(sources, target.attributes))
-        for dist, preds in zip(norm, block):
-            observed = ~np.isnan(preds)  # a source's row at its own site is all NaN
-            if not observed.any():
-                continue
-            errors = np.abs(preds[observed] - target.labels[observed])
-            dist_rows.append(np.broadcast_to(dist, (errors.size, 3)))
-            err_blocks.append(errors)
-    if not err_blocks:
+        dist_rows.append(np.repeat(norm, observed.sum(axis=1), axis=0))
+    dists, errors = np.concatenate(dist_rows), np.concatenate(err_blocks)
+    if not errors.size:
         raise DataError("no overlapping observations to calibrate on")
-    dists = np.concatenate(dist_rows)
-    errors = np.concatenate(err_blocks)
-    geo = abs(pearson(dists[:, 0], errors))
-    dem = abs(pearson(dists[:, 1], errors))
-    ndvi = abs(pearson(dists[:, 2], errors))
+    geo, dem, ndvi = (abs(pearson(dists[:, k], errors)) for k in range(3))
     if geo + dem + ndvi == 0.0:
         return FALLBACK_COEFFICIENTS
     return WeightCoefficients(geo, dem, ndvi)
@@ -552,7 +542,7 @@ def save_bank(bank: SubmodelBank, directory: str | os.PathLike) -> None:
     """Persist a bank as one JSON document, ``<directory>/manifest.json``.
 
     Each ``stations`` entry carries one submodel's site attributes, network
-    and scaler, so a bank narrowed to some of its ``models`` saves only
+    and scaler, so a bank narrowed to some of its ``submodels`` saves only
     those; a ``baselines`` map holds the on-site models. The document
     replaces the old one atomically, so a failed save leaves the previous
     bank whole.
@@ -567,14 +557,18 @@ def save_bank(bank: SubmodelBank, directory: str | os.PathLike) -> None:
         "normalization": asdict(bank.normalization),
         "stations": [
             {"id": sid, "lon": a.location.lon, "lat": a.location.lat, "dem": a.dem, "ndvi": a.ndvi,
-             "model": network_to_dict(bank.models[sid]), "scaler": asdict(bank.scalers[sid])}
-            for sid in bank.station_ids for a in [bank.station_attrs[sid]]
+             **_model_to_dict(net, scaler)}
+            for sid, (a, net, scaler) in sorted(bank.submodels.items())
         ],
-        "baselines": {sid: {"model": network_to_dict(net), "scaler": asdict(scaler)}
-                      for sid, (net, scaler) in bank.baselines.items()},
+        "baselines": {sid: _model_to_dict(*pair) for sid, pair in bank.baselines.items()},
     }
     # json.dumps, unlike json.dump, runs the C encoder: about half the time.
     write_atomically(path / "manifest.json", lambda fh: fh.write(json.dumps(doc, sort_keys=True)))
+
+
+def _model_to_dict(net: Network, scaler: ScalerStats) -> dict:
+    """The ``model`` and ``scaler`` keys of a ``stations`` or ``baselines`` entry."""
+    return {"model": network_to_dict(net), "scaler": asdict(scaler)}
 
 
 def _model_from_dict(entry: dict, what: str) -> tuple[Network, ScalerStats]:
@@ -617,26 +611,23 @@ def load_bank(directory: str | os.PathLike) -> SubmodelBank:
         norm = DistanceNormalization(*(finite_numbers(doc["normalization"][k], 2,
                                                       f"normalization {k}")
                                        for k in ("geo", "dem", "ndvi")))
-        attrs: dict[StationId, StationAttributes] = {}
-        models: dict[StationId, Network] = {}
-        scalers: dict[StationId, ScalerStats] = {}
+        submodels: dict[StationId, Submodel] = {}
         for row in doc["stations"]:
             sid = row["id"]
-            if type(sid) is not str or not sid or sid in attrs:
+            if type(sid) is not str or not sid or sid in submodels:
                 raise FormatError(f"station id must be a distinct non-empty string, got {sid!r}")
             lon, lat, dem, ndvi = finite_numbers([row[k] for k in ("lon", "lat", "dem", "ndvi")],
                                                  4, f"station {sid} attributes")
-            attrs[sid] = StationAttributes(GeoPoint(lon, lat), dem, ndvi)
-            models[sid], scalers[sid] = _model_from_dict(row, f"station {sid}")
+            submodels[sid] = (StationAttributes(GeoPoint(lon, lat), dem, ndvi),
+                              *_model_from_dict(row, f"station {sid}"))
         if not isinstance(doc["baselines"], dict):
             raise FormatError(f"baselines must be an object, got {doc['baselines']!r}")
         baselines = {sid: _model_from_dict(entry, f"baseline {sid}")
                      for sid, entry in doc["baselines"].items()}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed manifest: {exc}") from exc
-    return SubmodelBank(fold=fold, horizon=horizon, models=models, scalers=scalers,
-                        station_attrs=attrs, coefficients=coeff, normalization=norm,
-                        baselines=baselines)
+    return SubmodelBank(fold=fold, horizon=horizon, submodels=submodels, coefficients=coeff,
+                        normalization=norm, baselines=baselines)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

@@ -416,7 +416,7 @@ def run_station_ablation(
     if "baseline" in methods and not bank.baselines:
         raise DataError("baseline method requested but the bank holds no baseline models")
     target_ids = sorted(folds.test_stations(fold))
-    leaked = sorted(set(target_ids) & set(bank.models))
+    leaked = sorted(set(target_ids) & set(bank.submodels))
     if leaked:
         raise DataError(f"held-out stations {leaked} are training stations of the bank")
     by_id = index_series(data)

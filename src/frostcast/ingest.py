@@ -539,8 +539,9 @@ def ingest_directory(
     """Full ingestion pipeline from a directory of station files.
 
     ``stations_dir`` must contain ``stations.json`` (id -> lon/lat) and one
-    ``<id>.csv`` per station. Grids are optionally resampled, masked to the
-    boundary, and used to look up each station's DEM and NDVI attributes.
+    ``<id>.csv`` per station, whose id is a non-empty string without ``/`` or
+    ``\\``. Grids are optionally resampled, masked to the boundary, and used
+    to look up each station's DEM and NDVI attributes.
     Returns the dataset plus per-station dropped-row counts. A missing,
     malformed or non-UTF-8 file raises FormatError.
     """
@@ -550,9 +551,13 @@ def ingest_directory(
         raise FormatError(f"missing stations.json in {base}")
     try:
         listing = json.loads(_read_utf8(locations_path))
-        entries = [(str(e["id"]), GeoPoint(*finite_numbers([e["lon"], e["lat"]], 2,
-                                                           f"station {e['id']} location")))
-                   for e in listing["stations"]]
+        entries = []
+        for e in listing["stations"]:
+            sid = e["id"]  # a file name in base, checked before any CSV is read
+            if not isinstance(sid, str) or not sid or {"/", "\\"} & set(sid):
+                raise FormatError(f"station id must be a non-empty string without / or \\: {e!r}")
+            entries.append((sid, GeoPoint(*finite_numbers([e["lon"], e["lat"]], 2,
+                                                          f"station {sid} location"))))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"malformed stations.json: {exc}") from exc
     if cell_size is not None:

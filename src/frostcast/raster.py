@@ -55,10 +55,10 @@ def generate_raster(
             raise DataError(f"no climate snapshot for station {source_id}")
         ids = [source_id]
     else:
-        ids = sorted(set(climate) & set(bank.models))
+        ids = sorted(set(climate) & set(bank.submodels))
         if not ids:
             raise DataError("no climate snapshots for any bank station")
-    unknown = sorted(set(climate) - set(bank.models))
+    unknown = sorted(set(climate) - set(bank.submodels))
     if unknown:
         raise DataError(f"climate given for stations not in bank: {unknown}")
 
@@ -138,7 +138,7 @@ def matrix_to_csv(labels: Sequence[str], matrix: np.ndarray) -> str:
 
 
 def write_png(grid: AttributeGrid, path: str | os.PathLike, sidecar: str | os.PathLike | None = None) -> None:
-    """Optional heatmap output; requires matplotlib."""
+    """Optional heatmap output, written atomically as every artifact is; requires matplotlib."""
     try:
         import matplotlib
         matplotlib.use("Agg")
@@ -151,7 +151,8 @@ def write_png(grid: AttributeGrid, path: str | os.PathLike, sidecar: str | os.Pa
     fig, ax = plt.subplots(figsize=(6, 6 * grid.nrows / max(grid.ncols, 1)))
     ax.imshow(data, origin="lower", cmap="viridis", vmin=lo, vmax=hi)
     ax.set_axis_off()
-    fig.savefig(path, bbox_inches="tight", pad_inches=0)
+    write_atomically(path, lambda fh: fig.savefig(fh, format="png", bbox_inches="tight",
+                                                  pad_inches=0), binary=True)
     plt.close(fig)
     if sidecar is not None:
         write_atomically(sidecar, lambda fh: json.dump({"min": lo, "max": hi, "cmap": "viridis"},

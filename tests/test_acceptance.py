@@ -134,10 +134,10 @@ def test_criterion_02_attribute_weight_oracle():
         n = int(rng.integers(2, 25))
         triples = rng.uniform(0.0, 1.0, (n, 3))
         c = WeightCoefficients(*rng.uniform(0.01, 1.0, 3))
-        station_attrs = {f"s{i:02d}": StationAttributes(GeoPoint(g, 0.0), d, nd)
-                         for i, (g, d, nd) in enumerate(triples)}
-        bank = SubmodelBank(fold=0, horizon=60, models=dict.fromkeys(station_attrs), scalers={},
-                            station_attrs=station_attrs, coefficients=c,
+        # Weights read only each submodel's attributes, so the network and scaler are None.
+        submodels = {f"s{i:02d}": (StationAttributes(GeoPoint(g, 0.0), d, nd), None, None)
+                     for i, (g, d, nd) in enumerate(triples)}
+        bank = SubmodelBank(fold=0, horizon=60, submodels=submodels, coefficients=c,
                             normalization=DistanceNormalization(unit, unit, unit))
         weights = bank.weights_for_target(origin)  # (n,) in station_ids order
         shape_ok = shape_ok and weights.shape == (n,)
@@ -331,7 +331,7 @@ def test_criterion_08_aggregation_identities(small_world, small_folds, small_ban
 
     by_id = index_series(small_world.stations)
     snapshot = {}
-    for sid in sorted(small_bank.models):
+    for sid in small_bank.station_ids:
         cm = climate_matrix(by_id[sid])
         snapshot[sid] = cm.climate[10]
     avg = generate_raster(small_bank, snapshot, small_world.dem, small_world.ndvi,
@@ -339,7 +339,7 @@ def test_criterion_08_aggregation_identities(small_world, small_folds, small_ban
     singles = np.stack([
         generate_raster(small_bank, snapshot, small_world.dem, small_world.ndvi,
                         "single", source_id=sid).values
-        for sid in sorted(small_bank.models)
+        for sid in small_bank.station_ids
     ])
     raster_dev = float(np.max(np.abs(avg.values[avg.mask]
                                      - singles.mean(axis=0)[avg.mask])))
@@ -412,12 +412,12 @@ def test_criterion_10_fold_isolation():
         # 360 minutes: twelve 30-minute samples ahead.
         bank = train_bank(world.stations, folds, fold,
                           TrainConfig(seed=1, epochs=1, batch_size=256), horizon=360)
-        if set(bank.models) != folds.train_stations(fold):
+        if set(bank.station_ids) != folds.train_stations(fold):
             exact_split = False
         # Re-derive the pairing from what the bank actually trained on, and map
         # each row's source (columns 0-3) and target (4-7) attributes back to
         # station ids, so a leaked test station would surface here.
-        sources = sorted(bank.models)
+        sources = bank.station_ids
         for src in sources[:2]:
             for tgt in sources:
                 if tgt == src:

@@ -236,7 +236,7 @@ class TestPipeline:
         # Sources are read for their climate, held-out targets for their labels, and
         # a baseline's station for both.
         bank = load_bank(pipeline["bank"])
-        sources = set(bank.models)
+        sources = set(bank.station_ids)
         targets = set(load_dataset(pipeline["data"]).station_ids()) - sources
         both = set(bank.baselines) if "baseline" in methods else set()
         assert both <= targets
@@ -318,7 +318,7 @@ class TestPipeline:
 
     def test_raster_and_compare(self, pipeline, tmp_path):
         bank = load_bank(pipeline["bank"])
-        source = sorted(bank.models)[0]
+        source = bank.station_ids[0]
         rasters = []
         for token in ("avg", "wavg", f"single:{source}"):
             out = tmp_path / f"{token.split(':')[0]}.asc"
@@ -618,8 +618,8 @@ class TestReadmeEval:
             keep = {first: slice(None, half), second: slice(half, None)}.get(series.id, slice(None))
             stations.append(StationSeries(series.id, series.attributes, series.timestamps[keep],
                                           series.raw[keep]))
-        held_out = frozenset(data.station_ids()) - frozenset(bank.models)
-        folds = FoldAssignment((held_out, frozenset(bank.models)))
+        held_out = frozenset(data.station_ids()) - frozenset(bank.station_ids)
+        folds = FoldAssignment((held_out, frozenset(bank.station_ids)))
         matrices = build_prediction_matrices(stations, bank, sorted(held_out))
         assert not any((~np.isnan(pm.values)).all(axis=0).any() for pm in matrices)
         fits = []
@@ -666,7 +666,7 @@ class TestReadmeEval:
         assert main([*argv[:out], str(tmp_path / "r.asc"), *argv[out + 1:]]) == 0
         [snapshot] = snapshots
         by_id = index_series(load_dataset(argv[argv.index("--data") + 1]).stations)
-        assert sorted(snapshot) == sorted(load_bank(argv[argv.index("--bank") + 1]).models)
+        assert sorted(snapshot) == load_bank(argv[argv.index("--bank") + 1]).station_ids
         for sid, values in snapshot.items():
             obs = climate_matrix(by_id[sid])
             row = obs.climate[int(np.searchsorted(obs.timestamps, minute))]

@@ -80,10 +80,12 @@ ORIGIN = attrs(0.0, 0.0, 0.0, 0.0)
 
 
 def station_bank(stations, coefficients, normalization):
-    """A model-less bank of the given sites; ``station_ids`` keeps their order."""
-    ids = [f"s{i:03d}" for i in range(len(stations))]
-    return SubmodelBank(fold=0, horizon=60, models=dict.fromkeys(ids), scalers={},
-                        station_attrs=dict(zip(ids, stations)), coefficients=coefficients,
+    """A model-less bank of the given sites; ``station_ids`` keeps their order.
+
+    Weights read only each submodel's attributes, so its network and scaler are None.
+    """
+    submodels = {f"s{i:03d}": (site, None, None) for i, site in enumerate(stations)}
+    return SubmodelBank(fold=0, horizon=60, submodels=submodels, coefficients=coefficients,
                         normalization=normalization)
 
 
@@ -119,10 +121,15 @@ def reference_normalization(stations):
 
 def reference_weights(bank, target):
     """Normalised weights from one scalar distance triple per station, in station_ids order."""
-    raw = np.array([reference_distances(bank.station_attrs[i], target) for i in bank.station_ids])
+    raw = np.array([reference_distances(bank.submodels[i][0], target) for i in bank.station_ids])
     w = attribute_weights(bank.normalization.normalize(raw), bank.coefficients)
     w /= w.sum()
     return w
+
+
+def sites_and_scalers(bank):
+    """Each submodel's (attributes, scaler); networks have no ==, so tests compare their outputs."""
+    return {sid: (site, scaler) for sid, (site, _, scaler) in bank.submodels.items()}
 
 
 def rows(stations):
@@ -434,8 +441,8 @@ class TestPearson:
 
 class TestBank:
     def test_bank_contains_only_training_stations(self, small_bank, small_folds):
-        assert set(small_bank.models) == small_folds.train_stations(0)
-        assert set(small_bank.models).isdisjoint(small_folds.test_stations(0))
+        assert set(small_bank.submodels) == small_folds.train_stations(0)
+        assert set(small_bank.submodels).isdisjoint(small_folds.test_stations(0))
 
     def test_weights_subset_equivalence(self, small_bank, small_world):
         # Frozen bounds make subsetting then renormalizing identical to
@@ -443,7 +450,8 @@ class TestBank:
         target = small_world.stations[0].attributes
         full = small_bank.weights_for_target(target)
         subset_ids = small_bank.station_ids[:3]
-        subset_bank = replace(small_bank, models={k: small_bank.models[k] for k in subset_ids})
+        subset_bank = replace(small_bank,
+                              submodels={k: small_bank.submodels[k] for k in subset_ids})
         direct = subset_bank.weights_for_target(target)
         assert subset_bank.station_ids == subset_ids and direct.shape == (3,)
         np.testing.assert_allclose(direct, full[:3] / full[:3].sum(), rtol=0, atol=1e-12)
@@ -479,8 +487,7 @@ class TestBank:
         assert loaded.fold == small_bank.fold
         assert loaded.coefficients == small_bank.coefficients
         assert loaded.normalization == small_bank.normalization
-        assert loaded.station_attrs == small_bank.station_attrs
-        assert loaded.scalers == small_bank.scalers
+        assert sites_and_scalers(loaded) == sites_and_scalers(small_bank)
         assert loaded.baselines == {}
         target = small_world.stations[0].attributes
         climate = np.array([[2.0, 0.5, 80.0, -1.0, 0.3]])
@@ -491,15 +498,15 @@ class TestBank:
             )
 
     def test_narrowed_bank_round_trip(self, small_bank, small_world, tmp_path):
-        # Narrowed as test_weights_subset_equivalence narrows it: station_attrs
-        # and scalers still hold every station, but only the models are saved.
+        # Narrowed as test_weights_subset_equivalence narrows it: only the kept
+        # submodels are saved.
         subset_ids = small_bank.station_ids[:3]
-        subset_bank = replace(small_bank, models={k: small_bank.models[k] for k in subset_ids})
+        subset_bank = replace(small_bank,
+                              submodels={k: small_bank.submodels[k] for k in subset_ids})
         save_bank(subset_bank, tmp_path)
         loaded = load_bank(tmp_path)
         assert loaded.station_ids == subset_ids
-        assert loaded.station_attrs == {k: small_bank.station_attrs[k] for k in subset_ids}
-        assert loaded.scalers == {k: small_bank.scalers[k] for k in subset_ids}
+        assert sites_and_scalers(loaded) == sites_and_scalers(subset_bank)
         target = small_world.stations[0].attributes
         assert (loaded.weights_for_target(target).tobytes()
                 == subset_bank.weights_for_target(target).tobytes())
@@ -543,14 +550,16 @@ class TestBank:
         baselines = {"b1": (onsite, fit_scaler_arrays(np.eye(5), np.arange(5.0)))}
         save_bank(replace(small_bank, baselines=baselines), tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        models = {sid: init_network(SUBMODEL_SPEC, seed=9) for sid in small_bank.models}
-        changed = replace(small_bank, coefficients=FOLD_COEFFICIENT_PRESETS[2], models=models)
+        submodels = {sid: (a, init_network(SUBMODEL_SPEC, seed=9), scaler)
+                     for sid, (a, _, scaler) in small_bank.submodels.items()}
+        changed = replace(small_bank, coefficients=FOLD_COEFFICIENT_PRESETS[2],
+                          submodels=submodels)
         last = changed.station_ids[-1]
         to_dict = ensemble.network_to_dict
         # The encoder meets an unserialisable value in the last station's model, after
         # the new coefficients and every other model: the save fails partway.
         monkeypatch.setattr(ensemble, "network_to_dict", lambda net: (
-            {"weights": object()} if net is changed.models[last] else to_dict(net)))
+            {"weights": object()} if net is changed.submodels[last][1] else to_dict(net)))
         with pytest.raises(TypeError):
             save_bank(changed, tmp_path)
         monkeypatch.undo()
@@ -593,10 +602,35 @@ def reference_calibrate(bank, stations, stride):
                 continue
             preds = bank.predict_batch(source_id, obs.climate[src_idx], target.attributes)
             errors = np.abs(preds - labels[lab_idx])
-            raw = np.asarray(reference_distances(bank.station_attrs[source_id], target.attributes))
+            raw = np.asarray(reference_distances(bank.submodels[source_id][0], target.attributes))
             norm = bank.normalization.normalize(raw[None, :])[0]
             dist_rows.append(np.broadcast_to(norm, (errors.size, 3)))
             err_blocks.append(errors)
+    dists, errors = np.concatenate(dist_rows), np.concatenate(err_blocks)
+    geo, dem, ndvi = (abs(pearson(dists[:, k], errors)) for k in range(3))
+    if geo + dem + ndvi == 0.0:
+        return FALLBACK_COEFFICIENTS
+    return WeightCoefficients(geo, dem, ndvi)
+
+
+def reference_block_coefficients(bank, source_ids, targets, blocks):
+    """calibrate_coefficients from given prediction blocks, one (target, source) row at a time.
+
+    None where no block holds an observed cell.
+    """
+    sources = bank.attribute_rows(source_ids)
+    dist_rows, err_blocks = [], []
+    for target, block in zip(targets, blocks):
+        norm = bank.normalization.normalize(attribute_distances(sources, target.attributes))
+        for dist, preds in zip(norm, block):
+            observed = ~np.isnan(preds)
+            if not observed.any():
+                continue
+            errors = np.abs(preds[observed] - target.labels[observed])
+            dist_rows.append(np.broadcast_to(dist, (errors.size, 3)))
+            err_blocks.append(errors)
+    if not err_blocks:
+        return None
     dists, errors = np.concatenate(dist_rows), np.concatenate(err_blocks)
     geo, dem, ndvi = (abs(pearson(dists[:, k], errors)) for k in range(3))
     if geo + dem + ndvi == 0.0:
@@ -626,6 +660,36 @@ class TestCalibration:
         for n in (1, 2):
             monkeypatch.setattr(ensemble, "_worker_count", lambda: n)
             assert calibrate_coefficients(small_bank, train_series, stride=stride) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), stride=st.sampled_from([7, 30]),
+           row_nan=st.sampled_from([0.0, 0.3, 1.0]), cell_nan=st.sampled_from([0.0, 0.2, 0.9]))
+    def test_masked_pass_matches_reference_loop_on_random_masks(
+        self, small_bank, small_world, small_folds, seed, stride, row_nan, cell_nan
+    ):
+        # Random predictions with NaN rows and cells stand in for the bank's blocks.
+        train_series = [s for s in small_world.stations if s.id in small_folds.train_stations(0)]
+        seen = []
+
+        def random_blocks(bank, series, targets):
+            rng = np.random.default_rng(seed)
+            source_ids = [sid for sid in bank.station_ids if sid in series]
+            blocks = []
+            for target in targets:
+                block = target.labels + rng.normal(0.0, 2.0, (len(source_ids), target.labels.size))
+                block[rng.random(len(source_ids)) < row_nan] = np.nan
+                block[rng.random(block.shape) < cell_nan] = np.nan
+                blocks.append(block)
+            seen.append((source_ids, targets, blocks))
+            return source_ids, blocks
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ensemble, "_predictions_at_targets", random_blocks)
+            try:
+                got = calibrate_coefficients(small_bank, train_series, stride=stride)
+            except DataError:
+                got = None
+        assert got == reference_block_coefficients(small_bank, *seen[0])
 
     def test_predicts_no_target_from_itself(self, small_bank, small_world, small_folds,
                                             monkeypatch):
@@ -741,7 +805,7 @@ def _reference_bank(stations, folds, fold, cfg, horizon, entry_stride, max_entri
     """train_bank's pair loop written with one pair_feature_arrays call per pair."""
     by_id = index_series(stations)
     train_ids = sorted(folds.train_stations(fold) & set(by_id))
-    models, scalers = {}, {}
+    submodels = {}
     for idx, source_id in enumerate(train_ids):
         blocks = [
             pair_feature_arrays(by_id[source_id], by_id[t], horizon, stride=entry_stride)
@@ -757,13 +821,11 @@ def _reference_bank(stations, folds, fold, cfg, horizon, entry_stride, max_entri
         scaler = fit_scaler_arrays(x, y)
         net = init_network(SUBMODEL_SPEC, seed=int(cfg.seed * 100003 + idx))
         net, _ = train(net, apply_scaler(scaler, x), np.asarray(scale_label(scaler, y)), cfg)
-        models[source_id], scalers[source_id] = net, scaler
+        submodels[source_id] = (by_id[source_id].attributes, net, scaler)
     return SubmodelBank(
         fold=fold,
         horizon=horizon,
-        models=models,
-        scalers=scalers,
-        station_attrs={i: by_id[i].attributes for i in train_ids},
+        submodels=submodels,
         coefficients=FALLBACK_COEFFICIENTS,
         normalization=fit_normalization([by_id[i].attributes for i in train_ids]),
     )

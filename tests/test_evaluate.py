@@ -389,8 +389,7 @@ class TestAblation:
             methods=("weighted_average", "weighted_vote", "idw"), matrices=matrices,
         ).results
         by_id = index_series(small_world.stations)
-        xy = np.array([(bank.station_attrs[sid].location.lon, bank.station_attrs[sid].location.lat)
-                       for sid in bank.station_ids])
+        xy = bank.attribute_rows(bank.station_ids)[:, :2]
         wavg, vote, idw, labels = [], [], [], []
         for pm in matrices:
             assert pm.source_ids == bank.station_ids
@@ -469,8 +468,7 @@ class TestAblation:
             methods=("ok",), matrices=short,
         ).results
         by_id = index_series(small_world.stations)
-        xy = np.array([(a.location.lon, a.location.lat)
-                       for a in map(small_bank.station_attrs.get, short[0].source_ids)])
+        xy = small_bank.attribute_rows(short[0].source_ids)[:, :2]
         model = reference_fit_variogram(*reference_pooled_bins(xy, [pm.values for pm in short]))
         for row, k in zip(results, counts):
             draw = np.random.default_rng(np.random.SeedSequence((0, k)))
@@ -554,7 +552,7 @@ class TestAblation:
     def test_targets_among_training_stations_rejected(self, small_world, small_folds,
                                                        small_bank):
         # Fold 1's stations trained the fold-0 bank: scoring them there is leakage.
-        assert small_folds.test_stations(1) <= set(small_bank.models)
+        assert small_folds.test_stations(1) <= set(small_bank.submodels)
         with pytest.raises(DataError, match="training stations of the bank"):
             run_station_ablation(small_world.stations, small_folds, 1, small_bank, counts=[1])
 

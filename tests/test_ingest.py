@@ -808,6 +808,20 @@ class TestIngestDirectory:
         with pytest.raises(FormatError, match="station s1 location must be 2 finite numbers"):
             ingest_directory(tmp_path, square_grid([[1.0]]), square_grid([[0.5]]))
 
+    @pytest.mark.parametrize("sid", [10001, True, "", "../s2", "..\\s2"],
+                             ids=["number", "boolean", "empty", "slash", "backslash"])
+    def test_station_id_must_be_a_plain_string(self, tmp_path, monkeypatch, sid):
+        self.write_inputs(tmp_path)
+        listing = json.loads((tmp_path / "stations.json").read_text())
+        listing["stations"][1]["id"] = sid
+        (tmp_path / "stations.json").write_text(json.dumps(listing))
+        reads = []
+        monkeypatch.setattr(ingest, "parse_station_csv", lambda *args: reads.append(args))
+        with pytest.raises(FormatError, match="station id must be a non-empty string") as info:
+            ingest_directory(tmp_path, square_grid([[1.0]]), square_grid([[0.5]]))
+        assert repr(sid) in str(info.value)  # the message names the entry
+        assert reads == []  # refused before the first station's CSV is parsed
+
     def test_grid_geometry_must_agree(self, tmp_path):
         self.write_inputs(tmp_path)
         dem = square_grid([[100.0, 200.0], [300.0, 400.0]])

@@ -1,5 +1,7 @@
 """Region rasters: per-method semantics and pairwise significance tables."""
 
+import sys
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +30,7 @@ def snapshot(world, ids, minute=30):
 
 @pytest.fixture(scope="module")
 def climate(small_world, small_bank):
-    return snapshot(small_world, sorted(small_bank.models))
+    return snapshot(small_world, small_bank.station_ids)
 
 
 class TestGenerateRaster:
@@ -38,7 +40,7 @@ class TestGenerateRaster:
             generate_raster(
                 small_bank, climate, small_world.dem, small_world.ndvi, "single", source_id=sid
             )
-            for sid in sorted(small_bank.models)
+            for sid in small_bank.station_ids
         ]
         stacked = np.stack([s.values for s in singles])
         npt.assert_allclose(avg.values[avg.mask], stacked.mean(axis=0)[avg.mask], atol=1e-9)
@@ -50,7 +52,7 @@ class TestGenerateRaster:
         preds = np.stack([
             generate_raster(small_bank, climate, small_world.dem, small_world.ndvi, "single",
                             source_id=sid).values[avg.mask]
-            for sid in sorted(small_bank.models)
+            for sid in small_bank.station_ids
         ])
         npt.assert_array_equal(avg.values[avg.mask], preds.mean(axis=0))
 
@@ -64,10 +66,10 @@ class TestGenerateRaster:
         lon_g, lat_g = dem.cell_centers()
         lon, lat, cell_dem, cell_ndvi = lon_g[mask], lat_g[mask], dem.values[mask], ndvi.values[mask]
         c = small_bank.coefficients
-        ids = sorted(small_bank.models)
+        ids = small_bank.station_ids
         weights, preds = [], []
         for sid in ids:
-            a = small_bank.station_attrs[sid]
+            a = small_bank.submodels[sid][0]
             raw = np.column_stack([np.hypot(a.location.lon - lon, a.location.lat - lat),
                                    np.abs(a.dem - cell_dem), np.abs(a.ndvi - cell_ndvi)])
             norm = small_bank.normalization.normalize(raw)
@@ -98,7 +100,7 @@ class TestGenerateRaster:
         assert (avg.values[avg.mask] != wavg.values[wavg.mask]).any()
 
     def test_missing_stations_sit_out(self, small_world, small_bank, climate):
-        ids = sorted(small_bank.models)
+        ids = small_bank.station_ids
         partial = {sid: climate[sid] for sid in ids[:2]}
         out = generate_raster(small_bank, partial, small_world.dem, small_world.ndvi, "average")
         singles = [
@@ -230,3 +232,36 @@ class TestPng:
 
         doc = json.loads(meta.read_text())
         assert doc["min"] == 1.0 and doc["max"] == 11.0
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_png_replaces_the_old_one_whole_or_not_at_all(self, tmp_path, monkeypatch, fails):
+        # A stub matplotlib whose savefig writes part of an image and then, if asked, fails.
+        def savefig(fh, **kwargs):
+            assert kwargs["format"] == "png"
+            fh.write(b"\x89PNG\r\n\x1a\n")
+            if fails:
+                raise OSError("disk full")
+            fh.write(b"rest")
+
+        figure = types.SimpleNamespace(savefig=savefig)
+        axes = types.SimpleNamespace(imshow=lambda *args, **kwargs: None, set_axis_off=lambda: None)
+        pyplot = types.ModuleType("matplotlib.pyplot")
+        pyplot.subplots = lambda **kwargs: (figure, axes)
+        pyplot.close = lambda fig: None
+        matplotlib = types.ModuleType("matplotlib")
+        matplotlib.use, matplotlib.pyplot = (lambda backend: None), pyplot
+        monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+        from frostcast.raster import write_png
+
+        png = tmp_path / "out.png"
+        png.write_bytes(b"old image")
+        grid = grid_of(np.arange(12.0).reshape(3, 4))
+        if fails:
+            with pytest.raises(OSError, match="disk full"):
+                write_png(grid, png, sidecar=tmp_path / "out.json")
+            assert png.read_bytes() == b"old image"
+            assert [p.name for p in tmp_path.iterdir()] == ["out.png"]
+        else:
+            write_png(grid, png, sidecar=tmp_path / "out.json")
+            assert png.read_bytes() == b"\x89PNG\r\n\x1a\nrest"
