@@ -236,6 +236,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_raster(args: argparse.Namespace) -> int:
+    sidecar = None
+    if args.png:
+        try:
+            sidecar = Path(args.png).with_suffix(".json")
+        except ValueError:  # a path without a file name, such as "." or "/"
+            raise UsageError(f"bad --png path {args.png!r}") from None
+        if len({Path(p).resolve() for p in (args.out, args.png, sidecar)}) < 3:
+            raise UsageError(f"--out, --png and the PNG's sidecar {str(sidecar)!r} "
+                             "must be three different files")
     dataset = load_dataset(args.data)
     bank = load_bank(args.bank)
     token = args.method
@@ -263,7 +272,7 @@ def _cmd_raster(args: argparse.Namespace) -> int:
     grid = generate_raster(bank, snapshot, dataset.dem, dataset.ndvi, method, source_id)
     write_atomically(args.out, lambda fh: fh.write(write_ascii_grid(grid)))
     if args.png:
-        write_png(grid, args.png, Path(args.png).with_suffix(".json"))
+        write_png(grid, args.png, sidecar)
     print(f"wrote {method} raster over {int(grid.mask.sum())} cells -> {args.out}")
     return 0
 

@@ -151,9 +151,11 @@ def write_png(grid: AttributeGrid, path: str | os.PathLike, sidecar: str | os.Pa
     fig, ax = plt.subplots(figsize=(6, 6 * grid.nrows / max(grid.ncols, 1)))
     ax.imshow(data, origin="lower", cmap="viridis", vmin=lo, vmax=hi)
     ax.set_axis_off()
-    write_atomically(path, lambda fh: fig.savefig(fh, format="png", bbox_inches="tight",
-                                                  pad_inches=0), binary=True)
-    plt.close(fig)
+    try:
+        write_atomically(path, lambda fh: fig.savefig(fh, format="png", bbox_inches="tight",
+                                                      pad_inches=0), binary=True)
+    finally:
+        plt.close(fig)
     if sidecar is not None:
         write_atomically(sidecar, lambda fh: json.dump({"min": lo, "max": hi, "cmap": "viridis"},
                                                        fh, sort_keys=True))

@@ -5,13 +5,14 @@ generation and training once. Tests that need different shapes build their
 own tiny inputs inline.
 """
 
+import sys
+import types
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from frostcast import (
-    FoldAssignment,
     TrainConfig,
     WorldSpec,
     generate_world,
@@ -87,33 +88,26 @@ def small_test_ids(small_folds):
     return sorted(small_folds.test_stations(0))
 
 
-def noiseless_world(seed=5, n_stations=6, days=1):
-    spec = WorldSpec(
-        seed=seed,
-        n_stations=n_stations,
-        lon_min=146.0,
-        lon_max=147.0,
-        lat_min=-34.0,
-        lat_max=-33.0,
-        cell_size=0.1,
-        days=days,
-        noise_sd=0.0,
-    )
-    return generate_world(spec)
-
-
-@pytest.fixture(scope="session")
-def quiet_world():
-    return noiseless_world()
-
-
-def two_fold_assignment(ids):
-    """First half tests, second half trains; handy for direct bank builds."""
-    ids = sorted(ids)
-    half = len(ids) // 2
-    return FoldAssignment((frozenset(ids[:half]), frozenset(ids[half:])))
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def stub_pyplot(monkeypatch):
+    """Replace matplotlib with a stub and return its one figure.
+
+    The figure's ``savefig`` writes a PNG signature (a test may replace it),
+    and ``pyplot.close`` appends the figure it closes to ``figure.closed``.
+    """
+    figure = types.SimpleNamespace(savefig=lambda fh, **kwargs: fh.write(b"\x89PNG\r\n\x1a\n"),
+                                   closed=[])
+    axes = types.SimpleNamespace(imshow=lambda *args, **kwargs: None, set_axis_off=lambda: None)
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = lambda **kwargs: (figure, axes)
+    pyplot.close = figure.closed.append
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.use, matplotlib.pyplot = (lambda backend: None), pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    return figure

@@ -535,6 +535,31 @@ class TestExitCodes:
         ])
         assert rc == 2
 
+    # The PNG's sidecar is its path with a .json suffix, so the first two would write one
+    # output over another, and "." has no sidecar. With the stub matplotlib every write
+    # would succeed.
+    @pytest.mark.parametrize("out, png, written", [
+        ("map.asc", "map.json", None),
+        ("grid.json", "grid.png", None),
+        ("map.asc", ".", None),
+        ("map.asc", "map.png", ["map.asc", "map.json", "map.png"]),
+    ], ids=["png-is-its-sidecar", "sidecar-is-out", "png-without-a-name", "three-files"])
+    def test_raster_png_needs_three_distinct_outputs(self, pipeline, tmp_path, monkeypatch,
+                                                     capsys, stub_pyplot, out, png, written):
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        rc = main([
+            "raster", "--data", str(pipeline["data"]), "--bank", str(pipeline["bank"]),
+            "--method", "avg", "--timestamp", "60", "--out", out, "--png", png,
+        ])
+        if written:
+            assert rc == 0 and sorted(p.name for p in tmp_path.iterdir()) == written
+            return
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("minute", ["61", "100000000000000000000", "-1"])
     def test_raster_at_minute_without_observations(self, pipeline, tmp_path, minute):
         rc = main([

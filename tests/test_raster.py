@@ -1,7 +1,5 @@
 """Region rasters: per-method semantics and pairwise significance tables."""
 
-import sys
-import types
 from dataclasses import replace
 
 import numpy as np
@@ -234,8 +232,8 @@ class TestPng:
         assert doc["min"] == 1.0 and doc["max"] == 11.0
 
     @pytest.mark.parametrize("fails", [False, True])
-    def test_png_replaces_the_old_one_whole_or_not_at_all(self, tmp_path, monkeypatch, fails):
-        # A stub matplotlib whose savefig writes part of an image and then, if asked, fails.
+    def test_png_replaces_the_old_one_whole_or_not_at_all(self, tmp_path, stub_pyplot, fails):
+        # The stub figure's savefig writes part of an image and then, if asked, fails.
         def savefig(fh, **kwargs):
             assert kwargs["format"] == "png"
             fh.write(b"\x89PNG\r\n\x1a\n")
@@ -243,15 +241,7 @@ class TestPng:
                 raise OSError("disk full")
             fh.write(b"rest")
 
-        figure = types.SimpleNamespace(savefig=savefig)
-        axes = types.SimpleNamespace(imshow=lambda *args, **kwargs: None, set_axis_off=lambda: None)
-        pyplot = types.ModuleType("matplotlib.pyplot")
-        pyplot.subplots = lambda **kwargs: (figure, axes)
-        pyplot.close = lambda fig: None
-        matplotlib = types.ModuleType("matplotlib")
-        matplotlib.use, matplotlib.pyplot = (lambda backend: None), pyplot
-        monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
-        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+        stub_pyplot.savefig = savefig
         from frostcast.raster import write_png
 
         png = tmp_path / "out.png"
@@ -265,3 +255,5 @@ class TestPng:
         else:
             write_png(grid, png, sidecar=tmp_path / "out.json")
             assert png.read_bytes() == b"\x89PNG\r\n\x1a\nrest"
+        # The figure is closed once, whether or not its save failed.
+        assert stub_pyplot.closed == [stub_pyplot]
