@@ -195,8 +195,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    if args.preset is not None and args.data is not None:
+        raise UsageError("calibrate takes --preset or --data, not both")
     bank = load_bank(args.bank)
-    if args.preset:
+    if args.preset is not None:
         if not args.preset.startswith("paper-fold-"):
             raise UsageError(f"unknown preset {args.preset!r}; expected paper-fold-K")
         try:
@@ -209,7 +211,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     else:
         if not args.data:
             raise UsageError("calibrate needs --data unless --preset is given")
-        coeff = calibrate_coefficients(bank, load_dataset(args.data).stations, stride=args.stride)
+        coeff = calibrate_coefficients(bank, load_dataset(args.data).stations)
     bank.coefficients = coeff
     save_bank(bank, args.bank)
     print(f"coefficients: geo={coeff.geo!r} dem={coeff.dem!r} ndvi={coeff.ndvi!r}")
@@ -220,7 +222,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     bank = load_bank(args.bank)
     methods = parse_methods(args.methods)
-    counts = parse_counts(args.counts, len(bank)) if args.counts else None
+    counts = parse_counts(args.counts, len(bank)) if args.counts is not None else None
     train_ids = set(bank.submodels)
     test_ids = frozenset(dataset.station_ids()) - train_ids
     if not test_ids:
@@ -247,16 +249,13 @@ def _cmd_raster(args: argparse.Namespace) -> int:
                              "must be three different files")
     dataset = load_dataset(args.data)
     bank = load_bank(args.bank)
-    token = args.method
-    source_id = None
-    if token.startswith("single:"):
-        token, source_id = "single", token.split(":", 1)[1]
-    if token in METHOD_TOKENS and METHOD_TOKENS[token] in ("average", "weighted_average"):
-        method = METHOD_TOKENS[token]
-    elif token == "single":
-        method = "single"
-        if source_id is None:
+    kind, _, source_id = args.method.partition(":")
+    if args.method in ("avg", "wavg"):
+        name = method = METHOD_TOKENS[args.method]
+    elif kind == "single":
+        if not source_id:
             raise UsageError("single raster method needs the form single:<station id>")
+        name, method = "single", "average"  # the average over that one station
     else:
         raise UsageError(f"unknown raster method {args.method!r}; use avg, wavg, or single:<id>")
     snapshot = {}
@@ -269,11 +268,15 @@ def _cmd_raster(args: argparse.Namespace) -> int:
             snapshot[series.id] = tuple(climate_matrix(series).climate[i].tolist())
     if not snapshot:
         raise DataError(f"no bank station has an observation at minute {args.timestamp}")
-    grid = generate_raster(bank, snapshot, dataset.dem, dataset.ndvi, method, source_id)
+    if name == "single":
+        if source_id not in snapshot:
+            raise DataError(f"no climate snapshot for station {source_id}")
+        snapshot = {source_id: snapshot[source_id]}
+    grid = generate_raster(bank, snapshot, dataset.dem, dataset.ndvi, method)
     write_atomically(args.out, lambda fh: fh.write(write_ascii_grid(grid)))
     if args.png:
         write_png(grid, args.png, sidecar)
-    print(f"wrote {method} raster over {int(grid.mask.sum())} cells -> {args.out}")
+    print(f"wrote {name} raster over {int(grid.mask.sum())} cells -> {args.out}")
     return 0
 
 
@@ -339,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="set attribute-weight coefficients")
     p.add_argument("--bank", required=True)
     p.add_argument("--data", default=None)
-    p.add_argument("--stride", type=int, default=30)
     p.add_argument("--preset", default=None, help="named preset (paper-fold-K)")
     p.set_defaults(func=_cmd_calibrate)
 

@@ -21,17 +21,18 @@ them in ``station_ids`` order, the row order of every prediction matrix.
 :data:`AGGREGATORS` maps each aggregation method (plain averaging,
 attribute-weighted averaging, weighted frost voting, and the weighted mean
 of inverse-distance weights) to one function over a block of predictions;
-evaluation and rasters both use it.
+evaluation and rasters both use it. NaN is the one marker of a missing
+prediction, in the blocks and in the table alike.
 
 Training and inference use one process per available CPU through
 :func:`map_in_workers`, the package's one pool: forked workers build each
 submodel's corpus and train its network, and
 ``evaluate.build_prediction_matrices`` and :func:`calibrate_coefficients` run
 one source's submodel at every target per task (:func:`_predictions_at_targets`),
-each task writing its rows into target blocks that share one anonymous memory
-map. The parent process holds OpenBLAS at one thread while the pool runs, so
-each worker inherits a one-thread library. Results are identical whatever the
-number of CPUs.
+each task writing its rows into the targets' :class:`PredictionMatrix` blocks,
+which share one anonymous memory map. The parent process holds OpenBLAS at
+one thread while the pool runs, so each worker inherits a one-thread library.
+Results are identical whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -250,13 +251,14 @@ class SubmodelBank:
 
 
 def _masked_weighted_mean(
-    values: np.ndarray, available: np.ndarray, weights: np.ndarray
+    values: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise weighted mean over the available rows of a (k, n) block.
+    """Column-wise weighted mean over the non-NaN cells of a (k, n) block.
 
     ``weights`` is (k,) per row or (k, n) per cell. Returns (mean, valid);
-    a column is valid when its available weights sum above zero.
+    a column is valid when the weights of its non-NaN cells sum above zero.
     """
+    available = ~np.isnan(values)
     weights = np.asarray(weights, dtype=np.float64)
     w = (weights[:, None] if weights.ndim == 1 else weights) * available
     total = w.sum(axis=0)
@@ -267,27 +269,30 @@ def _masked_weighted_mean(
     return mean, valid
 
 
-def _average(values, available, weights, trigger=0.0):
-    return _masked_weighted_mean(values, available, np.ones(len(values)))
+def _average(values, weights, trigger=0.0):
+    return _masked_weighted_mean(values, np.ones(len(values)))
 
 
-def _weighted_average(values, available, weights, trigger=0.0):
-    return _masked_weighted_mean(values, available, weights)
+def _weighted_average(values, weights, trigger=0.0):
+    return _masked_weighted_mean(values, weights)
 
 
-def _weighted_vote(values, available, weights, trigger=0.0):
+def _weighted_vote(values, weights, trigger=0.0):
     """Weighted frost vote: +1 strictly below the trigger, -1 otherwise.
 
-    The tie (score exactly zero) counts as frost; a missed frost is the
-    expensive mistake, so ambiguity resolves toward warning.
+    A missing prediction stays NaN, so it casts no vote. The tie (score
+    exactly zero) counts as frost; a missed frost is the expensive mistake,
+    so ambiguity resolves toward warning.
     """
-    score, valid = _masked_weighted_mean(np.where(values < trigger, 1.0, -1.0), available, weights)
+    votes = np.where(np.isnan(values), np.nan, np.where(values < trigger, 1.0, -1.0))
+    score, valid = _masked_weighted_mean(votes, weights)
     return score >= 0.0, valid
 
 
-#: Aggregation method -> ``fn(values, available, weights, trigger)`` over a (k, n)
-#: block of k sources' predictions, its availability mask and (k,) or (k, n)
-#: weights; returns (n,) (prediction, valid). ``idw`` is the weighted mean of
+#: Aggregation method -> ``fn(values, weights, trigger)`` over a (k, n) block of
+#: k sources' predictions, NaN where a source has none, and (k,) or (k, n)
+#: weights; returns (n,) (prediction, valid). A column is valid when some
+#: weighted source predicts in it. ``idw`` is the weighted mean of
 #: inverse-distance weights, and ``average`` ignores the weights it is given.
 AGGREGATORS: dict[str, Callable] = {
     "average": _average,
@@ -401,9 +406,24 @@ def _predict_from_source(bank: SubmodelBank, sources: list[StationSeries],
             row[lab_idx] = bank.predict_batch(source.id, climate[src_idx], target.attributes)
 
 
+@dataclass
+class PredictionMatrix:
+    """All submodel predictions at one target station.
+
+    ``values[i, t]`` is source ``source_ids[i]``'s prediction for label
+    timestamp ``t``; NaN where the source is unobserved at that minute or is the target.
+    """
+
+    target_id: StationId
+    source_ids: list[StationId]
+    timestamps: np.ndarray
+    labels: np.ndarray
+    values: np.ndarray
+
+
 def _predictions_at_targets(bank: SubmodelBank, series: Mapping[StationId, StationSeries],
-                            targets: list[StationFrame]) -> tuple[list[StationId], list]:
-    """(source ids, one (sources, labels) block of predictions per target frame).
+                            targets: list[StationFrame]) -> list[PredictionMatrix]:
+    """One :class:`PredictionMatrix` per target frame, its labels the frame's.
 
     The sources are the bank's stations with a series in ``series``, in bank
     order, and each is one ``map_in_workers`` task: it derives its own
@@ -419,7 +439,8 @@ def _predictions_at_targets(bank: SubmodelBank, series: Mapping[StationId, Stati
     task = functools.partial(_predict_from_source, bank, sources, targets, blocks)
     for _ in map_in_workers(task, len(sources)):
         pass
-    return [s.id for s in sources], blocks
+    return [PredictionMatrix(t.id, [s.id for s in sources], t.label_timestamps, t.labels, values)
+            for t, values in zip(targets, blocks)]
 
 
 def _train_submodel(frames: Mapping[StationId, StationFrame], train_ids, test_ids, cfg: TrainConfig,
@@ -503,14 +524,15 @@ def train_bank(
 def calibrate_coefficients(
     bank: SubmodelBank,
     stations: Sequence[StationSeries],
-    stride: int = 1,
+    stride: int = 30,
 ) -> WeightCoefficients:
     """Derive (geo, dem, ndvi) coefficients from error-distance correlation.
 
     For every (submodel, validation target) pair the per-prediction absolute
     error is correlated against each normalized distance; the coefficient is
     the magnitude of the Pearson correlation. If all three vanish the
-    fallback (1, 0, 0) applies. ``stride`` keeps every stride-th label.
+    fallback (1, 0, 0) applies. ``stride`` keeps every stride-th label (every
+    30th, as ``frostcast calibrate`` does, unless given).
     Only the bank's own stations take part, each as a source and a target,
     so series of held-out stations never shape the weights that score them.
     """
@@ -521,12 +543,12 @@ def calibrate_coefficients(
         raise DataError("none of the bank's source stations have series to calibrate on")
     targets = [station_frame(series, bank.horizon, source=False).thinned(stride)
                for series in by_id.values()]
-    source_ids, blocks = _predictions_at_targets(bank, by_id, targets)
-    sources = bank.attribute_rows(source_ids)
+    matrices = _predictions_at_targets(bank, by_id, targets)
+    sources = bank.attribute_rows(matrices[0].source_ids)
     dist_rows, err_blocks = [], []
-    for target, block in zip(targets, blocks):  # one row per observed cell, source by source
-        observed = ~np.isnan(block)  # a source's row at its own site is all NaN
-        err_blocks.append(np.abs(block - target.labels)[observed])
+    for target, pm in zip(targets, matrices):  # one row per observed cell, source by source
+        observed = ~np.isnan(pm.values)  # a source's row at its own site is all NaN
+        err_blocks.append(np.abs(pm.values - pm.labels)[observed])
         norm = bank.normalization.normalize(attribute_distances(sources, target.attributes))
         dist_rows.append(np.repeat(norm, observed.sum(axis=1), axis=0))
     dists, errors = np.concatenate(dist_rows), np.concatenate(err_blocks)

@@ -22,6 +22,7 @@ import numpy as np
 from .core import FoldAssignment, GeoPoint, StationId, StationSeries, index_series
 from .ensemble import (
     AGGREGATORS,
+    PredictionMatrix,
     SubmodelBank,
     _fit,
     _predict,
@@ -277,21 +278,6 @@ class AblationResult:
     n_events: int
 
 
-@dataclass
-class PredictionMatrix:
-    """All submodel predictions at one target station.
-
-    ``values[i, t]`` is source ``source_ids[i]``'s prediction for label
-    timestamp ``t``; NaN where the source is unobserved at that minute or is the target.
-    """
-
-    target_id: StationId
-    source_ids: list[StationId]
-    timestamps: np.ndarray
-    labels: np.ndarray
-    values: np.ndarray
-
-
 def build_prediction_matrices(
     data: Sequence[StationSeries],
     bank: SubmodelBank,
@@ -310,17 +296,7 @@ def build_prediction_matrices(
     by_id = index_series(data)
     require_series(by_id, [*bank.station_ids, *target_ids])
     frames = station_frames(by_id, bank.horizon, (), target_ids)
-    return _prediction_matrices(by_id, frames, bank, target_ids)
-
-
-def _prediction_matrices(by_id: Mapping[StationId, StationSeries],
-                         frames: Mapping[StationId, StationFrame], bank: SubmodelBank,
-                         target_ids: Sequence[StationId]) -> list[PredictionMatrix]:
-    """The bank's predictions from the sources' series at the targets' label frames."""
-    targets = [frames[tid] for tid in target_ids]
-    source_ids, blocks = _predictions_at_targets(bank, by_id, targets)
-    return [PredictionMatrix(t.id, list(source_ids), t.label_timestamps, t.labels, values)
-            for t, values in zip(targets, blocks)]
+    return _predictions_at_targets(bank, by_id, [frames[tid] for tid in target_ids])
 
 
 def _availability_groups(avail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -430,7 +406,7 @@ def run_station_ablation(
     require_series(by_id, sources + targets)
     frames = station_frames(by_id, bank.horizon, baselines, targets)
     if matrices is None:
-        matrices = _prediction_matrices(by_id, frames, bank, target_ids)
+        matrices = _predictions_at_targets(bank, by_id, [frames[tid] for tid in target_ids])
     scored = evaluate_baselines(bank, frames) if "baseline" in methods else None
     del frames
 
@@ -459,7 +435,7 @@ def run_station_ablation(
                 else:
                     weights = (idw_weights(src_xy[subset], target) if method == "idw"
                                else target_weights[subset])
-                    pred, valid = AGGREGATORS[method](vals, ~np.isnan(vals), weights, trigger)
+                    pred, valid = AGGREGATORS[method](vals, weights, trigger)
                 pooled_pred.append(np.asarray(pred)[valid])
                 pooled_labels.append(pm.labels[valid])
             pred_all = np.concatenate(pooled_pred)

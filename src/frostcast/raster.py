@@ -5,8 +5,10 @@ climate snapshot, treating each cell as a virtual target site whose static
 attributes come from the DEM and NDVI grids: one ``predict_batch`` call per
 source station with per-cell target attributes. Cells are combined by the
 ``average`` or ``weighted_average`` entry of the ensemble's aggregation
-table, with per-cell attribute weights. Rasters from different folds or
-methods are compared cell-by-cell with the paired t-test.
+table, with per-cell attribute weights; one station's own raster is the
+``average`` over a climate mapping that holds only that station. Rasters
+from different folds or methods are compared cell-by-cell with the paired
+t-test.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import DataError, DomainError
 from .evaluate import paired_t_test
 from .ingest import AttributeGrid
 
-RASTER_METHODS = ("average", "weighted_average", "single")
+RASTER_METHODS = ("average", "weighted_average")
 
 
 def generate_raster(
@@ -32,14 +34,15 @@ def generate_raster(
     dem: AttributeGrid,
     ndvi: AttributeGrid,
     method: str = "weighted_average",
-    source_id: StationId | None = None,
 ) -> AttributeGrid:
     """Predicted next-window minimum over every unmasked cell.
 
     ``climate`` maps each participating source station to its 5-value
     reading at the chosen timestamp; stations absent from the mapping sit
-    out. Cell weights reuse the bank's frozen normalization bounds, with
-    normalized distances clamped into [0, 1] for cells beyond them.
+    out, as does a NaN prediction at its cell, and a cell that no station
+    predicts is NaN. Cell weights reuse the bank's frozen normalization
+    bounds, with normalized distances clamped into [0, 1] for cells beyond
+    them.
     Cell distances are one ``np.hypot`` over all (source, cell) pairs: it
     disagrees with ``core.geo_distances``'s ``math.hypot`` in the last bit on
     a few pairs, so sharing that routine would change some cells.
@@ -48,16 +51,9 @@ def generate_raster(
         raise DomainError(f"unknown raster method: {method!r}")
     if not dem.same_geometry(ndvi):
         raise DataError("dem and ndvi grids must share geometry")
-    if method == "single":
-        if source_id is None:
-            raise DomainError("single-source raster needs source_id")
-        if source_id not in climate:
-            raise DataError(f"no climate snapshot for station {source_id}")
-        ids = [source_id]
-    else:
-        ids = sorted(set(climate) & set(bank.submodels))
-        if not ids:
-            raise DataError("no climate snapshots for any bank station")
+    ids = sorted(set(climate) & set(bank.submodels))
+    if not ids:
+        raise DataError("no climate snapshots for any bank station")
     unknown = sorted(set(climate) - set(bank.submodels))
     if unknown:
         raise DataError(f"climate given for stations not in bank: {unknown}")
@@ -80,20 +76,17 @@ def generate_raster(
             raise DataError(f"climate snapshot for {sid} must have 5 values, got {snap.shape}")
         preds[i] = bank.predict_batch(sid, np.broadcast_to(snap, (n_cells, 5)), targets)
 
-    if method == "single":
-        cell_values = preds[0]
-    else:
-        weights = None
-        if method == "weighted_average":
-            src = bank.attribute_rows(ids)[:, :, None]
-            raw = np.stack([np.hypot(src[:, 0] - lon, src[:, 1] - lat),
-                            np.abs(src[:, 2] - cell_dem),
-                            np.abs(src[:, 3] - cell_ndvi)], axis=-1)
-            weights = attribute_weights(bank.normalization.normalize(raw), bank.coefficients)
-        cell_values, _ = AGGREGATORS[method](preds, np.ones(preds.shape, dtype=bool), weights)
+    weights = None
+    if method == "weighted_average":
+        src = bank.attribute_rows(ids)[:, :, None]
+        raw = np.stack([np.hypot(src[:, 0] - lon, src[:, 1] - lat),
+                        np.abs(src[:, 2] - cell_dem),
+                        np.abs(src[:, 3] - cell_ndvi)], axis=-1)
+        weights = attribute_weights(bank.normalization.normalize(raw), bank.coefficients)
+    cell_values, valid = AGGREGATORS[method](preds, weights)
 
     values = np.full(dem.values.shape, np.nan)
-    values[mask] = cell_values
+    values[mask] = np.where(valid, cell_values, np.nan)
     return AttributeGrid(dem.origin, dem.cell_size, values, mask)
 
 

@@ -166,8 +166,7 @@ def test_criterion_03_interpolator_exactness():
     block = values[:, None]
     idw_dev = 0.0
     for site, value in zip(sites, values):
-        pred, valid = AGGREGATORS["idw"](block, np.ones(block.shape, dtype=bool),
-                                         idw_weights(xy, site), 0.0)
+        pred, valid = AGGREGATORS["idw"](block, idw_weights(xy, site), 0.0)
         idw_dev = max(idw_dev, abs(pred[0] - value) if valid[0] else np.inf)
     # Kriging as eval runs it: kriging_weights applied to the values.
     ok_dev = max(abs(kriging_weights(xy, site, nugget_free) @ values - value)
@@ -312,10 +311,9 @@ def test_criterion_08_aggregation_identities(small_world, small_folds, small_ban
     for _ in range(30):
         n = int(rng.integers(1, 12))
         preds = rng.normal(size=(n, 1))
-        avail = np.ones(preds.shape, dtype=bool)
         uniform = np.full(n, 1.0 / n)
-        weighted, _ = AGGREGATORS["weighted_average"](preds, avail, uniform)
-        average, _ = AGGREGATORS["average"](preds, avail, None)
+        weighted, _ = AGGREGATORS["weighted_average"](preds, uniform)
+        average, _ = AGGREGATORS["average"](preds, None)
         uniform_dev = max(uniform_dev, abs(float(weighted[0]) - float(average[0])))
 
     matrices = build_prediction_matrices(small_world.stations, small_bank, small_test_ids)
@@ -337,8 +335,8 @@ def test_criterion_08_aggregation_identities(small_world, small_folds, small_ban
     avg = generate_raster(small_bank, snapshot, small_world.dem, small_world.ndvi,
                           "average")
     singles = np.stack([
-        generate_raster(small_bank, snapshot, small_world.dem, small_world.ndvi,
-                        "single", source_id=sid).values
+        generate_raster(small_bank, {sid: snapshot[sid]}, small_world.dem, small_world.ndvi,
+                        "average").values
         for sid in small_bank.station_ids
     ])
     raster_dev = float(np.max(np.abs(avg.values[avg.mask]

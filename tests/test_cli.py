@@ -10,6 +10,7 @@ import re
 import shutil
 import zipfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from frostcast.ensemble import (
 )
 from frostcast.errors import DomainError
 from frostcast.features import climate_matrix, station_frame
+from frostcast.ingest import Dataset, parse_ascii_grid, save_dataset
 from frostcast.synth import MAX_GRID_CELLS, MAX_STATIONS
 
 SPEC = {
@@ -342,6 +344,25 @@ class TestPipeline:
         assert lines[0] == ",avg,single,wavg"
         assert len(lines) == 4
 
+    def test_single_raster_cells_are_the_station_predictions(self, pipeline, tmp_path):
+        bank, dataset = load_bank(pipeline["bank"]), load_dataset(pipeline["data"])
+        sid = bank.station_ids[1]
+        out = tmp_path / "single.asc"
+        assert main([
+            "raster", "--data", str(pipeline["data"]), "--bank", str(pipeline["bank"]),
+            "--method", f"single:{sid}", "--timestamp", "60", "--out", str(out),
+        ]) == 0
+        obs = climate_matrix(index_series(dataset.stations)[sid])
+        snap = obs.climate[int(np.searchsorted(obs.timestamps, 60))]
+        dem, ndvi = dataset.dem, dataset.ndvi
+        mask = dem.mask & ndvi.mask
+        lon, lat = dem.cell_centers()
+        targets = np.column_stack([lon[mask], lat[mask], dem.values[mask], ndvi.values[mask]])
+        want = bank.predict_batch(sid, np.broadcast_to(snap, (targets.shape[0], 5)), targets)
+        grid = parse_ascii_grid(out.read_text())
+        assert (grid.mask == mask).all()
+        assert grid.values[mask].tobytes() == want.tobytes()
+
 
 def _edited_bundle(pipeline, path, mutate):
     """A copy of the pipeline's bundle at ``path``, its manifest edited in place by ``mutate``."""
@@ -370,6 +391,19 @@ class TestExitCodes:
             "--counts", "junk", "--out", str(tmp_path / "r.json"),
         ])
         assert rc == 2
+
+    def test_empty_counts_expression(self, pipeline, tmp_path, capsys):
+        # Empty text once scored the full bank, as if --counts were not given.
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        rc = main([
+            "eval", "--data", str(pipeline["data"]), "--bank", str(pipeline["bank"]),
+            "--counts", "", "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_diverging_train_is_numerical_error(self, pipeline, tmp_path, capsys):
         rc = main([
@@ -528,6 +562,18 @@ class TestExitCodes:
     def test_calibrate_without_data_or_preset(self, pipeline):
         assert main(["calibrate", "--bank", str(pipeline["bank"])]) == 2
 
+    def test_calibrate_with_data_and_preset(self, pipeline, tmp_path, capsys):
+        # The preset once won and --data was ignored.
+        bank_dir = tmp_path / "bank"
+        shutil.copytree(pipeline["bank"], bank_dir)
+        before = (bank_dir / "manifest.json").read_bytes()
+        capsys.readouterr()
+        assert main(["calibrate", "--bank", str(bank_dir), "--preset", "paper-fold-1",
+                     "--data", str(pipeline["data"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (bank_dir / "manifest.json").read_bytes() == before
+
     def test_bad_raster_method(self, pipeline, tmp_path):
         rc = main([
             "raster", "--data", str(pipeline["data"]), "--bank", str(pipeline["bank"]),
@@ -559,6 +605,48 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["single", "single:"])
+    def test_single_raster_needs_a_station_id(self, pipeline, tmp_path, capsys, method):
+        out = tmp_path / "r.asc"
+        capsys.readouterr()
+        rc = main([
+            "raster", "--data", str(pipeline["data"]), "--bank", str(pipeline["bank"]),
+            "--method", method, "--timestamp", "60", "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["bank-station-without-the-minute", "held-out", "unknown"])
+    def test_single_raster_of_a_station_without_an_observation(self, pipeline, tmp_path,
+                                                               capsys, which):
+        dataset = load_dataset(pipeline["data"])
+        bank_ids = load_bank(pipeline["bank"]).station_ids
+        data = pipeline["data"]
+        if which == "bank-station-without-the-minute":
+            # The bank's first station loses minute 60; the others keep it.
+            sid = bank_ids[0]
+            by_id = index_series(dataset.stations)
+            keep = by_id[sid].timestamps != 60
+            by_id[sid] = replace(by_id[sid], timestamps=by_id[sid].timestamps[keep],
+                                 raw=by_id[sid].raw[keep])
+            stations = list(by_id.values())
+            data = tmp_path / "data.zip"
+            save_dataset(Dataset(stations, dataset.dem, dataset.ndvi), data)
+        else:
+            sid = ("zz" if which == "unknown"
+                   else sorted(set(dataset.station_ids()) - set(bank_ids))[0])
+        out = tmp_path / "r.asc"
+        capsys.readouterr()
+        rc = main([
+            "raster", "--data", str(data), "--bank", str(pipeline["bank"]),
+            "--method", f"single:{sid}", "--timestamp", "60", "--out", str(out),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: no climate snapshot for station {sid}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("minute", ["61", "100000000000000000000", "-1"])
     def test_raster_at_minute_without_observations(self, pipeline, tmp_path, minute):
@@ -1065,8 +1153,7 @@ def fuzz_argv(draw, command, inputs):
                 "--out", out]
     if command == "calibrate":
         return ["calibrate", "--bank", path("bank"),
-                *_options(draw, [("data", st.just(inputs["data"])), ("stride", INTS),
-                                 ("preset", TOKENS)])]
+                *_options(draw, [("data", st.just(inputs["data"])), ("preset", TOKENS)])]
     if command == "eval":
         counts = ",".join(_count_token(draw) for _ in range(draw(st.integers(1, 3))))
         methods = ",".join(draw(st.lists(TOKENS, min_size=1, max_size=3)))

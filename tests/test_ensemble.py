@@ -47,6 +47,7 @@ from frostcast.ensemble import (
     FOLD_COEFFICIENT_PRESETS,
     SUBMODEL_SPEC,
     DistanceNormalization,
+    PredictionMatrix,
     SubmodelBank,
     WeightCoefficients,
     _child_seed,
@@ -294,13 +295,11 @@ class TestDistances:
         np.testing.assert_allclose(out, [[0.5, 0.0, 0.25]])
 
 
-def aggregate(method, values, weights=None, trigger=0.0, available=None):
+def aggregate(method, values, weights=None, trigger=0.0):
     """One column of the aggregation table: (prediction, valid) over the given rows."""
     values = np.asarray(values, dtype=np.float64)[:, None]
-    available = np.ones(values.shape, dtype=bool) if available is None else (
-        np.asarray(available)[:, None])
     weights = None if weights is None else np.asarray(weights, dtype=np.float64)
-    pred, valid = AGGREGATORS[method](values, available, weights, trigger)
+    pred, valid = AGGREGATORS[method](values, weights, trigger)
     return pred[0], bool(valid[0])
 
 
@@ -315,8 +314,7 @@ class TestAggregation:
         assert weighted == pytest.approx(aggregate("average", self.PREDICTIONS)[0], abs=1e-12)
 
     def test_subset_renormalizes(self):
-        out, valid = aggregate("weighted_average", [1.0, 2.0, np.nan], [0.5, 0.3, 0.2],
-                               available=[True, True, False])
+        out, valid = aggregate("weighted_average", [1.0, 2.0, np.nan], [0.5, 0.3, 0.2])
         assert valid and out == pytest.approx((0.5 * 1.0 + 0.3 * 2.0) / 0.8)
 
     def test_single_prediction_is_identity(self):
@@ -324,8 +322,7 @@ class TestAggregation:
 
     def test_empty_rejected(self):
         for method in AGGREGATORS:
-            _, valid = AGGREGATORS[method](np.empty((0, 3)), np.empty((0, 3), dtype=bool),
-                                           np.empty(0), 0.0)
+            _, valid = AGGREGATORS[method](np.empty((0, 3)), np.empty(0), 0.0)
             assert not valid.any()
 
 
@@ -342,36 +339,34 @@ def reference_masked_weighted_mean(values, available, weights):
 
 @st.composite
 def masked_blocks(draw):
-    """(values, available, weights): NaN cells, an all-masked column, zero weights."""
+    """(values, weights): NaN cells, an all-NaN column, zero weights."""
     k, n = draw(st.integers(0, 6)), draw(st.integers(1, 8))
     values = draw(hnp.arrays(np.float64, (k, n),
                              elements=st.floats(-40.0, 40.0) | st.just(np.nan)))
     available = draw(hnp.arrays(np.bool_, (k, n)))
     available[:, draw(st.integers(0, n - 1))] = False
-    if draw(st.booleans()):
-        available &= ~np.isnan(values)  # as the ablation masks its blocks
+    values[~available] = np.nan  # NaN marks a missing prediction
     shape = draw(st.sampled_from([(k,), (k, n)]))
     weights = draw(hnp.arrays(np.float64, shape,
                               elements=st.just(0.0) | st.floats(1e-6, 1e6)))
-    return values, available, weights
+    return values, weights
 
 
 class TestMaskedWeightedMean:
     @given(masked_blocks())
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     def test_matches_three_temporary_formula_bit_for_bit(self, block):
-        values, available, weights = block
-        mean, valid = _masked_weighted_mean(values, available, weights)
-        want_mean, want_valid = reference_masked_weighted_mean(values, available, weights)
+        values, weights = block
+        mean, valid = _masked_weighted_mean(values, weights)
+        want_mean, want_valid = reference_masked_weighted_mean(values, ~np.isnan(values), weights)
         assert mean.tobytes() == want_mean.tobytes()
         assert valid.tobytes() == want_valid.tobytes()
 
     def test_leaves_its_inputs_alone(self):
         values = np.array([[1.0, np.nan], [3.0, 4.0]])
-        available = ~np.isnan(values)
         weights = np.array([[0.5, 0.0], [0.25, 2.0]])
         before = (values.copy(), weights.copy())
-        _masked_weighted_mean(values, available, weights)
+        _masked_weighted_mean(values, weights)
         assert values.tobytes() == before[0].tobytes()
         assert weights.tobytes() == before[1].tobytes()
 
@@ -398,8 +393,8 @@ class TestVote:
         assert not aggregate("weighted_vote", [1.5], [1.0], trigger=1.0)[0]
 
     def test_unavailable_rows_do_not_vote(self):
-        frost, valid = aggregate("weighted_vote", [-1.0, np.nan], [0.1, 0.9],
-                                 available=[True, False])
+        # A NaN row that voted warm would outweigh the frost row.
+        frost, valid = aggregate("weighted_vote", [-1.0, np.nan], [1.0, 2.0])
         assert frost and valid
 
 
@@ -681,7 +676,8 @@ class TestCalibration:
                 block[rng.random(block.shape) < cell_nan] = np.nan
                 blocks.append(block)
             seen.append((source_ids, targets, blocks))
-            return source_ids, blocks
+            return [PredictionMatrix(t.id, source_ids, t.label_timestamps, t.labels, block)
+                    for t, block in zip(targets, blocks)]
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ensemble, "_predictions_at_targets", random_blocks)
@@ -773,8 +769,12 @@ class TestPredictionsAtTargets:
         targets = [station_frame(by_id[sid], small_bank.horizon, source=False).thinned(7)
                    for sid in [*small_test_ids, first]]
         monkeypatch.setattr(ensemble, "_worker_count", lambda: n_workers)
-        source_ids, blocks = _predictions_at_targets(small_bank, by_id, targets)
+        matrices = _predictions_at_targets(small_bank, by_id, targets)
+        source_ids, blocks = matrices[0].source_ids, [pm.values for pm in matrices]
         assert source_ids == small_bank.station_ids
+        for target, pm in zip(targets, matrices):
+            assert (pm.target_id, pm.source_ids) == (target.id, source_ids)
+            assert pm.labels is target.labels and pm.timestamps is target.label_timestamps
         sources = [by_id[sid] for sid in source_ids]
         assert len(blocks) == len(targets)
         for target, block in zip(targets, blocks):
@@ -794,7 +794,8 @@ class TestPredictionsAtTargets:
         targets = [station_frame(by_id[sid], small_bank.horizon, source=False).thinned(30)
                    for sid in small_test_ids]
         monkeypatch.setattr(ensemble, "_worker_count", lambda: 1)
-        source_ids, blocks = _predictions_at_targets(small_bank, by_id, targets)
+        matrices = _predictions_at_targets(small_bank, by_id, targets)
+        source_ids, blocks = matrices[0].source_ids, [pm.values for pm in matrices]
         assert source_ids == [sid for sid in small_bank.station_ids if sid != dropped]
         for target, block in zip(targets, blocks):
             want = reference_prediction_block(small_bank, [by_id[s] for s in source_ids], target)

@@ -44,7 +44,7 @@ def idw_estimate(coords, values, query):
     """The IDW estimate ``eval`` makes: ``idw_weights`` through ``AGGREGATORS``."""
     block = np.asarray(values, dtype=np.float64)[:, None]
     weights = idw_weights(np.asarray(coords, dtype=np.float64), query)
-    pred, valid = AGGREGATORS["idw"](block, np.ones(block.shape, dtype=bool), weights, 0.0)
+    pred, valid = AGGREGATORS["idw"](block, weights, 0.0)
     assert valid[0]
     return float(pred[0])
 

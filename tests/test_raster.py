@@ -9,7 +9,7 @@ from scipy import stats as sp_stats
 
 from frostcast import DataError, DomainError, GeoPoint
 from frostcast.core import index_series
-from frostcast.ensemble import FOLD_COEFFICIENT_PRESETS
+from frostcast.ensemble import FOLD_COEFFICIENT_PRESETS, SubmodelBank
 from frostcast.features import climate_matrix
 from frostcast.ingest import AttributeGrid
 from frostcast.raster import compare_rasters, generate_raster, matrix_to_csv, raster_matrix
@@ -26,6 +26,12 @@ def snapshot(world, ids, minute=30):
     return out
 
 
+def single(bank, climate, world, sid):
+    """One station's raster: the average over a snapshot that holds only that station,
+    as ``raster --method single:<id>`` makes it."""
+    return generate_raster(bank, {sid: climate[sid]}, world.dem, world.ndvi, "average")
+
+
 @pytest.fixture(scope="module")
 def climate(small_world, small_bank):
     return snapshot(small_world, small_bank.station_ids)
@@ -34,12 +40,8 @@ def climate(small_world, small_bank):
 class TestGenerateRaster:
     def test_average_is_cellwise_mean_of_singles(self, small_world, small_bank, climate):
         avg = generate_raster(small_bank, climate, small_world.dem, small_world.ndvi, "average")
-        singles = [
-            generate_raster(
-                small_bank, climate, small_world.dem, small_world.ndvi, "single", source_id=sid
-            )
-            for sid in small_bank.station_ids
-        ]
+        singles = [single(small_bank, climate, small_world, sid)
+                   for sid in small_bank.station_ids]
         stacked = np.stack([s.values for s in singles])
         npt.assert_allclose(avg.values[avg.mask], stacked.mean(axis=0)[avg.mask], atol=1e-9)
 
@@ -47,11 +49,8 @@ class TestGenerateRaster:
         # Each single raster holds one row of the prediction block the
         # average aggregates, so the table's mean must equal preds.mean(axis=0).
         avg = generate_raster(small_bank, climate, small_world.dem, small_world.ndvi, "average")
-        preds = np.stack([
-            generate_raster(small_bank, climate, small_world.dem, small_world.ndvi, "single",
-                            source_id=sid).values[avg.mask]
-            for sid in small_bank.station_ids
-        ])
+        preds = np.stack([single(small_bank, climate, small_world, sid).values[avg.mask]
+                          for sid in small_bank.station_ids])
         npt.assert_array_equal(avg.values[avg.mask], preds.mean(axis=0))
 
     def test_weighted_matches_per_station_reference(self, small_world, small_bank, climate):
@@ -73,8 +72,7 @@ class TestGenerateRaster:
             norm = small_bank.normalization.normalize(raw)
             denom = c.geo * norm[:, 0] + c.dem * norm[:, 1] + c.ndvi * norm[:, 2]
             weights.append(1.0 / np.maximum(denom, 1e-6))
-            preds.append(generate_raster(small_bank, climate, dem, ndvi, "single",
-                                         source_id=sid).values[mask])
+            preds.append(single(small_bank, climate, small_world, sid).values[mask])
         weights = np.array(weights)
         weights /= weights.sum(axis=0)
         npt.assert_allclose(wavg.values[mask], (weights * np.array(preds)).sum(axis=0),
@@ -101,22 +99,29 @@ class TestGenerateRaster:
         ids = small_bank.station_ids
         partial = {sid: climate[sid] for sid in ids[:2]}
         out = generate_raster(small_bank, partial, small_world.dem, small_world.ndvi, "average")
-        singles = [
-            generate_raster(
-                small_bank, partial, small_world.dem, small_world.ndvi, "single", source_id=sid
-            )
-            for sid in ids[:2]
-        ]
+        singles = [single(small_bank, partial, small_world, sid) for sid in ids[:2]]
         expected = np.stack([s.values for s in singles]).mean(axis=0)
         npt.assert_allclose(out.values[out.mask], expected[out.mask], atol=1e-9)
 
-    def test_single_needs_source(self, small_world, small_bank, climate):
-        with pytest.raises(DomainError):
-            generate_raster(small_bank, climate, small_world.dem, small_world.ndvi, "single")
-        with pytest.raises(DataError):
-            generate_raster(
-                small_bank, climate, small_world.dem, small_world.ndvi, "single", source_id="none"
-            )
+    def test_nan_predictions_sit_out_of_their_cells(self, small_world, small_bank, climate,
+                                                    monkeypatch):
+        # The first station predicts NaN at the first cell, and every station at the second.
+        ids, predict = small_bank.station_ids, SubmodelBank.predict_batch
+
+        def with_nan(bank, sid, block, targets):
+            out = predict(bank, sid, block, targets)
+            out[1] = np.nan
+            if sid == ids[0]:
+                out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(SubmodelBank, "predict_batch", with_nan)
+        grid = generate_raster(small_bank, climate, small_world.dem, small_world.ndvi, "average")
+        rest = generate_raster(small_bank, {sid: climate[sid] for sid in ids[1:]},
+                               small_world.dem, small_world.ndvi, "average")
+        first, second = map(tuple, np.argwhere(grid.mask)[:2])
+        assert grid.values[first] == pytest.approx(rest.values[first], rel=1e-12)
+        assert grid.mask[second] and np.isnan(grid.values[second])
 
     def test_unknown_method(self, small_world, small_bank, climate):
         with pytest.raises(DomainError):
